@@ -61,6 +61,14 @@ _WEIGHT_EXP_CAP = 690.0  # log(1e300)
 # below this (relative) threshold is a genuine realizability violation
 _NEGATIVITY_RTOL = 1e-12
 
+# chunk sizes that bound the temporaries of the batched inversion:
+# rows per pass over the quadrature nodes (results are the same for any
+# size), moment rows per chunk of the cold starts' resultant scan (801
+# points a row), and start points per Newton solve of a fallback rung
+_NODE_PASS_ROWS = 128
+_SCAN_CHUNK_ROWS = 16
+_RUNG_ROWS = 32
+
 
 def hermite_polynomial(k: int, x: np.ndarray) -> np.ndarray:
     """Probabilists' Hermite polynomial He_k (orthogonal against the
@@ -96,27 +104,34 @@ class ConservativeMoment:
         if np.any(theta <= 0.0) or not np.all(np.isfinite(omega)):
             raise RealizabilityError("ConservativeMoment needs finite omega, theta > 0")
 
-    def values_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        omegas = np.atleast_2d(omegas)
+    def _factors(self, omegas: np.ndarray, xi: np.ndarray):
+        """xi - u, the Gaussian factor and the polynomial factor on the
+        nodes, one row per omega."""
         alpha, u, theta = self.split(omegas)
         c = xi[None, :] - u[:, None]
         gauss = np.exp(-c * c / (2.0 * theta[:, None]))
         poly = np.zeros_like(gauss)
         for k in range(self.degree, -1, -1):  # Horner
             poly = poly * xi[None, :] + alpha[:, k, None]
-        return gauss * poly
+        return c, gauss, poly
+
+    def values_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        omegas = np.atleast_2d(omegas)
+        out = np.empty((omegas.shape[0], xi.size))
+        for lo in range(0, omegas.shape[0], _NODE_PASS_ROWS):
+            _, gauss, poly = self._factors(omegas[lo : lo + _NODE_PASS_ROWS], xi)
+            np.multiply(gauss, poly, out=out[lo : lo + _NODE_PASS_ROWS])
+        return out
 
     def values(self, omega, xi):
         return self.values_batch(omega, xi)[0]
 
     def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
         omegas = np.atleast_2d(omegas)
-        alpha, u, theta = self.split(omegas)
-        m = omegas.shape[0]
-        c = xi[None, :] - u[:, None]
-        gauss = np.exp(-c * c / (2.0 * theta[:, None]))
-        f = self.values_batch(omegas, xi)
-        basis = np.empty((m, self.dim, xi.size))
+        _, _, theta = self.split(omegas)
+        c, gauss, poly = self._factors(omegas, xi)
+        f = gauss * poly
+        basis = np.empty((omegas.shape[0], self.dim, xi.size))
         pw = np.ones_like(gauss)
         for k in range(self.degree + 1):
             basis[:, k, :] = gauss * pw
@@ -152,14 +167,7 @@ class ConservativeMoment:
 
     def moment_frame_grams_batch(self, omegas, grid: QuadratureRule):
         _, u, theta = self.split(np.atleast_2d(omegas))
-        c = grid.nodes[None, :] - u[:, None]
-        gauss = np.exp(-c * c / (2.0 * theta[:, None]))
-        top = 2 * (self.n_moments - 1) + 1
-        powers = np.empty((u.size, top + 1))
-        acc = gauss * grid.weights[None, :]
-        for j in range(top + 1):
-            powers[:, j] = np.add.reduce(acc, axis=1)
-            acc = acc * grid.nodes[None, :]
+        powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1)
         k = np.arange(self.n_moments)
         M = powers[:, k[:, None] + k[None, :]]
         V = powers[:, k[:, None] + k[None, :] + 1]
@@ -172,42 +180,35 @@ class ConservativeMoment:
         xiP = _xi_powers(grid, upto)
         return vals @ (xiP * grid.weights).T
 
-    def gaussian_fit(self, c: np.ndarray) -> tuple[float, float]:
-        """Mean/variance fit (u, theta) of a raw moment vector."""
-        if c[0] <= 0.0:
-            raise RealizabilityError(f"moment c0 = {c[0]} is not positive")
-        u = c[1] / c[0]
-        theta = c[2] / c[0] - u * u
-        if theta <= 0.0:
-            raise RealizabilityError(f"implied temperature {theta} is not positive")
-        return float(u), float(theta)
+    def gaussian_fit(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean/variance fits (u, theta) of stacked raw moment rows."""
+        C = np.atleast_2d(C)
+        u, theta, ok = _gaussian_fit(C)
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            raise RealizabilityError(
+                f"row {i}: moments {C[i].tolist()} have no Gaussian fit "
+                f"(c0 = {C[i, 0]:.6g}, implied temperature {theta[i]:.6g})"
+            )
+        return u, theta
 
-    def _gauss_powers(self, u, theta, grid, top):
-        gauss = np.exp(-((grid.nodes - u) ** 2) / (2.0 * theta))
-        out = np.empty(top + 1)
-        acc = gauss * grid.weights
-        for j in range(top + 1):
-            out[j] = np.add.reduce(acc)
-            acc = acc * grid.nodes
-        return out
-
-    def _varpro_split(self, u, theta, c, grid):
+    def _varpro_split(self, u, theta, C, grid):
         """With (u, theta) frozen, the alphas matching c_0..c_N solve a
         square SPD Hankel system; returns them with the residual on the
-        two remaining moments."""
+        two remaining moments, one row per (u, theta, C) row."""
         N = self.degree
-        pw = self._gauss_powers(u, theta, grid, 2 * N + 2)
+        pw = _gauss_power_sums(u, theta, grid, 2 * N + 2)
         k = np.arange(N + 1)
-        hankel = pw[k[:, None] + k[None, :]]
-        try:
-            alpha = np.linalg.solve(hankel, c[: N + 1])
-        except np.linalg.LinAlgError:
-            alpha, *_ = np.linalg.lstsq(hankel, c[: N + 1], rcond=1e-12)
-        rows = pw[np.array([N + 1, N + 2])[:, None] + k[None, :]]
-        return alpha, rows @ alpha - c[N + 1 :]
+        hankel = pw[:, k[:, None] + k[None, :]]
+        rhs = C[:, : N + 1]
+        alpha = _solve_rows(hankel, rhs, rcond=1e-12)
+        # contiguous rows take the same BLAS product as a single row does
+        rows = np.ascontiguousarray(pw[:, np.array([N + 1, N + 2])[:, None] + k[None, :]])
+        return alpha, (rows @ alpha[..., None])[..., 0] - C[:, N + 1 :]
 
-    def initial_guess(self, c: np.ndarray, grid: QuadratureRule) -> np.ndarray:
-        """Variable-projection cold start for the moment inversion.
+    def initial_guess(self, C: np.ndarray, grid: QuadratureRule) -> np.ndarray:
+        """Variable-projection cold starts for the moment inversion, one
+        row of omega per row of raw moments.
 
         The obvious Gaussian-only guess (alphas zeroed) lies exactly on
         the set where the chart loses rank (d/du and d/dtheta fall into
@@ -215,72 +216,111 @@ class ConservativeMoment:
         the alphas by the linear Hankel solve leaves a 2D root-find in
         (u, theta), whose Jacobian degenerates on the same ridge; a
         coarse scan around the Gaussian fit steps off the ridge before
-        damped Newton takes over.
+        damped Newton takes over.  Rows run in lockstep, each with its
+        own scan, Newton steps and line search.
         """
-        u0, th0 = self.gaussian_fit(c)
-        omega = np.zeros(self.dim)
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        u0, th0 = self.gaussian_fit(C)
+        omega = np.zeros((C.shape[0], self.dim))
         if self.degree == 0:
-            omega[0] = c[0] / np.sqrt(2.0 * np.pi * th0)
-            omega[-2:] = (u0, th0)
+            omega[:, 0] = C[:, 0] / np.sqrt(2.0 * np.pi * th0)
+            omega[:, -2] = u0
+            omega[:, -1] = th0
             return omega
 
-        scale2 = 1.0 + np.abs(c[self.degree + 1 :])
+        scale2 = 1.0 + np.abs(C[:, self.degree + 1 :])
         L = grid.half_width
 
-        def objective(x):
-            _, r2 = self._varpro_split(x[0], x[1], c, grid)
-            return np.linalg.norm(r2 / scale2)
+        def norm(v):
+            # row by row as the 1-D np.linalg.norm computes it (a dot
+            # product), to the last bit: the ridge amplifies round-off
+            return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-        best = np.array([u0, th0])
-        best_val = objective(best)
-        if best_val > 1e-13:
-            span = np.sqrt(th0)
-            for du in np.linspace(-0.9, 0.9, 7) * span:
-                for fth in np.geomspace(0.45, 2.2, 7):
-                    cand = np.array([u0 + du, th0 * fth])
-                    if not -L < cand[0] < L:
-                        continue
-                    val = objective(cand)
-                    if val < best_val:
-                        best, best_val = cand, val
+        def objective(x, rows):
+            _, r2 = self._varpro_split(x[:, 0], x[:, 1], C[rows], grid)
+            return norm(r2 / scale2[rows])
 
-        x = best
+        def inside(x):
+            return (-L < x[..., 0]) & (x[..., 0] < L)
+
+        x = np.stack([u0, th0], axis=1)
+        best_val = objective(x, np.arange(C.shape[0]))
+        rows = np.flatnonzero(best_val > 1e-13)
+        if rows.size:
+            # 7 x 7 scan, u offsets outer, temperature factors inner;
+            # the first strict improvement on the Gaussian fit wins
+            du = np.linspace(-0.9, 0.9, 7)[None, :] * np.sqrt(th0[rows])[:, None]
+            fth = np.geomspace(0.45, 2.2, 7)
+            cand = np.empty((rows.size, 7, 7, 2))
+            cand[..., 0] = (u0[rows][:, None] + du)[:, :, None]
+            cand[..., 1] = (th0[rows][:, None] * fth[None, :])[:, None, :]
+            cand = cand.reshape(rows.size, 49, 2)
+            vals = np.full((rows.size, 49), np.inf)
+            ok = inside(cand)
+            vals[ok] = objective(cand[ok], np.repeat(rows, 49)[ok.ravel()])
+            vals[~np.isfinite(vals)] = np.inf
+            pick = vals.argmin(axis=1)
+            low = vals[np.arange(rows.size), pick]
+            better = low < best_val[rows]
+            x[rows[better]] = cand[better, pick[better]]
+
+        live = np.ones(C.shape[0], dtype=bool)
+        levels = 0.5 ** np.arange(25)
         for _ in range(60):
-            _, r2 = self._varpro_split(x[0], x[1], c, grid)
-            if np.abs(r2 / scale2).max() < 1e-13:
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
                 break
-            J = np.empty((2, 2))
+            xr = x[rows]
+            _, r2 = self._varpro_split(xr[:, 0], xr[:, 1], C[rows], grid)
+            done = np.abs(r2 / scale2[rows]).max(axis=1) < 1e-13
+            live[rows[done]] = False
+            rows, xr, r2 = rows[~done], xr[~done], r2[~done]
+            if rows.size == 0:
+                break
+            # central differences in u and theta, all four shifts at once
+            h = 1e-6 * np.maximum(np.abs(xr), 1e-3)
+            shifted = np.repeat(xr[None, :, :], 4, axis=0)
             for d in range(2):
-                h = 1e-6 * max(abs(x[d]), 1e-3)
-                xp, xm = x.copy(), x.copy()
-                xp[d] += h
-                xm[d] -= h
-                J[:, d] = (
-                    self._varpro_split(xp[0], xp[1], c, grid)[1]
-                    - self._varpro_split(xm[0], xm[1], c, grid)[1]
-                ) / (2.0 * h)
-            try:
-                step = np.linalg.solve(J, -r2)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(J, -r2, rcond=1e-10)[0]
-            base = np.linalg.norm(r2 / scale2)
-            s, moved = 1.0, False
-            for _ in range(25):
-                cand = x + s * step
-                if -L < cand[0] < L and 1e-8 < cand[1] < (2.0 * L) ** 2:
-                    if objective(cand) < base:
-                        x, moved = cand, True
-                        break
-                s *= 0.5
-            if not moved:
-                break
-        alpha, _ = self._varpro_split(x[0], x[1], c, grid)
-        omega[: self.degree + 1] = alpha
-        omega[-2:] = x
+                shifted[2 * d, :, d] += h[:, d]
+                shifted[2 * d + 1, :, d] -= h[:, d]
+            n = rows.size
+            _, r_sh = self._varpro_split(
+                shifted[..., 0].ravel(), shifted[..., 1].ravel(), C[np.tile(rows, 4)], grid
+            )
+            r_sh = r_sh.reshape(4, n, 2)
+            J = np.empty((n, 2, 2))
+            for d in range(2):
+                J[:, :, d] = (r_sh[2 * d] - r_sh[2 * d + 1]) / (2.0 * h[:, d, None])
+            step = _solve_rows(J, -r2, rcond=1e-10)
+            base = norm(r2 / scale2[rows])
+            # the full step first, the remaining halvings in one batch;
+            # per row the largest improving level wins
+            moved = np.zeros(n, dtype=bool)
+            for lv in (levels[:1], levels[1:]):
+                idx = np.flatnonzero(~moved)
+                if idx.size == 0:
+                    break
+                trial = xr[idx][None, :, :] + lv[:, None, None] * step[idx][None, :, :]
+                ok = inside(trial) & (1e-8 < trial[..., 1]) & (trial[..., 1] < (2.0 * L) ** 2)
+                vals = np.full(ok.shape, np.inf)
+                owner = np.broadcast_to(rows[idx][None, :], ok.shape)
+                vals[ok] = objective(trial[ok], owner[ok])
+                improve = vals < base[idx][None, :]
+                hit = improve.any(axis=0)
+                first = improve.argmax(axis=0)
+                x[rows[idx[hit]]] = trial[first[hit], hit]
+                moved[idx[hit]] = True
+            live[rows[~moved]] = False
+        alpha, _ = self._varpro_split(x[:, 0], x[:, 1], C, grid)
+        omega[:, : self.degree + 1] = alpha
+        omega[:, -2:] = x
         return omega
 
-    def cold_start_candidates(self, c: np.ndarray, grid: QuadratureRule) -> list[np.ndarray]:
-        """Global (u, theta) candidates for hard cold starts.
+    def cold_start_candidates(
+        self, C: np.ndarray, grid: QuadratureRule
+    ) -> list[list[np.ndarray]]:
+        """Global (u, theta) candidates for hard cold starts, one list
+        per row of raw moments.
 
         The moments of a Gaussian-times-polynomial have vanishing
         Hermite coefficients of orders N+1 and N+2 around the ansatz's
@@ -288,27 +328,36 @@ class ConservativeMoment:
         (u, theta).  theta is eliminated with a numerical Sylvester
         resultant; its sign changes along u (on standardized moments)
         locate every simple root, and each surviving theta branch
-        yields a candidate chart point.
+        yields a candidate chart point.  The variable-projection
+        ``initial_guess`` comes last.  The scan, the bisections and the
+        refinements run in lockstep over all rows and brackets.
         """
+        C = np.atleast_2d(np.asarray(C, dtype=float))
         N = self.degree
-        u0, th0 = self.gaussian_fit(c)
+        guesses = self.initial_guess(C, grid)
         if N == 0:
-            return [self.initial_guess(c, grid)]
+            return [[g] for g in guesses]
+        u0, th0 = self.gaussian_fit(C)
         s = np.sqrt(th0)
         K = self.n_moments
+        # standardized moments row by row in Python floats: the powers
+        # of a float round differently from numpy's array powers
         ch = np.array(
             [
-                sum(comb(i, k) * (-u0) ** (i - k) * c[k] for k in range(i + 1)) / s**i
-                for i in range(K)
+                [
+                    sum(comb(i, k) * (-u) ** (i - k) * c[k] for k in range(i + 1)) / sd**i
+                    for i in range(K)
+                ]
+                for u, sd, c in zip(u0.tolist(), s, C)
             ]
         )
 
-        def central(ups):
-            ups = np.atleast_1d(np.asarray(ups, dtype=float))
+        def central(ups, chb):
+            # central moments about u for points ups on rows chb
             mu = np.zeros((ups.size, N + 3))
             for i in range(N + 3):
                 for k in range(i + 1):
-                    mu[:, i] += comb(i, k) * (-ups) ** (i - k) * ch[k]
+                    mu[:, i] += comb(i, k) * (-ups) ** (i - k) * chb[:, k]
             return mu
 
         def gamma_coefs(mu, m):
@@ -322,8 +371,8 @@ class ConservativeMoment:
                 )
             return out
 
-        def resultant(ups):
-            mu = central(ups)
+        def resultant(ups, chb):
+            mu = central(ups, chb)
             a = gamma_coefs(mu, N + 1)
             b = gamma_coefs(mu, N + 2)
             pdeg, qdeg = a.shape[1] - 1, b.shape[1] - 1
@@ -337,53 +386,70 @@ class ConservativeMoment:
 
         span = 5.0
         us = np.linspace(-span, span, 801)
-        vals = resultant(us)
-        roots = []
-        for i in range(us.size - 1):
-            fa, fb = vals[i], vals[i + 1]
-            if not (np.isfinite(fa) and np.isfinite(fb)) or np.sign(fa) == np.sign(fb):
-                continue
-            a, b = us[i], us[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = resultant(mid)[0]
-                if np.sign(fm) == np.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
+        R = C.shape[0]
+        vals = np.empty((R, us.size))
+        for lo in range(0, R, _SCAN_CHUNK_ROWS):
+            hi = min(lo + _SCAN_CHUNK_ROWS, R)
+            vals[lo:hi] = resultant(
+                np.tile(us, hi - lo), np.repeat(ch[lo:hi], us.size, axis=0)
+            ).reshape(hi - lo, us.size)
+
+        # simple roots: bisection on every sign change
+        fa, fb = vals[:, :-1], vals[:, 1:]
+        with np.errstate(invalid="ignore"):
+            change = np.isfinite(fa) & np.isfinite(fb) & (np.sign(fa) != np.sign(fb))
+        row_b, i_b = np.nonzero(change)
+        a, b, fa = us[i_b], us[i_b + 1], vals[row_b, i_b]
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            fm = resultant(mid, ch[row_b])
+            same = np.sign(fm) == np.sign(fa)
+            a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
+        root_b = 0.5 * (a + b)
+
         # tangential (even-multiplicity) roots never change sign; refine
         # every strict local minimum of |R| and let the downstream
         # Newton polish discard the false positives
         absv = np.abs(vals)
-        for i in range(1, us.size - 1):
-            if not (absv[i] < absv[i - 1] and absv[i] <= absv[i + 1]):
-                continue
-            a, b = us[i - 1], us[i + 1]
-            for _ in range(60):
-                m1 = a + (b - a) / 3.0
-                m2 = b - (b - a) / 3.0
-                if abs(resultant(m1)[0]) < abs(resultant(m2)[0]):
-                    b = m2
-                else:
-                    a = m1
-            roots.append(0.5 * (a + b))
+        with np.errstate(invalid="ignore"):
+            dip = (absv[:, 1:-1] < absv[:, :-2]) & (absv[:, 1:-1] <= absv[:, 2:])
+        row_t, i_t = np.nonzero(dip)
+        a, b = us[i_t], us[i_t + 2]
+        ch_t = ch[np.concatenate([row_t, row_t])]
+        for _ in range(60):
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            f12 = np.abs(resultant(np.concatenate([m1, m2]), ch_t))
+            left = f12[: m1.size] < f12[m1.size :]
+            b, a = np.where(left, m2, b), np.where(left, a, m1)
+        root_t = 0.5 * (a + b)
 
-        out = []
-        for up in roots:
-            mu = central(up)
-            acoef = np.trim_zeros(gamma_coefs(mu, N + 1)[0], "b")
+        # per row: sign-change roots in scan order, then the refined minima
+        row_r = np.concatenate([row_b, row_t])
+        ups = np.concatenate([root_b, root_t])
+        order = np.argsort(row_r, kind="stable")
+        row_r, ups = row_r[order], ups[order]
+        acoefs = gamma_coefs(central(ups, ch[row_r]), N + 1)
+        owner, u_c, th_c = [], [], []
+        for r, up, acoef in zip(row_r, ups, acoefs):
+            acoef = np.trim_zeros(acoef, "b")
             if acoef.size <= 1:
                 continue
             for th in np.polynomial.polynomial.polyroots(acoef):
                 if abs(th.imag) > 1e-7 * max(1.0, abs(th.real)) or th.real <= 1e-8:
                     continue
-                u_cand = u0 + s * up
-                th_cand = th0 * float(th.real)
-                alpha, _ = self._varpro_split(u_cand, th_cand, c, grid)
-                cand = np.concatenate([alpha, [u_cand, th_cand]])
-                out.append(cand)
-        out.append(self.initial_guess(c, grid))
+                owner.append(r)
+                u_c.append(u0[r] + s[r] * up)
+                th_c.append(th0[r] * float(th.real))
+        owner = np.array(owner, dtype=int)
+        out = [[] for _ in range(R)]
+        if owner.size:
+            u_c, th_c = np.array(u_c), np.array(th_c)
+            alpha, _ = self._varpro_split(u_c, th_c, C[owner], grid)
+            for r, al, u, th in zip(owner, alpha, u_c, th_c):
+                out[r].append(np.concatenate([al, [u, th]]))
+        for r in range(R):
+            out[r].append(guesses[r])
         return out
 
     def equilibrium_params(self, rho: float, u: float, theta: float) -> np.ndarray:
@@ -659,6 +725,47 @@ def _xi_powers(grid: QuadratureRule, upto: int) -> np.ndarray:
     return out
 
 
+def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int) -> np.ndarray:
+    """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
+    j = 0..top, one row per (u, theta)."""
+    out = np.empty((u.size, top + 1))
+    for lo in range(0, u.size, _NODE_PASS_ROWS):
+        rows = slice(lo, lo + _NODE_PASS_ROWS)
+        c = grid.nodes[None, :] - u[rows, None]
+        acc = np.exp(-c * c / (2.0 * theta[rows, None])) * grid.weights[None, :]
+        for j in range(top + 1):
+            out[rows, j] = np.add.reduce(acc, axis=1)
+            acc = acc * grid.nodes[None, :]
+    return out
+
+
+def _gaussian_fit(C: np.ndarray):
+    """Mean and variance (u, theta) of raw moment rows, and whether each
+    fit is realizable (c0 > 0, theta > 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = C[:, 1] / C[:, 0]
+        theta = C[:, 2] / C[:, 0] - u * u
+    return u, theta, (C[:, 0] > 0.0) & (theta > 0.0)
+
+
+def _solve_rows(J: np.ndarray, rhs: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Stacked solves J x = rhs.  A singular row gets the least-squares
+    solution at ``rcond``, or NaN when ``rcond`` is None; the other rows
+    are solved as if alone."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full_like(rhs, np.nan)
+    for i in range(rhs.shape[0]):
+        try:
+            out[i] = np.linalg.solve(J[i], rhs[i])
+        except np.linalg.LinAlgError:
+            if rcond is not None:
+                out[i] = np.linalg.lstsq(J[i], rhs[i], rcond=rcond)[0]
+    return out
+
+
 def evaluate(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
     """f(xi; omega) on the grid nodes; negative values are a
     realizability error (round-off clipped at zero)."""
@@ -709,59 +816,34 @@ def _check_positivity_batch(manifold, omegas, grid, where="recovered parameters"
         raise RealizabilityError(f"{where}: negative ansatz values (row {cell})")
 
 
-def recover_batch(
-    manifold: ConservativeMoment,
-    targets: np.ndarray,
-    grid: QuadratureRule,
-    omega0: np.ndarray | None = None,
-    max_iter: int = 50,
-    max_halvings: int = 12,
-    tol: float = 1e-11,
-    require_nonnegative: bool = True,
-    _thorough_retry: bool = True,
-) -> np.ndarray:
-    """Damped Newton inversion of the moment map for a batch of cells.
+def _newton(
+    manifold, targets, omega, grid,
+    max_iter=50, max_halvings=12, tol=1e-11, require_nonnegative=True,
+):
+    """Damped Newton on the moment map, every row in one batch.
 
-    ``targets`` holds raw moments c_0..c_{N+2} per row; rows are solved
-    simultaneously.  Non-convergence raises ``InversionError`` with the
-    first offending row.  ``require_nonnegative=False`` admits chart
-    points whose polynomial factor dips negative: the conservative
-    solver only consumes signed integrals of f and must be able to ride
-    along the realizability boundary.
+    Returns the last iterates (``omega`` is updated in place), whether
+    each row converged to a realizable point, and each row's largest
+    scaled moment residual.  A row is frozen once no damping level
+    improves its residual: its later iterations would repeat that
+    failed step.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m, K = targets.shape
-    if K != manifold.n_moments:
-        raise ParameterError(f"expected {manifold.n_moments} moments per row, got {K}")
-    if omega0 is None:
-        omega = np.stack([manifold.initial_guess(targets[i], grid) for i in range(m)])
-    else:
-        omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
-
-    xiPw = _xi_powers(grid, K - 1) * grid.weights
+    xiPw = _xi_powers(grid, targets.shape[1] - 1) * grid.weights
     scale = 1.0 + np.abs(targets)
-
-    def residual(om):
-        vals = manifold.values_batch(om, grid.nodes)
-        return vals @ xiPw.T - targets
-
-    r = residual(omega)
-    err = np.abs(r) / scale
-    conv = err.max(axis=1) <= tol
+    r = manifold.values_batch(omega, grid.nodes) @ xiPw.T - targets
+    err = (np.abs(r) / scale).max(axis=1)
+    live = ~(err <= tol)
     for _ in range(max_iter):
-        if conv.all():
+        act = np.flatnonzero(live)
+        if act.size == 0:
             break
-        act = np.flatnonzero(~conv)
         om_a = omega[act]
         r_a = r[act]
         sc_a = scale[act]
         tg_a = targets[act]
         basis = manifold.tangent_batch(om_a, grid.nodes)
         J = np.einsum("kn,mdn->mkd", xiPw, basis)
-        try:
-            step = np.linalg.solve(J, -r_a[:, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.full_like(r_a, np.nan)
+        step = _solve_rows(J, -r_a)
         # near chart-degenerate points the plain solve emits noise steps;
         # fall back to a truncated pseudo-inverse there
         wild = ~np.isfinite(step).all(axis=1)
@@ -774,7 +856,7 @@ def recover_batch(
         accepted = np.zeros(act.size, dtype=bool)
         trial = om_a.copy()
 
-        def try_levels(rows, steps, levels, accepted):
+        def try_levels(rows, steps, levels):
             """Evaluate the given damping levels for the given rows in
             one batch; per row the largest improving level wins."""
             cand = om_a[rows][None, :, :] + levels[:, None, None] * steps[None, :, :]
@@ -793,94 +875,124 @@ def recover_batch(
             hit = np.flatnonzero(win)
             trial[rows[hit]] = cand_ok[first[hit], hit]
             accepted[rows[hit]] = True
-            return accepted
 
-        def damped_round(step_arr, accepted):
+        def damped_round(step_arr):
             # full Newton step first (the common case), remaining
             # halving levels in one batch for the stragglers
             rows = np.flatnonzero(~accepted)
             if rows.size == 0:
-                return accepted
-            accepted = try_levels(rows, step_arr[rows], np.ones(1), accepted)
+                return
+            try_levels(rows, step_arr[rows], np.ones(1))
             rows = np.flatnonzero(~accepted)
             if rows.size:
-                levels = 0.5 ** np.arange(1, max_halvings + 1)
-                accepted = try_levels(rows, step_arr[rows], levels, accepted)
-            return accepted
+                try_levels(rows, step_arr[rows], 0.5 ** np.arange(1, max_halvings + 1))
 
-        accepted = damped_round(step, accepted)
+        damped_round(step)
         if not accepted.all():
             retry = ~accepted
             pin = np.linalg.pinv(J[retry], rcond=1e-10)
             step_retry = np.zeros_like(step)
             step_retry[retry] = -(pin @ r_a[retry][..., None])[..., 0]
-            accepted = damped_round(step_retry, accepted)
-        if not accepted.any():
-            break
-        omega[act] = trial
-        r[act] = manifold.values_batch(trial, grid.nodes) @ xiPw.T - tg_a
-        err = np.abs(r) / scale
-        conv = err.max(axis=1) <= tol
+            damped_round(step_retry)
+        live[act[~accepted]] = False
+        hit = act[accepted]
+        omega[hit] = trial[accepted]
+        r[hit] = manifold.values_batch(omega[hit], grid.nodes) @ xiPw.T - targets[hit]
+        err[hit] = (np.abs(r[hit]) / scale[hit]).max(axis=1)
+        live[hit] = ~(err[hit] <= tol)
+    ok = err <= tol
     if require_nonnegative:
         vals = manifold.values_batch(omega, grid.nodes)
-        realizable = vals.min(axis=1) >= -_NEGATIVITY_RTOL * np.maximum(
-            vals.max(axis=1), 0.0
-        )
+        ok &= vals.min(axis=1) >= -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+    return omega, ok, err
+
+
+def _solve_candidates(manifold, targets, candidates, grid, **newton):
+    """Batched Newton solves over every row's list of start points, in
+    chunks of ``_RUNG_ROWS``: returns the solutions, their success flags
+    and the row each came from."""
+    owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
+    sol = np.array([c for cands in candidates for c in cands]).reshape(-1, manifold.dim)
+    ok = np.zeros(owner.size, dtype=bool)
+    for lo in range(0, owner.size, _RUNG_ROWS):
+        part = slice(lo, lo + _RUNG_ROWS)
+        sol[part], ok[part], _ = _newton(manifold, targets[owner[part]], sol[part], grid, **newton)
+    return sol, ok, owner
+
+
+def recover_batch(
+    manifold: ConservativeMoment,
+    targets: np.ndarray,
+    grid: QuadratureRule,
+    omega0: np.ndarray | None = None,
+    max_iter: int = 50,
+    max_halvings: int = 12,
+    tol: float = 1e-11,
+    require_nonnegative: bool = True,
+) -> np.ndarray:
+    """Damped Newton inversion of the moment map for a batch of cells.
+
+    ``targets`` holds raw moments c_0..c_{N+2} per row; rows are solved
+    simultaneously.  Rows that stall or end unrealizable go down a
+    fallback ladder, each rung solved in batches across all of them:
+    ridge-jitter restarts (per row, the solution closest to the stalled
+    iterate), then the resultant-scan cold starts (per row, the first
+    candidate that converges).  A row that survives no rung raises
+    ``InversionError`` naming the first such row, with every failed row
+    in ``rows`` and the batch's iterates in ``omega``.
+    ``require_nonnegative=False`` admits chart points whose polynomial
+    factor dips negative: the conservative solver only consumes signed
+    integrals of f and must be able to ride along the realizability
+    boundary.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    K = targets.shape[1]
+    if K != manifold.n_moments:
+        raise ParameterError(f"expected {manifold.n_moments} moments per row, got {K}")
+    if omega0 is None:
+        omega = manifold.initial_guess(targets, grid)
     else:
-        realizable = np.ones(m, dtype=bool)
-    ok = conv & realizable
-    if not ok.all():
-        if not _thorough_retry:
-            i = int(np.flatnonzero(~ok)[0])
-            if not conv[i]:
-                raise InversionError(
-                    f"moment inversion stalled at row {i}: residual {err[i].max():.3e}"
-                )
-            raise RealizabilityError(
-                f"moment inversion: negative ansatz values (row {i})"
-            )
-        # stalled or unrealizable rows: cheap ridge-jitter restarts
-        # first, then the global resultant-scan candidate ladder
-        for i in np.flatnonzero(~ok):
-
-            def attempt(cand):
-                return recover_batch(
-                    manifold,
-                    targets[i][None, :],
-                    grid,
-                    omega0=cand[None, :],
-                    max_iter=max_iter,
-                    max_halvings=max_halvings,
-                    tol=tol,
-                    require_nonnegative=require_nonnegative,
-                    _thorough_retry=False,
-                )[0]
-
-            solutions = []
-            for cand in _ridge_jitters(manifold, omega[i], grid):
-                try:
-                    solutions.append(attempt(cand))
-                except (InversionError, RealizabilityError):
-                    continue
-            if solutions:
+        omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
+    newton = dict(
+        max_iter=max_iter,
+        max_halvings=max_halvings,
+        tol=tol,
+        require_nonnegative=require_nonnegative,
+    )
+    omega, ok, _ = _newton(manifold, targets, omega, grid, **newton)
+    bad = np.flatnonzero(~ok)
+    if bad.size and manifold.degree > 0:
+        jitters = [list(_ridge_jitters(manifold, omega[i], grid)) for i in bad]
+        sol, sol_ok, owner = _solve_candidates(manifold, targets[bad], jitters, grid, **newton)
+        for j, i in enumerate(bad):
+            hits = np.flatnonzero(sol_ok & (owner == j))
+            if hits.size:
                 # several jitters may land on different preimages; keep
-                # the branch continuous with the warm start
-                ref = omega[i]
-                omega[i] = min(solutions, key=lambda s: np.linalg.norm(s - ref))
-                continue
-            solved = False
-            for cand in manifold.cold_start_candidates(targets[i], grid):
-                try:
-                    omega[i] = attempt(cand)
-                    solved = True
-                    break
-                except (InversionError, RealizabilityError):
-                    continue
-            if not solved:
-                raise InversionError(
-                    f"moment inversion failed at row {i}: no realizable "
-                    "chart point matches these moments"
-                )
+                # the branch continuous with the stalled iterate
+                dist = np.linalg.norm(sol[hits] - omega[i], axis=1)
+                omega[i] = sol[hits[np.argmin(dist)]]
+                ok[i] = True
+        bad = np.flatnonzero(~ok)
+    if bad.size:
+        bad = bad[_gaussian_fit(targets[bad])[2]]
+    if bad.size:
+        cands = manifold.cold_start_candidates(targets[bad], grid)
+        sol, sol_ok, owner = _solve_candidates(manifold, targets[bad], cands, grid, **newton)
+        for j, i in enumerate(bad):
+            hits = np.flatnonzero(sol_ok & (owner == j))
+            if hits.size:
+                omega[i] = sol[hits[0]]
+                ok[i] = True
+    if not ok.all():
+        rows = np.flatnonzero(~ok)
+        i = int(rows[0])
+        raise InversionError(
+            f"moment inversion failed at row {i}: no "
+            f"{'realizable ' if require_nonnegative else ''}chart point matches "
+            f"the moments {targets[i].tolist()}",
+            rows=rows,
+            omega=omega,
+        )
     return omega
 
 
@@ -898,28 +1010,27 @@ def params_from_moments(
     return AnsatzPoint(manifold, omega)
 
 
-def _closest_branch(manifold, omega, c, f0_vals, grid):
-    """Among the exact preimages of the moment vector c, pick the one
+def _closest_branch(manifold, omegas, targets, f0_vals, grid):
+    """Among the exact preimages of each row's moments, pick the one
     closest to the known data f0 (they share all moments but are
-    different functions)."""
-    vals = manifold.values(omega, grid.nodes)
-    dist = float(((vals - f0_vals) ** 2) @ grid.weights)
-    norm = float((f0_vals**2) @ grid.weights)
-    if dist <= 1e-18 * max(norm, 1e-300):
-        return omega  # already the on-manifold fixed point
-    best_omega, best_dist = omega, dist
-    for cand in manifold.cold_start_candidates(c, grid):
-        try:
-            om = recover_batch(
-                manifold, c[None, :], grid, omega0=cand[None, :], _thorough_retry=False
-            )[0]
-        except (InversionError, RealizabilityError):
-            continue
-        vals = manifold.values(om, grid.nodes)
-        dist = float(((vals - f0_vals) ** 2) @ grid.weights)
-        if dist < best_dist:
-            best_omega, best_dist = om, dist
-    return best_omega
+    different functions).  The given solution comes first and the
+    cold-start candidates follow in order; ties keep the earlier."""
+    dist = ((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2) @ grid.weights
+    norm = (f0_vals**2) @ grid.weights
+    # rows already at the on-manifold fixed point keep it
+    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
+    if rows.size == 0:
+        return omegas
+    cands = manifold.cold_start_candidates(targets[rows], grid)
+    sol, ok, owner = _solve_candidates(manifold, targets[rows], cands, grid)
+    d = ((manifold.values_batch(sol, grid.nodes) - f0_vals[rows][owner]) ** 2) @ grid.weights
+    d[~(ok & np.isfinite(d))] = np.inf
+    for j, i in enumerate(rows):
+        mine = np.flatnonzero(owner == j)
+        k = int(np.argmin(np.concatenate([[dist[i]], d[mine]])))
+        if k:
+            omegas[i] = sol[mine[k - 1]]
+    return omegas
 
 
 def _projection_residual(manifold, omega, f0_vals, grid):
@@ -988,11 +1099,26 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoi
     if isinstance(manifold, ConservativeMoment):
         xiPw = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
         targets = f0.values @ xiPw.T
-        omegas = recover_batch(manifold, targets, grid)
+        fit_ok = _gaussian_fit(targets)[2]
+        if not fit_ok.all():
+            i = int(np.flatnonzero(~fit_ok)[0])
+            raise RealizabilityError(
+                f"cell {i}: moments {targets[i].tolist()} have no positive "
+                "density and temperature"
+            )
+        try:
+            omegas = recover_batch(manifold, targets, grid)
+        except InversionError as exc:
+            i = int(exc.rows[0])
+            raise InversionError(
+                f"cell {i}: initial projection failed, no realizable chart point "
+                f"matches the moments {targets[i].tolist()}",
+                rows=exc.rows,
+                omega=exc.omega,
+            ) from exc
         # the moment map is two-to-one over part of the chart; with the
         # data in hand the branch closest to f0 in L2 is canonical
-        for i in range(omegas.shape[0]):
-            omegas[i] = _closest_branch(manifold, omegas[i], targets[i], f0.values[i], grid)
+        omegas = _closest_branch(manifold, omegas, targets, f0.values, grid)
         return [AnsatzPoint(manifold, omegas[i]) for i in range(omegas.shape[0])]
     for i in range(f0.mesh.cells):
         f0_vals = f0.values[i]
@@ -1009,7 +1135,10 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoi
         else:
             omega0 = manifold.equilibrium_params(rho, u, theta)
         tol_scale = 1.0 + rho
-        omega = _project_newton(manifold, omega0, f0_vals, grid, tol_scale)
+        try:
+            omega = _project_newton(manifold, omega0, f0_vals, grid, tol_scale)
+        except InversionError as exc:
+            raise InversionError(f"cell {i}: {exc}") from exc
         _check_positivity_batch(manifold, omega[None, :], grid, f"cell {i} projection")
         points.append(AnsatzPoint(manifold, omega))
     return points

@@ -352,7 +352,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KinReduceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        where = []
+        if getattr(exc, "cell", None) is not None:
+            where.append(f"cell {exc.cell}")
+        if getattr(exc, "time", None) is not None:
+            where.append(f"t = {exc.time:.6g}")
+        at = f" ({', '.join(where)})" if where else ""
+        print(f"runtime error{at}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -15,7 +15,14 @@ class RealizabilityError(KinReduceError):
 
 
 class InversionError(KinReduceError):
-    """Newton-type parameter recovery failed to converge."""
+    """Newton-type parameter recovery failed to converge.  For a batch,
+    ``rows`` lists the failed rows and ``omega`` holds every row's
+    parameters, the failed rows at their last iterate."""
+
+    def __init__(self, message, rows=None, omega=None):
+        super().__init__(message)
+        self.rows = rows
+        self.omega = omega
 
 
 class DegenerateChartError(KinReduceError):

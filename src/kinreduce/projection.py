@@ -29,9 +29,6 @@ __all__ = [
     "residual",
 ]
 
-# optional diagnostic Tikhonov level; never applied silently
-_DIAGNOSTIC_EPS = 1e-12
-
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     # quadrature is symmetric analytically, round-off is not
@@ -114,28 +111,15 @@ def assemble_coefficients(
     return ReducedCoefficients(a0=a0, a1=a1, q=basis @ (q_vals * mu))
 
 
-def _solve_spd(a0: np.ndarray, rhs: np.ndarray, regularize: bool):
+def _solve_spd(a0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         cho = scipy.linalg.cho_factor(a0, lower=True)
-        return scipy.linalg.cho_solve(cho, rhs), False
     except scipy.linalg.LinAlgError:
-        if not regularize:
-            raise DegenerateChartError(
-                "Gram matrix not SPD (pass regularize=True for a flagged "
-                "Tikhonov-stabilized diagnostic solve)"
-            ) from None
-        n = a0.shape[0]
-        a0r = a0 + _DIAGNOSTIC_EPS * np.trace(a0) / n * np.eye(n)
-        cho = scipy.linalg.cho_factor(a0r, lower=True)
-        return scipy.linalg.cho_solve(cho, rhs), True
+        raise DegenerateChartError("Gram matrix not SPD") from None
+    return scipy.linalg.cho_solve(cho, rhs)
 
 
-def tangent_projection(
-    p: AnsatzPoint,
-    h: np.ndarray,
-    grid: QuadratureRule,
-    regularize: bool = False,
-):
+def tangent_projection(p: AnsatzPoint, h: np.ndarray, grid: QuadratureRule):
     """Metric-orthogonal projection of a velocity profile onto the
     tangent space: returns (coefficients, projected profile).
 
@@ -144,7 +128,7 @@ def tangent_projection(
     basis, mu = _projection_frame(p, grid)
     a0 = _symmetrize(np.einsum("kn,n,ln->kl", basis, mu, basis))
     rhs = basis @ (np.asarray(h, dtype=float) * mu)
-    coeff, _ = _solve_spd(a0, rhs, regularize)
+    coeff = _solve_spd(a0, rhs)
     return coeff, coeff @ basis
 
 
@@ -153,7 +137,6 @@ def residual(
     domega_dx: np.ndarray,
     model: CollisionModel | None,
     grid: QuadratureRule,
-    regularize: bool = False,
 ) -> np.ndarray:
     """Model-reduction residual R = (I - P)(xi * d_x f_hat - Q[f_hat]).
 
@@ -172,5 +155,5 @@ def residual(
     h = transport - source
     basis, mu = _projection_frame(p, grid)
     a0 = _symmetrize(np.einsum("kn,n,ln->kl", basis, mu, basis))
-    coeff, _ = _solve_spd(a0, basis @ (h * mu), regularize)
+    coeff = _solve_spd(a0, basis @ (h * mu))
     return h - coeff @ basis

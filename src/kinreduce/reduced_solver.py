@@ -25,7 +25,13 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, recover_batch
-from .errors import BlowUpError, DegenerateChartError, InversionError, StepError
+from .errors import (
+    BlowUpError,
+    DegenerateChartError,
+    InversionError,
+    RealizabilityError,
+    StepError,
+)
 from .kinetic import (
     CollisionModel,
     DistributionField,
@@ -165,31 +171,25 @@ def _warm_starts(manifold, omega_prev, grid):
 
 
 def _cm_recover(manifold, C, grid, omega_prev):
-    """Batch Newton with a one-shot retry from the neighboring cell's
-    parameters (Newton basins are continuous along smooth fields).
-    Signed polynomial factors are admitted: the conservative update
-    consumes only integrals of f, and smooth runs ride along the
-    realizability boundary."""
-    omega_prev = _warm_starts(manifold, omega_prev, grid)
+    """Batch Newton with a retry of the failed rows from the
+    neighbouring cell's warm start (Newton basins are continuous along
+    smooth fields).  Signed polynomial factors are admitted: the
+    conservative update consumes only integrals of f, and smooth runs
+    ride along the realizability boundary."""
+    warm = _warm_starts(manifold, omega_prev, grid)
     try:
-        return recover_batch(manifold, C, grid, omega0=omega_prev,
-                             require_nonnegative=False)
-    except InversionError:
-        pass
-    omegas = omega_prev.copy()
-    cells = C.shape[0]
-    for i in range(cells):
-        try:
-            omegas[i] = recover_batch(manifold, C[i][None, :], grid,
-                                      omega0=omega_prev[i][None, :],
-                                      require_nonnegative=False)[0]
-        except InversionError:
-            guess = omega_prev[(i - 1) % cells][None, :]
-            try:
-                omegas[i] = recover_batch(manifold, C[i][None, :], grid, omega0=guess,
-                                          require_nonnegative=False)[0]
-            except InversionError as exc:
-                raise StepError(f"parameter recovery failed: {exc}", cell=i) from exc
+        return recover_batch(manifold, C, grid, omega0=warm, require_nonnegative=False)
+    except InversionError as exc:
+        omegas, rows = exc.omega, exc.rows
+    try:
+        omegas[rows] = recover_batch(manifold, C[rows], grid,
+                                     omega0=warm[(rows - 1) % C.shape[0]],
+                                     require_nonnegative=False)
+    except InversionError as exc:
+        i = int(rows[exc.rows[0]])
+        raise StepError(
+            f"parameter recovery failed at cell {i}: no chart point matches "
+            f"the moments {C[i].tolist()}", cell=i) from exc
     return omegas
 
 
@@ -259,12 +259,15 @@ def _generic_rhs(manifold, model, grid, mesh, omegas, speeds):
     a_loc = np.maximum(np.maximum(speeds, np.roll(speeds, -1)), np.roll(speeds, 1))
     rhs = np.empty_like(omegas)
     for i in range(cells):
-        p = AnsatzPoint(manifold, omegas[i])
-        if model is not None:
-            coef = assemble_coefficients(p, model, grid)
-            a0, a1, q = coef.a0, coef.a1, coef.q
-        else:
-            a0, a1, q = gram_matrix(p, grid), flux_matrix(p, grid), 0.0
+        try:
+            p = AnsatzPoint(manifold, omegas[i])
+            if model is not None:
+                coef = assemble_coefficients(p, model, grid)
+                a0, a1, q = coef.a0, coef.a1, coef.q
+            else:
+                a0, a1, q = gram_matrix(p, grid), flux_matrix(p, grid), 0.0
+        except (RealizabilityError, DegenerateChartError) as exc:
+            raise StepError(f"{exc} (parameters {omegas[i].tolist()})", cell=i) from exc
         rhs[i] = scipy.linalg.solve(a0, q - a1 @ grad[i], assume_a="pos")
         rhs[i] += 0.5 * a_loc[i] * lap[i]
     return rhs

@@ -1,3 +1,5 @@
+from math import comb, factorial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from kinreduce import (
     ConservativeMoment,
     EntropyClosure,
     HermitePerturbation,
+    InversionError,
     MomentState,
     RealizabilityError,
     SpatialMesh,
@@ -22,7 +25,7 @@ from kinreduce import (
     tangent_basis,
     truncated_rule,
 )
-from kinreduce.ansatz import recover_batch
+from kinreduce.ansatz import _newton, _ridge_jitters, recover_batch
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
 
@@ -229,6 +232,266 @@ class TestProjectInitial:
             w_ref = np.exp(grid.nodes**2 / 2.0)
             norms[degree] = np.sqrt(integrate(diff * diff * w_ref, grid))
         assert norms[4] < norms[0]
+
+
+def two_maxwellian(grid, rho1, u1, theta1, rho2, u2, theta2):
+    return maxwellian(MomentState(rho1, u1, theta1), grid) + maxwellian(
+        MomentState(rho2, u2, theta2), grid
+    )
+
+
+def per_row_varpro(cm, u, theta, c, grid):
+    """Reference: the alphas matching c_0..c_N with (u, theta) frozen,
+    and the residual on the two remaining moments, for one row."""
+    N = cm.degree
+    pw = np.empty(2 * N + 3)
+    acc = np.exp(-((grid.nodes - u) ** 2) / (2.0 * theta)) * grid.weights
+    for j in range(pw.size):
+        pw[j] = np.add.reduce(acc)
+        acc = acc * grid.nodes
+    k = np.arange(N + 1)
+    alpha = np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
+    rows = pw[np.array([N + 1, N + 2])[:, None] + k[None, :]]
+    return alpha, rows @ alpha - c[N + 1 :]
+
+
+def per_row_initial_guess(cm, c, grid):
+    """Reference: the variable-projection cold start of one row, as a
+    plain loop (scan, then damped Newton with a halving line search)."""
+    N, L = cm.degree, grid.half_width
+    u0 = float(c[1] / c[0])
+    th0 = float(c[2] / c[0] - u0 * u0)
+    scale2 = 1.0 + np.abs(c[N + 1 :])
+
+    def objective(x):
+        return np.linalg.norm(per_row_varpro(cm, x[0], x[1], c, grid)[1] / scale2)
+
+    best = np.array([u0, th0])
+    best_val = objective(best)
+    if best_val > 1e-13:
+        for du in np.linspace(-0.9, 0.9, 7) * np.sqrt(th0):
+            for fth in np.geomspace(0.45, 2.2, 7):
+                cand = np.array([u0 + du, th0 * fth])
+                if -L < cand[0] < L and objective(cand) < best_val:
+                    best, best_val = cand, objective(cand)
+    x = best
+    for _ in range(60):
+        r2 = per_row_varpro(cm, x[0], x[1], c, grid)[1]
+        if np.abs(r2 / scale2).max() < 1e-13:
+            break
+        J = np.empty((2, 2))
+        for d in range(2):
+            h = 1e-6 * max(abs(x[d]), 1e-3)
+            xp, xm = x.copy(), x.copy()
+            xp[d] += h
+            xm[d] -= h
+            J[:, d] = (per_row_varpro(cm, xp[0], xp[1], c, grid)[1]
+                       - per_row_varpro(cm, xm[0], xm[1], c, grid)[1]) / (2.0 * h)
+        step = np.linalg.solve(J, -r2)
+        base = np.linalg.norm(r2 / scale2)
+        for s in 0.5 ** np.arange(25):
+            cand = x + s * step
+            if -L < cand[0] < L and 1e-8 < cand[1] < (2.0 * L) ** 2 and objective(cand) < base:
+                x = cand
+                break
+        else:
+            break
+    alpha = per_row_varpro(cm, x[0], x[1], c, grid)[0]
+    return np.concatenate([alpha, x])
+
+
+def per_row_cold_starts(cm, c, grid):
+    """Reference: the resultant-scan candidates of one row, bracket by
+    bracket, then the variable-projection guess."""
+    N = cm.degree
+    u0 = float(c[1] / c[0])
+    th0 = float(c[2] / c[0] - u0 * u0)
+    s = np.sqrt(th0)
+    ch = [sum(comb(i, k) * (-u0) ** (i - k) * c[k] for k in range(i + 1)) / s**i
+          for i in range(N + 3)]
+
+    def gamma(mu, m):
+        return np.array([(-1) ** j * factorial(m) / (factorial(j) * factorial(m - 2 * j) * 2**j)
+                         * mu[m - 2 * j] for j in range(m // 2 + 1)])
+
+    def central(up):
+        return [sum(comb(i, k) * np.atleast_1d(-up) ** (i - k) * ch[k] for k in range(i + 1))[0]
+                for i in range(N + 3)]
+
+    def resultant(up):
+        a, b = gamma(central(up), N + 1), gamma(central(up), N + 2)
+        p, q = a.size - 1, b.size - 1
+        S = np.zeros((p + q, p + q))
+        for i in range(q):
+            S[i, i : i + p + 1] = a[::-1]
+        for i in range(p):
+            S[q + i, i : i + q + 1] = b[::-1]
+        return np.linalg.det(S)
+
+    us = np.linspace(-5.0, 5.0, 801)
+    vals = np.array([resultant(up) for up in us])
+    roots = []
+    for i in range(us.size - 1):
+        a, b, fa = us[i], us[i + 1], vals[i]
+        if np.isfinite(fa) and np.isfinite(vals[i + 1]) and np.sign(fa) != np.sign(vals[i + 1]):
+            for _ in range(80):
+                fm = resultant(0.5 * (a + b))
+                if np.sign(fm) == np.sign(fa):
+                    a, fa = 0.5 * (a + b), fm
+                else:
+                    b = 0.5 * (a + b)
+            roots.append(0.5 * (a + b))
+    for i in range(1, us.size - 1):
+        if abs(vals[i]) < abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1]):
+            a, b = us[i - 1], us[i + 1]
+            for _ in range(60):
+                m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+                if abs(resultant(m1)) < abs(resultant(m2)):
+                    b = m2
+                else:
+                    a = m1
+            roots.append(0.5 * (a + b))
+    out = []
+    for up in roots:
+        acoef = np.trim_zeros(gamma(central(up), N + 1), "b")
+        if acoef.size <= 1:
+            continue
+        for th in np.polynomial.polynomial.polyroots(acoef):
+            if abs(th.imag) <= 1e-7 * max(1.0, abs(th.real)) and th.real > 1e-8:
+                u, theta = u0 + s * up, th0 * float(th.real)
+                out.append(np.concatenate([per_row_varpro(cm, u, theta, c, grid)[0], [u, theta]]))
+    return out + [per_row_initial_guess(cm, c, grid)]
+
+
+class TestBatchedLadder:
+    """Every rung of the inversion ladder is one batched solve; a row's
+    result must not depend on the rows it is batched with."""
+
+    @pytest.fixture(scope="class")
+    def mixed_batch(self, grid):
+        """Rows that start converged, rows that need the ridge jitters
+        and rows that need the cold starts, three of each, sorted by
+        running the rungs on each row alone."""
+        cm = ConservativeMoment(2)
+        rng = np.random.default_rng(7)
+        kinds = {"converged": [], "jitter": [], "cold": []}
+        for trial in range(90):
+            p = cm.sample(rng, grid)
+            c = cm.raw_moments_batch(p[None, :], grid)
+            warm = p.copy()
+            if trial % 3 == 1:
+                warm[1:3] = 0.0  # on the chart's rank-deficient ridge
+            elif trial % 3 == 2:
+                warm = p * (1.0 + 0.3 * rng.normal(size=p.size))
+            om, ok, err = _newton(cm, c, warm[None, :].copy(), grid, require_nonnegative=False)
+            if err[0] <= 1e-11 and trial % 3 == 0:
+                kind = "converged"
+            elif ok[0]:
+                continue
+            else:
+                jit = np.array(list(_ridge_jitters(cm, om[0], grid)))
+                _, jok, _ = _newton(
+                    cm, np.repeat(c, 4, axis=0), jit, grid, require_nonnegative=False
+                )
+                kind = "jitter" if jok.any() else "cold"
+            kinds[kind].append((c[0], warm))
+        assert all(len(rows) >= 3 for rows in kinds.values())
+        picked = [row for rows in zip(*kinds.values()) for row in rows][:9]
+        return cm, np.stack([c for c, _ in picked]), np.stack([w for _, w in picked])
+
+    def test_rows_match_the_row_by_row_ladder(self, mixed_batch, grid):
+        """The batched rungs give each row what one-row solves give it.
+
+        The first Newton stage runs on the whole batch in both: a row
+        stalled on the ridge stalls where round-off in the batch's
+        residual products takes it, which depends on the batch."""
+        cm, C, W = mixed_batch
+        batch = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
+
+        def one_row(i, start):
+            sol, ok, _ = _newton(cm, C[i : i + 1], start[None, :].copy(), grid,
+                                 require_nonnegative=False)
+            return sol[0], ok[0]
+
+        want, ok, _ = _newton(cm, C, W.copy(), grid, require_nonnegative=False)
+        rungs = []
+        for i in np.flatnonzero(~ok):
+            # jitters: the solution closest to the stalled iterate ...
+            runs = [one_row(i, start) for start in _ridge_jitters(cm, want[i], grid)]
+            solved = [s for s, s_ok in runs if s_ok]
+            if solved:
+                want[i] = min(solved, key=lambda s: np.linalg.norm(s - want[i]))
+                rungs.append("jitter")
+                continue
+            # ... else the first cold start that converges
+            for cand in cm.cold_start_candidates(C[i : i + 1], grid)[0]:
+                s, s_ok = one_row(i, cand)
+                if s_ok:
+                    want[i] = s
+                    rungs.append("cold")
+                    break
+            else:
+                pytest.fail(f"row {i} has no preimage")
+        assert ok.sum() >= 3 and {"jitter", "cold"} <= set(rungs)
+        assert np.abs(batch - want).max() <= 1e-12
+        c_back = cm.raw_moments_batch(batch, grid)
+        assert np.abs(c_back - C).max() <= 1e-11 * (1 + np.abs(C)).max()
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_cold_start_candidates_per_row(self, degree, wide_grid):
+        cm = ConservativeMoment(degree)
+        rng = np.random.default_rng(300 + degree)
+        rows = [cm.raw_moments_batch(cm.sample(rng, wide_grid)[None, :], wide_grid)[0]
+                for _ in range(3)]
+        mix = two_maxwellian(wide_grid, 0.7, -0.6, 0.6, 0.3, 1.4, 0.5)
+        rows.append(np.stack([wide_grid.nodes**k for k in range(degree + 3)])
+                    @ (mix * wide_grid.weights))
+        C = np.stack(rows)
+        stacked = cm.cold_start_candidates(C, wide_grid)
+        assert len(stacked) == C.shape[0]
+        for i in range(C.shape[0]):
+            alone = cm.cold_start_candidates(C[i : i + 1], wide_grid)[0]
+            loop = per_row_cold_starts(cm, C[i], wide_grid)
+            assert len(alone) == len(loop) == len(stacked[i]) >= 2
+            for a, b, c in zip(alone, loop, stacked[i]):
+                assert np.abs(a - c).max() <= 1e-12 * (1 + np.abs(a).max())
+                assert np.abs(b - c).max() <= 1e-12 * (1 + np.abs(b).max())
+
+    def test_unmatched_row_is_named(self, grid):
+        # no realizable degree-2 point has the moments of this mixture
+        cm = ConservativeMoment(2)
+        rng = np.random.default_rng(11)
+        good = [cm.raw_moments_batch(cm.sample(rng, grid)[None, :], grid)[0] for _ in range(3)]
+        mix = two_maxwellian(grid, 0.5, -2.0, 0.6, 0.5, 2.0, 0.6)
+        bad = np.stack([grid.nodes**k for k in range(5)]) @ (mix * grid.weights)
+        C = np.stack([good[0], good[1], bad, good[2]])
+        with pytest.raises(InversionError) as info:
+            recover_batch(cm, C, grid)
+        assert info.value.rows.tolist() == [2]
+        msg = str(info.value)
+        assert "row 2" in msg and not any(f"row {i}" in msg for i in (0, 1, 3))
+
+    def test_unrealizable_fit_row_is_named(self, grid):
+        cm = ConservativeMoment(2)
+        C = np.array([[1.0, 0.0, 1.0, 0.0, 3.0]] * 4)
+        C[1, 2] = -0.5  # negative implied temperature
+        with pytest.raises(RealizabilityError) as info:
+            recover_batch(cm, C, grid)
+        msg = str(info.value)
+        assert "row 1" in msg and not any(f"row {i}" in msg for i in (0, 2, 3))
+
+    def test_project_initial_cells_are_independent(self):
+        grid = truncated_rule(10.0, 128)
+        cm = ConservativeMoment(4)
+        f = np.stack([
+            two_maxwellian(grid, 0.7, -0.6, 0.6, 0.3, u2, 0.5) for u2 in (1.0, 1.2, 1.4, 1.6)
+        ])
+        together = project_initial(cm, DistributionField(f, grid, SpatialMesh(4, 1.0)))
+        for i in range(f.shape[0]):
+            alone = project_initial(
+                cm, DistributionField(f[i : i + 1], grid, SpatialMesh(1, 1.0))
+            )[0]
+            assert np.abs(together[i].omega - alone.omega).max() <= 1e-12
 
 
 class TestHermiteInvariants:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +124,27 @@ class TestRuntimeErrors:
         cfg = write_config(tmp_path, doc)
         code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "runtime error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime error" in err
+        assert "cell 0:" in err
+
+    def test_generic_path_failure_names_cell_and_time(self, tmp_path, capsys):
+        # the Hermite tail of HermitePerturbation(4) dips below zero at
+        # a far quadrature node shortly before t = 0.07
+        doc = json.loads(
+            (Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json").read_text()
+        )
+        doc["manifold"] = {"kind": "hermite_perturbation", "size": 4}
+        doc["spatial_mesh"]["cells"] = 50
+        doc["time"]["final"] = 0.1
+        cfg = write_config(tmp_path, doc)
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        found = re.search(r"runtime error \(cell (\d+), t = ([0-9.eE+-]+)\)", err)
+        assert found, err
+        assert 0 <= int(found.group(1)) < 50
+        assert float(found.group(2)) == pytest.approx(0.068, abs=2e-3)
 
     def test_negative_threads_rejected(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -5,6 +5,7 @@ from kinreduce import (
     AnsatzPoint,
     CollisionModel,
     ConservativeMoment,
+    DegenerateChartError,
     EntropyClosure,
     HermitePerturbation,
     flux_matrix,
@@ -19,7 +20,7 @@ from kinreduce import (
     tangent_projection,
 )
 from kinreduce.kinetic import moments_of_profile
-from kinreduce.projection import flux_asymmetry
+from kinreduce.projection import _solve_spd, flux_asymmetry
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -191,3 +192,10 @@ class TestResidual:
         grad = np.array([0.003, 0.0, 0.0])  # d alpha_0 / dx only
         r = residual(p, grad, None, grid)
         assert np.abs(r).max() <= 1e-12
+
+
+class TestSolveSpd:
+    def test_indefinite_gram_is_degenerate_chart(self):
+        with pytest.raises(DegenerateChartError, match="not SPD") as info:
+            _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        assert "regularize" not in str(info.value)

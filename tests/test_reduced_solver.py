@@ -18,7 +18,7 @@ from kinreduce import (
     spectral_radius,
     truncated_rule,
 )
-from kinreduce.reduced_solver import initial_state, run_reduced, step
+from kinreduce.reduced_solver import _cm_recover, initial_state, run_reduced, step
 
 
 def sine_density_field(grid, cells=60, amplitude=0.15, theta=1.0):
@@ -128,6 +128,18 @@ class TestStep:
         e1 = np.linalg.norm(c1 - c2)
         e2 = np.linalg.norm(c2 - c4)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+
+class TestRecovery:
+    def test_failed_row_names_cell_and_moments(self, grid):
+        cm = ConservativeMoment(2)
+        omega = np.tile(cm.equilibrium_params(1.0, 0.0, 1.0), (4, 1))
+        C = cm.raw_moments_batch(omega, grid)
+        C[2] = [1.0, 0.0, -1.0, 0.0, 3.0]  # negative second moment
+        with pytest.raises(StepError) as info:
+            _cm_recover(cm, C, grid, omega)
+        assert info.value.cell == 2
+        assert "moments [1.0, 0.0, -1.0, 0.0, 3.0]" in str(info.value)
 
 
 class TestRun:
