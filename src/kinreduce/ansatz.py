@@ -46,6 +46,7 @@ __all__ = [
     "TangentBasis",
     "MetricWeight",
     "evaluate",
+    "evaluate_batch",
     "tangent_basis",
     "metric_weight",
     "params_from_moments",
@@ -70,17 +71,19 @@ _SCAN_CHUNK_ROWS = 16
 _RUNG_ROWS = 32
 
 
+def hermite_polynomials(n: int, x: np.ndarray) -> list[np.ndarray]:
+    """He_0..He_n at x by the three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    he = [np.ones_like(x), x.copy()]
+    for j in range(1, n):
+        he.append(x * he[j] - j * he[j - 1])
+    return he[: n + 1]
+
+
 def hermite_polynomial(k: int, x: np.ndarray) -> np.ndarray:
     """Probabilists' Hermite polynomial He_k (orthogonal against the
     standard Gaussian with norm k!)."""
-    x = np.asarray(x, dtype=float)
-    h0 = np.ones_like(x)
-    if k == 0:
-        return h0
-    h1 = x.copy()
-    for j in range(1, k):
-        h0, h1 = h1, x * h1 - j * h0
-    return h1
+    return hermite_polynomials(k, x)[k]
 
 
 class ConservativeMoment:
@@ -143,11 +146,14 @@ class ConservativeMoment:
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
 
-    def weight(self, omega, xi):
-        _, u, theta = self.split(np.atleast_2d(omega))
-        expo = (xi - u[0]) ** 2 / (2.0 * theta[0])
+    def weight_batch(self, omegas, xi):
+        _, u, theta = self.split(np.atleast_2d(omegas))
+        expo = (xi[None, :] - u[:, None]) ** 2 / (2.0 * theta[:, None])
         _guard_weight(expo)
         return np.exp(expo)
+
+    def weight(self, omega, xi):
+        return self.weight_batch(omega, xi)[0]
 
     def monomial_basis(self, omega, xi) -> np.ndarray:
         """Frame (xi^k * Gaussian), k = 0..N+2: spans the tangent space at
@@ -518,14 +524,13 @@ class HermitePerturbation:
         if np.any(rho <= 0.0) or np.any(theta <= 0.0) or not np.all(np.isfinite(omega)):
             raise RealizabilityError("HermitePerturbation needs rho > 0, theta > 0")
 
-    def _series(self, alpha, w):
-        s = np.zeros_like(w)
-        ds = np.zeros_like(w)
+    def _series(self, alpha, he):
+        s = np.zeros_like(he[0])
+        ds = np.zeros_like(he[0])
         for j, k in enumerate(range(3, self.degree + 1)):
-            Hk = hermite_polynomial(k, w)
-            s += alpha[..., j, None] * Hk
+            s += alpha[..., j, None] * he[k]
             # He_k' = k He_{k-1}
-            ds += alpha[..., j, None] * k * hermite_polynomial(k - 1, w)
+            ds += alpha[..., j, None] * k * he[k - 1]
         return s, ds
 
     def values_batch(self, omegas, xi):
@@ -533,7 +538,7 @@ class HermitePerturbation:
         rho, u, theta, alpha = self.split(omegas)
         w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
         phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
-        s, _ = self._series(alpha, w)
+        s, _ = self._series(alpha, hermite_polynomials(self.degree, w))
         return rho[:, None] / np.sqrt(theta)[:, None] * phi * (1.0 + s)
 
     def values(self, omega, xi):
@@ -546,7 +551,8 @@ class HermitePerturbation:
         rt = np.sqrt(theta)
         w = (xi[None, :] - u[:, None]) / rt[:, None]
         phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
-        s, ds = self._series(alpha, w)
+        he = hermite_polynomials(self.degree, w)
+        s, ds = self._series(alpha, he)
         pref = rho[:, None] / rt[:, None]
         basis = np.empty((m, self.dim, xi.size))
         basis[:, 0, :] = phi * (1.0 + s) / rt[:, None]
@@ -556,18 +562,21 @@ class HermitePerturbation:
             0.5 * pref / theta[:, None] * phi * ((w * w - 1.0) * (1.0 + s) - w * ds)
         )
         for j, k in enumerate(range(3, self.degree + 1)):
-            basis[:, 3 + j, :] = pref * phi * hermite_polynomial(k, w)
+            basis[:, 3 + j, :] = pref * phi * he[k]
         return basis
 
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
 
-    def weight(self, omega, xi):
-        _, u, theta, _ = self.split(np.atleast_2d(omega))
-        w = (xi - u[0]) / np.sqrt(theta[0])
+    def weight_batch(self, omegas, xi):
+        _, u, theta, _ = self.split(np.atleast_2d(omegas))
+        w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
         expo = 0.5 * w * w
         _guard_weight(expo)
         return np.exp(expo)
+
+    def weight(self, omega, xi):
+        return self.weight_batch(omega, xi)[0]
 
     def equilibrium_params(self, rho, u, theta):
         omega = np.zeros(self.dim)
@@ -637,11 +646,14 @@ class EntropyClosure:
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
 
-    def weight(self, omega, xi):
+    def weight_batch(self, omegas, xi):
         # eta''(f) = 1/f
-        expo = -self._exponent(omega, xi)[0]
+        expo = -self._exponent(omegas, xi)
         _guard_weight(expo)
         return np.exp(expo)
+
+    def weight(self, omega, xi):
+        return self.weight_batch(omega, xi)[0]
 
     def equilibrium_params(self, rho, u, theta):
         if self.n < 3:
@@ -766,18 +778,24 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray, rcond: float | None = None) -> n
     return out
 
 
+def evaluate_batch(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule) -> np.ndarray:
+    """f(xi; omega) on the grid nodes, one row per omega.  A row whose
+    values dip below zero by more than round-off relative to its own
+    maximum is a realizability error (the lowest such row is named);
+    round-off negatives are clipped at zero."""
+    vals = manifold.values_batch(omegas, grid.nodes)
+    lo = vals.min(axis=1)
+    bad = lo < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+    if bad.any():
+        raise RealizabilityError(
+            f"ansatz evaluates to {lo[bad][0]} at a quadrature node"
+        )
+    return np.maximum(vals, 0.0)
+
+
 def evaluate(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
-    """f(xi; omega) on the grid nodes; negative values are a
-    realizability error (round-off clipped at zero)."""
-    vals = p.manifold.values(p.omega, grid.nodes)
-    lo = vals.min()
-    if lo < 0.0:
-        if lo < -_NEGATIVITY_RTOL * max(vals.max(), 0.0):
-            raise RealizabilityError(
-                f"ansatz evaluates to {lo} at a quadrature node"
-            )
-        vals = np.maximum(vals, 0.0)
-    return vals
+    """f(xi; omega) on the grid nodes; see ``evaluate_batch``."""
+    return evaluate_batch(p.manifold, p.omega, grid)[0]
 
 
 def tangent_basis(p: AnsatzPoint, grid: QuadratureRule) -> TangentBasis:

@@ -308,20 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=0, help="0 = auto")
     p = sub.add_parser("estimate", help="a posteriori error report from two runs")
     p.add_argument("--reduce-dir", required=True, help="directory with reduce outputs")
     p.add_argument("--reference-dir", required=True, help="directory with reference outputs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=0, help="0 = auto")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

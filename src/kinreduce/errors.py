@@ -2,7 +2,10 @@
 
 
 class KinReduceError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  A row-batched kernel that
+    fails sets ``row`` to the lowest failing row of its stack."""
+
+    row: int | None = None
 
 
 class ParameterError(KinReduceError):

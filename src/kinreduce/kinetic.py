@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RealizabilityError
+from .errors import ParameterError, RealizabilityError, StepError
 from .quadrature import QuadratureRule, integrate
 
 __all__ = [
@@ -196,6 +196,36 @@ def collision_profile(model: CollisionModel, values: np.ndarray, grid: Quadratur
     """Q[f] for a single velocity profile."""
     m = moments_of_profile(values, grid)
     return collision_rate(model) * (collision_target(model, m, grid) - values)
+
+
+def _moments_of_values(vals: np.ndarray, grid: QuadratureRule):
+    """Vectorized (rho, u, theta, q) of stacked velocity profiles."""
+    wts = grid.weights
+    xi = grid.nodes
+    rho = vals @ wts
+    u = (vals @ (xi * wts)) / rho
+    c = xi[None, :] - u[:, None]
+    theta = np.einsum("mn,mn->m", vals, c * c * wts[None, :]) / rho
+    q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
+    return rho, u, theta, q
+
+
+def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
+    """Collision targets for stacked profiles (d=1 formulas)."""
+    rho, u, theta, q = _moments_of_values(vals, grid)
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
+        raise StepError("unrealizable moments during collision evaluation", cell=bad)
+    c = grid.nodes[None, :] - u[:, None]
+    th = theta[:, None]
+    feq = rho[:, None] / np.sqrt(2.0 * np.pi * th) * np.exp(-c * c / (2.0 * th))
+    if model.kind == "shakhov":
+        factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
+            c * c / (2.0 * th) - 1.5
+        )
+        return feq * factor
+    # BGK; ES-BGK degenerates to the Maxwellian in d=1 (pressure = theta)
+    return feq
 
 
 def collision_apply(model: CollisionModel, f: DistributionField, cell: int) -> np.ndarray:

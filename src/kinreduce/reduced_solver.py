@@ -10,7 +10,8 @@ by SSP-RK2; parameters are recovered per cell by damped Newton.
 
 Other manifolds use the quasi-linear form
 A0(omega) d_t omega + A1(omega) d_x omega = Q(omega)
-with central differences plus Rusanov-type dissipation.
+with central differences plus Rusanov-type dissipation; A0, A1 and Q
+are assembled for all cells in one batched pass per stage.
 
 Propagation speeds come from the symmetric-definite pencil
 A1 x = lambda A0 x; on the truncated grid they never exceed the
@@ -36,10 +37,13 @@ from .kinetic import (
     CollisionModel,
     DistributionField,
     SpatialMesh,
+    _target_batch,
     collision_rate,
     entropy_density,
 )
-from .projection import assemble_coefficients, flux_matrix, gram_matrix
+# assemble_coefficients is not called here; it stays a module attribute
+# because perfbench/tracing.py wraps it by name
+from .projection import assemble_coefficients, coefficients_batch  # noqa: F401
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -56,10 +60,9 @@ _SPEED_BLOWUP = 1e6
 
 def spectral_radius(p: AnsatzPoint, grid: QuadratureRule) -> float:
     """Maximum |lambda| of the generalized eigenproblem A1 x = lambda A0 x."""
-    a0 = gram_matrix(p, grid)
-    a1 = flux_matrix(p, grid)
+    coef = coefficients_batch(p.manifold, p.omega, None, grid)
     try:
-        lam = scipy.linalg.eigh(a1, a0, eigvals_only=True)
+        lam = scipy.linalg.eigh(coef.a1[0], coef.a0[0], eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise DegenerateChartError(f"pencil solve failed: {exc}") from exc
     return float(np.abs(lam).max())
@@ -118,36 +121,6 @@ def initial_state(
         powers = np.stack([xi**k for k in range(manifold.n_moments)])
         moments = f0.values @ (powers * f0.grid.weights).T
     return ReducedState(manifold, f0.grid, f0.mesh, 0.0, omegas, moments)
-
-
-def _moments_of_values(vals: np.ndarray, grid: QuadratureRule):
-    """Vectorized (rho, u, theta, q) of stacked velocity profiles."""
-    wts = grid.weights
-    xi = grid.nodes
-    rho = vals @ wts
-    u = (vals @ (xi * wts)) / rho
-    c = xi[None, :] - u[:, None]
-    theta = np.einsum("mn,mn->m", vals, c * c * wts[None, :]) / rho
-    q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
-    return rho, u, theta, q
-
-
-def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
-    """Collision targets for stacked profiles (d=1 formulas)."""
-    rho, u, theta, q = _moments_of_values(vals, grid)
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
-        raise StepError("unrealizable moments during collision evaluation", cell=bad)
-    c = grid.nodes[None, :] - u[:, None]
-    th = theta[:, None]
-    feq = rho[:, None] / np.sqrt(2.0 * np.pi * th) * np.exp(-c * c / (2.0 * th))
-    if model.kind == "shakhov":
-        factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
-            c * c / (2.0 * th) - 1.5
-        )
-        return feq * factor
-    # BGK; ES-BGK degenerates to the Maxwellian in d=1 (pressure = theta)
-    return feq
 
 
 def _warm_starts(manifold, omega_prev, grid):
@@ -246,37 +219,37 @@ def _cm_step(state: ReducedState, model, cfl, dt_cap):
     return ReducedState(manifold, grid, mesh, state.time + dt, omegas_new, C_new), smax
 
 
-def _generic_speeds(manifold, omegas, grid):
-    points = [AnsatzPoint(manifold, w) for w in omegas]
-    return np.array([spectral_radius(p, grid) for p in points])
+def _generic_coefficients(manifold, model, grid, omegas):
+    """A0, A1 and Q of every cell in one batched assembly; a failing
+    cell becomes a StepError that names it."""
+    try:
+        return coefficients_batch(manifold, omegas, model, grid)
+    except (RealizabilityError, DegenerateChartError) as exc:
+        i = exc.row
+        raise StepError(f"{exc} (parameters {omegas[i].tolist()})", cell=i) from exc
 
 
-def _generic_rhs(manifold, model, grid, mesh, omegas, speeds):
-    cells = omegas.shape[0]
+def _generic_rhs(mesh, omegas, coef, speeds):
+    """Central differences plus Rusanov-type dissipation, with the
+    coefficients ``coef`` assembled at ``omegas``."""
     dx = mesh.dx
     grad = (np.roll(omegas, -1, axis=0) - np.roll(omegas, 1, axis=0)) / (2.0 * dx)
     lap = (np.roll(omegas, -1, axis=0) - 2.0 * omegas + np.roll(omegas, 1, axis=0)) / dx
     a_loc = np.maximum(np.maximum(speeds, np.roll(speeds, -1)), np.roll(speeds, 1))
-    rhs = np.empty_like(omegas)
-    for i in range(cells):
-        try:
-            p = AnsatzPoint(manifold, omegas[i])
-            if model is not None:
-                coef = assemble_coefficients(p, model, grid)
-                a0, a1, q = coef.a0, coef.a1, coef.q
-            else:
-                a0, a1, q = gram_matrix(p, grid), flux_matrix(p, grid), 0.0
-        except (RealizabilityError, DegenerateChartError) as exc:
-            raise StepError(f"{exc} (parameters {omegas[i].tolist()})", cell=i) from exc
-        rhs[i] = scipy.linalg.solve(a0, q - a1 @ grad[i], assume_a="pos")
-        rhs[i] += 0.5 * a_loc[i] * lap[i]
-    return rhs
+    b = coef.q - np.einsum("mkl,ml->mk", coef.a1, grad)
+    # A0 passed its Cholesky test in the assembly
+    chol = np.linalg.cholesky(coef.a0)
+    y = np.linalg.solve(chol, b[..., None])
+    rhs = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
+    return rhs + 0.5 * a_loc[:, None] * lap
 
 
 def _generic_step(state: ReducedState, model, cfl, dt_cap):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     omegas = state.omegas
-    speeds = _generic_speeds(manifold, omegas, grid)
+    # one assembly at omega gives both the speeds and the first stage
+    coef = _generic_coefficients(manifold, model, grid, omegas)
+    speeds = _pencil_radius_batch(coef.a0, coef.a1)
     smax = float(speeds.max())
     if smax > _SPEED_BLOWUP:
         raise BlowUpError(f"propagation speed {smax:.3e} exceeds blow-up guard",
@@ -284,9 +257,9 @@ def _generic_step(state: ReducedState, model, cfl, dt_cap):
     dt = cfl * mesh.dx / smax
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    r1 = _generic_rhs(manifold, model, grid, mesh, omegas, speeds)
+    r1 = _generic_rhs(mesh, omegas, coef, speeds)
     w1 = omegas + dt * r1
-    r2 = _generic_rhs(manifold, model, grid, mesh, w1, speeds)
+    r2 = _generic_rhs(mesh, w1, _generic_coefficients(manifold, model, grid, w1), speeds)
     w_new = 0.5 * omegas + 0.5 * (w1 + dt * r2)
     return ReducedState(manifold, grid, mesh, state.time + dt, w_new, None), smax
 

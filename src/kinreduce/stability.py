@@ -35,7 +35,7 @@ from .ansatz import (
 )
 from .errors import ConfigurationError, ParameterError
 from .kinetic import CollisionModel, collision_rate, maxwellian, MomentState
-from .projection import flux_asymmetry, flux_matrix, gram_matrix, reduced_source
+from .projection import assemble_coefficients, flux_asymmetry, gram_matrix
 from .quadrature import QuadratureRule
 from .reduced_solver import spectral_radius
 
@@ -407,15 +407,13 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
 
 def _chart_yong_inputs(manifold, model, grid, rho, u, theta):
     omega = manifold.equilibrium_params(rho, u, theta)
-    p = AnsatzPoint(manifold, omega)
-    a0 = gram_matrix(p, grid)
-    a1 = scipy.linalg.solve(a0, flux_matrix(p, grid), assume_a="pos")
+    coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
+    a0 = coef.a0
+    a1 = scipy.linalg.solve(a0, coef.a1, assume_a="pos")
 
     def rhs(w):
-        pt = AnsatzPoint(manifold, w)
-        return scipy.linalg.solve(
-            gram_matrix(pt, grid), reduced_source(pt, model, grid), assume_a="pos"
-        )
+        c = assemble_coefficients(AnsatzPoint(manifold, w), model, grid, check_spd=True)
+        return scipy.linalg.solve(c.a0, c.q, assume_a="pos")
 
     n = manifold.dim
     qu = np.empty((n, n))

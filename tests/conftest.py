@@ -42,3 +42,65 @@ def maxwell_field(grid):
 @pytest.fixture
 def bgk():
     return CollisionModel(kind="bgk", tau=0.5)
+
+
+def per_point_coefficients(manifold, omega, model, grid):
+    """(A0, A1, Q) at one point by the per-point algorithm the batched
+    kernel replaced: a plain reference for equivalence tests.  Also
+    returns the size of the terms Q is the difference of, the collision
+    rate times max_k |g(b_k, f)|, against which Q's round-off is
+    measured."""
+    from kinreduce import EntropyClosure, HermitePerturbation, RealizabilityError
+    from kinreduce.kinetic import collision_profile, collision_rate
+
+    xi = grid.nodes
+    if isinstance(manifold, EntropyClosure):
+        weight = np.exp(-np.polynomial.polynomial.polyval(xi, omega))  # 1/f
+    else:
+        u, theta = (omega[1], omega[2]) if isinstance(manifold, HermitePerturbation) \
+            else (omega[-2], omega[-1])
+        weight = np.exp((xi - u) ** 2 / (2.0 * theta))
+    basis = manifold.tangent(omega, xi)
+    mu = weight * grid.weights
+    a0 = np.einsum("kn,n,ln->kl", basis, mu, basis)
+    a1 = np.einsum("kn,n,ln->kl", basis, mu * xi, basis)
+    q, q_scale = np.zeros(manifold.dim), 0.0
+    if model is not None:
+        vals = manifold.values(omega, xi)
+        if vals.min() < -1e-12 * max(vals.max(), 0.0):
+            raise RealizabilityError("negative ansatz")
+        vals = np.maximum(vals, 0.0)
+        q = basis @ (collision_profile(model, vals, grid) * mu)
+        q_scale = collision_rate(model) * np.abs(basis @ (vals * mu)).max()
+    return 0.5 * (a0 + a0.T), 0.5 * (a1 + a1.T), q, q_scale
+
+
+@pytest.fixture
+def reference_coefficients():
+    return per_point_coefficients
+
+
+@pytest.fixture
+def degenerate_cell(monkeypatch):
+    """``degenerate_cell(cell, cells, call=None)`` zeroes the rho
+    direction of the HermitePerturbation chart at row ``cell`` of every
+    ``tangent_batch`` stack of ``cells`` rows, or only in the ``call``-th
+    such stack (counting from 0), so that row's Gram is singular."""
+    from kinreduce import HermitePerturbation
+
+    original = HermitePerturbation.tangent_batch
+
+    def install(cell, cells, call=None):
+        seen = []
+
+        def tangent_batch(self, omegas, xi):
+            basis = original(self, omegas, xi)
+            if basis.shape[0] == cells:
+                if call is None or len(seen) == call:
+                    basis[cell, 0, :] = 0.0
+                seen.append(1)
+            return basis
+
+        monkeypatch.setattr(HermitePerturbation, "tangent_batch", tangent_batch)
+
+    return install

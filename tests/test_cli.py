@@ -75,6 +75,13 @@ class TestConfigValidation:
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_threads_flag_is_unknown(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as info:
+            main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert info.value.code == 2
+
 
 class TestReduce:
     def test_equilibrium_scenario_columns_constant(self, tmp_path):
@@ -146,13 +153,22 @@ class TestRuntimeErrors:
         assert 0 <= int(found.group(1)) < 50
         assert float(found.group(2)) == pytest.approx(0.068, abs=2e-3)
 
-    def test_negative_threads_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        code = main(
-            ["reduce", "--config", str(cfg), "--out", str(tmp_path / "o"),
-             "--threads", "-2"]
+    def test_degenerate_chart_names_cell_and_time(self, tmp_path, capsys, degenerate_cell):
+        # a chart direction that vanishes at one cell makes its Gram
+        # singular; the CLI must name the cell instead of printing a
+        # raw linear-algebra traceback
+        doc = base_config(
+            manifold={"kind": "hermite_perturbation", "size": 4},
+            initial_condition={"preset": "sine-density", "rho0": 1.0,
+                               "amplitude": 0.1, "u": 0.0, "theta": 1.0},
         )
-        assert code == 2
+        degenerate_cell(7, cells=16)
+        cfg = write_config(tmp_path, doc)
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime error (cell 7, t = 0)" in err
+        assert "not SPD" in err
 
     def test_two_maxwellian_mix_preset_runs(self, tmp_path):
         doc = base_config(

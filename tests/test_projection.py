@@ -8,6 +8,9 @@ from kinreduce import (
     DegenerateChartError,
     EntropyClosure,
     HermitePerturbation,
+    ParameterError,
+    RealizabilityError,
+    assemble_coefficients,
     flux_matrix,
     gram_matrix,
     integrate,
@@ -20,7 +23,7 @@ from kinreduce import (
     tangent_projection,
 )
 from kinreduce.kinetic import moments_of_profile
-from kinreduce.projection import _solve_spd, flux_asymmetry
+from kinreduce.projection import _solve_spd, coefficients_batch, flux_asymmetry
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -199,3 +202,92 @@ class TestSolveSpd:
         with pytest.raises(DegenerateChartError, match="not SPD") as info:
             _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
         assert "regularize" not in str(info.value)
+
+
+MODELS = [
+    None,
+    CollisionModel(kind="bgk", tau=0.5),
+    CollisionModel(kind="shakhov", tau=0.3, prandtl=2.0 / 3.0),
+    CollisionModel(kind="esbgk", tau=0.4, prandtl=2.0 / 3.0),
+]
+
+
+class TestCoefficientsBatch:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind if m else "none")
+    @pytest.mark.parametrize(
+        "manifold",
+        [HermitePerturbation(3), HermitePerturbation(4), EntropyClosure(4), ConservativeMoment(2)],
+        ids=lambda m: m.name,
+    )
+    def test_matches_per_point_loop(self, manifold, model, wide_grid, rng, reference_coefficients):
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(9)])
+        got = coefficients_batch(manifold, omegas, model, wide_grid)
+        assert got.a0.shape == got.a1.shape == (9, manifold.dim, manifold.dim)
+        assert got.q.shape == (9, manifold.dim)
+        for i, omega in enumerate(omegas):
+            a0, a1, q, q_scale = reference_coefficients(manifold, omega, model, wide_grid)
+            assert np.abs(got.a0[i] - a0).max() <= 1e-12 * np.abs(a0).max()
+            assert np.abs(got.a1[i] - a1).max() <= 1e-12 * np.abs(a1).max()
+            assert np.abs(got.q[i] - q).max() <= 1e-12 * q_scale
+            if model is None:
+                assert not got.q[i].any()
+
+    def test_one_row_views_are_rows_of_the_stack(self, wide_grid, rng, bgk):
+        hp = HermitePerturbation(4)
+        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(5)])
+        stack = coefficients_batch(hp, omegas, bgk, wide_grid)
+        for i, omega in enumerate(omegas):
+            p = AnsatzPoint(hp, omega)
+            one = assemble_coefficients(p, bgk, wide_grid)
+            assert np.array_equal(one.a0, stack.a0[i])
+            assert np.array_equal(one.a1, stack.a1[i])
+            assert np.array_equal(gram_matrix(p, wide_grid), stack.a0[i])
+            assert np.array_equal(flux_matrix(p, wide_grid), stack.a1[i])
+            # the collision moments are matrix-vector products whose
+            # rounding depends on the rows batched together
+            scale = np.abs(stack.q[i]).max()
+            assert np.abs(one.q - stack.q[i]).max() <= 1e-12 * scale
+            assert np.abs(reduced_source(p, bgk, wide_grid) - stack.q[i]).max() <= 1e-12 * scale
+
+    def test_negative_tails_name_the_lower_row(self, grid, bgk):
+        hp = HermitePerturbation(4)
+        omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (7, 1))
+        omegas[5, 4] = -0.02
+        omegas[2, 4] = -0.01  # 1 - 0.01 He_4(w) < 0 for |w| > 3.3
+        with pytest.raises(RealizabilityError, match="ansatz evaluates to") as info:
+            coefficients_batch(hp, omegas, bgk, grid)
+        assert info.value.row == 2
+        with pytest.raises(RealizabilityError) as info:
+            coefficients_batch(hp, omegas[3:], bgk, grid)
+        assert info.value.row == 2
+        # the sign rule belongs to Q: without a model nothing evaluates f
+        coefficients_batch(hp, omegas, None, grid)
+
+    def test_failing_parameters_name_the_lowest_row(self, grid):
+        hp = HermitePerturbation(3)
+        omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (4, 1))
+        omegas[3, 2] = -1.0
+        omegas[1, 0] = 0.0
+        with pytest.raises(RealizabilityError, match="rho > 0") as info:
+            coefficients_batch(hp, omegas, None, grid)
+        assert info.value.row == 1
+
+    def test_degenerate_chart(self, grid, bgk):
+        # ConservativeMoment's chart loses rank at Maxwellians: A0 is
+        # singular there while A1 and Q still exist
+        cm = ConservativeMoment(2)
+        maxw = np.array([1 / SQRT_2PI, 0.0, 0.0, 0.0, 1.0])
+        omegas = np.stack([[1.0, 0.1, 0.05, 0.0, 1.0], maxw, maxw])
+        with pytest.raises(DegenerateChartError, match="not SPD") as info:
+            coefficients_batch(cm, omegas, bgk, grid)
+        assert info.value.row == 1
+        p = AnsatzPoint(cm, maxw)
+        with pytest.raises(DegenerateChartError, match="not SPD"):
+            gram_matrix(p, grid)
+        assert np.isfinite(assemble_coefficients(p, bgk, grid).a0).all()
+        assert np.isfinite(flux_matrix(p, grid)).all()
+        assert np.abs(reduced_source(p, bgk, grid)).max() < 1e-11
+
+    def test_shape_is_checked(self, grid):
+        with pytest.raises(ParameterError):
+            coefficients_batch(HermitePerturbation(4), np.ones((3, 4)), None, grid)

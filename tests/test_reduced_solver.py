@@ -6,7 +6,9 @@ from kinreduce import (
     AnsatzPoint,
     CollisionModel,
     ConservativeMoment,
+    DegenerateChartError,
     DistributionField,
+    EntropyClosure,
     HermitePerturbation,
     MomentState,
     SpatialMesh,
@@ -18,7 +20,15 @@ from kinreduce import (
     spectral_radius,
     truncated_rule,
 )
-from kinreduce.reduced_solver import _cm_recover, initial_state, run_reduced, step
+from kinreduce.reduced_solver import (
+    _cm_recover,
+    _generic_coefficients,
+    _generic_rhs,
+    _pencil_radius_batch,
+    initial_state,
+    run_reduced,
+    step,
+)
 
 
 def sine_density_field(grid, cells=60, amplitude=0.15, theta=1.0):
@@ -128,6 +138,76 @@ class TestStep:
         e1 = np.linalg.norm(c1 - c2)
         e2 = np.linalg.norm(c2 - c4)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+
+def per_cell_generic_rhs(manifold, model, grid, mesh, omegas, speeds, reference):
+    """The generic path's right-hand side as a plain loop over cells."""
+    dx = mesh.dx
+    grad = (np.roll(omegas, -1, axis=0) - np.roll(omegas, 1, axis=0)) / (2.0 * dx)
+    lap = (np.roll(omegas, -1, axis=0) - 2.0 * omegas + np.roll(omegas, 1, axis=0)) / dx
+    a_loc = np.maximum(np.maximum(speeds, np.roll(speeds, -1)), np.roll(speeds, 1))
+    rhs = np.empty_like(omegas)
+    for i in range(omegas.shape[0]):
+        a0, a1, q, _ = reference(manifold, omegas[i], model, grid)
+        rhs[i] = scipy.linalg.solve(a0, q - a1 @ grad[i], assume_a="pos")
+        rhs[i] += 0.5 * a_loc[i] * lap[i]
+    return rhs
+
+
+class TestGenericPath:
+    @pytest.mark.parametrize(
+        "model",
+        [None, CollisionModel(kind="bgk", tau=0.2),
+         CollisionModel(kind="shakhov", tau=0.2, prandtl=2.0 / 3.0)],
+        ids=lambda m: m.kind if m else "none",
+    )
+    @pytest.mark.parametrize(
+        "manifold", [HermitePerturbation(4), EntropyClosure(4)], ids=lambda m: m.name
+    )
+    def test_batched_rhs_matches_per_cell_loop(
+        self, manifold, model, wide_grid, rng, reference_coefficients
+    ):
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(12)])
+        mesh = SpatialMesh(cells=12, length=1.0)
+        coef = _generic_coefficients(manifold, model, wide_grid, omegas)
+        speeds = _pencil_radius_batch(coef.a0, coef.a1)
+        for i, omega in enumerate(omegas):
+            want = spectral_radius(AnsatzPoint(manifold, omega), wide_grid)
+            assert speeds[i] == pytest.approx(want, rel=1e-12)
+        got = _generic_rhs(mesh, omegas, coef, speeds)
+        want = per_cell_generic_rhs(
+            manifold, model, wide_grid, mesh, omegas, speeds, reference_coefficients
+        )
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("assembly", [0, 1], ids=["at-omega", "at-stage-1"])
+    @pytest.mark.parametrize("model", [None, CollisionModel(kind="bgk", tau=0.2)],
+                             ids=lambda m: m.kind if m else "none")
+    def test_degenerate_cell_is_named(self, grid, degenerate_cell, model, assembly):
+        # assembly 0 feeds the speeds and the first stage, assembly 1
+        # the second stage
+        state = initial_state(HermitePerturbation(4), sine_density_field(grid, cells=16))
+        degenerate_cell(7, cells=16, call=assembly)
+        with pytest.raises(StepError, match="Gram matrix not SPD") as info:
+            step(state, model, 0.45)
+        assert info.value.cell == 7
+        assert "parameters [" in str(info.value)
+
+    def test_negative_tail_names_the_lower_cell(self, grid, bgk):
+        hp = HermitePerturbation(4)
+        omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (6, 1))
+        omegas[[1, 4], 4] = -0.01
+        with pytest.raises(StepError, match="ansatz evaluates to") as info:
+            _generic_coefficients(hp, bgk, grid, omegas)
+        assert info.value.cell == 1
+
+    def test_one_row_views_raise_the_plain_error(self, grid):
+        cm = ConservativeMoment(2)
+        p = AnsatzPoint(cm, np.array([1 / np.sqrt(2 * np.pi), 0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(DegenerateChartError) as info:
+            spectral_radius(p, grid)
+        assert not isinstance(info.value, StepError)
 
 
 class TestRecovery:
