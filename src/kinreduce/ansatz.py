@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 from .errors import (
     ConfigurationError,
@@ -46,7 +47,6 @@ __all__ = [
     "TangentBasis",
     "MetricWeight",
     "evaluate",
-    "evaluate_batch",
     "tangent_basis",
     "metric_weight",
     "params_from_moments",
@@ -129,7 +129,9 @@ class ConservativeMoment:
     def values(self, omega, xi):
         return self.values_batch(omega, xi)[0]
 
-    def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    def jet_batch(self, omegas: np.ndarray, xi: np.ndarray):
+        """f and the chart tangent basis from one evaluation, shapes
+        (m, n) and (m, d, n); f equals ``values_batch``."""
         omegas = np.atleast_2d(omegas)
         _, _, theta = self.split(omegas)
         c, gauss, poly = self._factors(omegas, xi)
@@ -141,7 +143,10 @@ class ConservativeMoment:
             pw = pw * xi[None, :]
         basis[:, self.degree + 1, :] = c / theta[:, None] * f
         basis[:, self.degree + 2, :] = c * c / (2.0 * theta[:, None] ** 2) * f
-        return basis
+        return f, basis
+
+    def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return self.jet_batch(omegas, xi)[1]
 
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
@@ -492,11 +497,14 @@ class ConservativeMoment:
                 )
                 if abs(beta[-1]) < 0.05 * 3.0 ** (1 - self.degree):
                     continue
-                z = np.polynomial.Polynomial([-u / s, 1.0 / s])
-                p = np.polynomial.Polynomial([1.0, *beta])(z)
-                if p(grid.nodes).min() <= 1e-4:
+                # coefficients of p(z(xi)) with p = 1 + sum beta_j z^j and
+                # z = (xi - u)/s, composed by Horner's rule
+                z = np.array([-u / s, 1.0 / s])
+                coeffs = np.array([beta[-1]])
+                for b in (1.0, *beta)[-2::-1]:
+                    coeffs = P.polyadd(b, P.polymul(coeffs, z))
+                if P.polyval(grid.nodes, coeffs).min() <= 1e-4:
                     continue  # the polynomial factor must stay positive on [-L, L]
-                coeffs = p.coef
                 if coeffs.size < self.degree + 1:
                     coeffs = np.pad(coeffs, (0, self.degree + 1 - coeffs.size))
                 omega[: self.degree + 1] = omega[0] * coeffs
@@ -525,36 +533,45 @@ class HermitePerturbation:
             raise RealizabilityError("HermitePerturbation needs rho > 0, theta > 0")
 
     def _series(self, alpha, he):
+        """The Hermite series s = sum_k alpha_k He_k."""
         s = np.zeros_like(he[0])
-        ds = np.zeros_like(he[0])
         for j, k in enumerate(range(3, self.degree + 1)):
             s += alpha[..., j, None] * he[k]
-            # He_k' = k He_{k-1}
+        return s
+
+    def _dseries(self, alpha, he):
+        """ds/dw, by He_k' = k He_{k-1}."""
+        ds = np.zeros_like(he[0])
+        for j, k in enumerate(range(3, self.degree + 1)):
             ds += alpha[..., j, None] * k * he[k - 1]
-        return s, ds
+        return ds
+
+    def _factors(self, omegas, xi):
+        """sqrt(theta), w = (xi - u)/sqrt(theta), the standard Gaussian
+        phi(w), He_0..He_N(w) and rho/sqrt(theta), one row per omega."""
+        rho, u, theta, _ = self.split(omegas)
+        rt = np.sqrt(theta)
+        w = (xi[None, :] - u[:, None]) / rt[:, None]
+        phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
+        return rt, w, phi, hermite_polynomials(self.degree, w), rho[:, None] / rt[:, None]
 
     def values_batch(self, omegas, xi):
         omegas = np.atleast_2d(omegas)
-        rho, u, theta, alpha = self.split(omegas)
-        w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
-        phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
-        s, _ = self._series(alpha, hermite_polynomials(self.degree, w))
-        return rho[:, None] / np.sqrt(theta)[:, None] * phi * (1.0 + s)
+        _, _, phi, he, pref = self._factors(omegas, xi)
+        return pref * phi * (1.0 + self._series(self.split(omegas)[3], he))
 
     def values(self, omega, xi):
         return self.values_batch(omega, xi)[0]
 
-    def tangent_batch(self, omegas, xi):
+    def jet_batch(self, omegas, xi):
+        """f and the chart tangent basis from one evaluation, shapes
+        (m, n) and (m, d, n); f equals ``values_batch``."""
         omegas = np.atleast_2d(omegas)
-        rho, u, theta, alpha = self.split(omegas)
-        m = omegas.shape[0]
-        rt = np.sqrt(theta)
-        w = (xi[None, :] - u[:, None]) / rt[:, None]
-        phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
-        he = hermite_polynomials(self.degree, w)
-        s, ds = self._series(alpha, he)
-        pref = rho[:, None] / rt[:, None]
-        basis = np.empty((m, self.dim, xi.size))
+        _, _, theta, alpha = self.split(omegas)
+        rt, w, phi, he, pref = self._factors(omegas, xi)
+        s = self._series(alpha, he)
+        ds = self._dseries(alpha, he)
+        basis = np.empty((omegas.shape[0], self.dim, xi.size))
         basis[:, 0, :] = phi * (1.0 + s) / rt[:, None]
         # d/du and d/dtheta act through w = (xi-u)/sqrt(theta)
         basis[:, 1, :] = pref / rt[:, None] * phi * (w * (1.0 + s) - ds)
@@ -563,7 +580,10 @@ class HermitePerturbation:
         )
         for j, k in enumerate(range(3, self.degree + 1)):
             basis[:, 3 + j, :] = pref * phi * he[k]
-        return basis
+        return pref * phi * (1.0 + s), basis
+
+    def tangent_batch(self, omegas, xi):
+        return self.jet_batch(omegas, xi)[1]
 
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
@@ -638,10 +658,14 @@ class EntropyClosure:
     def values(self, omega, xi):
         return self.values_batch(omega, xi)[0]
 
+    def jet_batch(self, omegas, xi):
+        """f and the chart tangent basis (f xi^p), shapes (m, n) and
+        (m, d, n)."""
+        f = self.values_batch(np.atleast_2d(omegas), xi)
+        return f, np.stack([f * xi[None, :] ** p for p in range(self.n)], axis=1)
+
     def tangent_batch(self, omegas, xi):
-        omegas = np.atleast_2d(omegas)
-        f = self.values_batch(omegas, xi)
-        return np.stack([f * xi[None, :] ** p for p in range(self.n)], axis=1)
+        return self.jet_batch(omegas, xi)[1]
 
     def tangent(self, omega, xi):
         return self.tangent_batch(omega, xi)[0]
@@ -778,12 +802,11 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray, rcond: float | None = None) -> n
     return out
 
 
-def evaluate_batch(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule) -> np.ndarray:
-    """f(xi; omega) on the grid nodes, one row per omega.  A row whose
+def _sign_rule(vals: np.ndarray) -> np.ndarray:
+    """The sign rule for stacked node values of the ansatz: a row whose
     values dip below zero by more than round-off relative to its own
     maximum is a realizability error (the lowest such row is named);
     round-off negatives are clipped at zero."""
-    vals = manifold.values_batch(omegas, grid.nodes)
     lo = vals.min(axis=1)
     bad = lo < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
     if bad.any():
@@ -794,8 +817,8 @@ def evaluate_batch(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule)
 
 
 def evaluate(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
-    """f(xi; omega) on the grid nodes; see ``evaluate_batch``."""
-    return evaluate_batch(p.manifold, p.omega, grid)[0]
+    """f(xi; omega) on the grid nodes under the sign rule (``_sign_rule``)."""
+    return _sign_rule(p.manifold.values_batch(p.omega, grid.nodes))[0]
 
 
 def tangent_basis(p: AnsatzPoint, grid: QuadratureRule) -> TangentBasis:

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import AnsatzPoint, hermite_polynomial
-from .errors import ParameterError
+from .errors import DegenerateChartError, ParameterError, RealizabilityError, StepError
 from .kinetic import CollisionModel, MomentState, collision_profile, maxwellian
-from .projection import residual
+# residual is not called here; it stays a module attribute because
+# perfbench/tracing.py wraps it by name
+from .projection import residual, residual_batch  # noqa: F401
 from .quadrature import QuadratureRule
 from .reduced_solver import ReducedTrajectory
 from .reference_solver import KineticTrajectory
@@ -73,9 +75,8 @@ def residual_norm(
     domega_dx = np.atleast_2d(np.asarray(domega_dx, dtype=float))
     if len(points) != domega_dx.shape[0]:
         raise ParameterError("one parameter gradient per cell is required")
-    rows = np.stack(
-        [residual(pt, domega_dx[i], model, grid) for i, pt in enumerate(points)]
-    )
+    omegas = np.stack([pt.omega for pt in points])
+    rows = residual_batch(points[0].manifold, omegas, domega_dx, model, grid)
     return field_norm(rows, grid, dx, p)
 
 
@@ -85,14 +86,21 @@ def _central_gradient(omegas: np.ndarray, dx: float) -> np.ndarray:
 
 def residual_norm_series(traj: ReducedTrajectory, model, p: float = 2.0) -> np.ndarray:
     """Residual norm at each recorded time, with parameter gradients by
-    periodic central differences."""
+    periodic central differences: one batched residual per time.  A
+    cell whose residual fails becomes a StepError naming the cell and
+    the time."""
     dx = traj.mesh.dx
     out = np.empty(traj.times.size)
     for t in range(traj.times.size):
         omegas = traj.omegas[t]
         grads = _central_gradient(omegas, dx)
-        points = [AnsatzPoint(traj.manifold, w) for w in omegas]
-        out[t] = residual_norm(points, grads, model, traj.grid, dx, p)
+        try:
+            rows = residual_batch(traj.manifold, omegas, grads, model, traj.grid)
+        except (RealizabilityError, DegenerateChartError) as exc:
+            i = exc.row
+            raise StepError(f"{exc} (parameters {omegas[i].tolist()})",
+                            cell=i, time=float(traj.times[t])) from exc
+        out[t] = field_norm(rows, traj.grid, dx, p)
     return out
 
 

@@ -211,8 +211,11 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule):
 
 
 def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
-    """Collision targets for stacked profiles (d=1 formulas)."""
-    rho, u, theta, q = _moments_of_values(vals, grid)
+    """Collision targets for stacked profiles (d=1 formulas).  A row whose
+    density or temperature is not positive raises StepError naming the
+    lowest such row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, u, theta, q = _moments_of_values(vals, grid)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
         raise StepError("unrealizable moments during collision evaluation", cell=bad)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, evaluate_batch, tangent_basis
+from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _sign_rule
 from .errors import (
     DegenerateChartError,
     KinReduceError,
@@ -22,7 +21,7 @@ from .errors import (
     RealizabilityError,
     StepError,
 )
-from .kinetic import CollisionModel, _target_batch, collision_profile, collision_rate
+from .kinetic import CollisionModel, _target_batch, collision_rate
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "reduced_source",
     "assemble_coefficients",
     "tangent_projection",
+    "residual_batch",
     "residual",
 ]
 
@@ -53,11 +53,10 @@ class ReducedCoefficients:
     q: np.ndarray
 
 
-def _frame(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):
-    """Chart tangent bases b_k, shape (m, d, n), and the metric-weighted
-    quadrature weights, shape (m, n)."""
-    basis = manifold.tangent_batch(omegas, grid.nodes)
-    return basis, manifold.weight_batch(omegas, grid.nodes) * grid.weights
+def _metric(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule) -> np.ndarray:
+    """Metric-weighted quadrature weights, one row per omega, with the
+    weight's overflow guard applied row by row."""
+    return _by_row(lambda w: manifold.weight_batch(w, grid.nodes), omegas) * grid.weights
 
 
 def _grams(basis: np.ndarray, mu: np.ndarray, xi: np.ndarray):
@@ -67,9 +66,9 @@ def _grams(basis: np.ndarray, mu: np.ndarray, xi: np.ndarray):
     return weighted @ basis_t, (weighted * xi) @ basis_t
 
 
-def _check_spd(a0: np.ndarray) -> None:
+def _cholesky(a0: np.ndarray) -> np.ndarray:
     try:
-        np.linalg.cholesky(a0)
+        return np.linalg.cholesky(a0)
     except np.linalg.LinAlgError as exc:
         raise DegenerateChartError(f"Gram matrix not SPD: {exc}") from None
 
@@ -89,6 +88,43 @@ def _by_row(rule, stack: np.ndarray):
         raise
 
 
+def _solve_spd(a0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a0 x = rhs by a Cholesky factorization, for one matrix or a stack
+    of them; a matrix that is not SPD raises DegenerateChartError, for a
+    stack the lowest such row's."""
+    chol = _by_row(_cholesky, a0) if a0.ndim > 2 else _cholesky(a0)
+    y = np.linalg.solve(chol, rhs[..., None])
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
+
+
+def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
+    """Q[f] for stacked profiles; nonpositive collision moments raise
+    RealizabilityError for the lowest such row."""
+    try:
+        targets = _target_batch(model, vals, grid)
+    except StepError as exc:
+        err = RealizabilityError(str(exc))
+        err.row = exc.cell
+        raise err from None
+    return collision_rate(model) * (targets - vals)
+
+
+def _stack(manifold: Manifold, omegas) -> np.ndarray:
+    omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 2 or omegas.shape[1] != manifold.dim:
+        raise ParameterError(
+            f"omegas have shape {omegas.shape}, manifold dimension is {manifold.dim}"
+        )
+    return omegas
+
+
+def _jet(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):
+    """f and the chart tangent bases on the nodes from one evaluation,
+    after ``check_params``; both rules name their lowest failing row."""
+    _by_row(manifold.check_params, omegas)
+    return _by_row(lambda w: manifold.jet_batch(w, grid.nodes), omegas)
+
+
 def coefficients_batch(
     manifold: Manifold,
     omegas: np.ndarray,
@@ -105,28 +141,17 @@ def coefficients_batch(
     with ``check_spd``, a Cholesky test of A0.  The first rule that
     fails raises its typed error for its lowest failing row, with
     ``row`` set to that row."""
-    omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
-    if omegas.ndim != 2 or omegas.shape[1] != manifold.dim:
-        raise ParameterError(
-            f"omegas have shape {omegas.shape}, manifold dimension is {manifold.dim}"
-        )
-    _by_row(manifold.check_params, omegas)
-    basis, mu = _by_row(lambda w: _frame(manifold, w, grid), omegas)
+    omegas = _stack(manifold, omegas)
+    f, basis = _jet(manifold, omegas, grid)
+    mu = _metric(manifold, omegas, grid)
     a0, a1 = (_symmetrize(g) for g in _grams(basis, mu, grid.nodes))
     if model is None:
         q = np.zeros(omegas.shape)
     else:
-        vals = _by_row(lambda w: evaluate_batch(manifold, w, grid), omegas)
-        try:
-            targets = _target_batch(model, vals, grid)
-        except StepError as exc:
-            err = RealizabilityError(str(exc))
-            err.row = exc.cell
-            raise err from None
-        q_vals = collision_rate(model) * (targets - vals)
-        q = np.einsum("mkn,mn->mk", basis, q_vals * mu)
+        vals = _by_row(_sign_rule, f)
+        q = np.einsum("mkn,mn->mk", basis, _collision_rows(model, vals, grid) * mu)
     if check_spd:
-        _by_row(_check_spd, a0)
+        _by_row(_cholesky, a0)
     return ReducedCoefficients(a0, a1, q)
 
 
@@ -160,35 +185,37 @@ def reduced_source(p: AnsatzPoint, model: CollisionModel, grid: QuadratureRule) 
 
 def flux_asymmetry(p: AnsatzPoint, grid: QuadratureRule) -> float:
     """Pre-symmetrization defect |A1 - A1^T|_inf / |A1|_inf."""
-    basis, mu = _frame(p.manifold, p.omega, grid)
-    raw = _grams(basis, mu, grid.nodes)[1][0]
+    basis = p.manifold.tangent_batch(p.omega, grid.nodes)
+    raw = _grams(basis, _metric(p.manifold, p.omega[None], grid), grid.nodes)[1][0]
     denom = np.abs(raw).max()
     if denom == 0.0:
         return 0.0
     return float(np.abs(raw - raw.T).max() / denom)
 
 
-def _projection_frame(p: AnsatzPoint, grid: QuadratureRule):
-    """Frame spanning the tangent space, for projector assembly.
+def _projection_frame(manifold: Manifold, chart: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Frames spanning the tangent spaces, for projector assembly, from
+    the chart bases ``chart``.
 
     The (alpha, u, theta) chart of ConservativeMoment loses rank at
     Maxwellian points while the tangent space itself stays
     (N+3)-dimensional: the Gaussian times monomials frame spans it
     everywhere and keeps the Gram a well-conditioned Hankel matrix, so
     projections use it."""
-    manifold = p.manifold
-    mu = manifold.weight(p.omega, grid.nodes) * grid.weights
     if isinstance(manifold, ConservativeMoment):
-        return manifold.monomial_basis(p.omega, grid.nodes), mu
-    return manifold.tangent(p.omega, grid.nodes), mu
+        # the chart's first direction is the Gaussian factor itself
+        powers = np.stack([xi**k for k in range(manifold.n_moments)])
+        return chart[:, :1, :] * powers
+    return chart
 
 
-def _solve_spd(a0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        cho = scipy.linalg.cho_factor(a0, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise DegenerateChartError("Gram matrix not SPD") from None
-    return scipy.linalg.cho_solve(cho, rhs)
+def _project(frame: np.ndarray, mu: np.ndarray, h: np.ndarray):
+    """Metric-orthogonal projections of stacked profiles ``h`` (m, n) onto
+    the spans of ``frame`` (m, k, n): (coefficients, projected profiles)."""
+    weighted = frame * mu[:, None, :]
+    gram = _symmetrize(weighted @ np.swapaxes(frame, -1, -2))
+    coeff = _solve_spd(gram, (weighted @ h[..., None])[..., 0])
+    return coeff, (coeff[:, None, :] @ frame)[:, 0, :]
 
 
 def tangent_projection(p: AnsatzPoint, h: np.ndarray, grid: QuadratureRule):
@@ -197,11 +224,45 @@ def tangent_projection(p: AnsatzPoint, h: np.ndarray, grid: QuadratureRule):
 
     Coefficients are w.r.t. the projection frame (the monomial frame
     for ConservativeMoment, the chart basis otherwise)."""
-    basis, mu = _projection_frame(p, grid)
-    a0 = _symmetrize(np.einsum("kn,n,ln->kl", basis, mu, basis))
-    rhs = basis @ (np.asarray(h, dtype=float) * mu)
-    coeff = _solve_spd(a0, rhs)
-    return coeff, coeff @ basis
+    chart = p.manifold.tangent_batch(p.omega, grid.nodes)
+    frame = _projection_frame(p.manifold, chart, grid.nodes)
+    mu = _metric(p.manifold, p.omega[None], grid)
+    coeff, ph = _project(frame, mu, np.asarray(h, dtype=float)[None])
+    return coeff[0], ph[0]
+
+
+def residual_batch(
+    manifold: Manifold,
+    omegas: np.ndarray,
+    grads: np.ndarray,
+    model: CollisionModel | None,
+    grid: QuadratureRule,
+) -> np.ndarray:
+    """Model-reduction residuals R = (I - P)(xi * d_x f_hat - Q[f_hat]) at
+    every row of a stack of parameters ``omegas``, shape (m, d), with
+    spatial parameter gradients ``grads``, shape (m, d); returns the
+    residual profiles, shape (m, n).  ``model=None`` drops the collision
+    term.
+
+    Every row obeys the rules of a single point, in its order:
+    ``check_params``, positive collision moments of the raw (unclipped)
+    f, the metric-weight overflow guard and an SPD projection Gram.  The
+    first rule that fails raises its typed error for its lowest failing
+    row, with ``row`` set to that row."""
+    omegas = _stack(manifold, omegas)
+    grads = np.atleast_2d(np.asarray(grads, dtype=float))
+    if grads.shape != omegas.shape:
+        raise ParameterError(
+            f"gradients have shape {grads.shape}, parameters {omegas.shape}"
+        )
+    f, chart = _jet(manifold, omegas, grid)
+    h = grid.nodes * (grads[:, None, :] @ chart)[:, 0, :]
+    if model is not None:
+        # raw (possibly boundary-riding) values: the collision term uses
+        # the same signed integrals as the solver
+        h = h - _collision_rows(model, f, grid)
+    mu = _metric(manifold, omegas, grid)
+    return h - _project(_projection_frame(manifold, chart, grid.nodes), mu, h)[1]
 
 
 def residual(
@@ -210,19 +271,7 @@ def residual(
     model: CollisionModel | None,
     grid: QuadratureRule,
 ) -> np.ndarray:
-    """Model-reduction residual R = (I - P)(xi * d_x f_hat - Q[f_hat]).
-
-    ``domega_dx`` is the spatial gradient of the parameters at this
-    point; pass ``model=None`` to drop the collision term.
-    """
-    chart = tangent_basis(p, grid).columns
-    domega_dx = np.asarray(domega_dx, dtype=float)
-    transport = grid.nodes * (domega_dx @ chart)
-    if model is not None:
-        # raw (possibly boundary-riding) values: the collision term uses
-        # the same signed integrals as the solver
-        source = collision_profile(model, p.manifold.values(p.omega, grid.nodes), grid)
-    else:
-        source = 0.0
-    h = transport - source
-    return h - tangent_projection(p, h, grid)[1]
+    """Model-reduction residual at one point: the one-row view of
+    ``residual_batch``.  ``domega_dx`` is the spatial gradient of the
+    parameters at this point."""
+    return residual_batch(p.manifold, p.omega, domega_dx, model, grid)[0]

@@ -43,7 +43,7 @@ from .kinetic import (
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
-from .projection import assemble_coefficients, coefficients_batch  # noqa: F401
+from .projection import _solve_spd, assemble_coefficients, coefficients_batch  # noqa: F401
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -238,10 +238,7 @@ def _generic_rhs(mesh, omegas, coef, speeds):
     a_loc = np.maximum(np.maximum(speeds, np.roll(speeds, -1)), np.roll(speeds, 1))
     b = coef.q - np.einsum("mkl,ml->mk", coef.a1, grad)
     # A0 passed its Cholesky test in the assembly
-    chol = np.linalg.cholesky(coef.a0)
-    y = np.linalg.solve(chol, b[..., None])
-    rhs = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
-    return rhs + 0.5 * a_loc[:, None] * lap
+    return _solve_spd(coef.a0, b) + 0.5 * a_loc[:, None] * lap
 
 
 def _generic_step(state: ReducedState, model, cfl, dt_cap):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StepError
+from .errors import ParameterError
 from .kinetic import (
     CollisionModel,
     DistributionField,
+    _target_batch,
     collision_rate,
     entropy_density,
 )
@@ -71,56 +72,20 @@ def transport_step(state: KineticState, dt: float) -> KineticState:
     return KineticState(out, state.time + dt)
 
 
-def _moments_rows(vals: np.ndarray, grid: QuadratureRule):
-    wts = grid.weights
-    xi = grid.nodes
-    rho = vals @ wts
-    if np.any(rho <= 0.0):
-        raise StepError("density lost positivity", cell=int(np.flatnonzero(rho <= 0)[0]))
-    u = (vals @ (xi * wts)) / rho
-    c = xi[None, :] - u[:, None]
-    theta = np.einsum("mn,mn->m", vals, c * c * wts[None, :]) / rho
-    if np.any(theta <= 0.0):
-        raise StepError("temperature lost positivity",
-                        cell=int(np.flatnonzero(theta <= 0)[0]))
-    q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
-    return rho, u, theta, q
-
-
-def _maxwellian_rows(rho, u, theta, grid):
-    c = grid.nodes[None, :] - u[:, None]
-    th = theta[:, None]
-    return rho[:, None] / np.sqrt(2.0 * np.pi * th) * np.exp(-c * c / (2.0 * th))
-
-
-def _target_rows(model, vals, grid):
-    rho, u, theta, q = _moments_rows(vals, grid)
-    feq = _maxwellian_rows(rho, u, theta, grid)
-    if model.kind == "shakhov":
-        c = grid.nodes[None, :] - u[:, None]
-        th = theta[:, None]
-        factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
-            c * c / (2.0 * th) - 1.5
-        )
-        return feq * factor
-    return feq
-
-
 def relaxation_step(state: KineticState, model: CollisionModel, dt: float) -> KineticState:
     """Exact exponential relaxation for BGK; explicit RK2 otherwise."""
     f = state.f
     vals = f.values
     grid = f.grid
     if model.kind == "bgk":
-        rho, u, theta, _ = _moments_rows(vals, grid)
-        feq = _maxwellian_rows(rho, u, theta, grid)
+        feq = _target_batch(model, vals, grid)
         decay = np.exp(-dt / model.tau)
         new = feq + (vals - feq) * decay
     else:
         rate = collision_rate(model)
 
         def rhs(v):
-            return rate * (_target_rows(model, v, grid) - v)
+            return rate * (_target_batch(model, v, grid) - v)
 
         k1 = rhs(vals)
         mid = vals + dt * k1

@@ -80,27 +80,59 @@ def reference_coefficients():
     return per_point_coefficients
 
 
+def per_point_residual(manifold, omega, grad, model, grid):
+    """R = (I - P)(xi d_x f_hat - Q[f_hat]) at one point by the per-point
+    algorithm the batched kernel replaced: a plain reference for
+    equivalence tests.  Also returns max |xi d_x f_hat - Q|, against
+    which the residual's round-off is measured."""
+    import scipy.linalg
+
+    from kinreduce import ConservativeMoment
+    from kinreduce.kinetic import collision_profile
+
+    xi = grid.nodes
+    chart = manifold.tangent(omega, xi)
+    h = xi * (grad @ chart)
+    if model is not None:
+        h = h - collision_profile(model, manifold.values(omega, xi), grid)
+    if isinstance(manifold, ConservativeMoment):
+        basis = manifold.monomial_basis(omega, xi)
+    else:
+        basis = chart
+    mu = manifold.weight(omega, xi) * grid.weights
+    a0 = np.einsum("kn,n,ln->kl", basis, mu, basis)
+    coeff = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(0.5 * (a0 + a0.T), lower=True), basis @ (h * mu)
+    )
+    return h - coeff @ basis, np.abs(h).max()
+
+
+@pytest.fixture
+def reference_residual():
+    return per_point_residual
+
+
 @pytest.fixture
 def degenerate_cell(monkeypatch):
     """``degenerate_cell(cell, cells, call=None)`` zeroes the rho
     direction of the HermitePerturbation chart at row ``cell`` of every
-    ``tangent_batch`` stack of ``cells`` rows, or only in the ``call``-th
+    ``jet_batch`` stack of ``cells`` rows, or only in the ``call``-th
     such stack (counting from 0), so that row's Gram is singular."""
     from kinreduce import HermitePerturbation
 
-    original = HermitePerturbation.tangent_batch
+    original = HermitePerturbation.jet_batch
 
     def install(cell, cells, call=None):
         seen = []
 
-        def tangent_batch(self, omegas, xi):
-            basis = original(self, omegas, xi)
+        def jet_batch(self, omegas, xi):
+            f, basis = original(self, omegas, xi)
             if basis.shape[0] == cells:
                 if call is None or len(seen) == call:
                     basis[cell, 0, :] = 0.0
                 seen.append(1)
-            return basis
+            return f, basis
 
-        monkeypatch.setattr(HermitePerturbation, "tangent_batch", tangent_batch)
+        monkeypatch.setattr(HermitePerturbation, "jet_batch", jet_batch)
 
     return install

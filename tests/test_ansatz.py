@@ -511,3 +511,54 @@ class TestSampling:
             p = sample_valid_point(manifold, rng, wide_grid)
             vals = evaluate(p, wide_grid)
             assert np.all(vals >= 0.0)
+
+
+class TestJet:
+    @pytest.mark.parametrize(
+        "manifold",
+        [HermitePerturbation(3), HermitePerturbation(4), ConservativeMoment(2), EntropyClosure(4)],
+        ids=lambda m: m.name,
+    )
+    def test_values_and_basis_from_one_evaluation(self, manifold, wide_grid, rng):
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(300)])
+        f, basis = manifold.jet_batch(omegas, wide_grid.nodes)
+        assert np.array_equal(f, manifold.values_batch(omegas, wide_grid.nodes))
+        assert np.array_equal(basis, manifold.tangent_batch(omegas, wide_grid.nodes))
+        assert basis.shape == (300, manifold.dim, len(wide_grid))
+
+
+def polynomial_object_sample(cm, rng, grid):
+    """``ConservativeMoment.sample`` as written with numpy.polynomial
+    objects, before it moved to coefficient arrays: the reference for
+    the sampler's draws."""
+    for _ in range(500):
+        rho = rng.uniform(0.5, 2.0)
+        u = rng.uniform(-1.0, 1.0)
+        theta = rng.uniform(0.5, 1.5)
+        omega = cm.equilibrium_params(rho, u, theta)
+        if cm.degree > 0:
+            s = 2.5 * np.sqrt(theta)
+            beta = rng.uniform(-0.3, 0.3, size=cm.degree) * 3.0 ** (-np.arange(cm.degree))
+            if abs(beta[-1]) < 0.05 * 3.0 ** (1 - cm.degree):
+                continue
+            z = np.polynomial.Polynomial([-u / s, 1.0 / s])
+            p = np.polynomial.Polynomial([1.0, *beta])(z)
+            if p(grid.nodes).min() <= 1e-4:
+                continue
+            coeffs = p.coef
+            if coeffs.size < cm.degree + 1:
+                coeffs = np.pad(coeffs, (0, cm.degree + 1 - coeffs.size))
+            omega[: cm.degree + 1] = omega[0] * coeffs
+        return omega
+    raise RuntimeError("no sample")
+
+
+class TestConservativeMomentSampler:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_draws_match_the_polynomial_object_sampler(self, degree, wide_grid):
+        cm = ConservativeMoment(degree)
+        for seed in (0, 1, 7):
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = np.stack([cm.sample(r1, wide_grid) for _ in range(60)])
+            want = np.stack([polynomial_object_sample(cm, r2, wide_grid) for _ in range(60)])
+            assert np.array_equal(got, want)

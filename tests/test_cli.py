@@ -118,14 +118,16 @@ class TestReduce:
 
 class TestRuntimeErrors:
     def test_unrealizable_scenario_maps_to_exit_three(self, tmp_path, capsys):
-        # this mixture has no realizable degree-4 representation, so the
-        # initial projection is a genuine runtime failure
+        # this mixture has no realizable degree-4 representation: every
+        # preimage the cold starts find dips below zero by at least 0.11
+        # of its maximum, so the initial projection is a genuine runtime
+        # failure and not one decided by round-off
         doc = base_config(
             manifold={"kind": "conservative_moment", "size": 4},
             initial_condition={
                 "preset": "two-maxwellian-mix",
-                "rho1": 0.6, "u1": -0.8, "theta1": 0.6,
-                "rho2": 0.6, "u2": 0.8, "theta2": 0.6,
+                "rho1": 0.5, "u1": -2.0, "theta1": 0.2,
+                "rho2": 0.5, "u2": 2.0, "theta2": 0.2,
             },
         )
         cfg = write_config(tmp_path, doc)
@@ -297,6 +299,49 @@ class TestEstimate:
         assert np.abs(actual).max() <= 1e-12
         summary = json.loads((out / "error_summary.json").read_text())
         assert summary["dominated"]
+
+    def _runs(self, tmp_path, manifold):
+        doc = base_config(
+            manifold=manifold,
+            initial_condition={"preset": "sine-density", "rho0": 1.0,
+                               "amplitude": 0.1, "u": 0.0, "theta": 1.0},
+        )
+        cfg = write_config(tmp_path, doc)
+        red, ref = tmp_path / "red", tmp_path / "ref"
+        assert main(["reduce", "--config", str(cfg), "--out", str(red)]) == 0
+        assert main(["reference", "--config", str(cfg), "--out", str(ref)]) == 0
+        return red, ref
+
+    def _estimate(self, red, ref, out):
+        return main(["estimate", "--reduce-dir", str(red), "--reference-dir", str(ref),
+                     "--out", str(out)])
+
+    def test_error_csv_byte_identical_across_runs(self, tmp_path):
+        red, ref = self._runs(tmp_path, {"kind": "hermite_perturbation", "size": 4})
+        assert self._estimate(red, ref, tmp_path / "e1") == 0
+        assert self._estimate(red, ref, tmp_path / "e2") == 0
+        assert (tmp_path / "e1" / "error.csv").read_bytes() == \
+            (tmp_path / "e2" / "error.csv").read_bytes()
+
+    def test_nonpositive_density_names_cell_and_time(self, tmp_path, capsys):
+        red, ref = self._runs(tmp_path, {"kind": "conservative_moment", "size": 2})
+        omegas, hw, dx = read_snapshots(red / "omega_snapshots.bin")
+        omegas[1, 5, :3] *= -1.0  # f < 0 in cell 5 at t = 0.01
+        write_snapshots(red / "omega_snapshots.bin", omegas, hw, dx)
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 3
+        err = capsys.readouterr().err
+        assert "runtime error (cell 5, t = 0.01)" in err
+        assert "unrealizable moments" in err
+
+    def test_singular_gram_names_cell_and_time(self, tmp_path, capsys, degenerate_cell):
+        red, ref = self._runs(tmp_path, {"kind": "hermite_perturbation", "size": 4})
+        degenerate_cell(7, cells=16, call=2)  # the residual at t = 0.02
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 3
+        err = capsys.readouterr().err
+        assert "runtime error (cell 7, t = 0.02)" in err
+        assert "not SPD" in err
 
     def test_missing_inputs_exit_two(self, tmp_path):
         code = main(

@@ -23,7 +23,8 @@ from kinreduce import (
     tangent_projection,
 )
 from kinreduce.kinetic import moments_of_profile
-from kinreduce.projection import _solve_spd, coefficients_batch, flux_asymmetry
+from kinreduce.error_estimator import field_norm, residual_norm
+from kinreduce.projection import _solve_spd, coefficients_batch, flux_asymmetry, residual_batch
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -291,3 +292,66 @@ class TestCoefficientsBatch:
     def test_shape_is_checked(self, grid):
         with pytest.raises(ParameterError):
             coefficients_batch(HermitePerturbation(4), np.ones((3, 4)), None, grid)
+
+
+class TestResidualBatch:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind if m else "none")
+    @pytest.mark.parametrize(
+        "manifold",
+        [HermitePerturbation(3), HermitePerturbation(4), EntropyClosure(4),
+         ConservativeMoment(2), ConservativeMoment(4)],
+        ids=lambda m: m.name,
+    )
+    def test_matches_per_point_loop(self, manifold, model, wide_grid, rng, reference_residual):
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(9)])
+        grads = 0.1 * rng.normal(size=omegas.shape) * (1.0 + np.abs(omegas))
+        got = residual_batch(manifold, omegas, grads, model, wide_grid)
+        assert got.shape == (9, len(wide_grid))
+        for i in range(9):
+            want, scale = reference_residual(manifold, omegas[i], grads[i], model, wide_grid)
+            assert np.abs(got[i] - want).max() <= 1e-12 * scale
+
+    def test_views_are_rows_of_the_stack(self, wide_grid, rng, bgk):
+        hp = HermitePerturbation(4)
+        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(5)])
+        grads = 0.1 * rng.normal(size=omegas.shape)
+        stack = residual_batch(hp, omegas, grads, bgk, wide_grid)
+        for i, omega in enumerate(omegas):
+            one = residual(AnsatzPoint(hp, omega), grads[i], bgk, wide_grid)
+            # stacked products round differently from one-row ones
+            assert np.abs(one - stack[i]).max() <= 1e-12 * np.abs(stack[i]).max()
+        points = [AnsatzPoint(hp, w) for w in omegas]
+        norm = residual_norm(points, grads, bgk, wide_grid, dx=0.1)
+        assert norm == pytest.approx(field_norm(stack, wide_grid, 0.1, 2.0), rel=1e-12)
+
+    def test_failing_rules_name_the_lowest_row(self, grid, bgk):
+        cm = ConservativeMoment(2)
+        omegas = np.tile([1 / SQRT_2PI, 0.0, 0.0, 0.0, 1.0], (6, 1))
+        grads = np.zeros_like(omegas)
+        omegas[4, 0] = -omegas[4, 0]  # f < 0: no positive density for Q
+        omegas[2, 0] = -omegas[2, 0]
+        with pytest.raises(RealizabilityError, match="unrealizable moments") as info:
+            residual_batch(cm, omegas, grads, bgk, grid)
+        assert info.value.row == 2
+        # check_params comes first; without a model f has no moments to check
+        omegas[3, -1] = -1.0
+        with pytest.raises(RealizabilityError, match="theta > 0") as info:
+            residual_batch(cm, omegas, grads, bgk, grid)
+        assert info.value.row == 3
+        assert np.isfinite(residual_batch(cm, omegas[:3], grads[:3], None, grid)).all()
+
+    def test_singular_gram_is_typed(self, grid, degenerate_cell):
+        hp = HermitePerturbation(4)
+        omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (6, 1))
+        degenerate_cell(4, cells=6)
+        with pytest.raises(DegenerateChartError, match="not SPD") as info:
+            residual_batch(hp, omegas, np.zeros_like(omegas), None, grid)
+        assert info.value.row == 4
+
+    def test_shapes_are_checked(self, grid):
+        hp = HermitePerturbation(4)
+        omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (3, 1))
+        with pytest.raises(ParameterError):
+            residual_batch(hp, omegas, np.zeros((2, 5)), None, grid)
+        with pytest.raises(ParameterError):
+            residual_batch(hp, omegas[:, :4], np.zeros((3, 4)), None, grid)

@@ -8,6 +8,7 @@ from kinreduce import (
     ParameterError,
     QuadratureRule,
     SpatialMesh,
+    StepError,
     maxwellian,
     truncated_rule,
 )
@@ -117,6 +118,17 @@ class TestRelaxation:
         feq_frozen = maxwellian(m, grid)
         want = feq_frozen + (f0 - feq_frozen) * np.exp(-t / tau)
         assert np.abs(state.f.values[0] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["bgk", "shakhov"])
+    def test_vanishing_density_names_the_cell(self, grid, kind):
+        mesh = SpatialMesh(cells=3, length=1.0)
+        vals = np.tile(maxwellian(MomentState(1.0, 0.0, 1.0), grid), (3, 1))
+        vals[1] = 0.0
+        model = CollisionModel(kind=kind, tau=0.5, prandtl=2.0 / 3.0)
+        state = KineticState(DistributionField(vals, grid, mesh), 0.0)
+        with pytest.raises(StepError, match="unrealizable moments") as info:
+            relaxation_step(state, model, 0.01)
+        assert info.value.cell == 1
 
     def test_shakhov_heat_flux_decay_rate(self, grid):
         # moment ODE oracle: dq/dt = -(Pr/tau) q

@@ -14,6 +14,7 @@ from kinreduce import (
     hyperbolicity_audit,
     linearized_collision_matrix,
     propagation_speed_audit,
+    sample_valid_point,
     truncated_rule,
     yong_conditions_check,
 )
@@ -204,6 +205,25 @@ class TestSpeedAudit:
         for manifold in (ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)):
             rep = propagation_speed_audit(manifold, 30, wide_grid, seed=12)
             assert rep.passed and rep.margin > 0.0
+
+    @pytest.mark.parametrize(
+        "manifold", [ConservativeMoment(4), HermitePerturbation(3)], ids=lambda m: m.name
+    )
+    def test_takes_the_solvers_speeds(self, manifold, wide_grid):
+        # 150 samples take two passes of the audit
+        from kinreduce.projection import coefficients_batch
+        from kinreduce.reduced_solver import _cm_speeds, _pencil_radius_batch
+
+        rng = np.random.default_rng(5)
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(150)])
+        if isinstance(manifold, ConservativeMoment):
+            speeds = _cm_speeds(manifold, omegas, wide_grid)
+        else:
+            coef = coefficients_batch(manifold, omegas, None, wide_grid)
+            speeds = _pencil_radius_batch(coef.a0, coef.a1)
+        rep = propagation_speed_audit(manifold, 150, wide_grid, seed=5)
+        assert rep.samples == 150
+        assert rep.max_radius == pytest.approx(speeds.max(), rel=1e-14)
 
     def test_theta_scaling_of_radius(self):
         from kinreduce import AnsatzPoint, spectral_radius
