@@ -62,6 +62,12 @@ _WEIGHT_EXP_CAP = 690.0  # log(1e300)
 # below this (relative) threshold is a genuine realizability violation
 _NEGATIVITY_RTOL = 1e-12
 
+# damped Newton on the moment map: iterations, step halvings per
+# iteration, and the converged scaled moment residual
+_NEWTON_MAX_ITER = 50
+_NEWTON_MAX_HALVINGS = 12
+_NEWTON_TOL = 1e-11
+
 # chunk sizes that bound the temporaries of the batched inversion:
 # rows per pass over the quadrature nodes (results are the same for any
 # size), moment rows per chunk of the cold starts' resultant scan (801
@@ -184,11 +190,10 @@ class ConservativeMoment:
         V = powers[:, k[:, None] + k[None, :] + 1]
         return M, V
 
-    def raw_moments_batch(self, omegas, grid: QuadratureRule, upto: int | None = None):
-        """Raw moments int xi^k f dxi for k = 0..upto (default N+2)."""
-        upto = self.n_moments - 1 if upto is None else upto
+    def raw_moments_batch(self, omegas, grid: QuadratureRule):
+        """Raw moments int xi^k f dxi for k = 0..N+2."""
         vals = self.values_batch(omegas, grid.nodes)
-        xiP = _xi_powers(grid, upto)
+        xiP = _xi_powers(grid, self.n_moments - 1)
         return vals @ (xiP * grid.weights).T
 
     def gaussian_fit(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -802,16 +807,20 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray, rcond: float | None = None) -> n
     return out
 
 
+def _dips_negative(vals: np.ndarray) -> np.ndarray:
+    """Per row of stacked node values: whether the row dips below zero
+    by more than round-off relative to its own maximum."""
+    return vals.min(axis=1) < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+
+
 def _sign_rule(vals: np.ndarray) -> np.ndarray:
-    """The sign rule for stacked node values of the ansatz: a row whose
-    values dip below zero by more than round-off relative to its own
-    maximum is a realizability error (the lowest such row is named);
-    round-off negatives are clipped at zero."""
-    lo = vals.min(axis=1)
-    bad = lo < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+    """The sign rule for stacked node values of the ansatz: a row that
+    dips negative (``_dips_negative``) is a realizability error (the
+    lowest such row is named); round-off negatives are clipped at zero."""
+    bad = _dips_negative(vals)
     if bad.any():
         raise RealizabilityError(
-            f"ansatz evaluates to {lo[bad][0]} at a quadrature node"
+            f"ansatz evaluates to {vals[bad][0].min()} at a quadrature node"
         )
     return np.maximum(vals, 0.0)
 
@@ -849,18 +858,13 @@ def _ridge_jitters(manifold: ConservativeMoment, omega: np.ndarray, grid: Quadra
 
 
 def _check_positivity_batch(manifold, omegas, grid, where="recovered parameters"):
-    vals = manifold.values_batch(omegas, grid.nodes)
-    lo = vals.min(axis=1)
-    bad = lo < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+    bad = _dips_negative(manifold.values_batch(omegas, grid.nodes))
     if np.any(bad):
         cell = int(np.flatnonzero(bad)[0])
         raise RealizabilityError(f"{where}: negative ansatz values (row {cell})")
 
 
-def _newton(
-    manifold, targets, omega, grid,
-    max_iter=50, max_halvings=12, tol=1e-11, require_nonnegative=True,
-):
+def _newton(manifold, targets, omega, grid, require_nonnegative=True):
     """Damped Newton on the moment map, every row in one batch.
 
     Returns the last iterates (``omega`` is updated in place), whether
@@ -873,8 +877,8 @@ def _newton(
     scale = 1.0 + np.abs(targets)
     r = manifold.values_batch(omega, grid.nodes) @ xiPw.T - targets
     err = (np.abs(r) / scale).max(axis=1)
-    live = ~(err <= tol)
-    for _ in range(max_iter):
+    live = ~(err <= _NEWTON_TOL)
+    for _ in range(_NEWTON_MAX_ITER):
         act = np.flatnonzero(live)
         if act.size == 0:
             break
@@ -926,7 +930,7 @@ def _newton(
             try_levels(rows, step_arr[rows], np.ones(1))
             rows = np.flatnonzero(~accepted)
             if rows.size:
-                try_levels(rows, step_arr[rows], 0.5 ** np.arange(1, max_halvings + 1))
+                try_levels(rows, step_arr[rows], 0.5 ** np.arange(1, _NEWTON_MAX_HALVINGS + 1))
 
         damped_round(step)
         if not accepted.all():
@@ -940,15 +944,16 @@ def _newton(
         omega[hit] = trial[accepted]
         r[hit] = manifold.values_batch(omega[hit], grid.nodes) @ xiPw.T - targets[hit]
         err[hit] = (np.abs(r[hit]) / scale[hit]).max(axis=1)
-        live[hit] = ~(err[hit] <= tol)
-    ok = err <= tol
+        live[hit] = ~(err[hit] <= _NEWTON_TOL)
+    ok = err <= _NEWTON_TOL
     if require_nonnegative:
-        vals = manifold.values_batch(omega, grid.nodes)
-        ok &= vals.min(axis=1) >= -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
+        # a row with ok set has finite node values, where this negation
+        # of ``_dips_negative`` is exact
+        ok &= ~_dips_negative(manifold.values_batch(omega, grid.nodes))
     return omega, ok, err
 
 
-def _solve_candidates(manifold, targets, candidates, grid, **newton):
+def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True):
     """Batched Newton solves over every row's list of start points, in
     chunks of ``_RUNG_ROWS``: returns the solutions, their success flags
     and the row each came from."""
@@ -957,7 +962,9 @@ def _solve_candidates(manifold, targets, candidates, grid, **newton):
     ok = np.zeros(owner.size, dtype=bool)
     for lo in range(0, owner.size, _RUNG_ROWS):
         part = slice(lo, lo + _RUNG_ROWS)
-        sol[part], ok[part], _ = _newton(manifold, targets[owner[part]], sol[part], grid, **newton)
+        sol[part], ok[part], _ = _newton(
+            manifold, targets[owner[part]], sol[part], grid, require_nonnegative
+        )
     return sol, ok, owner
 
 
@@ -966,9 +973,6 @@ def recover_batch(
     targets: np.ndarray,
     grid: QuadratureRule,
     omega0: np.ndarray | None = None,
-    max_iter: int = 50,
-    max_halvings: int = 12,
-    tol: float = 1e-11,
     require_nonnegative: bool = True,
 ) -> np.ndarray:
     """Damped Newton inversion of the moment map for a batch of cells.
@@ -994,17 +998,13 @@ def recover_batch(
         omega = manifold.initial_guess(targets, grid)
     else:
         omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
-    newton = dict(
-        max_iter=max_iter,
-        max_halvings=max_halvings,
-        tol=tol,
-        require_nonnegative=require_nonnegative,
-    )
-    omega, ok, _ = _newton(manifold, targets, omega, grid, **newton)
+    omega, ok, _ = _newton(manifold, targets, omega, grid, require_nonnegative)
     bad = np.flatnonzero(~ok)
     if bad.size and manifold.degree > 0:
         jitters = [list(_ridge_jitters(manifold, omega[i], grid)) for i in bad]
-        sol, sol_ok, owner = _solve_candidates(manifold, targets[bad], jitters, grid, **newton)
+        sol, sol_ok, owner = _solve_candidates(
+            manifold, targets[bad], jitters, grid, require_nonnegative
+        )
         for j, i in enumerate(bad):
             hits = np.flatnonzero(sol_ok & (owner == j))
             if hits.size:
@@ -1018,7 +1018,9 @@ def recover_batch(
         bad = bad[_gaussian_fit(targets[bad])[2]]
     if bad.size:
         cands = manifold.cold_start_candidates(targets[bad], grid)
-        sol, sol_ok, owner = _solve_candidates(manifold, targets[bad], cands, grid, **newton)
+        sol, sol_ok, owner = _solve_candidates(
+            manifold, targets[bad], cands, grid, require_nonnegative
+        )
         for j, i in enumerate(bad):
             hits = np.flatnonzero(sol_ok & (owner == j))
             if hits.size:

@@ -17,18 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import io as kio
-from .ansatz import ConservativeMoment
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, parse_config
 from .errors import ConfigurationError, KinReduceError, ParameterError
-from .error_estimator import (
-    actual_error,
-    gronwall_bound,
-    lipschitz_estimate,
-    residual_norm_series,
-)
-from .kinetic import CollisionModel, MomentState
+from .error_estimator import build_error_report
+# not called here; they stay module attributes because
+# perfbench/tracing.py wraps them by name
+from .error_estimator import actual_error, lipschitz_estimate, residual_norm_series  # noqa: F401
+from .kinetic import CollisionModel, SpatialMesh
 from .reduced_solver import ReducedTrajectory, run_reduced
-from .reference_solver import run_reference
+from .reference_solver import KineticTrajectory, run_reference
 from .stability import (
     HermiteSpace,
     assemble_yong_report,
@@ -196,31 +193,39 @@ def cmd_audit(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _load_reduce_outputs(reduce_dir: Path):
-    manifest = json.loads((reduce_dir / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "reduce":
-        raise ParameterError(f"{reduce_dir} does not hold reduce outputs")
-    omegas, half_width, dx = kio.read_snapshots(reduce_dir / "omega_snapshots.bin")
-    return manifest, omegas, half_width, dx
-
-
-def _load_reference_outputs(ref_dir: Path):
-    manifest = json.loads((ref_dir / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "reference":
-        raise ParameterError(f"{ref_dir} does not hold reference outputs")
-    snaps, half_width, dx = kio.read_snapshots(ref_dir / "snapshots.bin")
-    return manifest, snaps, half_width, dx
+def _load_run(run_dir: Path, kind: str):
+    """Manifest, scenario and snapshot frames of a ``reduce`` or
+    ``reference`` run.  The frames must match the manifest: one per
+    output time, one row per mesh cell, one column per manifold
+    parameter (reduce) or velocity node (reference), and the header's
+    half width and dx."""
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    if manifest.get("kind") != kind:
+        raise ParameterError(f"{run_dir} does not hold {kind} outputs")
+    cfg = parse_config(manifest["config"])
+    mesh, vgrid = manifest["mesh"], manifest["velocity_grid"]
+    if kind == "reduce":
+        path, cols = run_dir / "omega_snapshots.bin", cfg.manifold().dim
+    else:
+        path, cols = run_dir / "snapshots.bin", vgrid["nodes"]
+    frames, half_width, dx = kio.read_snapshots(path)
+    shape = (len(manifest["times"]), mesh["cells"], cols)
+    if frames.shape != shape:
+        raise ParameterError(
+            f"{path} holds (frames, rows, columns) = {frames.shape}, "
+            f"its manifest describes {shape}"
+        )
+    if half_width != vgrid["half_width"] or dx != mesh["length"] / mesh["cells"]:
+        raise ParameterError(
+            f"{path} has half width {half_width} and dx {dx}, its manifest "
+            f"describes {vgrid['half_width']} and {mesh['length'] / mesh['cells']}"
+        )
+    return manifest, cfg, frames
 
 
 def cmd_estimate(reduce_dir: Path, ref_dir: Path, out_dir: Path) -> int:
-    from .config import parse_config
-    from .kinetic import SpatialMesh
-    from .reference_solver import KineticTrajectory
-
-    red_man, omegas, r_hw, r_dx = _load_reduce_outputs(reduce_dir)
-    ref_man, snaps, f_hw, f_dx = _load_reference_outputs(ref_dir)
-    red_cfg = parse_config(red_man["config"])
-    ref_cfg = parse_config(ref_man["config"])
+    red_man, red_cfg, omegas = _load_run(reduce_dir, "reduce")
+    ref_man, _, snaps = _load_run(ref_dir, "reference")
     if red_man["mesh"] != ref_man["mesh"] or red_man["velocity_grid"] != ref_man["velocity_grid"]:
         raise ParameterError("reduce/reference manifests describe different grids")
     times_red = np.array([float(t) for t in red_man["times"]])
@@ -230,12 +235,11 @@ def cmd_estimate(reduce_dir: Path, ref_dir: Path, out_dir: Path) -> int:
     ):
         raise ParameterError("reduce/reference output times do not match")
 
-    manifold = red_cfg.manifold()
     grid = red_cfg.grid()
     mesh = SpatialMesh(cells=red_man["mesh"]["cells"], length=red_man["mesh"]["length"])
     model = red_cfg.model()
     traj = ReducedTrajectory(
-        manifold=manifold,
+        manifold=red_cfg.manifold(),
         grid=grid,
         mesh=mesh,
         times=times_red,
@@ -252,41 +256,22 @@ def cmd_estimate(reduce_dir: Path, ref_dir: Path, out_dir: Path) -> int:
         moment_totals=np.zeros((times_ref.size, 1)),
         entropy=np.zeros(times_ref.size),
     )
-    p = red_cfg.p
-    res = residual_norm_series(traj, model, p)
-    act = actual_error(traj, ref, p)
-    samples = [MomentState(rho=1.0, u=0.0, theta=1.0)]
-    mid = omegas.shape[0] // 2
-    if isinstance(manifold, ConservativeMoment):
-        for t_idx in (0, mid, omegas.shape[0] - 1):
-            vals = manifold.values_batch(omegas[t_idx, 0], grid.nodes)[0]
-            wts = grid.weights
-            rho = float(vals @ wts)
-            u = float(vals @ (grid.nodes * wts)) / rho
-            th = float(vals @ ((grid.nodes - u) ** 2 * wts)) / rho
-            samples.append(MomentState(rho=rho, u=u, theta=th))
-    lip = lipschitz_estimate(model, samples, grid=grid, p=p, seed=red_cfg.audit_seed)
-    bound = gronwall_bound(act[0], times_red, res, lip)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(act > 0, bound / act, np.inf)
+    rep = build_error_report(traj, ref, model, red_cfg.p, seed=red_cfg.audit_seed)
 
     kio.write_csv(
         out_dir / "error.csv",
         ["time", "residual_norm", "bound", "actual", "ratio"],
-        [
-            [times_red[i], res[i], bound[i], act[i], ratio[i]]
-            for i in range(times_red.size)
-        ],
+        zip(rep.times, rep.residual_norms, rep.bound, rep.actual, rep.ratio),
     )
     kio.write_json(
         out_dir / "error_summary.json",
         {
-            "p": p,
-            "lipschitz": lip,
+            "p": rep.p,
+            "lipschitz": rep.lipschitz,
             "lipschitz_kind": "empirical",
-            "bound_final": float(bound[-1]),
-            "actual_final": float(act[-1]),
-            "dominated": bool(np.all(act <= bound * (1.0 + 1e-12))),
+            "bound_final": float(rep.bound[-1]),
+            "actual_final": float(rep.actual[-1]),
+            "dominated": not rep.violated,
             "reduce_config_sha256": red_man["config_sha256"],
             "reference_config_sha256": ref_man["config_sha256"],
         },

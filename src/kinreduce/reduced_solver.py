@@ -287,9 +287,7 @@ def _record(state: ReducedState, n_mom: int):
     else:
         xiPw = np.stack([grid.nodes**k for k in range(n_mom)]) * grid.weights
         totals = mesh.dx * (vals @ xiPw.T).sum(axis=0)
-    ent = mesh.dx * float(
-        np.add.reduce(np.array([entropy_density(v, grid) for v in vals]))
-    )
+    ent = mesh.dx * float(np.add.reduce(entropy_density(vals, grid)))
     return totals, ent
 
 

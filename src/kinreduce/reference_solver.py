@@ -118,9 +118,7 @@ def run_reference(
 
     def record(st):
         totals = mesh.dx * (st.f.values @ xiPw.T).sum(axis=0)
-        ent = mesh.dx * float(
-            np.add.reduce(np.array([entropy_density(v, grid) for v in st.f.values]))
-        )
+        ent = mesh.dx * float(np.add.reduce(entropy_density(st.f.values, grid)))
         return totals, ent
 
     times = [0.0]

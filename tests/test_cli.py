@@ -316,6 +316,50 @@ class TestEstimate:
         return main(["estimate", "--reduce-dir", str(red), "--reference-dir", str(ref),
                      "--out", str(out)])
 
+    @pytest.mark.parametrize("manifold", [
+        {"kind": "conservative_moment", "size": 2},
+        {"kind": "hermite_perturbation", "size": 4},
+    ], ids=["cm2", "hermite4"])
+    def test_outputs_are_the_library_error_report(self, tmp_path, manifold):
+        from kinreduce.config import parse_config
+        from kinreduce.error_estimator import build_error_report
+        from kinreduce.reduced_solver import run_reduced
+        from kinreduce.reference_solver import run_reference
+
+        red, ref = self._runs(tmp_path, manifold)
+        assert self._estimate(red, ref, tmp_path / "est") == 0
+        cfg = parse_config(json.loads((red / "manifest.json").read_text())["config"])
+        kw = dict(cfl=cfg.cfl, output_interval=cfg.output_interval)
+        rep = build_error_report(
+            run_reduced(cfg.manifold(), cfg.model(), cfg.initial_field(), cfg.final_time, **kw),
+            run_reference(cfg.model(), cfg.initial_field(), cfg.final_time, **kw),
+            cfg.model(), cfg.p, seed=cfg.audit_seed,
+        )
+        summary = json.loads((tmp_path / "est" / "error_summary.json").read_text())
+        header, data = read_csv(tmp_path / "est" / "error.csv")
+        assert summary["lipschitz"] == rep.lipschitz
+        assert summary["bound_final"] == rep.bound[-1]
+        assert summary["dominated"] is (not rep.violated)
+        for name, want in (("residual_norm", rep.residual_norms), ("bound", rep.bound),
+                           ("actual", rep.actual), ("ratio", rep.ratio)):
+            assert data[:, header.index(name)].tolist() == want.tolist(), name
+
+    @pytest.mark.parametrize("run,corrupt", [
+        ("red", lambda frames, hw, dx: (frames[:-1], hw, dx)),
+        ("ref", lambda frames, hw, dx: (frames[:, :8], hw, dx)),
+        ("red", lambda frames, hw, dx: (frames[..., :-1], hw, dx)),
+        ("ref", lambda frames, hw, dx: (frames, hw + 1.0, dx)),
+        ("red", lambda frames, hw, dx: (frames, hw, 2.0 * dx)),
+    ], ids=["reduce-missing-frame", "reference-8-of-16-cells", "reduce-short-rows",
+            "reference-half-width", "reduce-dx"])
+    def test_snapshots_disagreeing_with_manifest_exit_two(self, tmp_path, capsys, run, corrupt):
+        red, ref = self._runs(tmp_path, {"kind": "conservative_moment", "size": 2})
+        path = {"red": red / "omega_snapshots.bin", "ref": ref / "snapshots.bin"}[run]
+        write_snapshots(path, *corrupt(*read_snapshots(path)))
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 2
+        assert f"error: {path}" in capsys.readouterr().err
+
     def test_error_csv_byte_identical_across_runs(self, tmp_path):
         red, ref = self._runs(tmp_path, {"kind": "hermite_perturbation", "size": 4})
         assert self._estimate(red, ref, tmp_path / "e1") == 0

@@ -112,6 +112,55 @@ class TestLipschitz:
         assert abs(a - b) <= 0.1 * a
 
 
+def _lipschitz_per_profile(model, sample_moments, grid, p=2.0, pairs_per_sample=8, seed=0):
+    """Reference: the estimate's pairs drawn in the same order, each
+    profile's collision operator evaluated on its own."""
+    rng = np.random.default_rng(seed)
+    xi = grid.nodes
+    worst = 0.0
+    for m in sample_moments:
+        base = maxwellian(m, grid)
+        w = (xi - m.u) / np.sqrt(m.theta)
+        modes = [base * hermite_polynomial(k, w) for k in (3, 4, 5)]
+        q_base = collision_profile(model, base, grid)
+        for _ in range(pairs_per_sample):
+            matched = rng.normal(size=len(modes)) @ np.array(modes)
+            bumps = np.exp(-((w - rng.uniform(-2.0, 2.0)) ** 2) / 0.5) * base
+            for h in (matched, bumps):
+                delta = 0.1 * h / np.abs(h).max() * base.max()
+                d = np.maximum(base + delta, 0.0) - base
+                dq = collision_profile(model, base + d, grid) - q_base
+                numer = float((np.abs(d) ** (p - 1.0) * np.abs(dq)) @ grid.weights)
+                worst = max(worst, numer / float(np.abs(d) ** p @ grid.weights))
+    return 1.5 * worst
+
+
+class TestLipschitzBatch:
+    SAMPLES = [MomentState(1.0, 0.0, 1.0), MomentState(0.8, 0.4, 0.7),
+               MomentState(1.3, -0.5, 1.2)]
+
+    @pytest.mark.parametrize("model", [
+        CollisionModel("bgk", tau=0.3),
+        CollisionModel("shakhov", tau=0.2, prandtl=2.0 / 3.0),
+        CollisionModel("esbgk", tau=0.5, prandtl=0.8),
+    ], ids=["bgk", "shakhov", "esbgk"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
+    def test_matches_per_profile_loop(self, grid, model, seed):
+        got = lipschitz_estimate(model, self.SAMPLES, grid=grid, p=2.3, seed=seed)
+        want = _lipschitz_per_profile(model, self.SAMPLES, grid, p=2.3, seed=seed)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_target_kernel_call(self, grid, monkeypatch):
+        import kinreduce.error_estimator as ee
+
+        calls = []
+        kernel = ee._target_batch
+        monkeypatch.setattr(ee, "_target_batch", lambda *a: calls.append(1) or kernel(*a))
+        lipschitz_estimate(CollisionModel("shakhov", tau=0.2, prandtl=2.0 / 3.0),
+                           self.SAMPLES, grid=grid, seed=3)
+        assert len(calls) == 1
+
+
 class TestGronwall:
     def test_zero_residual(self):
         t = np.linspace(0, 1, 11)

@@ -17,7 +17,7 @@ from kinreduce import (
     flux_existence_check,
     maxwellian,
 )
-from kinreduce.kinetic import collision_profile, moments_of_profile
+from kinreduce.kinetic import collision_profile, entropy_density, moments_of_profile
 
 from conftest import homogeneous_field
 
@@ -186,6 +186,16 @@ class TestEntropy:
         assert val == pytest.approx(oracle, abs=1e-10)
         # closed form: -rho (3/2 + log(2 pi theta)/2) + rho log rho
         assert val == pytest.approx(-(1.5 + 0.5 * np.log(2 * np.pi)), abs=1e-10)
+
+    def test_stacked_rows_match_one_profile_at_a_time(self, grid, rng):
+        # the solvers record entropy for a whole frame in one call; the
+        # per-row values must be those of the one-profile sum, bit for bit
+        rows = np.stack([random_realizable_profile(grid, rng) for _ in range(7)])
+        rows[2, :5] = 0.0  # 0 log 0 := 0
+        got = entropy_density(rows, grid)
+        assert got.shape == (7,)
+        assert got.tolist() == [entropy_density(r, grid) for r in rows]
+        assert isinstance(entropy_density(rows[0], grid), float)
 
 
 class TestEntropyProduction:
