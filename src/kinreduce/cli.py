@@ -44,22 +44,6 @@ def _config_hash(cfg: ScenarioConfig) -> str:
     return kio.sha256_text(json.dumps(cfg.raw, sort_keys=True, separators=(",", ":")))
 
 
-def _manifest(cfg, out_dir: Path, outputs: list[str], timings: dict, extra=None) -> None:
-    chash = _config_hash(cfg)
-    payload = {
-        "config": cfg.raw,
-        "config_sha256": chash,
-        "outputs": {
-            name: {"sha256": kio.sha256_file(out_dir / name), "config_sha256": chash}
-            for name in outputs
-        },
-        "timings_seconds": timings,
-    }
-    if extra:
-        payload.update(extra)
-    kio.write_json(out_dir / "manifest.json", payload)
-
-
 def cmd_reduce(cfg: ScenarioConfig, out_dir: Path) -> int:
     t0 = _time.perf_counter()
     traj = run_reduced(
@@ -70,32 +54,7 @@ def cmd_reduce(cfg: ScenarioConfig, out_dir: Path) -> int:
         cfl=cfg.cfl,
         output_interval=cfg.output_interval,
     )
-    elapsed = _time.perf_counter() - t0
-    header = ["time", *traj.moment_labels, "entropy"]
-    rows = [
-        [traj.times[i], *traj.moment_totals[i], traj.entropy[i]]
-        for i in range(traj.times.size)
-    ]
-    kio.write_csv(out_dir / "trajectory.csv", header, rows)
-    kio.write_snapshots(
-        out_dir / "omega_snapshots.bin", traj.omegas, traj.grid.half_width, traj.mesh.dx
-    )
-    _manifest(
-        cfg,
-        out_dir,
-        ["trajectory.csv", "omega_snapshots.bin"],
-        {"solve": elapsed},
-        extra={
-            "kind": "reduce",
-            "times": [format(t, ".17g") for t in traj.times],
-            "mesh": {"cells": traj.mesh.cells, "length": traj.mesh.length},
-            "velocity_grid": {
-                "half_width": traj.grid.half_width,
-                "nodes": len(traj.grid),
-            },
-        },
-    )
-    return EXIT_OK
+    return _write_run(cfg, out_dir, "reduce", traj, traj.omegas, _time.perf_counter() - t0)
 
 
 def cmd_reference(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -107,32 +66,8 @@ def cmd_reference(cfg: ScenarioConfig, out_dir: Path) -> int:
         cfl=cfg.cfl,
         output_interval=cfg.output_interval,
     )
-    elapsed = _time.perf_counter() - t0
-    header = ["time", "c0", "c1", "c2", "entropy"]
-    rows = [
-        [traj.times[i], *traj.moment_totals[i], traj.entropy[i]]
-        for i in range(traj.times.size)
-    ]
-    kio.write_csv(out_dir / "trajectory.csv", header, rows)
-    kio.write_snapshots(
-        out_dir / "snapshots.bin", traj.snapshots, traj.grid.half_width, traj.mesh.dx
-    )
-    _manifest(
-        cfg,
-        out_dir,
-        ["trajectory.csv", "snapshots.bin"],
-        {"solve": elapsed},
-        extra={
-            "kind": "reference",
-            "times": [format(t, ".17g") for t in traj.times],
-            "mesh": {"cells": traj.mesh.cells, "length": traj.mesh.length},
-            "velocity_grid": {
-                "half_width": traj.grid.half_width,
-                "nodes": len(traj.grid),
-            },
-        },
-    )
-    return EXIT_OK
+    return _write_run(cfg, out_dir, "reference", traj, traj.snapshots,
+                      _time.perf_counter() - t0)
 
 
 def cmd_audit(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -193,6 +128,35 @@ def cmd_audit(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+# the snapshot file of each kind of run directory
+_FRAMES = {"reduce": "omega_snapshots.bin", "reference": "snapshots.bin"}
+
+
+def _write_run(cfg, out_dir: Path, kind: str, traj, frames, elapsed: float) -> int:
+    """Write the run directory that ``_load_run`` reads: the totals and
+    entropy per output time in trajectory.csv, the snapshot ``frames``,
+    and manifest.json."""
+    labels = [f"c{k}" for k in range(traj.moment_totals.shape[1])]
+    rows = [[t, *m, e] for t, m, e in zip(traj.times, traj.moment_totals, traj.entropy)]
+    kio.write_csv(out_dir / "trajectory.csv", ["time", *labels, "entropy"], rows)
+    kio.write_snapshots(out_dir / _FRAMES[kind], frames, traj.grid.half_width, traj.mesh.dx)
+    chash = _config_hash(cfg)
+    kio.write_json(out_dir / "manifest.json", {
+        "config": cfg.raw,
+        "config_sha256": chash,
+        "outputs": {
+            name: {"sha256": kio.sha256_file(out_dir / name), "config_sha256": chash}
+            for name in ("trajectory.csv", _FRAMES[kind])
+        },
+        "timings_seconds": {"solve": elapsed},
+        "kind": kind,
+        "times": [format(t, ".17g") for t in traj.times],
+        "mesh": {"cells": traj.mesh.cells, "length": traj.mesh.length},
+        "velocity_grid": {"half_width": traj.grid.half_width, "nodes": len(traj.grid)},
+    })
+    return EXIT_OK
+
+
 def _load_run(run_dir: Path, kind: str):
     """Manifest, scenario and snapshot frames of a ``reduce`` or
     ``reference`` run.  The frames must match the manifest: one per
@@ -204,10 +168,8 @@ def _load_run(run_dir: Path, kind: str):
         raise ParameterError(f"{run_dir} does not hold {kind} outputs")
     cfg = parse_config(manifest["config"])
     mesh, vgrid = manifest["mesh"], manifest["velocity_grid"]
-    if kind == "reduce":
-        path, cols = run_dir / "omega_snapshots.bin", cfg.manifold().dim
-    else:
-        path, cols = run_dir / "snapshots.bin", vgrid["nodes"]
+    path = run_dir / _FRAMES[kind]
+    cols = cfg.manifold().dim if kind == "reduce" else vgrid["nodes"]
     frames, half_width, dx = kio.read_snapshots(path)
     shape = (len(manifest["times"]), mesh["cells"], cols)
     if frames.shape != shape:
@@ -225,9 +187,20 @@ def _load_run(run_dir: Path, kind: str):
 
 def cmd_estimate(reduce_dir: Path, ref_dir: Path, out_dir: Path) -> int:
     red_man, red_cfg, omegas = _load_run(reduce_dir, "reduce")
-    ref_man, _, snaps = _load_run(ref_dir, "reference")
+    ref_man, ref_cfg, snaps = _load_run(ref_dir, "reference")
     if red_man["mesh"] != ref_man["mesh"] or red_man["velocity_grid"] != ref_man["velocity_grid"]:
         raise ParameterError("reduce/reference manifests describe different grids")
+    # a finer reference run may change cfl, and the manifold, norms,
+    # seeds and audit sections do not enter the reference at all
+    for section, red, ref in (
+        ("collision", red_cfg.model(), ref_cfg.model()),
+        ("initial_condition", (red_cfg.ic_preset, red_cfg.ic_params),
+         (ref_cfg.ic_preset, ref_cfg.ic_params)),
+    ):
+        if red != ref:
+            raise ParameterError(
+                f"reduce/reference runs describe different scenarios: "
+                f"{section} {red} against {ref}")
     times_red = np.array([float(t) for t in red_man["times"]])
     times_ref = np.array([float(t) for t in ref_man["times"]])
     if times_red.shape != times_ref.shape or not np.allclose(

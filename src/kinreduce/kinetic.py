@@ -1,5 +1,6 @@
 """Distribution fields, macroscopic moments, BGK-family collision
-operators, entropy functionals and the diagonal-Hessian flux criterion.
+operators, entropy functionals, the diagonal-Hessian flux criterion and
+the output cadence both solvers march by.
 
 Everything is one-dimensional in both space and ordinate velocity; the
 Shakhov/ES-BGK formulas are the d-dimensional ones specialized with
@@ -30,6 +31,7 @@ __all__ = [
     "entropy",
     "entropy_density",
     "entropy_production",
+    "march",
     "FluxCheckResult",
     "flux_existence_check",
 ]
@@ -267,6 +269,30 @@ def entropy_production(f: DistributionField, model: CollisionModel, cell: int) -
     q = collision_apply(model, f, cell)
     logf = np.log(np.maximum(values, POSITIVITY_FLOOR))
     return integrate(logf * q, f.grid)
+
+
+def march(state, final_time: float, output_interval: float | None, advance, record) -> None:
+    """The output cadence shared by both solvers: ``record(state)`` at
+    t = 0, at every multiple of ``output_interval`` and at ``final_time``.
+
+    ``advance(state, target)`` returns a later state whose ``time`` does
+    not pass ``target``; a time within ``1e-12 * max(final_time, 1)`` of
+    an output time counts as landing on it.  ``output_interval``
+    defaults to ``final_time`` (1 when that is 0)."""
+    if output_interval is None:
+        output_interval = final_time if final_time > 0 else 1.0
+    if not output_interval > 0.0:
+        raise ParameterError(f"output interval must be positive, got {output_interval}")
+    record(state)
+    next_out = output_interval
+    eps = 1e-12 * max(final_time, 1.0)
+    while state.time < final_time - eps:
+        target = min(next_out, final_time)
+        state = advance(state, target)
+        if state.time >= target - eps:
+            record(state)
+            if abs(target - next_out) < eps:
+                next_out += output_interval
 
 
 @dataclass(frozen=True)

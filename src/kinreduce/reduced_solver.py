@@ -20,7 +20,7 @@ velocity bound L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +40,7 @@ from .kinetic import (
     _target_batch,
     collision_rate,
     entropy_density,
+    march,
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
@@ -89,9 +90,6 @@ class ReducedState:
     omegas: np.ndarray
     moments: np.ndarray | None = None
 
-    def points(self) -> list[AnsatzPoint]:
-        return [AnsatzPoint(self.manifold, w) for w in self.omegas]
-
 
 @dataclass
 class ReducedTrajectory:
@@ -103,7 +101,6 @@ class ReducedTrajectory:
     moment_totals: np.ndarray   # (n_times, n_recorded_moments)
     entropy: np.ndarray         # (n_times,)
     model: CollisionModel | None = None
-    moment_labels: list[str] = field(default_factory=list)
 
 
 def initial_state(
@@ -144,26 +141,19 @@ def _warm_starts(manifold, omega_prev, grid):
 
 
 def _cm_recover(manifold, C, grid, omega_prev):
-    """Batch Newton with a retry of the failed rows from the
-    neighbouring cell's warm start (Newton basins are continuous along
-    smooth fields).  Signed polynomial factors are admitted: the
-    conservative update consumes only integrals of f, and smooth runs
-    ride along the realizability boundary."""
+    """Batch Newton from the previous parameters; a row that no rung of
+    the fallback ladder recovers becomes a StepError naming its cell.
+    Signed polynomial factors are admitted: the conservative update
+    consumes only integrals of f, and smooth runs ride along the
+    realizability boundary."""
     warm = _warm_starts(manifold, omega_prev, grid)
     try:
         return recover_batch(manifold, C, grid, omega0=warm, require_nonnegative=False)
     except InversionError as exc:
-        omegas, rows = exc.omega, exc.rows
-    try:
-        omegas[rows] = recover_batch(manifold, C[rows], grid,
-                                     omega0=warm[(rows - 1) % C.shape[0]],
-                                     require_nonnegative=False)
-    except InversionError as exc:
-        i = int(rows[exc.rows[0]])
+        i = int(exc.rows[0])
         raise StepError(
             f"parameter recovery failed at cell {i}: no chart point matches "
             f"the moments {C[i].tolist()}", cell=i) from exc
-    return omegas
 
 
 def _cm_speeds(manifold, omegas, grid):
@@ -298,53 +288,34 @@ def run_reduced(
     final_time: float,
     cfl: float = 0.45,
     output_interval: float | None = None,
-    dt_cap: float | None = None,
 ) -> ReducedTrajectory:
     """Integrate to ``final_time`` recording conserved-quantity totals
-    and entropy at the output cadence."""
-    state = initial_state(manifold, f0)
-    if isinstance(manifold, ConservativeMoment):
-        n_mom = manifold.n_moments
-    else:
-        n_mom = 3
-    if output_interval is None:
-        output_interval = final_time if final_time > 0 else 1.0
+    and entropy at the output cadence of ``kinetic.march``."""
+    n_mom = manifold.n_moments if isinstance(manifold, ConservativeMoment) else 3
+    times, omegas, totals, entropy = [], [], [], []
 
-    out_times = [state.time]
-    out_omegas = [state.omegas.copy()]
-    totals, ent = _record(state, n_mom)
-    out_totals = [totals]
-    out_entropy = [ent]
-
-    next_out = output_interval
-    eps = 1e-12 * max(final_time, 1.0)
-    while state.time < final_time - eps:
-        target = min(next_out, final_time)
-        cap = target - state.time
-        if dt_cap is not None:
-            cap = min(cap, dt_cap)
+    def advance(state, target):
         try:
-            state = step(state, model, cfl, dt_cap=cap)
+            return step(state, model, cfl, dt_cap=target - state.time)
         except StepError as exc:
             exc.time = state.time
             raise
-        if state.time >= target - eps:
-            totals, ent = _record(state, n_mom)
-            out_times.append(state.time)
-            out_omegas.append(state.omegas.copy())
-            out_totals.append(totals)
-            out_entropy.append(ent)
-            if abs(target - next_out) < eps:
-                next_out += output_interval
-    labels = [f"c{k}" for k in range(n_mom)]
+
+    def record(state):
+        tot, ent = _record(state, n_mom)
+        times.append(state.time)
+        omegas.append(state.omegas)
+        totals.append(tot)
+        entropy.append(ent)
+
+    march(initial_state(manifold, f0), final_time, output_interval, advance, record)
     return ReducedTrajectory(
         manifold=manifold,
-        grid=state.grid,
-        mesh=state.mesh,
-        times=np.array(out_times),
-        omegas=np.array(out_omegas),
-        moment_totals=np.array(out_totals),
-        entropy=np.array(out_entropy),
+        grid=f0.grid,
+        mesh=f0.mesh,
+        times=np.array(times),
+        omegas=np.array(omegas),
+        moment_totals=np.array(totals),
+        entropy=np.array(entropy),
         model=model,
-        moment_labels=labels,
     )

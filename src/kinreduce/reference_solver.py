@@ -20,6 +20,7 @@ from .kinetic import (
     _target_batch,
     collision_rate,
     entropy_density,
+    march,
 )
 from .quadrature import QuadratureRule
 
@@ -103,34 +104,16 @@ def run_reference(
     output_interval: float | None = None,
 ) -> KineticTrajectory:
     """Strang-split integration recording f snapshots, conserved
-    totals and entropy at the output cadence."""
+    totals and entropy at the output cadence of ``kinetic.march``."""
     if not 0.0 < cfl <= 1.0:
         raise ParameterError(f"cfl must lie in (0, 1], got {cfl}")
     grid, mesh = f0.grid, f0.mesh
-    vmax = np.abs(grid.nodes).max()
-    dt_cfl = cfl * mesh.dx / vmax
-    if output_interval is None:
-        output_interval = final_time if final_time > 0 else 1.0
-
-    state = KineticState(f0.copy(), 0.0)
+    dt_cfl = cfl * mesh.dx / np.abs(grid.nodes).max()
     xi = grid.nodes
     xiPw = np.stack([np.ones_like(xi), xi, xi * xi]) * grid.weights
+    times, snaps, totals, entropy = [], [], [], []
 
-    def record(st):
-        totals = mesh.dx * (st.f.values @ xiPw.T).sum(axis=0)
-        ent = mesh.dx * float(np.add.reduce(entropy_density(st.f.values, grid)))
-        return totals, ent
-
-    times = [0.0]
-    snaps = [state.f.values.copy()]
-    totals, ent = record(state)
-    mom = [totals]
-    ents = [ent]
-
-    next_out = output_interval
-    eps = 1e-12 * max(final_time, 1.0)
-    while state.time < final_time - eps:
-        target = min(next_out, final_time)
+    def advance(state, target):
         # land exactly on the output time with uniform substeps
         n_sub = max(1, int(np.ceil((target - state.time) / dt_cfl - 1e-12)))
         dt = (target - state.time) / n_sub
@@ -142,18 +125,21 @@ def run_reference(
             if model is not None:
                 state = relaxation_step(state, model, 0.5 * dt)
             state.time = t0 + dt
-        totals, ent = record(state)
+        return state
+
+    def record(state):
+        vals = state.f.values
         times.append(state.time)
-        snaps.append(state.f.values.copy())
-        mom.append(totals)
-        ents.append(ent)
-        if abs(target - next_out) < eps:
-            next_out += output_interval
+        snaps.append(vals)
+        totals.append(mesh.dx * (vals @ xiPw.T).sum(axis=0))
+        entropy.append(mesh.dx * float(np.add.reduce(entropy_density(vals, grid))))
+
+    march(KineticState(f0.copy(), 0.0), final_time, output_interval, advance, record)
     return KineticTrajectory(
         grid=grid,
         mesh=mesh,
         times=np.array(times),
         snapshots=np.array(snaps),
-        moment_totals=np.array(mom),
-        entropy=np.array(ents),
+        moment_totals=np.array(totals),
+        entropy=np.array(entropy),
     )

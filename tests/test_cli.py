@@ -225,6 +225,43 @@ class TestReference:
         assert np.array_equal(frames, frames2)
 
 
+class TestRunDirectory:
+    def test_round_trip_matches_in_process_runs(self, tmp_path):
+        from kinreduce.cli import _load_run
+        from kinreduce.config import parse_config
+        from kinreduce.reduced_solver import run_reduced
+        from kinreduce.reference_solver import run_reference
+
+        # 0.02 is not a multiple of 0.015, so the last interval is short
+        doc = base_config(
+            initial_condition={"preset": "sine-density", "rho0": 1.0,
+                               "amplitude": 0.1, "u": 0.0, "theta": 1.0},
+            time={"final": 0.02, "cfl": 0.45, "output_interval": 0.015},
+        )
+        cfg_path = write_config(tmp_path, doc)
+        cfg = parse_config(doc)
+        kw = dict(cfl=cfg.cfl, output_interval=cfg.output_interval)
+        runs = {
+            "reduce": (run_reduced(cfg.manifold(), cfg.model(), cfg.initial_field(),
+                                   cfg.final_time, **kw), "omegas"),
+            "reference": (run_reference(cfg.model(), cfg.initial_field(),
+                                        cfg.final_time, **kw), "snapshots"),
+        }
+        for kind, (traj, frames_attr) in runs.items():
+            out = tmp_path / kind
+            assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 0
+            manifest, loaded_cfg, frames = _load_run(out, kind)
+            assert loaded_cfg == cfg
+            assert [float(t) for t in manifest["times"]] == traj.times.tolist()
+            assert np.array_equal(frames, getattr(traj, frames_attr))
+            header, data = read_csv(out / "trajectory.csv")
+            width = traj.moment_totals.shape[1]  # 5 for CM(2), 3 for the reference
+            assert header == ["time", *(f"c{k}" for k in range(width)), "entropy"]
+            assert data[:, 0].tolist() == traj.times.tolist()
+            assert data[:, 1:-1].tolist() == traj.moment_totals.tolist()
+            assert data[:, -1].tolist() == traj.entropy.tolist()
+
+
 class TestAudit:
     def test_default_config_all_pass(self, tmp_path):
         doc = base_config()
@@ -386,6 +423,42 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "runtime error (cell 7, t = 0.02)" in err
         assert "not SPD" in err
+
+    def _pair(self, tmp_path, ref_overrides):
+        """A reduce run of a sine-density BGK scenario and a reference run
+        of the same scenario with ``ref_overrides``."""
+        doc = base_config(initial_condition={"preset": "sine-density", "rho0": 1.0,
+                                             "amplitude": 0.1, "u": 0.0, "theta": 1.0})
+        red, ref = tmp_path / "red", tmp_path / "ref"
+        cfg = write_config(tmp_path, doc)
+        assert main(["reduce", "--config", str(cfg), "--out", str(red)]) == 0
+        doc.update(ref_overrides)
+        cfg = write_config(tmp_path, doc, name="ref.json")
+        assert main(["reference", "--config", str(cfg), "--out", str(ref)]) == 0
+        return red, ref
+
+    @pytest.mark.parametrize("overrides,section", [
+        ({"collision": {"kind": "bgk", "tau": 5.0},
+          "initial_condition": {"preset": "sine-density", "rho0": 1.0,
+                                "amplitude": 0.15, "u": 0.0, "theta": 1.0}}, "collision"),
+        ({"collision": {"kind": "shakhov", "tau": 0.2, "prandtl": 2.0 / 3.0}}, "collision"),
+        ({"initial_condition": {"preset": "sine-density", "rho0": 1.0,
+                                "amplitude": 0.15, "u": 0.0, "theta": 1.0}},
+         "initial_condition"),
+    ], ids=["tau-and-amplitude", "collision-kind", "amplitude"])
+    def test_reference_of_another_scenario_exits_two(self, tmp_path, capsys,
+                                                      overrides, section):
+        red, ref = self._pair(tmp_path, overrides)
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 2
+        err = capsys.readouterr().err
+        assert f"different scenarios: {section}" in err
+        assert not (tmp_path / "est" / "error_summary.json").exists()
+
+    def test_finer_reference_cfl_is_accepted(self, tmp_path):
+        red, ref = self._pair(tmp_path, {"time": {"final": 0.02, "cfl": 0.2,
+                                                  "output_interval": 0.01}})
+        assert self._estimate(red, ref, tmp_path / "est") == 0
 
     def test_missing_inputs_exit_two(self, tmp_path):
         code = main(
