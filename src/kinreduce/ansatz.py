@@ -10,7 +10,7 @@ Three families are provided:
   Gaussian times polynomials of degree <= N+2; raw moments c_0..c_{N+2}
   form global coordinates (the chart itself loses rank exactly at
   Maxwellian points when N >= 1, which is why the solver works with the
-  monomial frame, see ``moment_frame_grams``).
+  monomial frame, see ``moment_frame_grams_batch``).
 * ``HermitePerturbation(N)``: a local Maxwellian times a Hermite series
   with the degree-0..2 coefficients pinned by the constraint that
   (rho, u, theta) remain the actual moments; free coefficients start at
@@ -174,15 +174,11 @@ class ConservativeMoment:
         gauss = np.exp(-c * c / (2.0 * theta[0]))
         return np.stack([gauss * xi**k for k in range(self.n_moments)])
 
-    def moment_frame_grams(self, omega, grid: QuadratureRule):
-        """Gram matrices (M, V) of the monomial frame under the manifold
-        metric: M_kl = int xi^{k+l} G dxi, V_kl = int xi^{k+l+1} G dxi.
-        Hankel structure makes them exactly symmetric; M is SPD for any
-        (u, theta)."""
-        M, V = self.moment_frame_grams_batch(np.atleast_2d(omega), grid)
-        return M[0], V[0]
-
     def moment_frame_grams_batch(self, omegas, grid: QuadratureRule):
+        """Gram matrices (M, V) of the monomial frame under the manifold
+        metric, one pair per row of ``omegas``: M_kl = int xi^{k+l} G dxi,
+        V_kl = int xi^{k+l+1} G dxi.  Hankel structure makes them exactly
+        symmetric; M is SPD for any (u, theta)."""
         _, u, theta = self.split(np.atleast_2d(omegas))
         powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1)
         k = np.arange(self.n_moments)

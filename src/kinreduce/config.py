@@ -105,6 +105,8 @@ def _number(section, key, where, lo=None, hi=None, integer=False, default=None):
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigurationError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, float) and not np.isfinite(val):
+        raise ConfigurationError(f"{where}.{key} must be finite, got {val!r}")
     if integer and int(val) != val:
         raise ConfigurationError(f"{where}.{key} must be an integer, got {val!r}")
     if lo is not None and val < lo:

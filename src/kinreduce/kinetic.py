@@ -221,6 +221,11 @@ def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
         raise StepError("unrealizable moments during collision evaluation", cell=bad)
+    return _target_of_moments(model, rho, u, theta, q, grid)
+
+
+def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: QuadratureRule):
+    """Collision targets from stacked moments (rho, u, theta, q) (d=1 formulas)."""
     c = grid.nodes[None, :] - u[:, None]
     th = theta[:, None]
     feq = rho[:, None] / np.sqrt(2.0 * np.pi * th) * np.exp(-c * c / (2.0 * th))

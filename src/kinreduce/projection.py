@@ -183,14 +183,21 @@ def reduced_source(p: AnsatzPoint, model: CollisionModel, grid: QuadratureRule) 
     return assemble_coefficients(p, model, grid).q
 
 
+def _raw_grams(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):
+    """A0 and A1 at every row of ``omegas``, not symmetrized."""
+    return _grams(_jet(manifold, omegas, grid)[1], _metric(manifold, omegas, grid), grid.nodes)
+
+
+def _asymmetry(a1: np.ndarray) -> np.ndarray:
+    """|A1 - A1^T|_inf / |A1|_inf of each matrix of a stack, 0 where A1 vanishes."""
+    denom = np.abs(a1).max(axis=(-2, -1))
+    defect = np.abs(a1 - np.swapaxes(a1, -1, -2)).max(axis=(-2, -1))
+    return np.divide(defect, denom, out=np.zeros_like(defect), where=denom != 0.0)
+
+
 def flux_asymmetry(p: AnsatzPoint, grid: QuadratureRule) -> float:
-    """Pre-symmetrization defect |A1 - A1^T|_inf / |A1|_inf."""
-    basis = p.manifold.tangent_batch(p.omega, grid.nodes)
-    raw = _grams(basis, _metric(p.manifold, p.omega[None], grid), grid.nodes)[1][0]
-    denom = np.abs(raw).max()
-    if denom == 0.0:
-        return 0.0
-    return float(np.abs(raw - raw.T).max() / denom)
+    """Pre-symmetrization defect at one point: the one-row view of ``_asymmetry``."""
+    return float(_asymmetry(_raw_grams(p.manifold, p.omega[None], grid)[1])[0])
 
 
 def _projection_frame(manifold: Manifold, chart: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -26,16 +26,10 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.hermite import hermgauss
 
-from .ansatz import (
-    AnsatzPoint,
-    ConservativeMoment,
-    Manifold,
-    hermite_polynomial,
-    sample_valid_point,
-)
-from .errors import ConfigurationError, ParameterError
-from .kinetic import CollisionModel, collision_rate, maxwellian, MomentState
-from .projection import assemble_coefficients, coefficients_batch, flux_asymmetry, gram_matrix
+from .ansatz import ConservativeMoment, Manifold, hermite_polynomial, sample_valid_point
+from .errors import ConfigurationError, DegenerateChartError, ParameterError
+from .kinetic import CollisionModel, _target_of_moments, collision_rate, maxwellian, MomentState
+from .projection import _asymmetry, _cholesky, _raw_grams, _symmetrize, coefficients_batch
 from .quadrature import QuadratureRule
 # bound here at import, so that wrapping the solver's own names (as
 # perfbench/tracing.py does) does not count the audit's calls;
@@ -57,8 +51,8 @@ __all__ = [
     "hyperbolicity_audit",
 ]
 
-# sample points per speed-audit pass, to bound its temporaries
-_SPEED_PASS_ROWS = 128
+# sample points per audit pass, to bound its temporaries
+_AUDIT_PASS_ROWS = 128
 
 
 def _mgs_orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -346,12 +340,11 @@ def yong_conditions_check(
     )
 
 
-def _maxwellian_moment_derivatives(rho, u, theta, grid, n_mom):
-    """Moments of the Maxwellian and their (rho, u, theta) derivatives."""
-    m = MomentState(rho=rho, u=u, theta=theta)
-    feq = maxwellian(m, grid)
+def _maxwellian_moment_derivatives(rho, u, theta, grid, xiP):
+    """Moments (rows of ``xiP``) of the Maxwellian and their
+    (rho, u, theta) derivatives."""
+    feq = maxwellian(MomentState(rho=rho, u=u, theta=theta), grid)
     c = grid.nodes - u
-    xiP = np.stack([grid.nodes**k for k in range(n_mom)])
     base = xiP @ (feq * grid.weights)
     d_rho = base / rho
     d_u = xiP @ (feq * c / theta * grid.weights)
@@ -364,12 +357,13 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     chart is regular even though the (alpha, u, theta) chart loses rank
     at Maxwellians."""
     omega = manifold.equilibrium_params(rho, u, theta)
-    M, V = manifold.moment_frame_grams(omega, grid)
+    M, V = (g[0] for g in manifold.moment_frame_grams_batch(omega, grid))
     Minv = np.linalg.inv(M)
     a0 = 0.5 * (Minv + Minv.T)
     a1 = V @ Minv  # flux Jacobian dF/dc
     K = manifold.n_moments
-    base, dE = _maxwellian_moment_derivatives(rho, u, theta, grid, K)
+    xiP = np.stack([grid.nodes**k for k in range(K)])
+    base, dE = _maxwellian_moment_derivatives(rho, u, theta, grid, xiP)
     c0, c1, c2 = base[0], base[1], base[2]
     uu = c1 / c0
     dm_dc = np.zeros((3, K))
@@ -382,55 +376,41 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     if model.kind == "bgk":
         qu = (dE @ dm_dc - np.eye(K)) / model.tau
     else:
-        # finite differences of the moment-space source; the target
-        # depends on c only through (rho, u, theta, q)
-        def source(cvec):
-            rho_ = cvec[0]
-            u_ = cvec[1] / rho_
-            th_ = cvec[2] / rho_ - u_ * u_
-            q_ = 0.0
-            if K >= 4:
-                q_ = (
-                    cvec[3] - 3.0 * u_ * cvec[2] + 3.0 * u_**2 * cvec[1] - u_**3 * cvec[0]
-                ) / rho_
-            ms = MomentState(rho=rho_, u=u_, theta=th_, heat_flux=q_)
-            from .kinetic import collision_target
-
-            tgt = collision_target(model, ms, grid)
-            xiP = np.stack([grid.nodes**k for k in range(K)])
-            tmom = xiP @ (tgt * grid.weights)
-            return collision_rate(model) * (tmom - cvec)
-
-        qu = np.empty((K, K))
-        for j in range(K):
-            h = 1e-6 * max(abs(base[j]), 1.0)
-            cp = base.copy()
-            cp[j] += h
-            cm = base.copy()
-            cm[j] -= h
-            qu[:, j] = (source(cp) - source(cm)) / (2.0 * h)
+        # central differences of the moment-space source, all 2K moment
+        # vectors in one batch; the target depends on c only through
+        # (rho, u, theta, q).  One matrix-vector product per row, since
+        # the round-off of qu's equilibrium columns decides gwsc_pass
+        h, C = _central_points(base)
+        v, th = manifold.gaussian_fit(C)
+        q = np.zeros(2 * K)
+        if K >= 4:
+            q = (C[:, 3] - 3.0 * v * C[:, 2] + 3.0 * v**2 * C[:, 1] - v**3 * C[:, 0]) / C[:, 0]
+        tgt = _target_of_moments(model, C[:, 0], v, th, q, grid)
+        tmom = np.matmul(xiP, (tgt * grid.weights)[:, :, None])[..., 0]
+        src = collision_rate(model) * (tmom - C)
+        qu = (src[:K] - src[K:]).T / (2.0 * h)
     return a0, a1, qu, dE
 
 
+def _central_points(x: np.ndarray):
+    """Central-difference steps h_j = 1e-6 max(|x_j|, 1) and the 2n
+    points x + h_j e_j (rows 0..n-1), x - h_j e_j (rows n..2n-1)."""
+    h = 1e-6 * np.maximum(np.abs(x), 1.0)
+    return h, np.concatenate([x + np.diag(h), x - np.diag(h)])
+
+
 def _chart_yong_inputs(manifold, model, grid, rho, u, theta):
+    """Reduced system at equilibrium in chart coordinates.  Each point is
+    assembled as its own one-row stack: the equilibrium columns of qu are
+    round-off that decides ``gwsc_pass``, and a taller stack rounds them
+    differently."""
     omega = manifold.equilibrium_params(rho, u, theta)
-    coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
-    a0 = coef.a0
-    a1 = scipy.linalg.solve(a0, coef.a1, assume_a="pos")
-
-    def rhs(w):
-        c = assemble_coefficients(AnsatzPoint(manifold, w), model, grid, check_spd=True)
-        return scipy.linalg.solve(c.a0, c.q, assume_a="pos")
-
-    n = manifold.dim
-    qu = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * max(abs(omega[j]), 1.0)
-        wp = omega.copy()
-        wp[j] += h
-        wm = omega.copy()
-        wm[j] -= h
-        qu[:, j] = (rhs(wp) - rhs(wm)) / (2.0 * h)
+    h, points = _central_points(omega)
+    base, *coefs = (coefficients_batch(manifold, w, model, grid) for w in [omega, *points])
+    a0 = base.a0[0]
+    a1 = scipy.linalg.solve(a0, base.a1[0], assume_a="pos")
+    src = np.stack([scipy.linalg.solve(c.a0[0], c.q[0], assume_a="pos") for c in coefs])
+    qu = (src[:len(h)] - src[len(h):]).T / (2.0 * h)
     return a0, a1, qu, manifold.equilibrium_tangent()
 
 
@@ -449,6 +429,20 @@ def assemble_yong_report(
     else:
         a0, a1, qu, eq = _chart_yong_inputs(manifold, model, grid, rho, u, theta)
     return yong_conditions_check(a0, a1, qu, eq)
+
+
+def _audit_passes(manifold: Manifold, samples: int, grid: QuadratureRule, seed: int, **ranges):
+    """The points both sampled audits check: the first ``samples`` draws
+    of ``sample_valid_point`` from ``default_rng(seed)``, as stacked
+    omegas of at most ``_AUDIT_PASS_ROWS`` rows."""
+    if samples < 1:
+        raise ParameterError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    for lo in range(0, samples, _AUDIT_PASS_ROWS):
+        yield np.stack([
+            sample_valid_point(manifold, rng, grid, **ranges).omega
+            for _ in range(min(_AUDIT_PASS_ROWS, samples - lo))
+        ])
 
 
 @dataclass(frozen=True)
@@ -473,15 +467,8 @@ def propagation_speed_audit(
     below the attainable radius exercises the failure path.  The speeds
     are the ones the solver takes: the monomial-frame pencil for
     ConservativeMoment, the chart pencil (A0, A1) otherwise."""
-    if samples < 1:
-        raise ParameterError("need at least one sample")
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for lo in range(0, samples, _SPEED_PASS_ROWS):
-        omegas = np.stack([
-            sample_valid_point(manifold, rng, grid, **ranges).omega
-            for _ in range(min(_SPEED_PASS_ROWS, samples - lo))
-        ])
+    for omegas in _audit_passes(manifold, samples, grid, seed, **ranges):
         if isinstance(manifold, ConservativeMoment):
             speeds = _cm_speeds(manifold, omegas, grid)
         else:
@@ -514,17 +501,17 @@ def hyperbolicity_audit(
     **ranges,
 ) -> HyperbolicityReport:
     """A0 must admit a Cholesky factorization and A1 must be symmetric
-    to round-off before symmetrization, across random valid points."""
-    rng = np.random.default_rng(seed)
+    to round-off before symmetrization, at the points of the speed audit;
+    a failed factorization is reported in ``cholesky_ok``, not raised."""
     worst = 0.0
     ok = True
-    for _ in range(samples):
-        p = sample_valid_point(manifold, rng, grid, **ranges)
+    for omegas in _audit_passes(manifold, samples, grid, seed, **ranges):
+        a0, a1 = _raw_grams(manifold, omegas, grid)
         try:
-            gram_matrix(p, grid)
-        except Exception:
+            _cholesky(_symmetrize(a0))
+        except DegenerateChartError:
             ok = False
-        worst = max(worst, flux_asymmetry(p, grid))
+        worst = max(worst, float(_asymmetry(a1).max()))
     return HyperbolicityReport(
         samples=samples,
         max_asymmetry=worst,

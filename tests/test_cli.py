@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinreduce import ConfigurationError
 from kinreduce.cli import main
 from kinreduce.io import (
     SNAPSHOT_HEADER_BYTES,
@@ -74,6 +75,32 @@ class TestConfigValidation:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("collision", "tau", float("nan")),
+            ("time", "final", float("inf")),
+            ("spatial_mesh", "cells", float("inf")),
+            ("seeds", "audit", float("nan")),
+        ],
+    )
+    def test_non_finite_number_names_field(self, section, key, value):
+        from kinreduce.config import parse_config
+
+        doc = base_config()
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key} must be finite"):
+            parse_config(doc)
+
+    def test_non_finite_number_exits_two(self, tmp_path, capsys):
+        # Python's json module writes NaN and reads it back
+        doc = base_config(collision={"kind": "bgk", "tau": float("nan")})
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in cfg.read_text()
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "collision.tau" in capsys.readouterr().err
 
     def test_threads_flag_is_unknown(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -13,6 +13,7 @@ from kinreduce import (
     gusc_check,
     hyperbolicity_audit,
     linearized_collision_matrix,
+    maxwellian,
     propagation_speed_audit,
     sample_valid_point,
     truncated_rule,
@@ -193,6 +194,86 @@ class TestYongConditions:
         assert rep.symmetry_defect == pytest.approx(defect, rel=1e-12)
         assert defect == pytest.approx(1e-3 * np.abs(a0[:, 0]).max(), rel=1.0)
 
+    @pytest.mark.parametrize("kind,prandtl", [("shakhov", 2 / 3), ("esbgk", 0.8)])
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_cm_inputs_match_per_point_closure(self, grid, degree, kind, prandtl):
+        # reference: the moment-space source at one point
+        from kinreduce import MomentState
+        from kinreduce.kinetic import collision_rate, collision_target
+        from kinreduce.stability import _cm_yong_inputs
+
+        manifold = ConservativeMoment(degree)
+        model = CollisionModel(kind, tau=0.5, prandtl=prandtl)
+        K = manifold.n_moments
+
+        def source(cvec):
+            rho_ = cvec[0]
+            u_ = cvec[1] / rho_
+            th_ = cvec[2] / rho_ - u_ * u_
+            q_ = 0.0
+            if K >= 4:
+                q_ = (
+                    cvec[3] - 3.0 * u_ * cvec[2] + 3.0 * u_**2 * cvec[1] - u_**3 * cvec[0]
+                ) / rho_
+            ms = MomentState(rho=rho_, u=u_, theta=th_, heat_flux=q_)
+            tgt = collision_target(model, ms, grid)
+            xiP = np.stack([grid.nodes**k for k in range(K)])
+            return collision_rate(model) * (xiP @ (tgt * grid.weights) - cvec)
+
+        a0, a1, qu, dE = _cm_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
+        base = np.stack([grid.nodes**k for k in range(K)]) @ (
+            maxwellian(MomentState(1.1, 0.2, 0.9), grid) * grid.weights
+        )
+        want = np.empty((K, K))
+        for j in range(K):
+            h = 1e-6 * max(abs(base[j]), 1.0)
+            cp, cm = base.copy(), base.copy()
+            cp[j] += h
+            cm[j] -= h
+            want[:, j] = (source(cp) - source(cm)) / (2.0 * h)
+        if kind == "shakhov":
+            assert np.array_equal(qu, want)
+        else:
+            # ES-BGK's per-point target rounds Lambda = theta/Pr + (1 - 1/Pr) theta,
+            # which the stacked target takes as theta (d = 1)
+            assert np.abs(qu - want).max() <= 1e-9 * np.abs(want).max()
+        got = yong_conditions_check(a0, a1, qu, dE)
+        ref = yong_conditions_check(a0, a1, want, dE)
+        flags = ("block_passed", "symmetry_passed", "dissipativity_passed", "gwsc_passed")
+        assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
+
+    @pytest.mark.parametrize("kind", ["bgk", "shakhov"])
+    @pytest.mark.parametrize(
+        "manifold", [HermitePerturbation(3), EntropyClosure(4)], ids=lambda m: m.name
+    )
+    def test_chart_inputs_match_per_point_loop(self, grid, manifold, kind):
+        # reference: one assemble_coefficients call per point
+        import scipy.linalg
+
+        from kinreduce import AnsatzPoint
+        from kinreduce.projection import assemble_coefficients
+        from kinreduce.stability import _chart_yong_inputs
+
+        model = CollisionModel(kind, tau=0.5, prandtl=2 / 3 if kind == "shakhov" else 1.0)
+
+        def rhs(w):
+            c = assemble_coefficients(AnsatzPoint(manifold, w), model, grid, check_spd=True)
+            return scipy.linalg.solve(c.a0, c.q, assume_a="pos")
+
+        omega = manifold.equilibrium_params(1.1, 0.2, 0.9)
+        coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
+        want = np.empty((manifold.dim, manifold.dim))
+        for j in range(manifold.dim):
+            h = 1e-6 * max(abs(omega[j]), 1.0)
+            wp, wm = omega.copy(), omega.copy()
+            wp[j] += h
+            wm[j] -= h
+            want[:, j] = (rhs(wp) - rhs(wm)) / (2.0 * h)
+        a0, a1, qu, eq = _chart_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
+        assert np.array_equal(a0, coef.a0)
+        assert np.array_equal(a1, scipy.linalg.solve(coef.a0, coef.a1, assume_a="pos"))
+        assert np.array_equal(qu, want)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             yong_conditions_check(
@@ -254,3 +335,35 @@ class TestHyperbolicityAudit:
             rep = hyperbolicity_audit(manifold, 30, wide_grid, seed=9)
             assert rep.passed
             assert rep.max_asymmetry <= 1e-10
+
+    @pytest.mark.parametrize(
+        "manifold",
+        [ConservativeMoment(2), ConservativeMoment(4), HermitePerturbation(3),
+         HermitePerturbation(4), EntropyClosure(4)],
+        ids=lambda m: m.name,
+    )
+    def test_matches_per_point_loop(self, manifold, wide_grid):
+        # 150 samples take two passes of the audit
+        from kinreduce.projection import flux_asymmetry, gram_matrix
+
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(150):
+            p = sample_valid_point(manifold, rng, wide_grid)
+            gram_matrix(p, wide_grid)  # raises unless Cholesky succeeds
+            worst = max(worst, flux_asymmetry(p, wide_grid))
+        rep = hyperbolicity_audit(manifold, 150, wide_grid, seed=3)
+        assert rep.samples == 150
+        assert rep.max_asymmetry == worst
+        assert rep.cholesky_ok and rep.passed
+
+    def test_singular_gram_is_reported_not_raised(self, wide_grid, degenerate_cell):
+        degenerate_cell(cell=7, cells=30)
+        rep = hyperbolicity_audit(HermitePerturbation(3), 30, wide_grid, seed=9)
+        assert rep.cholesky_ok is False
+        assert rep.passed is False
+
+    @pytest.mark.parametrize("audit", [hyperbolicity_audit, propagation_speed_audit])
+    def test_no_samples_rejected(self, audit, wide_grid):
+        with pytest.raises(ParameterError):
+            audit(ConservativeMoment(2), 0, wide_grid)
