@@ -699,16 +699,14 @@ class EntropyClosure:
         u_lo, u_hi = ranges.get("u_range", (-1.0, 1.0))
         th_lo, th_hi = ranges.get("theta_range", (0.5, 1.5))
         n_extra = max(self.n - 3, 1)
-        for _ in range(500):
-            rho = rng.uniform(rho_lo, rho_hi)
-            u = rng.uniform(u_lo, u_hi)
-            theta = rng.uniform(th_lo, th_hi)
-            omega = self.equilibrium_params(rho, u, theta)
-            for p in range(3, self.n):
-                cap = 0.3 / (n_extra * np.abs(grid.nodes**p).max())
-                omega[p] = rng.uniform(-cap, cap)
-            return omega
-        raise RuntimeError("unreachable")
+        rho = rng.uniform(rho_lo, rho_hi)
+        u = rng.uniform(u_lo, u_hi)
+        theta = rng.uniform(th_lo, th_hi)
+        omega = self.equilibrium_params(rho, u, theta)
+        for p in range(3, self.n):
+            cap = 0.3 / (n_extra * np.abs(grid.nodes**p).max())
+            omega[p] = rng.uniform(-cap, cap)
+        return omega
 
 
 Manifold = ConservativeMoment | HermitePerturbation | EntropyClosure

@@ -120,7 +120,7 @@ def residual_norm_series(traj: ReducedTrajectory, model, p: float = 2.0) -> np.n
 def lipschitz_estimate(
     model: CollisionModel,
     sample_moments: list[MomentState],
-    grid: QuadratureRule | None = None,
+    grid: QuadratureRule,
     p: float = 2.0,
     pairs_per_sample: int = 8,
     seed: int = 0,
@@ -134,8 +134,6 @@ def lipschitz_estimate(
     nonlinearity of the target.  Every profile of every pair goes
     through one batched collision-target evaluation.
     """
-    if grid is None:
-        raise ParameterError("a quadrature rule is required")
     if not 1.0 < p < np.inf:
         raise ParameterError(f"norm exponent must lie in (1, inf), got {p}")
     rng = np.random.default_rng(seed)

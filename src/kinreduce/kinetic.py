@@ -238,6 +238,26 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     return feq
 
 
+def _target_linearization(model: CollisionModel, rho, u, theta, grid: QuadratureRule):
+    """The collision target linearized at the Maxwellian (rho, u, theta)
+    on the grid: DT, shape (n, 4), its partials in (rho, u, theta, q),
+    and Dm, shape (4, n), the derivative of the quadrature moments
+    (rho, u, theta, q) of f.  The linearized operator is
+    ``L h = collision_rate(model) * (DT @ (Dm @ h) - h)``."""
+    c = grid.nodes - u
+    feq = maxwellian(MomentState(rho=rho, u=u, theta=theta), grid)
+    d_q = np.zeros_like(c)
+    if model.kind == "shakhov":
+        # BGK and ES-BGK (d = 1) targets do not depend on q
+        d_q = (1.0 - model.prandtl) * feq * c / (3.0 * theta**2) * (c * c / (2.0 * theta) - 1.5)
+    DT = np.stack(
+        [feq / rho, feq * c / theta, feq * (c * c - theta) / (2.0 * theta**2), d_q], axis=1
+    )
+    Dm = np.stack([np.ones_like(c), c, c * c - theta, c * (c * c - 3.0 * theta)])
+    Dm[1:] /= rho
+    return DT, Dm * grid.weights
+
+
 def collision_apply(model: CollisionModel, f: DistributionField, cell: int) -> np.ndarray:
     """Q[f] at one space cell."""
     return collision_profile(model, f.values[cell], f.grid)

@@ -26,10 +26,12 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.hermite import hermgauss
 
-from .ansatz import ConservativeMoment, Manifold, hermite_polynomial, sample_valid_point
+from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial, sample_valid_point
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
-from .kinetic import CollisionModel, _target_of_moments, collision_rate, maxwellian, MomentState
-from .projection import _asymmetry, _cholesky, _raw_grams, _symmetrize, coefficients_batch
+from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
+from .projection import (
+    _asymmetry, _cholesky, _grams, _jet, _metric, _raw_grams, _symmetrize, coefficients_batch,
+)
 from .quadrature import QuadratureRule
 # bound here at import, so that wrapping the solver's own names (as
 # perfbench/tracing.py does) does not count the audit's calls;
@@ -340,77 +342,46 @@ def yong_conditions_check(
     )
 
 
-def _maxwellian_moment_derivatives(rho, u, theta, grid, xiP):
-    """Moments (rows of ``xiP``) of the Maxwellian and their
-    (rho, u, theta) derivatives."""
-    feq = maxwellian(MomentState(rho=rho, u=u, theta=theta), grid)
-    c = grid.nodes - u
-    base = xiP @ (feq * grid.weights)
-    d_rho = base / rho
-    d_u = xiP @ (feq * c / theta * grid.weights)
-    d_theta = xiP @ (feq * (c * c / (2.0 * theta**2) - 1.0 / (2.0 * theta)) * grid.weights)
-    return base, np.stack([d_rho, d_u, d_theta], axis=1)  # (n_mom,), (n_mom, 3)
+def _source_jacobian(model, DT, Dm, D, F):
+    """Source Jacobian ``D (L F)`` at a Maxwellian, in the coordinates
+    of the tangent frame F (n, d) with dual D (d, n), D F = I, where
+    L h = rate * (DT (Dm h) - h) is the collision operator linearized
+    there (``kinetic._target_linearization``).  Q[f_hat] = 0 at
+    equilibrium, so no other term enters; the n x n operator L is never
+    formed."""
+    return collision_rate(model) * ((D @ DT) @ (Dm @ F) - D @ F)
 
 
 def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     """Reduced system at equilibrium in moment coordinates, where the
     chart is regular even though the (alpha, u, theta) chart loses rank
-    at Maxwellians."""
+    at Maxwellians.  The dual D holds the moment rows xi^k * w and the
+    frame is the monomial frame normalized by its Gram, F = Phi^T M^-1.
+    The equilibrium basis is D applied to the target's (rho, u, theta)
+    partials."""
     omega = manifold.equilibrium_params(rho, u, theta)
     M, V = (g[0] for g in manifold.moment_frame_grams_batch(omega, grid))
     Minv = np.linalg.inv(M)
     a0 = 0.5 * (Minv + Minv.T)
     a1 = V @ Minv  # flux Jacobian dF/dc
-    K = manifold.n_moments
-    xiP = np.stack([grid.nodes**k for k in range(K)])
-    base, dE = _maxwellian_moment_derivatives(rho, u, theta, grid, xiP)
-    c0, c1, c2 = base[0], base[1], base[2]
-    uu = c1 / c0
-    dm_dc = np.zeros((3, K))
-    dm_dc[0, 0] = 1.0
-    dm_dc[1, 0] = -c1 / c0**2
-    dm_dc[1, 1] = 1.0 / c0
-    dm_dc[2, 0] = (-c2 + 2.0 * uu * c1) / c0**2
-    dm_dc[2, 1] = -2.0 * uu / c0
-    dm_dc[2, 2] = 1.0 / c0
-    if model.kind == "bgk":
-        qu = (dE @ dm_dc - np.eye(K)) / model.tau
-    else:
-        # central differences of the moment-space source, all 2K moment
-        # vectors in one batch; the target depends on c only through
-        # (rho, u, theta, q).  One matrix-vector product per row, since
-        # the round-off of qu's equilibrium columns decides gwsc_pass
-        h, C = _central_points(base)
-        v, th = manifold.gaussian_fit(C)
-        q = np.zeros(2 * K)
-        if K >= 4:
-            q = (C[:, 3] - 3.0 * v * C[:, 2] + 3.0 * v**2 * C[:, 1] - v**3 * C[:, 0]) / C[:, 0]
-        tgt = _target_of_moments(model, C[:, 0], v, th, q, grid)
-        tmom = np.matmul(xiP, (tgt * grid.weights)[:, :, None])[..., 0]
-        src = collision_rate(model) * (tmom - C)
-        qu = (src[:K] - src[K:]).T / (2.0 * h)
-    return a0, a1, qu, dE
-
-
-def _central_points(x: np.ndarray):
-    """Central-difference steps h_j = 1e-6 max(|x_j|, 1) and the 2n
-    points x + h_j e_j (rows 0..n-1), x - h_j e_j (rows n..2n-1)."""
-    h = 1e-6 * np.maximum(np.abs(x), 1.0)
-    return h, np.concatenate([x + np.diag(h), x - np.diag(h)])
+    D = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
+    F = manifold.monomial_basis(omega, grid.nodes).T @ Minv
+    DT, Dm = _target_linearization(model, rho, u, theta, grid)
+    return a0, a1, _source_jacobian(model, DT, Dm, D, F), D @ DT[:, :3]
 
 
 def _chart_yong_inputs(manifold, model, grid, rho, u, theta):
-    """Reduced system at equilibrium in chart coordinates.  Each point is
-    assembled as its own one-row stack: the equilibrium columns of qu are
-    round-off that decides ``gwsc_pass``, and a taller stack rounds them
-    differently."""
-    omega = manifold.equilibrium_params(rho, u, theta)
-    h, points = _central_points(omega)
-    base, *coefs = (coefficients_batch(manifold, w, model, grid) for w in [omega, *points])
-    a0 = base.a0[0]
-    a1 = scipy.linalg.solve(a0, base.a1[0], assume_a="pos")
-    src = np.stack([scipy.linalg.solve(c.a0[0], c.q[0], assume_a="pos") for c in coefs])
-    qu = (src[:len(h)] - src[len(h):]).T / (2.0 * h)
+    """Reduced system at equilibrium in chart coordinates, from one
+    evaluation of the chart basis B and the metric-weighted quadrature
+    weights mu: the frame is F = B^T and its dual D = A0^-1 B mu."""
+    omega = manifold.equilibrium_params(rho, u, theta)[None]
+    basis = _jet(manifold, omega, grid)[1]
+    mu = _metric(manifold, omega, grid)
+    a0, a1 = (_symmetrize(g)[0] for g in _grams(basis, mu, grid.nodes))
+    a1 = scipy.linalg.solve(a0, a1, assume_a="pos")
+    D = scipy.linalg.solve(a0, basis[0] * mu[0], assume_a="pos")
+    DT, Dm = _target_linearization(model, rho, u, theta, grid)
+    qu = _source_jacobian(model, DT, Dm, D, basis[0].T)
     return a0, a1, qu, manifold.equilibrium_tangent()
 
 
@@ -423,7 +394,9 @@ def assemble_yong_report(
     theta: float = 1.0,
 ) -> YongReport:
     """Assemble the reduced system at the Maxwellian (rho, u, theta) and
-    run the structural stability checks."""
+    run the structural stability checks.  The source Jacobian is the
+    analytic linearization of the collision operator at the Maxwellian,
+    projected by the manifold's tangent frame; no finite differences."""
     if isinstance(manifold, ConservativeMoment):
         a0, a1, qu, eq = _cm_yong_inputs(manifold, model, grid, rho, u, theta)
     else:

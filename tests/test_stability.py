@@ -150,6 +150,21 @@ class TestGuscCheck:
         assert verdicts[0] == verdicts[1]
 
 
+MODELS = [("bgk", 1.0), ("shakhov", 2 / 3), ("esbgk", 0.8)]
+
+
+def _central_jacobian(fun, x):
+    """Central differences of ``fun`` at ``x`` with h_j = 1e-6 max(|x_j|, 1)."""
+    cols = []
+    for j in range(x.size):
+        h = 1e-6 * max(abs(x[j]), 1.0)
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
 class TestYongConditions:
     def test_zero_source_passes_weak_form(self):
         n = 5
@@ -194,10 +209,10 @@ class TestYongConditions:
         assert rep.symmetry_defect == pytest.approx(defect, rel=1e-12)
         assert defect == pytest.approx(1e-3 * np.abs(a0[:, 0]).max(), rel=1.0)
 
-    @pytest.mark.parametrize("kind,prandtl", [("shakhov", 2 / 3), ("esbgk", 0.8)])
+    @pytest.mark.parametrize("kind,prandtl", MODELS)
     @pytest.mark.parametrize("degree", [2, 4])
-    def test_cm_inputs_match_per_point_closure(self, grid, degree, kind, prandtl):
-        # reference: the moment-space source at one point
+    def test_cm_inputs_match_central_differences(self, grid, degree, kind, prandtl):
+        # reference: central differences of the moment-space source
         from kinreduce import MomentState
         from kinreduce.kinetic import collision_rate, collision_target
         from kinreduce.stability import _cm_yong_inputs
@@ -205,56 +220,38 @@ class TestYongConditions:
         manifold = ConservativeMoment(degree)
         model = CollisionModel(kind, tau=0.5, prandtl=prandtl)
         K = manifold.n_moments
+        xiP = np.stack([grid.nodes**k for k in range(K)])
 
         def source(cvec):
             rho_ = cvec[0]
             u_ = cvec[1] / rho_
             th_ = cvec[2] / rho_ - u_ * u_
-            q_ = 0.0
-            if K >= 4:
-                q_ = (
-                    cvec[3] - 3.0 * u_ * cvec[2] + 3.0 * u_**2 * cvec[1] - u_**3 * cvec[0]
-                ) / rho_
+            q_ = (
+                cvec[3] - 3.0 * u_ * cvec[2] + 3.0 * u_**2 * cvec[1] - u_**3 * cvec[0]
+            ) / rho_
             ms = MomentState(rho=rho_, u=u_, theta=th_, heat_flux=q_)
             tgt = collision_target(model, ms, grid)
-            xiP = np.stack([grid.nodes**k for k in range(K)])
             return collision_rate(model) * (xiP @ (tgt * grid.weights) - cvec)
 
-        a0, a1, qu, dE = _cm_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
-        base = np.stack([grid.nodes**k for k in range(K)]) @ (
-            maxwellian(MomentState(1.1, 0.2, 0.9), grid) * grid.weights
-        )
-        want = np.empty((K, K))
-        for j in range(K):
-            h = 1e-6 * max(abs(base[j]), 1.0)
-            cp, cm = base.copy(), base.copy()
-            cp[j] += h
-            cm[j] -= h
-            want[:, j] = (source(cp) - source(cm)) / (2.0 * h)
-        if kind == "shakhov":
-            assert np.array_equal(qu, want)
-        else:
-            # ES-BGK's per-point target rounds Lambda = theta/Pr + (1 - 1/Pr) theta,
-            # which the stacked target takes as theta (d = 1)
-            assert np.abs(qu - want).max() <= 1e-9 * np.abs(want).max()
-        got = yong_conditions_check(a0, a1, qu, dE)
-        ref = yong_conditions_check(a0, a1, want, dE)
-        flags = ("block_passed", "symmetry_passed", "dissipativity_passed", "gwsc_passed")
-        assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
+        a0, a1, qu, eq = _cm_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
+        base = xiP @ (maxwellian(MomentState(1.1, 0.2, 0.9), grid) * grid.weights)
+        want = _central_jacobian(source, base)
+        assert np.abs(qu - want).max() <= 1e-8 * np.abs(want).max()
+        assert np.abs(qu @ eq).max() <= 1e-12 * np.abs(qu).max()
 
-    @pytest.mark.parametrize("kind", ["bgk", "shakhov"])
+    @pytest.mark.parametrize("kind,prandtl", MODELS)
     @pytest.mark.parametrize(
         "manifold", [HermitePerturbation(3), EntropyClosure(4)], ids=lambda m: m.name
     )
-    def test_chart_inputs_match_per_point_loop(self, grid, manifold, kind):
-        # reference: one assemble_coefficients call per point
+    def test_chart_inputs_match_central_differences(self, grid, manifold, kind, prandtl):
+        # reference: central differences of A0^-1 Q, one point at a time
         import scipy.linalg
 
         from kinreduce import AnsatzPoint
         from kinreduce.projection import assemble_coefficients
         from kinreduce.stability import _chart_yong_inputs
 
-        model = CollisionModel(kind, tau=0.5, prandtl=2 / 3 if kind == "shakhov" else 1.0)
+        model = CollisionModel(kind, tau=0.5, prandtl=prandtl)
 
         def rhs(w):
             c = assemble_coefficients(AnsatzPoint(manifold, w), model, grid, check_spd=True)
@@ -262,17 +259,33 @@ class TestYongConditions:
 
         omega = manifold.equilibrium_params(1.1, 0.2, 0.9)
         coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
-        want = np.empty((manifold.dim, manifold.dim))
-        for j in range(manifold.dim):
-            h = 1e-6 * max(abs(omega[j]), 1.0)
-            wp, wm = omega.copy(), omega.copy()
-            wp[j] += h
-            wm[j] -= h
-            want[:, j] = (rhs(wp) - rhs(wm)) / (2.0 * h)
         a0, a1, qu, eq = _chart_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
         assert np.array_equal(a0, coef.a0)
         assert np.array_equal(a1, scipy.linalg.solve(coef.a0, coef.a1, assume_a="pos"))
-        assert np.array_equal(qu, want)
+        want = _central_jacobian(rhs, omega)
+        assert np.abs(qu - want).max() <= 1e-8 * np.abs(want).max()
+        assert np.abs(qu @ eq).max() <= 1e-12 * np.abs(qu).max()
+
+    @pytest.mark.parametrize("kind,prandtl", MODELS)
+    @pytest.mark.parametrize(
+        "manifold",
+        [ConservativeMoment(2), ConservativeMoment(4), HermitePerturbation(3),
+         HermitePerturbation(4), EntropyClosure(4)],
+        ids=lambda m: m.name,
+    )
+    def test_certificate_holds_off_the_rest_state(self, grid, manifold, kind, prandtl):
+        tau = 0.1
+        model = CollisionModel(kind, tau=tau, prandtl=prandtl)
+        rep = assemble_yong_report(manifold, model, grid, 1.1, 0.2, 0.9)
+        assert rep.block_passed and rep.symmetry_passed
+        assert rep.dissipativity_passed and rep.gwsc_passed
+        # the slowest relaxation: the heat-flux mode at Pr/tau under
+        # Shakhov, every mode at Pr/tau under ES-BGK (d = 1)
+        slowest = 1.0 / tau if kind == "bgk" else prandtl / tau
+        assert rep.dissipativity_constant == pytest.approx(slowest, rel=1e-9)
+        # |J| >= c, since c is minus the largest Rayleigh quotient of the
+        # complement block of J; so this bound is the tighter one
+        assert rep.block_defect <= 1e-12 * max(rep.dissipativity_constant, 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
