@@ -13,14 +13,8 @@ from .ansatz import (
     ConservativeMoment,
     EntropyClosure,
     HermitePerturbation,
-    MetricWeight,
-    TangentBasis,
-    evaluate,
-    metric_weight,
-    params_from_moments,
     project_initial,
     sample_valid_point,
-    tangent_basis,
 )
 from .errors import (
     BlowUpError,
@@ -38,17 +32,13 @@ from .error_estimator import (
     build_error_report,
     gronwall_bound,
     lipschitz_estimate,
-    residual_norm,
 )
 from .kinetic import (
     CollisionModel,
     DistributionField,
     MomentState,
     SpatialMesh,
-    collision_apply,
     collision_invariants,
-    collision_target,
-    compute_moments,
     entropy,
     entropy_production,
     flux_existence_check,
@@ -57,11 +47,7 @@ from .kinetic import (
 from .projection import (
     ReducedCoefficients,
     assemble_coefficients,
-    flux_matrix,
-    gram_matrix,
-    reduced_source,
     residual,
-    tangent_projection,
 )
 from .quadrature import (
     QuadratureRule,

@@ -44,12 +44,6 @@ __all__ = [
     "HermitePerturbation",
     "EntropyClosure",
     "AnsatzPoint",
-    "TangentBasis",
-    "MetricWeight",
-    "evaluate",
-    "tangent_basis",
-    "metric_weight",
-    "params_from_moments",
     "recover_batch",
     "project_initial",
     "sample_valid_point",
@@ -132,9 +126,6 @@ class ConservativeMoment:
             np.multiply(gauss, poly, out=out[lo : lo + _NODE_PASS_ROWS])
         return out
 
-    def values(self, omega, xi):
-        return self.values_batch(omega, xi)[0]
-
     def jet_batch(self, omegas: np.ndarray, xi: np.ndarray):
         """f and the chart tangent basis from one evaluation, shapes
         (m, n) and (m, d, n); f equals ``values_batch``."""
@@ -154,25 +145,11 @@ class ConservativeMoment:
     def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.jet_batch(omegas, xi)[1]
 
-    def tangent(self, omega, xi):
-        return self.tangent_batch(omega, xi)[0]
-
     def weight_batch(self, omegas, xi):
         _, u, theta = self.split(np.atleast_2d(omegas))
         expo = (xi[None, :] - u[:, None]) ** 2 / (2.0 * theta[:, None])
         _guard_weight(expo)
         return np.exp(expo)
-
-    def weight(self, omega, xi):
-        return self.weight_batch(omega, xi)[0]
-
-    def monomial_basis(self, omega, xi) -> np.ndarray:
-        """Frame (xi^k * Gaussian), k = 0..N+2: spans the tangent space at
-        every point, including chart-degenerate Maxwellians."""
-        _, u, theta = self.split(np.atleast_2d(omega))
-        c = xi - u[0]
-        gauss = np.exp(-c * c / (2.0 * theta[0]))
-        return np.stack([gauss * xi**k for k in range(self.n_moments)])
 
     def moment_frame_grams_batch(self, omegas, grid: QuadratureRule):
         """Gram matrices (M, V) of the monomial frame under the manifold
@@ -561,9 +538,6 @@ class HermitePerturbation:
         _, _, phi, he, pref = self._factors(omegas, xi)
         return pref * phi * (1.0 + self._series(self.split(omegas)[3], he))
 
-    def values(self, omega, xi):
-        return self.values_batch(omega, xi)[0]
-
     def jet_batch(self, omegas, xi):
         """f and the chart tangent basis from one evaluation, shapes
         (m, n) and (m, d, n); f equals ``values_batch``."""
@@ -586,18 +560,12 @@ class HermitePerturbation:
     def tangent_batch(self, omegas, xi):
         return self.jet_batch(omegas, xi)[1]
 
-    def tangent(self, omega, xi):
-        return self.tangent_batch(omega, xi)[0]
-
     def weight_batch(self, omegas, xi):
         _, u, theta, _ = self.split(np.atleast_2d(omegas))
         w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
         expo = 0.5 * w * w
         _guard_weight(expo)
         return np.exp(expo)
-
-    def weight(self, omega, xi):
-        return self.weight_batch(omega, xi)[0]
 
     def equilibrium_params(self, rho, u, theta):
         omega = np.zeros(self.dim)
@@ -623,7 +591,7 @@ class HermitePerturbation:
             for j, k in enumerate(range(3, self.degree + 1)):
                 cap = 0.4 / (n_free * np.abs(hermite_polynomial(k, w)).max())
                 omega[3 + j] = rng.uniform(-cap, cap)
-            vals = self.values(omega, grid.nodes)
+            vals = self.values_batch(omega, grid.nodes)
             if vals.min() > 0.0:
                 return omega
         raise RuntimeError("failed to sample a valid HermitePerturbation point")
@@ -656,9 +624,6 @@ class EntropyClosure:
             raise RealizabilityError("EntropyClosure values overflow on the grid")
         return np.exp(expo)
 
-    def values(self, omega, xi):
-        return self.values_batch(omega, xi)[0]
-
     def jet_batch(self, omegas, xi):
         """f and the chart tangent basis (f xi^p), shapes (m, n) and
         (m, d, n)."""
@@ -668,17 +633,11 @@ class EntropyClosure:
     def tangent_batch(self, omegas, xi):
         return self.jet_batch(omegas, xi)[1]
 
-    def tangent(self, omega, xi):
-        return self.tangent_batch(omega, xi)[0]
-
     def weight_batch(self, omegas, xi):
         # eta''(f) = 1/f
         expo = -self._exponent(omegas, xi)
         _guard_weight(expo)
         return np.exp(expo)
-
-    def weight(self, omega, xi):
-        return self.weight_batch(omega, xi)[0]
 
     def equilibrium_params(self, rho, u, theta):
         if self.n < 3:
@@ -727,20 +686,6 @@ class AnsatzPoint:
                 f"omega has shape {omega.shape}, manifold dimension is {self.manifold.dim}"
             )
         self.manifold.check_params(omega)
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Rows are the velocity profiles b_k = df/d omega_k on the grid."""
-
-    columns: np.ndarray
-
-
-@dataclass(frozen=True)
-class MetricWeight:
-    """Positive profile w with g(h1, h2) = int h1 h2 w dxi."""
-
-    weight: np.ndarray
 
 
 def _guard_weight(exponent: np.ndarray) -> None:
@@ -817,21 +762,6 @@ def _sign_rule(vals: np.ndarray) -> np.ndarray:
             f"ansatz evaluates to {vals[bad][0].min()} at a quadrature node"
         )
     return np.maximum(vals, 0.0)
-
-
-def evaluate(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
-    """f(xi; omega) on the grid nodes under the sign rule (``_sign_rule``)."""
-    return _sign_rule(p.manifold.values_batch(p.omega, grid.nodes))[0]
-
-
-def tangent_basis(p: AnsatzPoint, grid: QuadratureRule) -> TangentBasis:
-    """Analytic partial derivatives df/d omega_k sampled on the grid."""
-    return TangentBasis(p.manifold.tangent(p.omega, grid.nodes))
-
-
-def metric_weight(p: AnsatzPoint, grid: QuadratureRule) -> MetricWeight:
-    """Manifold metric weight; overflow at any node is a configuration error."""
-    return MetricWeight(p.manifold.weight(p.omega, grid.nodes))
 
 
 def _ridge_jitters(manifold: ConservativeMoment, omega: np.ndarray, grid: QuadratureRule):
@@ -1033,20 +963,6 @@ def recover_batch(
     return omega
 
 
-def params_from_moments(
-    manifold: ConservativeMoment, c: np.ndarray, grid: QuadratureRule
-) -> AnsatzPoint:
-    """Invert the bijection between ansatz coefficients and the raw
-    moments c_0..c_{N+2}."""
-    if not isinstance(manifold, ConservativeMoment):
-        raise ParameterError("moment inversion is defined for ConservativeMoment")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (manifold.n_moments,):
-        raise ParameterError(f"expected {manifold.n_moments} moments, got {c.shape}")
-    omega = recover_batch(manifold, c[None, :], grid)[0]
-    return AnsatzPoint(manifold, omega)
-
-
 def _closest_branch(manifold, omegas, targets, f0_vals, grid):
     """Among the exact preimages of each row's moments, pick the one
     closest to the known data f0 (they share all moments but are
@@ -1071,10 +987,9 @@ def _closest_branch(manifold, omegas, targets, f0_vals, grid):
 
 
 def _projection_residual(manifold, omega, f0_vals, grid):
-    basis = manifold.tangent(omega, grid.nodes)
-    w = manifold.weight(omega, grid.nodes)
-    diff = f0_vals - manifold.values(omega, grid.nodes)
-    return basis @ (diff * w * grid.weights)
+    f, basis = manifold.jet_batch(omega, grid.nodes)
+    w = manifold.weight_batch(omega, grid.nodes)[0]
+    return basis[0] @ ((f0_vals - f[0]) * w * grid.weights)
 
 
 def _project_newton(manifold, omega, f0_vals, grid, tol_scale):
@@ -1122,9 +1037,9 @@ def _project_newton(manifold, omega, f0_vals, grid, tol_scale):
     return omega
 
 
-def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoint]:
+def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
     """Metric-orthogonal projection of an initial field onto the
-    manifold, one point per space cell.
+    manifold: the stacked parameters, one row per space cell.
 
     For ConservativeMoment the metric weight cancels the Gaussian in the
     tangent directions, so the conditions reduce to literal moment
@@ -1132,7 +1047,6 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoi
     orthogonality conditions.
     """
     grid = f0.grid
-    points = []
     if isinstance(manifold, ConservativeMoment):
         xiPw = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
         targets = f0.values @ xiPw.T
@@ -1155,8 +1069,8 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoi
             ) from exc
         # the moment map is two-to-one over part of the chart; with the
         # data in hand the branch closest to f0 in L2 is canonical
-        omegas = _closest_branch(manifold, omegas, targets, f0.values, grid)
-        return [AnsatzPoint(manifold, omegas[i]) for i in range(omegas.shape[0])]
+        return _closest_branch(manifold, omegas, targets, f0.values, grid)
+    omegas = np.empty((f0.mesh.cells, manifold.dim))
     for i in range(f0.mesh.cells):
         f0_vals = f0.values[i]
         rho = float(np.add.reduce(f0_vals * grid.weights))
@@ -1177,8 +1091,8 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> list[AnsatzPoi
         except InversionError as exc:
             raise InversionError(f"cell {i}: {exc}") from exc
         _check_positivity_batch(manifold, omega[None, :], grid, f"cell {i} projection")
-        points.append(AnsatzPoint(manifold, omega))
-    return points
+        omegas[i] = omega
+    return omegas
 
 
 def sample_valid_point(

@@ -60,7 +60,7 @@ class ScenarioConfig:
         return truncated_rule(self.half_width, self.velocity_cells)
 
     def mesh(self) -> SpatialMesh:
-        return SpatialMesh(cells=self.space_cells, length=self.length, periodic=True)
+        return SpatialMesh(cells=self.space_cells, length=self.length)
 
     def initial_field(self) -> DistributionField:
         grid = self.grid()

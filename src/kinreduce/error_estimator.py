@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzPoint, hermite_polynomial
+from .ansatz import hermite_polynomial
 from .errors import DegenerateChartError, ParameterError, RealizabilityError, StepError
 from .kinetic import (
     CollisionModel,
@@ -36,7 +36,6 @@ from .reference_solver import KineticTrajectory
 __all__ = [
     "ErrorReport",
     "field_norm",
-    "residual_norm",
     "residual_norm_series",
     "lipschitz_estimate",
     "gronwall_bound",
@@ -74,23 +73,6 @@ def field_norm(values: np.ndarray, grid: QuadratureRule, dx: float, p: float) ->
     values = np.atleast_2d(np.asarray(values, dtype=float))
     per_cell = np.abs(values) ** p @ grid.weights
     return float((dx * np.add.reduce(per_cell)) ** (1.0 / p))
-
-
-def residual_norm(
-    points: list[AnsatzPoint],
-    domega_dx: np.ndarray,
-    model: CollisionModel | None,
-    grid: QuadratureRule,
-    dx: float,
-    p: float = 2.0,
-) -> float:
-    """Spatial p-norm of the model-reduction residual field."""
-    domega_dx = np.atleast_2d(np.asarray(domega_dx, dtype=float))
-    if len(points) != domega_dx.shape[0]:
-        raise ParameterError("one parameter gradient per cell is required")
-    omegas = np.stack([pt.omega for pt in points])
-    rows = residual_batch(points[0].manifold, omegas, domega_dx, model, grid)
-    return field_norm(rows, grid, dx, p)
 
 
 def _central_gradient(omegas: np.ndarray, dx: float) -> np.ndarray:

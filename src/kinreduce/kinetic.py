@@ -23,11 +23,8 @@ __all__ = [
     "MomentState",
     "CollisionModel",
     "collision_invariants",
-    "compute_moments",
     "moments_of_profile",
     "maxwellian",
-    "collision_target",
-    "collision_apply",
     "entropy",
     "entropy_density",
     "entropy_production",
@@ -48,15 +45,12 @@ class SpatialMesh:
 
     cells: int
     length: float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.cells < 1:
             raise ParameterError("mesh needs at least one cell")
         if self.length <= 0.0:
             raise ParameterError("mesh length must be positive")
-        if not self.periodic:
-            raise ParameterError("only periodic meshes are supported")
 
     @property
     def dx(self) -> float:
@@ -92,13 +86,12 @@ class DistributionField:
 
 @dataclass(frozen=True)
 class MomentState:
-    """(rho, u, theta, P, q); for d=1 the pressure equals theta for any
-    distribution, so ``pressure`` defaults from ``theta``."""
+    """(rho, u, theta, q); in d=1 the pressure equals theta for any
+    distribution, so it has no field of its own."""
 
     rho: float
     u: float
     theta: float
-    pressure: float | None = None
     heat_flux: float = 0.0
 
     def __post_init__(self):
@@ -106,10 +99,6 @@ class MomentState:
             raise RealizabilityError(f"density must be positive, got {self.rho}")
         if not (np.isfinite(self.theta) and self.theta > 0.0):
             raise RealizabilityError(f"temperature must be positive, got {self.theta}")
-        if self.pressure is None:
-            object.__setattr__(self, "pressure", self.theta)
-        elif self.pressure <= 0.0:
-            raise RealizabilityError(f"pressure must be positive, got {self.pressure}")
 
 
 _COLLISION_KINDS = ("bgk", "shakhov", "esbgk")
@@ -141,24 +130,16 @@ def collision_invariants(grid: QuadratureRule) -> np.ndarray:
 
 
 def moments_of_profile(values: np.ndarray, grid: QuadratureRule) -> MomentState:
-    """Macroscopic moments of a single velocity profile."""
-    values = np.asarray(values, dtype=float)
-    xi = grid.nodes
-    rho = integrate(values, grid)
+    """Macroscopic moments of a single velocity profile: the one-row
+    view of ``_moments_of_values``."""
+    vals = np.asarray(values, dtype=float)[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, u, theta, q = (float(m[0]) for m in _moments_of_values(vals, grid))
     if rho <= 0.0:
         raise RealizabilityError(f"computed density {rho} is not positive")
-    u = integrate(xi * values, grid) / rho
-    c = xi - u
-    theta = integrate(c * c * values, grid) / rho
     if theta <= 0.0:
         raise RealizabilityError(f"computed temperature {theta} is not positive")
-    q = integrate(c * c * c * values, grid) / rho
-    return MomentState(rho=rho, u=u, theta=theta, pressure=theta, heat_flux=q)
-
-
-def compute_moments(f: DistributionField, cell: int) -> MomentState:
-    """Moments of the profile at one space cell via the grid's rule."""
-    return moments_of_profile(f.values[cell], f.grid)
+    return MomentState(rho=rho, u=u, theta=theta, heat_flux=q)
 
 
 def maxwellian(m: MomentState, grid: QuadratureRule) -> np.ndarray:
@@ -167,37 +148,11 @@ def maxwellian(m: MomentState, grid: QuadratureRule) -> np.ndarray:
     return m.rho / np.sqrt(2.0 * np.pi * m.theta) * np.exp(-c * c / (2.0 * m.theta))
 
 
-def collision_target(model: CollisionModel, m: MomentState, grid: QuadratureRule) -> np.ndarray:
-    """Relaxation target: f_eq (BGK), f_S (Shakhov) or f_G (ES-BGK)."""
-    if model.kind == "bgk":
-        return maxwellian(m, grid)
-    if model.kind == "shakhov":
-        c = grid.nodes - m.u
-        factor = 1.0 + (1.0 - model.prandtl) * m.heat_flux * c / (3.0 * m.theta**2) * (
-            c * c / (2.0 * m.theta) - 1.5
-        )
-        return maxwellian(m, grid) * factor
-    # ES-BGK with scalar Lambda; in d=1 the pressure equals theta so the
-    # target degenerates to the Maxwellian, but the formula is kept
-    # general for externally supplied moment states.
-    lam = m.theta / model.prandtl + (1.0 - 1.0 / model.prandtl) * m.pressure
-    if lam <= 0.0:
-        raise RealizabilityError(f"ES-BGK covariance Lambda = {lam} is not positive")
-    c = grid.nodes - m.u
-    return m.rho / np.sqrt(2.0 * np.pi * lam) * np.exp(-c * c / (2.0 * lam))
-
-
 def collision_rate(model: CollisionModel) -> float:
     """Prefactor of (target - f): 1/tau, except Pr/tau for ES-BGK."""
     if model.kind == "esbgk":
         return model.prandtl / model.tau
     return 1.0 / model.tau
-
-
-def collision_profile(model: CollisionModel, values: np.ndarray, grid: QuadratureRule) -> np.ndarray:
-    """Q[f] for a single velocity profile."""
-    m = moments_of_profile(values, grid)
-    return collision_rate(model) * (collision_target(model, m, grid) - values)
 
 
 def _moments_of_values(vals: np.ndarray, grid: QuadratureRule):
@@ -238,6 +193,23 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     return feq
 
 
+def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
+    """Q[f] for stacked profiles; nonpositive collision moments raise
+    RealizabilityError for the lowest such row."""
+    try:
+        targets = _target_batch(model, vals, grid)
+    except StepError as exc:
+        err = RealizabilityError(str(exc))
+        err.row = exc.cell
+        raise err from None
+    return collision_rate(model) * (targets - vals)
+
+
+def collision_profile(model: CollisionModel, values: np.ndarray, grid: QuadratureRule) -> np.ndarray:
+    """Q[f] for a single velocity profile: the one-row view of ``_collision_rows``."""
+    return _collision_rows(model, np.asarray(values, dtype=float)[None], grid)[0]
+
+
 def _target_linearization(model: CollisionModel, rho, u, theta, grid: QuadratureRule):
     """The collision target linearized at the Maxwellian (rho, u, theta)
     on the grid: DT, shape (n, 4), its partials in (rho, u, theta, q),
@@ -256,11 +228,6 @@ def _target_linearization(model: CollisionModel, rho, u, theta, grid: Quadrature
     Dm = np.stack([np.ones_like(c), c, c * c - theta, c * (c * c - 3.0 * theta)])
     Dm[1:] /= rho
     return DT, Dm * grid.weights
-
-
-def collision_apply(model: CollisionModel, f: DistributionField, cell: int) -> np.ndarray:
-    """Q[f] at one space cell."""
-    return collision_profile(model, f.values[cell], f.grid)
 
 
 def entropy_density(values: np.ndarray, grid: QuadratureRule):
@@ -291,7 +258,7 @@ def entropy(f: DistributionField) -> float:
 def entropy_production(f: DistributionField, model: CollisionModel, cell: int) -> float:
     """S(f) = integral of log(f) Q[f]; nonpositive by the H-theorem."""
     values = f.values[cell]
-    q = collision_apply(model, f, cell)
+    q = collision_profile(model, values, f.grid)
     logf = np.log(np.maximum(values, POSITIVITY_FLOOR))
     return integrate(logf * q, f.grid)
 

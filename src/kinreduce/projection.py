@@ -14,24 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _sign_rule
-from .errors import (
-    DegenerateChartError,
-    KinReduceError,
-    ParameterError,
-    RealizabilityError,
-    StepError,
-)
-from .kinetic import CollisionModel, _target_batch, collision_rate
+from .errors import DegenerateChartError, KinReduceError, ParameterError
+from .kinetic import CollisionModel, _collision_rows
 from .quadrature import QuadratureRule
 
 __all__ = [
     "ReducedCoefficients",
     "coefficients_batch",
-    "gram_matrix",
-    "flux_matrix",
-    "reduced_source",
     "assemble_coefficients",
-    "tangent_projection",
     "residual_batch",
     "residual",
 ]
@@ -97,18 +87,6 @@ def _solve_spd(a0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
 
 
-def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
-    """Q[f] for stacked profiles; nonpositive collision moments raise
-    RealizabilityError for the lowest such row."""
-    try:
-        targets = _target_batch(model, vals, grid)
-    except StepError as exc:
-        err = RealizabilityError(str(exc))
-        err.row = exc.cell
-        raise err from None
-    return collision_rate(model) * (targets - vals)
-
-
 def _stack(manifold: Manifold, omegas) -> np.ndarray:
     omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
     if omegas.ndim != 2 or omegas.shape[1] != manifold.dim:
@@ -136,11 +114,11 @@ def coefficients_batch(
     shape (m, d); Q is zero when ``model`` is None.
 
     Every row obeys the rules of a single point, in its order:
-    ``check_params``, the metric-weight overflow guard, ``evaluate``'s
-    sign rule and positive collision moments (only Q evaluates f) and,
-    with ``check_spd``, a Cholesky test of A0.  The first rule that
-    fails raises its typed error for its lowest failing row, with
-    ``row`` set to that row."""
+    ``check_params``, the metric-weight overflow guard, the ansatz sign
+    rule (``_sign_rule``) and positive collision moments (only Q
+    evaluates f) and, with ``check_spd``, a Cholesky test of A0.  The
+    first rule that fails raises its typed error for its lowest failing
+    row, with ``row`` set to that row."""
     omegas = _stack(manifold, omegas)
     f, basis = _jet(manifold, omegas, grid)
     mu = _metric(manifold, omegas, grid)
@@ -168,21 +146,6 @@ def assemble_coefficients(
     return ReducedCoefficients(a0=c.a0[0], a1=c.a1[0], q=c.q[0])
 
 
-def gram_matrix(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
-    """A0_kl = g(b_k, b_l); raises if the chart is degenerate there."""
-    return assemble_coefficients(p, None, grid, check_spd=True).a0
-
-
-def flux_matrix(p: AnsatzPoint, grid: QuadratureRule) -> np.ndarray:
-    """A1_kl = g(b_k, xi b_l), symmetrized."""
-    return assemble_coefficients(p, None, grid).a1
-
-
-def reduced_source(p: AnsatzPoint, model: CollisionModel, grid: QuadratureRule) -> np.ndarray:
-    """Q_k = g(b_k, Q[f_hat])."""
-    return assemble_coefficients(p, model, grid).q
-
-
 def _raw_grams(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):
     """A0 and A1 at every row of ``omegas``, not symmetrized."""
     return _grams(_jet(manifold, omegas, grid)[1], _metric(manifold, omegas, grid), grid.nodes)
@@ -193,11 +156,6 @@ def _asymmetry(a1: np.ndarray) -> np.ndarray:
     denom = np.abs(a1).max(axis=(-2, -1))
     defect = np.abs(a1 - np.swapaxes(a1, -1, -2)).max(axis=(-2, -1))
     return np.divide(defect, denom, out=np.zeros_like(defect), where=denom != 0.0)
-
-
-def flux_asymmetry(p: AnsatzPoint, grid: QuadratureRule) -> float:
-    """Pre-symmetrization defect at one point: the one-row view of ``_asymmetry``."""
-    return float(_asymmetry(_raw_grams(p.manifold, p.omega[None], grid)[1])[0])
 
 
 def _projection_frame(manifold: Manifold, chart: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -223,19 +181,6 @@ def _project(frame: np.ndarray, mu: np.ndarray, h: np.ndarray):
     gram = _symmetrize(weighted @ np.swapaxes(frame, -1, -2))
     coeff = _solve_spd(gram, (weighted @ h[..., None])[..., 0])
     return coeff, (coeff[:, None, :] @ frame)[:, 0, :]
-
-
-def tangent_projection(p: AnsatzPoint, h: np.ndarray, grid: QuadratureRule):
-    """Metric-orthogonal projection of a velocity profile onto the
-    tangent space: returns (coefficients, projected profile).
-
-    Coefficients are w.r.t. the projection frame (the monomial frame
-    for ConservativeMoment, the chart basis otherwise)."""
-    chart = p.manifold.tangent_batch(p.omega, grid.nodes)
-    frame = _projection_frame(p.manifold, chart, grid.nodes)
-    mu = _metric(p.manifold, p.omega[None], grid)
-    coeff, ph = _project(frame, mu, np.asarray(h, dtype=float)[None])
-    return coeff[0], ph[0]
 
 
 def residual_batch(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, recover_batch
+from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, project_initial, recover_batch
 from .errors import (
     BlowUpError,
     DegenerateChartError,
@@ -107,10 +107,7 @@ def initial_state(
     manifold: Manifold, f0: DistributionField
 ) -> ReducedState:
     """Project an initial kinetic field onto the manifold."""
-    from .ansatz import project_initial
-
-    points = project_initial(manifold, f0)
-    omegas = np.stack([p.omega for p in points])
+    omegas = project_initial(manifold, f0)
     moments = None
     if isinstance(manifold, ConservativeMoment):
         # the conservative state is the moment vector itself

@@ -30,7 +30,8 @@ from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
 from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
 from .projection import (
-    _asymmetry, _cholesky, _grams, _jet, _metric, _raw_grams, _symmetrize, coefficients_batch,
+    _asymmetry, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams, _symmetrize,
+    coefficients_batch,
 )
 from .quadrature import QuadratureRule
 # bound here at import, so that wrapping the solver's own names (as
@@ -356,7 +357,8 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     """Reduced system at equilibrium in moment coordinates, where the
     chart is regular even though the (alpha, u, theta) chart loses rank
     at Maxwellians.  The dual D holds the moment rows xi^k * w and the
-    frame is the monomial frame normalized by its Gram, F = Phi^T M^-1.
+    frame is the projection frame (Gaussian times monomials) normalized
+    by its Gram, F = Phi^T M^-1.
     The equilibrium basis is D applied to the target's (rho, u, theta)
     partials."""
     omega = manifold.equilibrium_params(rho, u, theta)
@@ -365,7 +367,8 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     a0 = 0.5 * (Minv + Minv.T)
     a1 = V @ Minv  # flux Jacobian dF/dc
     D = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
-    F = manifold.monomial_basis(omega, grid.nodes).T @ Minv
+    chart = manifold.jet_batch(omega, grid.nodes)[1]
+    F = _projection_frame(manifold, chart, grid.nodes)[0].T @ Minv
     DT, Dm = _target_linearization(model, rho, u, theta, grid)
     return a0, a1, _source_jacobian(model, DT, Dm, D, F), D @ DT[:, :3]
 

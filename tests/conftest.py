@@ -60,13 +60,12 @@ def per_point_coefficients(manifold, omega, model, grid):
         u, theta = (omega[1], omega[2]) if isinstance(manifold, HermitePerturbation) \
             else (omega[-2], omega[-1])
         weight = np.exp((xi - u) ** 2 / (2.0 * theta))
-    basis = manifold.tangent(omega, xi)
+    vals, basis = (a[0] for a in manifold.jet_batch(omega, xi))
     mu = weight * grid.weights
     a0 = np.einsum("kn,n,ln->kl", basis, mu, basis)
     a1 = np.einsum("kn,n,ln->kl", basis, mu * xi, basis)
     q, q_scale = np.zeros(manifold.dim), 0.0
     if model is not None:
-        vals = manifold.values(omega, xi)
         if vals.min() < -1e-12 * max(vals.max(), 0.0):
             raise RealizabilityError("negative ansatz")
         vals = np.maximum(vals, 0.0)
@@ -91,15 +90,18 @@ def per_point_residual(manifold, omega, grad, model, grid):
     from kinreduce.kinetic import collision_profile
 
     xi = grid.nodes
-    chart = manifold.tangent(omega, xi)
+    vals, chart = (a[0] for a in manifold.jet_batch(omega, xi))
     h = xi * (grad @ chart)
     if model is not None:
-        h = h - collision_profile(model, manifold.values(omega, xi), grid)
+        h = h - collision_profile(model, vals, grid)
     if isinstance(manifold, ConservativeMoment):
-        basis = manifold.monomial_basis(omega, xi)
+        # the Gaussian factor times xi^k, k = 0..N+2
+        u, theta = omega[-2], omega[-1]
+        gauss = np.exp(-(xi - u) ** 2 / (2.0 * theta))
+        basis = np.stack([gauss * xi**k for k in range(manifold.n_moments)])
     else:
         basis = chart
-    mu = manifold.weight(omega, xi) * grid.weights
+    mu = manifold.weight_batch(omega, xi)[0] * grid.weights
     a0 = np.einsum("kn,n,ln->kl", basis, mu, basis)
     coeff = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(0.5 * (a0 + a0.T), lower=True), basis @ (h * mu)

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from kinreduce import (
-    AnsatzPoint,
     ConfigurationError,
     ConservativeMoment,
     EntropyClosure,
@@ -15,17 +14,13 @@ from kinreduce import (
     RealizabilityError,
     SpatialMesh,
     DistributionField,
-    evaluate,
     integrate,
     maxwellian,
-    metric_weight,
-    params_from_moments,
     project_initial,
     sample_valid_point,
-    tangent_basis,
     truncated_rule,
 )
-from kinreduce.ansatz import _newton, _ridge_jitters, recover_batch
+from kinreduce.ansatz import _newton, _ridge_jitters, _sign_rule, recover_batch
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
 
@@ -35,45 +30,43 @@ def finite_difference_tangent(manifold, omega, xi, k):
     wp, wm = omega.copy(), omega.copy()
     wp[k] += h
     wm[k] -= h
-    return (manifold.values(wp, xi) - manifold.values(wm, xi)) / (2 * h)
+    return (manifold.values_batch(wp, xi)[0] - manifold.values_batch(wm, xi)[0]) / (2 * h)
 
 
 class TestEvaluate:
     def test_conservative_moment_at_origin(self, grid):
-        p = AnsatzPoint(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]))
-        vals = evaluate(p, grid)
+        vals = ConservativeMoment(0).values_batch(np.array([1.0, 0.0, 1.0]), grid.nodes)[0]
         k = np.argmin(np.abs(grid.nodes))
         assert vals[k] == pytest.approx(np.exp(-grid.nodes[k] ** 2 / 2), rel=1e-14)
 
     def test_entropy_closure_maxwellian(self, grid):
         alpha = np.array([-0.5 * np.log(2 * np.pi), 0.0, -0.5])
-        p = AnsatzPoint(EntropyClosure(3), alpha)
         want = maxwellian(MomentState(rho=1.0, u=0.0, theta=1.0), grid)
-        assert evaluate(p, grid) == pytest.approx(want, rel=1e-12)
+        vals = EntropyClosure(3).values_batch(alpha, grid.nodes)[0]
+        assert vals == pytest.approx(want, rel=1e-12)
 
     def test_hermite_zero_alphas_is_maxwellian(self, grid):
         hp = HermitePerturbation(3)
-        p = AnsatzPoint(hp, hp.equilibrium_params(1.3, 0.2, 0.9))
+        omega = hp.equilibrium_params(1.3, 0.2, 0.9)
         want = maxwellian(MomentState(rho=1.3, u=0.2, theta=0.9), grid)
-        assert evaluate(p, grid) == pytest.approx(want, rel=1e-12)
+        assert hp.values_batch(omega, grid.nodes)[0] == pytest.approx(want, rel=1e-12)
 
     def test_negativity_raises(self, grid):
-        p = AnsatzPoint(ConservativeMoment(1), np.array([0.0, 1.0, 0.0, 1.0]))
+        vals = ConservativeMoment(1).values_batch(np.array([0.0, 1.0, 0.0, 1.0]), grid.nodes)
         with pytest.raises(RealizabilityError):
-            evaluate(p, grid)
+            _sign_rule(vals)
 
 
 class TestTangentBasis:
     def test_alpha_direction_value(self, grid):
-        p = AnsatzPoint(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]))
-        b = tangent_basis(p, grid).columns
+        b = ConservativeMoment(0).jet_batch(np.array([1.0, 0.0, 1.0]), grid.nodes)[1][0]
         k = np.argmin(np.abs(grid.nodes - 2.0))
         assert b[0, k] == pytest.approx(np.exp(-grid.nodes[k] ** 2 / 2), rel=1e-14)
 
     def test_u_direction_matches_finite_difference(self, grid):
         cm = ConservativeMoment(0)
         omega = np.array([1.0, 0.0, 1.0])
-        b = tangent_basis(AnsatzPoint(cm, omega), grid).columns
+        b = cm.jet_batch(omega, grid.nodes)[1][0]
         want = grid.nodes * np.exp(-grid.nodes**2 / 2)
         assert b[1] == pytest.approx(want, rel=1e-13)
         fd = finite_difference_tangent(cm, omega, grid.nodes, 1)
@@ -81,11 +74,10 @@ class TestTangentBasis:
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_all_directions_match_finite_differences(self, manifold, wide_grid, rng):
-        for _ in range(5):
-            p = sample_valid_point(manifold, rng, wide_grid)
-            basis = tangent_basis(p, wide_grid).columns
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(5)])
+        for omega, basis in zip(omegas, manifold.jet_batch(omegas, wide_grid.nodes)[1]):
             for k in range(manifold.dim):
-                fd = finite_difference_tangent(manifold, p.omega, wide_grid.nodes, k)
+                fd = finite_difference_tangent(manifold, omega, wide_grid.nodes, k)
                 denom = np.abs(fd).max() + 1e-300
                 assert np.abs(basis[k] - fd).max() / denom < 1e-6
 
@@ -93,19 +85,21 @@ class TestTangentBasis:
     def test_gram_rank_full(self, degree, wide_grid, rng):
         # Cholesky success as the rank oracle
         cm = ConservativeMoment(degree)
-        for _ in range(5):
-            p = sample_valid_point(cm, rng, wide_grid)
-            basis = tangent_basis(p, wide_grid).columns
-            w = metric_weight(p, wide_grid).weight
-            gram = np.einsum("kn,n,ln->kl", basis, w * wide_grid.weights, basis)
+        omegas = np.stack([sample_valid_point(cm, rng, wide_grid).omega for _ in range(5)])
+        basis = cm.jet_batch(omegas, wide_grid.nodes)[1]
+        mu = cm.weight_batch(omegas, wide_grid.nodes) * wide_grid.weights
+        grams = np.einsum("mkn,mn,mln->mkl", basis, mu, basis)
+        for gram in grams:
             scipy.linalg.cholesky(0.5 * (gram + gram.T), lower=True)
 
     def test_conservative_span_is_gaussian_times_monomials(self, grid, rng):
         # the chart basis must span Gaussian * {1, xi, ..., xi^(N+2)}
         cm = ConservativeMoment(2)
         p = sample_valid_point(cm, rng, grid)
-        chart = tangent_basis(p, grid).columns
-        frame = cm.monomial_basis(p.omega, grid.nodes)
+        chart = cm.jet_batch(p.omega, grid.nodes)[1][0]
+        u, theta = p.omega[-2], p.omega[-1]
+        gauss = np.exp(-(grid.nodes - u) ** 2 / (2.0 * theta))
+        frame = np.stack([gauss * grid.nodes**k for k in range(cm.n_moments)])
         coef, res, rank, _ = np.linalg.lstsq(frame.T, chart.T, rcond=None)
         recon = coef.T @ frame
         assert np.abs(recon - chart).max() < 1e-9 * np.abs(chart).max()
@@ -114,38 +108,34 @@ class TestTangentBasis:
 
 class TestMetricWeight:
     def test_conservative_moment_at_origin(self, grid):
-        p = AnsatzPoint(ConservativeMoment(0), np.array([0.7, 0.0, 1.0]))
-        w = metric_weight(p, grid).weight
+        w = ConservativeMoment(0).weight_batch(np.array([0.7, 0.0, 1.0]), grid.nodes)[0]
         k = np.argmin(np.abs(grid.nodes))
         assert w[k] == pytest.approx(np.exp(grid.nodes[k] ** 2 / 2), rel=1e-14)
 
     def test_entropy_closure_inverse_density(self, grid):
         alpha = np.array([-0.5 * np.log(2 * np.pi), 0.0, -0.5])
-        p = AnsatzPoint(EntropyClosure(3), alpha)
-        w = metric_weight(p, grid).weight
+        w = EntropyClosure(3).weight_batch(alpha, grid.nodes)[0]
         k = np.argmin(np.abs(grid.nodes))
         f0 = maxwellian(MomentState(rho=1.0, u=0.0, theta=1.0), grid)[k]
         assert w[k] == pytest.approx(1.0 / f0, rel=1e-12)
         assert w[k] == pytest.approx(np.sqrt(2 * np.pi), rel=5e-4)
 
     def test_weight_times_density_constant_at_maxwellian_point(self, grid):
-        p = AnsatzPoint(ConservativeMoment(2), np.array([0.6, 0.0, 0.0, 0.1, 1.0]))
-        w = metric_weight(p, grid).weight
-        prod = w * evaluate(p, grid)
+        cm, omega = ConservativeMoment(2), np.array([0.6, 0.0, 0.0, 0.1, 1.0])
+        prod = cm.weight_batch(omega, grid.nodes)[0] * cm.values_batch(omega, grid.nodes)[0]
         assert np.abs(prod - prod[0]).max() < 1e-12 * abs(prod[0])
 
     def test_overflow_guard(self):
         grid = truncated_rule(60.0, 16)
-        p = AnsatzPoint(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            metric_weight(p, grid)
+            ConservativeMoment(0).weight_batch(np.array([1.0, 0.0, 1.0]), grid.nodes)
 
 
-class TestParamsFromMoments:
+class TestRecoverBatch:
     def test_standard_maxwellian_moments(self, grid):
         cm = ConservativeMoment(0)
-        p = params_from_moments(cm, np.array([1.0, 0.0, 1.0]), grid)
-        assert p.omega == pytest.approx(
+        omega = recover_batch(cm, np.array([1.0, 0.0, 1.0]), grid)[0]
+        assert omega == pytest.approx(
             [1 / np.sqrt(2 * np.pi), 0.0, 1.0], abs=1e-11
         )
 
@@ -156,11 +146,11 @@ class TestParamsFromMoments:
         # identity is what the bijection-to-moments contract pins down
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(100 + degree)
-        for _ in range(10):
-            p = sample_valid_point(cm, rng, wide_grid)
-            c = cm.raw_moments_batch(p.omega[None, :], wide_grid)[0]
-            back = params_from_moments(cm, c, wide_grid)
-            c_back = cm.raw_moments_batch(back.omega[None, :], wide_grid)[0]
+        omegas = np.stack([sample_valid_point(cm, rng, wide_grid).omega for _ in range(10)])
+        C = cm.raw_moments_batch(omegas, wide_grid)
+        for c in C:
+            back = recover_batch(cm, c, wide_grid)
+            c_back = cm.raw_moments_batch(back, wide_grid)[0]
             assert np.abs(c_back - c).max() <= 1e-11 * (1 + np.abs(c)).max()
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
@@ -176,7 +166,7 @@ class TestParamsFromMoments:
 
     def test_negative_second_moment_is_unrealizable(self, grid):
         with pytest.raises(RealizabilityError):
-            params_from_moments(ConservativeMoment(0), np.array([1.0, 0.0, -1.0]), grid)
+            recover_batch(ConservativeMoment(0), np.array([1.0, 0.0, -1.0]), grid)
 
     def test_batch_recovery_of_maxwellian_targets(self, grid):
         cm = ConservativeMoment(2)
@@ -192,17 +182,17 @@ class TestProjectInitial:
     def test_fixed_point(self, manifold, wide_grid, rng):
         p = sample_valid_point(manifold, rng, wide_grid)
         f0 = DistributionField(
-            evaluate(p, wide_grid)[None, :], wide_grid, SpatialMesh(1, 1.0)
+            manifold.values_batch(p.omega, wide_grid.nodes), wide_grid, SpatialMesh(1, 1.0)
         )
         q = project_initial(manifold, f0)[0]
-        assert np.abs(q.omega - p.omega).max() < 1e-9 * (1 + np.abs(p.omega).max())
+        assert np.abs(q - p.omega).max() < 1e-9 * (1 + np.abs(p.omega).max())
 
     def test_maxwellian_projects_to_pure_gaussian(self, grid):
         f = maxwellian(MomentState(rho=1.0, u=0.1, theta=1.0), grid)
         f0 = DistributionField(f[None, :], grid, SpatialMesh(1, 1.0))
         for degree in (2, 4):
             q = project_initial(ConservativeMoment(degree), f0)[0]
-            assert np.abs(q.omega[1 : degree + 1]).max() < 1e-8
+            assert np.abs(q[1 : degree + 1]).max() < 1e-8
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_metric_orthogonality(self, manifold, grid):
@@ -211,10 +201,10 @@ class TestProjectInitial:
         base = maxwellian(MomentState(rho=1.0, u=0.0, theta=1.0), grid)
         f = base * (1 + 0.006 * np.sin(2.2 * grid.nodes) * np.exp(-grid.nodes**2 / 8))
         f0 = DistributionField(f[None, :], grid, SpatialMesh(1, 1.0))
-        q = project_initial(manifold, f0)[0]
-        basis = tangent_basis(q, grid).columns
-        w = metric_weight(q, grid).weight
-        diff = f - evaluate(q, grid)
+        q = project_initial(manifold, f0)
+        vals, basis = (a[0] for a in manifold.jet_batch(q, grid.nodes))
+        w = manifold.weight_batch(q, grid.nodes)[0]
+        diff = f - vals
         norm = float(np.abs(f) @ grid.weights)
         for k in range(manifold.dim):
             assert abs(integrate(diff * basis[k] * w, grid)) <= 1e-8 * norm
@@ -226,8 +216,8 @@ class TestProjectInitial:
         f0 = DistributionField(f[None, :], grid, SpatialMesh(1, 1.0))
         norms = {}
         for degree in (0, 4):
-            q = project_initial(ConservativeMoment(degree), f0)[0]
-            diff = f - ConservativeMoment(degree).values(q.omega, grid.nodes)
+            q = project_initial(ConservativeMoment(degree), f0)
+            diff = f - ConservativeMoment(degree).values_batch(q, grid.nodes)[0]
             # compare both fits in one fixed reference metric
             w_ref = np.exp(grid.nodes**2 / 2.0)
             norms[degree] = np.sqrt(integrate(diff * diff * w_ref, grid))
@@ -491,26 +481,24 @@ class TestBatchedLadder:
             alone = project_initial(
                 cm, DistributionField(f[i : i + 1], grid, SpatialMesh(1, 1.0))
             )[0]
-            assert np.abs(together[i].omega - alone.omega).max() <= 1e-12
+            assert np.abs(together[i] - alone).max() <= 1e-12
 
 
 class TestHermiteInvariants:
     def test_mass_is_rho_for_any_alphas(self, wide_grid, rng):
         hp = HermitePerturbation(4)
-        for _ in range(20):
-            p = sample_valid_point(hp, rng, wide_grid)
-            mass = integrate(evaluate(p, wide_grid), wide_grid)
-            assert mass == pytest.approx(p.omega[0], abs=1e-10 * (1 + p.omega[0]))
+        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(20)])
+        for omega, vals in zip(omegas, hp.values_batch(omegas, wide_grid.nodes)):
+            mass = integrate(vals, wide_grid)
+            assert mass == pytest.approx(omega[0], abs=1e-10 * (1 + omega[0]))
 
 
 class TestSampling:
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_samples_are_valid(self, manifold, wide_grid):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            p = sample_valid_point(manifold, rng, wide_grid)
-            vals = evaluate(p, wide_grid)
-            assert np.all(vals >= 0.0)
+        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(20)])
+        assert np.all(manifold.values_batch(omegas, wide_grid.nodes) >= 0.0)
 
 
 class TestJet:

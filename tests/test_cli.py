@@ -65,6 +65,16 @@ class TestConfigValidation:
         assert code == 2
         assert "velocity_grid.halfwidth" in capsys.readouterr().err
 
+    def test_non_periodic_mesh_exits_two(self, tmp_path, capsys):
+        from kinreduce.config import parse_config
+
+        mesh = {"cells": 16, "length": 1.0, "periodic": True}
+        assert parse_config(base_config(spatial_mesh=mesh)).mesh().cells == 16
+        cfg = write_config(tmp_path, base_config(spatial_mesh={**mesh, "periodic": False}))
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "spatial_mesh.periodic" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code = main(
             ["reduce", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

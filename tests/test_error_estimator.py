@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kinreduce import (
-    AnsatzPoint,
     CollisionModel,
     ConservativeMoment,
     MomentState,
@@ -13,8 +12,9 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce.ansatz import hermite_polynomial
-from kinreduce.error_estimator import actual_error, field_norm, residual_norm
+from kinreduce.error_estimator import actual_error, field_norm
 from kinreduce.kinetic import collision_profile
+from kinreduce.projection import residual_batch
 from kinreduce.reduced_solver import ReducedTrajectory
 from kinreduce.reference_solver import KineticTrajectory
 from kinreduce.kinetic import SpatialMesh
@@ -58,17 +58,15 @@ class TestResidualNorm:
     def test_homogeneous_equilibrium_zero(self, grid, bgk):
         cm = ConservativeMoment(2)
         omega = np.array([1 / np.sqrt(2 * np.pi), 0.0, 0.0, 0.0, 1.0])
-        points = [AnsatzPoint(cm, omega)]
-        val = residual_norm(points, np.zeros((1, 5)), bgk, grid, dx=0.5, p=2.0)
-        assert val <= 1e-12
+        rows = residual_batch(cm, omega, np.zeros((1, 5)), bgk, grid)
+        assert field_norm(rows, grid, dx=0.5, p=2.0) <= 1e-12
 
     def test_doubling_gradient_scales_transport_residual(self, grid):
         cm = ConservativeMoment(2)
         omega = np.array([0.4, 0.01, 0.002, 0.0, 1.0])
-        points = [AnsatzPoint(cm, omega)]
-        g1 = np.array([[0.01, 0.0, 0.001, 0.0, 0.0]])
-        a = residual_norm(points, g1, None, grid, dx=0.5)
-        b = residual_norm(points, 2 * g1, None, grid, dx=0.5)
+        g1 = np.array([0.01, 0.0, 0.001, 0.0, 0.0])
+        rows = residual_batch(cm, np.stack([omega, omega]), np.stack([g1, 2 * g1]), None, grid)
+        a, b = (field_norm(r, grid, dx=0.5, p=2.0) for r in rows)
         assert b == pytest.approx(2 * a, rel=1e-10)
 
 

@@ -4,20 +4,21 @@ from scipy.integrate import quad
 
 from kinreduce import (
     CollisionModel,
-    DistributionField,
     MomentState,
     RealizabilityError,
-    SpatialMesh,
-    collision_apply,
     collision_invariants,
-    collision_target,
-    compute_moments,
     entropy,
     entropy_production,
     flux_existence_check,
     maxwellian,
 )
-from kinreduce.kinetic import collision_profile, entropy_density, moments_of_profile
+from kinreduce.kinetic import (
+    _target_batch,
+    _target_of_moments,
+    collision_profile,
+    entropy_density,
+    moments_of_profile,
+)
 
 from conftest import homogeneous_field
 
@@ -35,6 +36,12 @@ def random_realizable_profile(grid, rng, scale=0.15):
     return base * bump
 
 
+def target_of_state(model, m, grid):
+    """The collision target of one moment state by the stacked kernel."""
+    rho, u, theta, q = (np.array([v]) for v in (m.rho, m.u, m.theta, m.heat_flux))
+    return _target_of_moments(model, rho, u, theta, q, grid)[0]
+
+
 class TestMoments:
     def test_sampled_standard_maxwellian(self, grid):
         f = maxwellian(MomentState(rho=1.0, u=0.0, theta=1.0), grid)
@@ -47,7 +54,6 @@ class TestMoments:
         assert m.rho == pytest.approx(np.sqrt(np.pi), abs=1e-10)
         assert m.u == pytest.approx(0.0, abs=1e-10)
         assert m.theta == pytest.approx(0.5, abs=1e-10)
-        assert m.pressure == pytest.approx(m.theta)
 
     def test_shifted_maxwellian(self, wide_grid):
         f = maxwellian(MomentState(rho=2.0, u=0.5, theta=0.8), wide_grid)
@@ -67,10 +73,8 @@ class TestMoments:
             )
 
     def test_realizability_gate(self, grid):
-        mesh = SpatialMesh(cells=1, length=1.0)
-        f = DistributionField(np.zeros((1, len(grid))), grid, mesh)
         with pytest.raises(RealizabilityError):
-            compute_moments(f, 0)
+            moments_of_profile(np.zeros(len(grid)), grid)
         with pytest.raises(RealizabilityError):
             MomentState(rho=-1.0, u=0.0, theta=1.0)
         with pytest.raises(RealizabilityError):
@@ -96,23 +100,12 @@ class TestCollisionTargets:
     def test_shakhov_zero_heat_flux_is_maxwellian(self, grid):
         m = MomentState(rho=1.2, u=0.1, theta=0.9, heat_flux=0.0)
         model = CollisionModel(kind="shakhov", tau=0.7, prandtl=0.66)
-        assert collision_target(model, m, grid) == pytest.approx(
-            maxwellian(m, grid), rel=1e-14
-        )
+        assert target_of_state(model, m, grid) == pytest.approx(maxwellian(m, grid), rel=1e-14)
 
     def test_esbgk_at_maxwellian(self, grid):
-        m = MomentState(rho=1.0, u=0.0, theta=1.1)  # pressure defaults to theta
+        m = MomentState(rho=1.0, u=0.0, theta=1.1)
         model = CollisionModel(kind="esbgk", tau=0.7, prandtl=0.66)
-        assert collision_target(model, m, grid) == pytest.approx(
-            maxwellian(m, grid), rel=1e-13
-        )
-
-    def test_esbgk_nonpositive_lambda(self, grid):
-        model = CollisionModel(kind="esbgk", tau=1.0, prandtl=0.4)
-        m = MomentState(rho=1.0, u=0.0, theta=0.1, pressure=3.0)
-        # Lambda = theta/Pr + (1 - 1/Pr) P = 0.25 - 4.5 < 0
-        with pytest.raises(RealizabilityError):
-            collision_target(model, m, grid)
+        assert target_of_state(model, m, grid) == pytest.approx(maxwellian(m, grid), rel=1e-13)
 
     def test_shakhov_target_moments(self, grid, rng):
         # target keeps (rho, u, theta), scales the heat flux by (1 - Pr)
@@ -120,14 +113,14 @@ class TestCollisionTargets:
         model = CollisionModel(kind="shakhov", tau=1.0, prandtl=prandtl)
         f = random_realizable_profile(grid, rng)
         m = moments_of_profile(f, grid)
-        t = moments_of_profile(collision_target(model, m, grid), grid)
+        t = moments_of_profile(_target_batch(model, f[None], grid)[0], grid)
         assert (t.rho, t.u, t.theta) == pytest.approx((m.rho, m.u, m.theta), abs=1e-9)
         assert t.heat_flux == pytest.approx((1 - prandtl) * m.heat_flux, abs=1e-9)
 
 
 class TestCollisionApply:
     def test_equilibrium_annihilation(self, maxwell_field, bgk):
-        q = collision_apply(bgk, maxwell_field, 0)
+        q = collision_profile(bgk, maxwell_field.values[0], maxwell_field.grid)
         assert np.abs(q).max() < 1e-11
 
     @pytest.mark.parametrize("kind", ["bgk", "shakhov", "esbgk"])

@@ -11,20 +11,22 @@ from kinreduce import (
     ParameterError,
     RealizabilityError,
     assemble_coefficients,
-    flux_matrix,
-    gram_matrix,
     integrate,
     maxwellian,
-    metric_weight,
-    reduced_source,
     residual,
     sample_valid_point,
-    tangent_basis,
-    tangent_projection,
 )
 from kinreduce.kinetic import moments_of_profile
-from kinreduce.error_estimator import field_norm, residual_norm
-from kinreduce.projection import _solve_spd, coefficients_batch, flux_asymmetry, residual_batch
+from kinreduce.projection import (
+    _asymmetry,
+    _metric,
+    _project,
+    _projection_frame,
+    _raw_grams,
+    _solve_spd,
+    coefficients_batch,
+    residual_batch,
+)
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -46,25 +48,31 @@ def gaussian_tangent_profile(p, grid, rng):
     return poly * np.exp(-0.5 * w * w)
 
 
+def frame_and_metric(manifold, omegas, grid):
+    """The projection frames and the metric-weighted quadrature weights
+    at stacked ``omegas``, as ``residual_batch`` assembles them."""
+    omegas = np.atleast_2d(omegas)
+    chart = manifold.jet_batch(omegas, grid.nodes)[1]
+    return _projection_frame(manifold, chart, grid.nodes), _metric(manifold, omegas, grid)
+
+
 class TestGramMatrix:
     def test_reference_matrix_order_zero(self, grid):
-        p = AnsatzPoint(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]))
-        a0 = gram_matrix(p, grid)
+        a0 = coefficients_batch(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]), None, grid).a0[0]
         want = SQRT_2PI * np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.75]])
         assert a0 == pytest.approx(want, abs=1e-12)
 
     def test_positive_definite(self, wide_grid, rng):
         for manifold in MANIFOLDS:
             p = sample_valid_point(manifold, rng, wide_grid)
-            a0 = gram_matrix(p, wide_grid)
+            a0 = coefficients_batch(manifold, p.omega, None, wide_grid).a0[0]
             for _ in range(100):
                 x = rng.normal(size=manifold.dim)
                 assert x @ a0 @ x > 0.0
 
     def test_alpha0_scaling(self, grid):
-        cm = ConservativeMoment(0)
-        a = gram_matrix(AnsatzPoint(cm, np.array([1.0, 0.0, 1.0])), grid)
-        b = gram_matrix(AnsatzPoint(cm, np.array([2.0, 0.0, 1.0])), grid)
+        omegas = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+        a, b = coefficients_batch(ConservativeMoment(0), omegas, None, grid).a0
         # d/du scales with alpha0, d/dalpha0 does not
         assert b[1, 1] == pytest.approx(4 * a[1, 1], rel=1e-13)
         assert b[0, 0] == pytest.approx(a[0, 0], rel=1e-13)
@@ -72,33 +80,31 @@ class TestGramMatrix:
 
 class TestFluxMatrix:
     def test_reference_entries_order_zero(self, grid):
-        p = AnsatzPoint(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]))
-        a1 = flux_matrix(p, grid)
+        a1 = coefficients_batch(ConservativeMoment(0), np.array([1.0, 0.0, 1.0]), None, grid).a1[0]
         assert a1[0, 1] == pytest.approx(SQRT_2PI, abs=1e-12)  # int xi^2 e^{-xi^2/2}
         assert a1[0, 0] == pytest.approx(0.0, abs=1e-13)  # odd integrand
 
     def test_symmetry(self, wide_grid, rng):
         for manifold in MANIFOLDS:
             p = sample_valid_point(manifold, rng, wide_grid)
-            a1 = flux_matrix(p, wide_grid)
+            a1 = coefficients_batch(manifold, p.omega, None, wide_grid).a1[0]
             assert np.abs(a1 - a1.T).max() == 0.0
-            assert flux_asymmetry(p, wide_grid) <= 1e-13
+            assert _asymmetry(_raw_grams(manifold, p.omega[None], wide_grid)[1])[0] <= 1e-13
 
 
 class TestReducedSource:
     def test_equilibrium_vanishes(self, grid, bgk):
-        p = AnsatzPoint(
-            ConservativeMoment(2), np.array([1 / SQRT_2PI, 0.0, 0.0, 0.0, 1.0])
-        )
-        q = reduced_source(p, bgk, grid)
+        # a chart-degenerate point: A0 is singular, Q still exists
+        maxw = np.array([1 / SQRT_2PI, 0.0, 0.0, 0.0, 1.0])
+        q = coefficients_batch(ConservativeMoment(2), maxw, bgk, grid, check_spd=False).q[0]
         assert np.abs(q).max() < 1e-11
 
     def test_weight_cancellation_identity(self, wide_grid, rng):
         # w * b_k = xi^k exactly for the alpha directions
         cm = ConservativeMoment(3)
         p = sample_valid_point(cm, rng, wide_grid)
-        basis = tangent_basis(p, wide_grid).columns
-        w = metric_weight(p, wide_grid).weight
+        basis = cm.jet_batch(p.omega, wide_grid.nodes)[1][0]
+        w = cm.weight_batch(p.omega, wide_grid.nodes)[0]
         for k in range(cm.degree + 1):
             target = wide_grid.nodes**k
             scale = np.abs(target).max() + 1.0
@@ -107,17 +113,18 @@ class TestReducedSource:
     def test_alpha_components_match_direct_quadrature(self, wide_grid, rng, bgk):
         cm = ConservativeMoment(2)
         p = sample_valid_point(cm, rng, wide_grid)
-        q = reduced_source(p, bgk, wide_grid)
-        f = cm.values(p.omega, wide_grid.nodes)
+        q = coefficients_batch(cm, p.omega, bgk, wide_grid).q[0]
+        f = cm.values_batch(p.omega, wide_grid.nodes)[0]
         feq = maxwellian(moments_of_profile(f, wide_grid), wide_grid)
         for k in range(cm.degree + 1):
             direct = integrate(wide_grid.nodes**k * (feq - f) / bgk.tau, wide_grid)
             assert q[k] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
     def test_tau_scaling(self, wide_grid, rng):
-        p = sample_valid_point(ConservativeMoment(2), rng, wide_grid)
-        q1 = reduced_source(p, CollisionModel(kind="bgk", tau=0.3), wide_grid)
-        q2 = reduced_source(p, CollisionModel(kind="bgk", tau=0.6), wide_grid)
+        cm = ConservativeMoment(2)
+        p = sample_valid_point(cm, rng, wide_grid)
+        q1 = coefficients_batch(cm, p.omega, CollisionModel(kind="bgk", tau=0.3), wide_grid).q
+        q2 = coefficients_batch(cm, p.omega, CollisionModel(kind="bgk", tau=0.6), wide_grid).q
         assert q1 == pytest.approx(2 * q2, rel=1e-13)
 
 
@@ -125,31 +132,38 @@ class TestTangentProjection:
     def test_projection_fixes_frame_columns(self, wide_grid, rng):
         cm = ConservativeMoment(2)
         p = sample_valid_point(cm, rng, wide_grid)
-        h = cm.monomial_basis(p.omega, wide_grid.nodes)[2]  # xi^2 * Gaussian
-        coeff, ph = tangent_projection(p, h, wide_grid)
+        frame, mu = frame_and_metric(cm, p.omega, wide_grid)
+        h = frame[:, 2]  # xi^2 * Gaussian
+        coeff, ph = _project(frame, mu, h)
         assert np.abs(ph - h).max() <= 1e-12 * np.abs(h).max()
         unit = np.zeros(cm.dim)
         unit[2] = 1.0
-        assert coeff == pytest.approx(unit, abs=1e-12)
+        assert coeff[0] == pytest.approx(unit, abs=1e-12)
 
     def test_projection_fixes_chart_columns(self, wide_grid, rng):
         hp = HermitePerturbation(3)
         p = sample_valid_point(hp, rng, wide_grid)
-        h = tangent_basis(p, wide_grid).columns[3]
-        coeff, ph = tangent_projection(p, h, wide_grid)
+        frame, mu = frame_and_metric(hp, p.omega, wide_grid)
+        h = frame[:, 3]  # the chart is the projection frame
+        _, ph = _project(frame, mu, h)
         assert np.abs(ph - h).max() <= 1e-10 * np.abs(h).max()
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_idempotence_and_orthogonality(self, manifold, wide_grid, rng):
+        omegas, hs = [], []
         for _ in range(20):
             p = sample_valid_point(manifold, rng, wide_grid)
-            h = gaussian_tangent_profile(p, wide_grid, rng)
-            _, ph = tangent_projection(p, h, wide_grid)
-            _, pph = tangent_projection(p, ph, wide_grid)
+            omegas.append(p.omega)
+            hs.append(gaussian_tangent_profile(p, wide_grid, rng))
+        omegas, hs = np.stack(omegas), np.stack(hs)
+        frame, mu = frame_and_metric(manifold, omegas, wide_grid)
+        _, phs = _project(frame, mu, hs)
+        _, pphs = _project(frame, mu, phs)
+        charts = manifold.jet_batch(omegas, wide_grid.nodes)[1]
+        weights = manifold.weight_batch(omegas, wide_grid.nodes)
+        for h, ph, pph, basis, w in zip(hs, phs, pphs, charts, weights):
             scale = np.abs(h).max()
             assert np.abs(pph - ph).max() <= 1e-10 * scale
-            basis = tangent_basis(p, wide_grid).columns
-            w = metric_weight(p, wide_grid).weight
             hnorm = np.sqrt(integrate(h * h * w, wide_grid))
             for k in range(manifold.dim):
                 bnorm = np.sqrt(integrate(basis[k] ** 2 * w, wide_grid))
@@ -161,10 +175,11 @@ class TestTangentProjection:
         # functionals have metric representatives and fluxes exist
         cm = ConservativeMoment(2)
         p = sample_valid_point(cm, rng, wide_grid)
-        frame = cm.monomial_basis(p.omega, wide_grid.nodes)
-        for k in range(cm.n_moments):
-            _, ph = tangent_projection(p, frame[k], wide_grid)
-            assert np.abs(ph - frame[k]).max() <= 1e-11 * np.abs(frame[k]).max()
+        frame, mu = frame_and_metric(cm, p.omega, wide_grid)
+        K = cm.n_moments
+        _, ph = _project(np.repeat(frame, K, axis=0), np.repeat(mu, K, axis=0), frame[0])
+        for k in range(K):
+            assert np.abs(ph[k] - frame[0, k]).max() <= 1e-11 * np.abs(frame[0, k]).max()
 
 
 class TestResidual:
@@ -180,8 +195,8 @@ class TestResidual:
         p = sample_valid_point(cm, rng, wide_grid)
         grad = rng.normal(size=cm.dim) * 0.1
         r = residual(p, grad, bgk, wide_grid)
-        basis = tangent_basis(p, wide_grid).columns
-        w = metric_weight(p, wide_grid).weight
+        basis = cm.jet_batch(p.omega, wide_grid.nodes)[1][0]
+        w = cm.weight_batch(p.omega, wide_grid.nodes)[0]
         rnorm = np.sqrt(integrate(r * r * w, wide_grid)) + 1e-300
         for k in range(cm.dim):
             bnorm = np.sqrt(integrate(basis[k] ** 2 * w, wide_grid))
@@ -242,13 +257,10 @@ class TestCoefficientsBatch:
             one = assemble_coefficients(p, bgk, wide_grid)
             assert np.array_equal(one.a0, stack.a0[i])
             assert np.array_equal(one.a1, stack.a1[i])
-            assert np.array_equal(gram_matrix(p, wide_grid), stack.a0[i])
-            assert np.array_equal(flux_matrix(p, wide_grid), stack.a1[i])
             # the collision moments are matrix-vector products whose
             # rounding depends on the rows batched together
             scale = np.abs(stack.q[i]).max()
             assert np.abs(one.q - stack.q[i]).max() <= 1e-12 * scale
-            assert np.abs(reduced_source(p, bgk, wide_grid) - stack.q[i]).max() <= 1e-12 * scale
 
     def test_negative_tails_name_the_lower_row(self, grid, bgk):
         hp = HermitePerturbation(4)
@@ -282,12 +294,11 @@ class TestCoefficientsBatch:
         with pytest.raises(DegenerateChartError, match="not SPD") as info:
             coefficients_batch(cm, omegas, bgk, grid)
         assert info.value.row == 1
-        p = AnsatzPoint(cm, maxw)
         with pytest.raises(DegenerateChartError, match="not SPD"):
-            gram_matrix(p, grid)
-        assert np.isfinite(assemble_coefficients(p, bgk, grid).a0).all()
-        assert np.isfinite(flux_matrix(p, grid)).all()
-        assert np.abs(reduced_source(p, bgk, grid)).max() < 1e-11
+            coefficients_batch(cm, maxw, None, grid)
+        one = assemble_coefficients(AnsatzPoint(cm, maxw), bgk, grid)
+        assert np.isfinite(one.a0).all() and np.isfinite(one.a1).all()
+        assert np.abs(one.q).max() < 1e-11
 
     def test_shape_is_checked(self, grid):
         with pytest.raises(ParameterError):
@@ -320,9 +331,6 @@ class TestResidualBatch:
             one = residual(AnsatzPoint(hp, omega), grads[i], bgk, wide_grid)
             # stacked products round differently from one-row ones
             assert np.abs(one - stack[i]).max() <= 1e-12 * np.abs(stack[i]).max()
-        points = [AnsatzPoint(hp, w) for w in omegas]
-        norm = residual_norm(points, grads, bgk, wide_grid, dx=0.1)
-        assert norm == pytest.approx(field_norm(stack, wide_grid, 0.1, 2.0), rel=1e-12)
 
     def test_failing_rules_name_the_lowest_row(self, grid, bgk):
         cm = ConservativeMoment(2)

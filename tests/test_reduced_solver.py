@@ -13,13 +13,12 @@ from kinreduce import (
     MomentState,
     SpatialMesh,
     StepError,
-    flux_matrix,
-    gram_matrix,
     maxwellian,
     sample_valid_point,
     spectral_radius,
     truncated_rule,
 )
+from kinreduce.projection import coefficients_batch
 from kinreduce.reduced_solver import (
     _cm_recover,
     _generic_coefficients,
@@ -55,12 +54,9 @@ class TestSpectralRadius:
                 assert spectral_radius(p, wide_grid) <= wide_grid.half_width + 1e-9
 
     def test_order_zero_spectrum_symmetric(self, grid):
-        p = AnsatzPoint(
-            ConservativeMoment(0), np.array([1 / np.sqrt(2 * np.pi), 0.0, 1.0])
-        )
-        lam = scipy.linalg.eigh(
-            flux_matrix(p, grid), gram_matrix(p, grid), eigvals_only=True
-        )
+        omega = np.array([1 / np.sqrt(2 * np.pi), 0.0, 1.0])
+        coef = coefficients_batch(ConservativeMoment(0), omega, None, grid)
+        lam = scipy.linalg.eigh(coef.a1[0], coef.a0[0], eigvals_only=True)
         assert lam.shape == (3,)
         assert np.all(np.isreal(lam))
         assert np.sort(lam) == pytest.approx(-np.sort(-lam) * -1, abs=1e-10)
@@ -76,12 +72,9 @@ class TestSpectralRadius:
         shifted = pol(np.polynomial.Polynomial([-shift, 1.0])).coef
         shifted = np.pad(shifted, (0, 3 - shifted.size))
         omega_s = np.concatenate([shifted, [p.omega[3] + shift, p.omega[4]]])
-        lam0 = scipy.linalg.eigh(
-            flux_matrix(p, grid), gram_matrix(p, grid), eigvals_only=True
-        )
-        ps = AnsatzPoint(cm, omega_s)
-        lam1 = scipy.linalg.eigh(
-            flux_matrix(ps, grid), gram_matrix(ps, grid), eigvals_only=True
+        coef = coefficients_batch(cm, np.stack([p.omega, omega_s]), None, grid)
+        lam0, lam1 = (
+            scipy.linalg.eigh(a1, a0, eigvals_only=True) for a0, a1 in zip(coef.a0, coef.a1)
         )
         assert np.sort(lam1) == pytest.approx(np.sort(lam0) + shift, abs=1e-9)
 

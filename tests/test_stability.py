@@ -214,7 +214,7 @@ class TestYongConditions:
     def test_cm_inputs_match_central_differences(self, grid, degree, kind, prandtl):
         # reference: central differences of the moment-space source
         from kinreduce import MomentState
-        from kinreduce.kinetic import collision_rate, collision_target
+        from kinreduce.kinetic import _target_of_moments, collision_rate
         from kinreduce.stability import _cm_yong_inputs
 
         manifold = ConservativeMoment(degree)
@@ -229,8 +229,9 @@ class TestYongConditions:
             q_ = (
                 cvec[3] - 3.0 * u_ * cvec[2] + 3.0 * u_**2 * cvec[1] - u_**3 * cvec[0]
             ) / rho_
-            ms = MomentState(rho=rho_, u=u_, theta=th_, heat_flux=q_)
-            tgt = collision_target(model, ms, grid)
+            tgt = _target_of_moments(
+                model, *(np.array([v]) for v in (rho_, u_, th_, q_)), grid
+            )[0]
             return collision_rate(model) * (xiP @ (tgt * grid.weights) - cvec)
 
         a0, a1, qu, eq = _cm_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
@@ -357,14 +358,14 @@ class TestHyperbolicityAudit:
     )
     def test_matches_per_point_loop(self, manifold, wide_grid):
         # 150 samples take two passes of the audit
-        from kinreduce.projection import flux_asymmetry, gram_matrix
+        from kinreduce.projection import _asymmetry, _raw_grams, coefficients_batch
 
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(150):
-            p = sample_valid_point(manifold, rng, wide_grid)
-            gram_matrix(p, wide_grid)  # raises unless Cholesky succeeds
-            worst = max(worst, flux_asymmetry(p, wide_grid))
+            omega = sample_valid_point(manifold, rng, wide_grid).omega[None]
+            coefficients_batch(manifold, omega, None, wide_grid)  # raises unless Cholesky succeeds
+            worst = max(worst, float(_asymmetry(_raw_grams(manifold, omega, wide_grid)[1])[0]))
         rep = hyperbolicity_audit(manifold, 150, wide_grid, seed=3)
         assert rep.samples == 150
         assert rep.max_asymmetry == worst
