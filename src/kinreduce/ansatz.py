@@ -63,12 +63,11 @@ _NEWTON_MAX_HALVINGS = 12
 _NEWTON_TOL = 1e-11
 
 # chunk sizes that bound the temporaries of the batched inversion:
-# rows per pass over the quadrature nodes (results are the same for any
-# size), moment rows per chunk of the cold starts' resultant scan (801
-# points a row), and start points per Newton solve of a fallback rung
+# rows per pass over the quadrature nodes, which also bounds every
+# Newton evaluation (results are the same for any size), and moment
+# rows per chunk of the cold starts' resultant scan (801 points a row)
 _NODE_PASS_ROWS = 128
 _SCAN_CHUNK_ROWS = 16
-_RUNG_ROWS = 32
 
 
 def hermite_polynomials(n: int, x: np.ndarray) -> list[np.ndarray]:
@@ -707,16 +706,42 @@ def _xi_powers(grid: QuadratureRule, upto: int) -> np.ndarray:
 
 def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int) -> np.ndarray:
     """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
-    j = 0..top, one row per (u, theta)."""
+    j = 0..top, one row per (u, theta).  Each row is its own
+    vector-matrix product, so it rounds the same in any batch."""
+    X = _xi_powers(grid, top).T
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, _NODE_PASS_ROWS):
         rows = slice(lo, lo + _NODE_PASS_ROWS)
         c = grid.nodes[None, :] - u[rows, None]
         acc = np.exp(-c * c / (2.0 * theta[rows, None])) * grid.weights[None, :]
-        for j in range(top + 1):
-            out[rows, j] = np.add.reduce(acc, axis=1)
-            acc = acc * grid.nodes[None, :]
+        out[rows] = (acc[:, None, :] @ X)[:, 0, :]
     return out
+
+
+def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule):
+    """Raw moments c_0..c_{N+2} of stacked chart points and their chart
+    Jacobians, shapes (m, K) and (m, K, d), from one pass of Gaussian
+    power sums P_j.  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
+    and d/dtheta act on the Gaussian as (xi - u)/theta and
+    (xi - u)^2/(2 theta^2).  The sums over j are elementwise, in a fixed
+    order, so each row's bits do not depend on its batch."""
+    N, K = manifold.degree, manifold.n_moments
+    alpha, u, theta = manifold.split(omegas)
+    P = _gauss_power_sums(u, theta, grid, 2 * N + 4)
+    k = np.arange(K)
+    u, theta = u[:, None], theta[:, None]
+    J = np.empty((omegas.shape[0], K, manifold.dim))
+    c = d_u = d_theta = 0.0
+    for j in range(N + 1):
+        p0, p1, p2 = P[:, j + k], P[:, j + k + 1], P[:, j + k + 2]
+        J[:, :, j] = p0
+        e1 = p1 - u * p0  # sum w xi^(j+k) (xi - u) G
+        c = c + alpha[:, j, None] * p0
+        d_u = d_u + alpha[:, j, None] * e1
+        d_theta = d_theta + alpha[:, j, None] * ((p2 - u * p1) - u * e1)
+    J[:, :, -2] = d_u / theta
+    J[:, :, -1] = d_theta / (2.0 * theta * theta)
+    return c, J
 
 
 def _gaussian_fit(C: np.ndarray):
@@ -793,80 +818,72 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True):
 
     Returns the last iterates (``omega`` is updated in place), whether
     each row converged to a realizable point, and each row's largest
-    scaled moment residual.  A row is frozen once no damping level
-    improves its residual: its later iterations would repeat that
+    scaled moment residual.  Every trial point is one ``_moment_jet``
+    evaluation, which gives its residual and its Jacobian, so the
+    accepted trial is the next iterate as it stands.  A row's arithmetic
+    is its own: its result depends only on its moments and start point,
+    not on the rows batched with it.  A row is frozen once no damping
+    level improves its residual: its later iterations would repeat that
     failed step.
     """
-    xiPw = _xi_powers(grid, targets.shape[1] - 1) * grid.weights
     scale = 1.0 + np.abs(targets)
-    r = manifold.values_batch(omega, grid.nodes) @ xiPw.T - targets
+    c, J = _moment_jet(manifold, omega, grid)
+    r = c - targets
     err = (np.abs(r) / scale).max(axis=1)
     live = ~(err <= _NEWTON_TOL)
+    # the full step first (the common case), then the halvings in
+    # growing groups for the stragglers
+    groups = np.split(0.5 ** np.arange(_NEWTON_MAX_HALVINGS + 1), [1, 2, 4, 8])
     for _ in range(_NEWTON_MAX_ITER):
         act = np.flatnonzero(live)
         if act.size == 0:
             break
-        om_a = omega[act]
-        r_a = r[act]
-        sc_a = scale[act]
-        tg_a = targets[act]
-        basis = manifold.tangent_batch(om_a, grid.nodes)
-        J = np.einsum("kn,mdn->mkd", xiPw, basis)
-        step = _solve_rows(J, -r_a)
+        om_a, r_a, J_a = omega[act], r[act], J[act]
+        sc_a, tg_a = scale[act], targets[act]
+        step = _solve_rows(J_a, -r_a)
         # near chart-degenerate points the plain solve emits noise steps;
         # fall back to a truncated pseudo-inverse there
         wild = ~np.isfinite(step).all(axis=1)
         wild |= np.abs(step).max(axis=1) > 1e8 * (1.0 + np.abs(om_a).max(axis=1))
         if wild.any():
-            pin = np.linalg.pinv(J[wild], rcond=1e-10)
+            pin = np.linalg.pinv(J_a[wild], rcond=1e-10)
             step[wild] = -(pin @ r_a[wild][..., None])[..., 0]
 
         best = np.linalg.norm(r_a / sc_a, axis=1)
         accepted = np.zeros(act.size, dtype=bool)
-        trial = om_a.copy()
 
-        def try_levels(rows, steps, levels):
-            """Evaluate the given damping levels for the given rows in
-            one batch; per row the largest improving level wins."""
-            cand = om_a[rows][None, :, :] + levels[:, None, None] * steps[None, :, :]
-            valid = np.isfinite(cand).all(axis=2)
-            if isinstance(manifold, ConservativeMoment):
-                valid &= cand[..., -1] > 0.0
-            cand_ok = np.where(valid[..., None], cand, om_a[rows][None, :, :])
-            r_try = manifold.values_batch(
-                cand_ok.reshape(-1, cand_ok.shape[-1]), grid.nodes
-            ) @ xiPw.T
-            r_try = r_try.reshape(levels.size, rows.size, -1) - tg_a[rows][None, :, :]
-            n_try = np.linalg.norm(r_try / sc_a[rows][None, :, :], axis=2)
-            improve = valid & (n_try < best[rows][None, :])
-            win = improve.any(axis=0)
-            first = improve.argmax(axis=0)
-            hit = np.flatnonzero(win)
-            trial[rows[hit]] = cand_ok[first[hit], hit]
-            accepted[rows[hit]] = True
-
-        def damped_round(step_arr):
-            # full Newton step first (the common case), remaining
-            # halving levels in one batch for the stragglers
-            rows = np.flatnonzero(~accepted)
-            if rows.size == 0:
-                return
-            try_levels(rows, step_arr[rows], np.ones(1))
-            rows = np.flatnonzero(~accepted)
-            if rows.size:
-                try_levels(rows, step_arr[rows], 0.5 ** np.arange(1, _NEWTON_MAX_HALVINGS + 1))
+        def damped_round(steps):
+            # per row the largest improving level wins; the winner's
+            # residual and Jacobian are kept
+            for levels in groups:
+                rows = np.flatnonzero(~accepted)
+                if rows.size == 0:
+                    return
+                base = om_a[rows][None, :, :]
+                cand = base + levels[:, None, None] * steps[rows][None, :, :]
+                valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
+                cand = np.where(valid[..., None], cand, base)
+                c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid)
+                r_t = c_t.reshape(levels.size, rows.size, -1) - tg_a[rows][None, :, :]
+                n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
+                improve = valid & (n_t < best[rows][None, :])
+                hit = np.flatnonzero(improve.any(axis=0))
+                first = improve.argmax(axis=0)[hit]
+                dest = act[rows[hit]]
+                omega[dest] = cand[first, hit]
+                r[dest] = r_t[first, hit]
+                J[dest] = J_t[first * rows.size + hit]
+                accepted[rows[hit]] = True
 
         damped_round(step)
         if not accepted.all():
             retry = ~accepted
-            pin = np.linalg.pinv(J[retry], rcond=1e-10)
+            pin = np.linalg.pinv(J_a[retry], rcond=1e-10)
             step_retry = np.zeros_like(step)
             step_retry[retry] = -(pin @ r_a[retry][..., None])[..., 0]
             damped_round(step_retry)
         live[act[~accepted]] = False
         hit = act[accepted]
-        omega[hit] = trial[accepted]
-        r[hit] = manifold.values_batch(omega[hit], grid.nodes) @ xiPw.T - targets[hit]
         err[hit] = (np.abs(r[hit]) / scale[hit]).max(axis=1)
         live[hit] = ~(err[hit] <= _NEWTON_TOL)
     ok = err <= _NEWTON_TOL
@@ -878,17 +895,12 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True):
 
 
 def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True):
-    """Batched Newton solves over every row's list of start points, in
-    chunks of ``_RUNG_ROWS``: returns the solutions, their success flags
-    and the row each came from."""
+    """One batched Newton solve over every row's list of start points:
+    returns the solutions, their success flags and the row each came
+    from."""
     owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
     sol = np.array([c for cands in candidates for c in cands]).reshape(-1, manifold.dim)
-    ok = np.zeros(owner.size, dtype=bool)
-    for lo in range(0, owner.size, _RUNG_ROWS):
-        part = slice(lo, lo + _RUNG_ROWS)
-        sol[part], ok[part], _ = _newton(
-            manifold, targets[owner[part]], sol[part], grid, require_nonnegative
-        )
+    sol, ok, _ = _newton(manifold, targets[owner], sol, grid, require_nonnegative)
     return sol, ok, owner
 
 
@@ -906,7 +918,11 @@ def recover_batch(
     fallback ladder, each rung solved in batches across all of them:
     ridge-jitter restarts (per row, the solution closest to the stalled
     iterate), then the resultant-scan cold starts (per row, the first
-    candidate that converges).  A row that survives no rung raises
+    candidate that converges, tried in order).  A row's result depends
+    bit for bit only on its own moments and warm start, never on the
+    rows batched with it or on how the rungs are scheduled; near the
+    Maxwellian fold that row's own round-off still picks the preimage.
+    A row that survives no rung raises
     ``InversionError`` naming the first such row, with every failed row
     in ``rows`` and the batch's iterates in ``omega``.
     ``require_nonnegative=False`` admits chart points whose polynomial
@@ -942,14 +958,17 @@ def recover_batch(
         bad = bad[_gaussian_fit(targets[bad])[2]]
     if bad.size:
         cands = manifold.cold_start_candidates(targets[bad], grid)
-        sol, sol_ok, owner = _solve_candidates(
-            manifold, targets[bad], cands, grid, require_nonnegative
-        )
-        for j, i in enumerate(bad):
-            hits = np.flatnonzero(sol_ok & (owner == j))
-            if hits.size:
-                omega[i] = sol[hits[0]]
-                ok[i] = True
+        # each row's candidates in order, one batch per position; a row
+        # leaves once one converges, the rest are never solved
+        for pos in range(max(len(c) for c in cands)):
+            left = [j for j, i in enumerate(bad) if not ok[i] and pos < len(cands[j])]
+            if not left:
+                break
+            rows = bad[left]
+            start = np.array([cands[j][pos] for j in left])
+            sol, sol_ok, _ = _newton(manifold, targets[rows], start, grid, require_nonnegative)
+            omega[rows[sol_ok]] = sol[sol_ok]
+            ok[rows[sol_ok]] = True
     if not ok.all():
         rows = np.flatnonzero(~ok)
         i = int(rows[0])

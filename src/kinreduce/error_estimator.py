@@ -18,9 +18,8 @@ from .errors import DegenerateChartError, ParameterError, RealizabilityError, St
 from .kinetic import (
     CollisionModel,
     MomentState,
+    _collision_rows,
     _moments_of_values,
-    _target_batch,
-    collision_rate,
     maxwellian,
 )
 # collision_profile is not called here; it stays a module attribute
@@ -141,7 +140,7 @@ def lipschitz_estimate(
     f1 = np.maximum(base + delta * base.max(axis=1, keepdims=True), 0.0)
     d = f1 - base
     profiles = np.concatenate([bases, f1])
-    q = collision_rate(model) * (_target_batch(model, profiles, grid) - profiles)
+    q = _collision_rows(model, profiles, grid)
     dq = q[len(bases):] - q[owner]
     denom = np.abs(d) ** p @ grid.weights
     numer = (np.abs(d) ** (p - 1.0) * np.abs(dq)) @ grid.weights

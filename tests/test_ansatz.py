@@ -20,7 +20,8 @@ from kinreduce import (
     sample_valid_point,
     truncated_rule,
 )
-from kinreduce.ansatz import _newton, _ridge_jitters, _sign_rule, recover_batch
+import kinreduce.ansatz as ansatz
+from kinreduce.ansatz import _moment_jet, _newton, _ridge_jitters, _sign_rule, recover_batch
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
 
@@ -234,11 +235,13 @@ def per_row_varpro(cm, u, theta, c, grid):
     """Reference: the alphas matching c_0..c_N with (u, theta) frozen,
     and the residual on the two remaining moments, for one row."""
     N = cm.degree
-    pw = np.empty(2 * N + 3)
+    xp = [np.ones_like(grid.nodes)]
+    for _ in range(2 * N + 2):
+        xp.append(xp[-1] * grid.nodes)
     acc = np.exp(-((grid.nodes - u) ** 2) / (2.0 * theta)) * grid.weights
-    for j in range(pw.size):
-        pw[j] = np.add.reduce(acc)
-        acc = acc * grid.nodes
+    # one product against the transposed power table, as the kernel
+    # takes it: the ridge amplifies any other summation order
+    pw = acc @ np.stack(xp).T
     k = np.arange(N + 1)
     alpha = np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
     rows = pw[np.array([N + 1, N + 2])[:, None] + k[None, :]]
@@ -390,11 +393,7 @@ class TestBatchedLadder:
         return cm, np.stack([c for c, _ in picked]), np.stack([w for _, w in picked])
 
     def test_rows_match_the_row_by_row_ladder(self, mixed_batch, grid):
-        """The batched rungs give each row what one-row solves give it.
-
-        The first Newton stage runs on the whole batch in both: a row
-        stalled on the ridge stalls where round-off in the batch's
-        residual products takes it, which depends on the batch."""
+        """The batched rungs give each row what one-row solves give it."""
         cm, C, W = mixed_batch
         batch = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
 
@@ -403,7 +402,9 @@ class TestBatchedLadder:
                                  require_nonnegative=False)
             return sol[0], ok[0]
 
-        want, ok, _ = _newton(cm, C, W.copy(), grid, require_nonnegative=False)
+        want, ok = np.empty_like(W), np.zeros(len(C), dtype=bool)
+        for i in range(len(C)):
+            want[i], ok[i] = one_row(i, W[i])
         rungs = []
         for i in np.flatnonzero(~ok):
             # jitters: the solution closest to the stalled iterate ...
@@ -423,9 +424,43 @@ class TestBatchedLadder:
             else:
                 pytest.fail(f"row {i} has no preimage")
         assert ok.sum() >= 3 and {"jitter", "cold"} <= set(rungs)
-        assert np.abs(batch - want).max() <= 1e-12
+        assert np.array_equal(batch, want)
         c_back = cm.raw_moments_batch(batch, grid)
         assert np.abs(c_back - C).max() <= 1e-11 * (1 + np.abs(C)).max()
+
+    def test_rows_do_not_depend_on_the_batch(self, mixed_batch, grid, monkeypatch):
+        """Reordering, splitting or re-chunking the batch changes no bit
+        of any row, through every rung of the ladder."""
+        cm, C, W = mixed_batch
+
+        def solve(rows):
+            return recover_batch(cm, C[rows], grid, omega0=W[rows], require_nonnegative=False)
+
+        rows = np.arange(len(C))
+        whole = solve(rows)
+        assert np.array_equal(solve(rows[::-1]), whole[::-1])
+        for size in (1, 2, 4):
+            parts = [solve(rows[lo : lo + size]) for lo in range(0, len(C), size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        for pass_rows in (1, 7):
+            monkeypatch.setattr(ansatz, "_NODE_PASS_ROWS", pass_rows)
+            assert np.array_equal(solve(rows), whole)
+
+    def test_recovery_evaluates_no_node_profiles(self, mixed_batch, grid, monkeypatch):
+        """Newton and its ladder work on Gaussian power sums alone: with
+        the sign rule off, a 32-row batch through every rung evaluates
+        no profile or tangent basis on the nodes."""
+        cm, C, W = mixed_batch
+        calls = []
+        for name in ("values_batch", "tangent_batch"):
+            kernel = getattr(ConservativeMoment, name)
+            monkeypatch.setattr(
+                ConservativeMoment, name,
+                lambda self, *a, _k=kernel, _n=name: calls.append(_n) or _k(self, *a),
+            )
+        rows = np.resize(np.arange(len(C)), 32)
+        recover_batch(cm, C[rows], grid, omega0=W[rows], require_nonnegative=False)
+        assert calls == []
 
     @pytest.mark.parametrize("degree", [2, 4])
     def test_cold_start_candidates_per_row(self, degree, wide_grid):
@@ -513,6 +548,30 @@ class TestJet:
         assert np.array_equal(f, manifold.values_batch(omegas, wide_grid.nodes))
         assert np.array_equal(basis, manifold.tangent_batch(omegas, wide_grid.nodes))
         assert basis.shape == (300, manifold.dim, len(wide_grid))
+
+
+class TestMomentJet:
+    @pytest.mark.parametrize("degree", [0, 2, 4])
+    @pytest.mark.parametrize("half_width, cells", [(9.0, 64), (10.0, 128)])
+    def test_matches_the_node_sums(self, degree, half_width, cells):
+        """Moments and chart Jacobian from the Gaussian power sums agree
+        with the node sums of ``values_batch`` and ``tangent_batch``,
+        on and off the chart's ridge (alpha_1..N = 0), for |u| up to 2."""
+        grid = truncated_rule(half_width, cells)
+        cm = ConservativeMoment(degree)
+        rng = np.random.default_rng(40 + degree)
+        omegas = [cm.sample(rng, grid, u_range=(-2.0, 2.0)) for _ in range(8)]
+        omegas += [cm.equilibrium_params(rho, u, theta)
+                   for rho, u, theta in ((1.0, -2.0, 0.5), (0.7, 2.0, 1.4), (1.3, 0.3, 0.9))]
+        omegas = np.stack(omegas)
+        xiPw = np.stack([grid.nodes**k for k in range(cm.n_moments)]) * grid.weights
+        c, J = _moment_jet(cm, omegas, grid)
+        c_ref = cm.values_batch(omegas, grid.nodes) @ xiPw.T
+        J_ref = np.einsum("kn,mdn->mkd", xiPw, cm.tangent_batch(omegas, grid.nodes))
+        assert np.all(np.abs(c - c_ref).max(axis=1) <= 1e-13 * np.abs(c_ref).max(axis=1))
+        assert np.all(
+            np.abs(J - J_ref).max(axis=(1, 2)) <= 1e-13 * np.abs(J_ref).max(axis=(1, 2))
+        )
 
 
 def polynomial_object_sample(cm, rng, grid):

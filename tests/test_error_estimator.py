@@ -149,11 +149,11 @@ class TestLipschitzBatch:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_one_target_kernel_call(self, grid, monkeypatch):
-        import kinreduce.error_estimator as ee
+        import kinreduce.kinetic as kinetic
 
         calls = []
-        kernel = ee._target_batch
-        monkeypatch.setattr(ee, "_target_batch", lambda *a: calls.append(1) or kernel(*a))
+        kernel = kinetic._target_batch
+        monkeypatch.setattr(kinetic, "_target_batch", lambda *a: calls.append(1) or kernel(*a))
         lipschitz_estimate(CollisionModel("shakhov", tau=0.2, prandtl=2.0 / 3.0),
                            self.SAMPLES, grid=grid, seed=3)
         assert len(calls) == 1
