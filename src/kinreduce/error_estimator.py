@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .ansatz import hermite_polynomial
 from .errors import DegenerateChartError, ParameterError, RealizabilityError, StepError
@@ -117,7 +118,7 @@ def lipschitz_estimate(
     """
     if not 1.0 < p < np.inf:
         raise ParameterError(f"norm exponent must lie in (1, inf), got {p}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     xi = grid.nodes
     bases, perts = [], []
     for m in sample_moments:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ParameterError, RealizabilityError, StepError
 from .quadrature import QuadratureRule, integrate
@@ -75,9 +76,11 @@ class DistributionField:
                 f"field shape {self.values.shape} does not match "
                 f"(cells, nodes) = ({self.mesh.cells}, {len(self.grid)})"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max see every NaN and Inf without a temporary mask
+        lo, hi = self.values.min(), self.values.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise RealizabilityError("distribution field contains NaN/Inf")
-        if np.any(self.values < 0.0):
+        if lo < 0.0:
             raise RealizabilityError("distribution field has negative values")
 
     def copy(self) -> "DistributionField":
@@ -155,40 +158,58 @@ def collision_rate(model: CollisionModel) -> float:
     return 1.0 / model.tau
 
 
-def _moments_of_values(vals: np.ndarray, grid: QuadratureRule):
-    """Vectorized (rho, u, theta, q) of stacked velocity profiles."""
+def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_flux=True):
+    """Vectorized (rho, u, theta, q) of stacked velocity profiles; q is
+    None unless ``heat_flux``.  ``out``, an array of the shape of
+    ``vals``, is used as work space in place of a new array."""
     wts = grid.weights
     xi = grid.nodes
     rho = vals @ wts
     u = (vals @ (xi * wts)) / rho
-    c = xi[None, :] - u[:, None]
-    theta = np.einsum("mn,mn->m", vals, c * c * wts[None, :]) / rho
-    q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
+    c = np.subtract(xi[None, :], u[:, None], out=out)
+    q = None
+    if heat_flux:
+        q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
+    # c * c * wts, in place
+    c *= c
+    c *= wts
+    theta = np.einsum("mn,mn->m", vals, c) / rho
     return rho, u, theta, q
 
 
-def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
-    """Collision targets for stacked profiles (d=1 formulas).  A row whose
-    density or temperature is not positive raises StepError naming the
-    lowest such row."""
+def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None):
+    """Collision targets for stacked profiles (d=1 formulas), written
+    into ``out`` when given (an array of the shape of ``vals`` that does
+    not overlap it).  A row whose density or temperature is not positive
+    raises StepError naming the lowest such row."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho, u, theta, q = _moments_of_values(vals, grid)
+        rho, u, theta, q = _moments_of_values(
+            vals, grid, out, heat_flux=model.kind == "shakhov")
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
         raise StepError("unrealizable moments during collision evaluation", cell=bad)
-    return _target_of_moments(model, rho, u, theta, q, grid)
+    return _target_of_moments(model, rho, u, theta, q, grid, out)
 
 
-def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: QuadratureRule):
-    """Collision targets from stacked moments (rho, u, theta, q) (d=1 formulas)."""
-    c = grid.nodes[None, :] - u[:, None]
+def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: QuadratureRule, out=None):
+    """Collision targets from stacked moments (rho, u, theta, q) (d=1
+    formulas), written into ``out`` when given."""
     th = theta[:, None]
-    feq = rho[:, None] / np.sqrt(2.0 * np.pi * th) * np.exp(-c * c / (2.0 * th))
+    c = np.subtract(grid.nodes[None, :], u[:, None], out=out)
+    factor = None
     if model.kind == "shakhov":
         factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
             c * c / (2.0 * th) - 1.5
         )
-        return feq * factor
+    # rho (2 pi theta)^(-1/2) exp(-c^2 / (2 theta)), in place over c
+    feq = c
+    feq *= c
+    feq /= 2.0 * th
+    np.negative(feq, out=feq)
+    np.exp(feq, out=feq)
+    feq *= rho[:, None] / np.sqrt(2.0 * np.pi * th)
+    if factor is not None:
+        feq *= factor
     # BGK; ES-BGK degenerates to the Maxwellian in d=1 (pressure = theta)
     return feq
 
@@ -322,7 +343,7 @@ def flux_existence_check(
     f = np.asarray(f, dtype=float)
     n = f.size
     step = 1e-4 * (np.abs(f).max() or 1.0)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     def second_cross(h1, h2):
         # symmetric 4-point stencil: O(h^2) clean, no first-order bias

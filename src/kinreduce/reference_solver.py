@@ -1,10 +1,18 @@
 """Discrete-velocity reference solver for the full kinetic equation.
 
 Transport is first-order upwind per velocity node (monotone and
-positivity preserving under the CFL bound); relaxation uses the exact
-exponential update for BGK, whose conserved moments freeze the target,
-and a two-stage explicit RK2 for Shakhov/ES-BGK.  A full run applies
-Strang splitting: half relaxation, transport, half relaxation.
+positivity preserving under the CFL bound).  Relaxation is the exact
+exponential update for BGK and ES-BGK (in d = 1 the ES-BGK target is
+the Maxwellian, relaxed at rate Pr/tau), whose conserved moments freeze
+the target, and a two-stage explicit RK2 for Shakhov.
+
+A run applies Strang splitting, half relaxation, transport, half
+relaxation, per substep.  For the exact relaxations the two half
+relaxations that meet between substeps are one full relaxation, so an
+output interval of n substeps is R(dt/2) T R(dt) T ... R(dt) T R(dt/2):
+n + 1 relaxations, and a Strang-complete state at every output time.
+The substeps write into two arrays they reuse in turn, so a BGK or
+ES-BGK substep allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, StepError
 from .kinetic import (
     CollisionModel,
     DistributionField,
@@ -49,40 +57,49 @@ class KineticTrajectory:
     entropy: np.ndarray
 
 
-def transport_step(state: KineticState, dt: float) -> KineticState:
+def transport_step(state: KineticState, dt: float, out: np.ndarray | None = None) -> KineticState:
     """Upwind transport: downwind difference for xi < 0, upwind for
-    xi > 0, periodic wrap.  Requires dt <= dx / max|xi|."""
+    xi > 0, periodic wrap.  Requires 0 <= dt <= dx / max|xi|.  The new
+    values are written into ``out`` when given: an array of the field's
+    shape that does not overlap it."""
     f = state.f
     xi = f.grid.nodes
     dx = f.mesh.dx
     vmax = np.abs(xi).max()
+    if not dt >= 0.0:
+        raise ParameterError(f"time step must be nonnegative, got {dt}")
     if dt * vmax > dx * (1.0 + 1e-12):
         raise ParameterError(
             f"CFL violation: dt = {dt} exceeds dx/|xi|max = {dx / vmax}"
         )
     vals = f.values
-    nu = dt / dx * xi  # per-node Courant numbers
-    pos = nu > 0.0
-    neg = nu < 0.0
-    new = vals.copy()
-    upwind = vals - np.roll(vals, 1, axis=0)
-    downwind = np.roll(vals, -1, axis=0) - vals
-    new[:, pos] -= nu[pos][None, :] * upwind[:, pos]
-    new[:, neg] -= nu[neg][None, :] * downwind[:, neg]
-    out = DistributionField(new, f.grid, f.mesh)
-    return KineticState(out, state.time + dt)
+    # the nodes increase: columns [0, neg) move left, [pos, n) right
+    neg = int(np.searchsorted(xi, 0.0, side="left"))
+    pos = int(np.searchsorted(xi, 0.0, side="right"))
+    diff = np.empty_like(vals) if out is None else out
+    # upwind f_i - f_{i-1} and downwind f_{i+1} - f_i, periodic
+    np.subtract(vals[1:, pos:], vals[:-1, pos:], out=diff[1:, pos:])
+    np.subtract(vals[0, pos:], vals[-1, pos:], out=diff[0, pos:])
+    np.subtract(vals[1:, :neg], vals[:-1, :neg], out=diff[:-1, :neg])
+    np.subtract(vals[0, :neg], vals[-1, :neg], out=diff[-1, :neg])
+    diff[:, neg:pos] = 0.0
+    diff *= dt / dx * xi  # per-node Courant numbers
+    new = np.subtract(vals, diff, out=diff)
+    return KineticState(DistributionField(new, f.grid, f.mesh), state.time + dt)
 
 
-def relaxation_step(state: KineticState, model: CollisionModel, dt: float) -> KineticState:
-    """Exact exponential relaxation for BGK; explicit RK2 otherwise."""
+def relaxation_step(
+    state: KineticState, model: CollisionModel, dt: float, out: np.ndarray | None = None
+) -> KineticState:
+    """Exact relaxation for BGK and ES-BGK, whose Maxwellian target the
+    relaxation leaves unchanged: f(dt) = M + exp(-rate dt) (f - M) with
+    rate = ``collision_rate(model)``.  Explicit RK2 for Shakhov.  The
+    result is clipped at zero and written into ``out`` when given (as
+    for ``transport_step``)."""
     f = state.f
     vals = f.values
     grid = f.grid
-    if model.kind == "bgk":
-        feq = _target_batch(model, vals, grid)
-        decay = np.exp(-dt / model.tau)
-        new = feq + (vals - feq) * decay
-    else:
+    if model.kind == "shakhov":
         rate = collision_rate(model)
 
         def rhs(v):
@@ -90,10 +107,15 @@ def relaxation_step(state: KineticState, model: CollisionModel, dt: float) -> Ki
 
         k1 = rhs(vals)
         mid = vals + dt * k1
-        new = vals + 0.5 * dt * (k1 + rhs(mid))
-    new = np.maximum(new, 0.0)
-    out = DistributionField(new, grid, f.mesh)
-    return KineticState(out, state.time + dt)
+        new = np.add(vals, 0.5 * dt * (k1 + rhs(mid)), out=out)
+    else:
+        # f + (1 - exp(-rate dt)) (M - f), in the target's buffer
+        new = _target_batch(model, vals, grid, out=out)
+        new -= vals
+        new *= -np.expm1(-collision_rate(model) * dt)
+        new += vals
+    np.maximum(new, 0.0, out=new)
+    return KineticState(DistributionField(new, grid, f.mesh), state.time + dt)
 
 
 def run_reference(
@@ -113,24 +135,36 @@ def run_reference(
     xiPw = np.stack([np.ones_like(xi), xi, xi * xi]) * grid.weights
     times, snaps, totals, entropy = [], [], [], []
 
+    # exact relaxation leaves the BGK/ES-BGK target unchanged, so the two
+    # half relaxations between transports fuse into one full relaxation
+    fuse = model is not None and model.kind != "shakhov"
+    spare = np.empty_like(f0.values)
+
     def advance(state, target):
+        nonlocal spare
         # land exactly on the output time with uniform substeps
         n_sub = max(1, int(np.ceil((target - state.time) / dt_cfl - 1e-12)))
         dt = (target - state.time) / n_sub
-        for _ in range(n_sub):
-            t0 = state.time
-            if model is not None:
-                state = relaxation_step(state, model, 0.5 * dt)
-            state = transport_step(state, dt)
-            if model is not None:
-                state = relaxation_step(state, model, 0.5 * dt)
-            state.time = t0 + dt
+        # each step writes into the array the state does not hold
+        try:
+            for i in range(n_sub):
+                t0 = state.time
+                if model is not None and (i == 0 or not fuse):
+                    state, spare = relaxation_step(state, model, 0.5 * dt, out=spare), state.f.values
+                state, spare = transport_step(state, dt, out=spare), state.f.values
+                if model is not None:
+                    h = dt if fuse and i < n_sub - 1 else 0.5 * dt
+                    state, spare = relaxation_step(state, model, h, out=spare), state.f.values
+                state.time = t0 + dt
+        except StepError as exc:
+            exc.time = t0
+            raise
         return state
 
     def record(state):
         vals = state.f.values
         times.append(state.time)
-        snaps.append(vals)
+        snaps.append(vals.copy())
         totals.append(mesh.dx * (vals @ xiPw.T).sum(axis=0))
         entropy.append(mesh.dx * float(np.add.reduce(entropy_density(vals, grid))))
 

@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.hermite import hermgauss
+from numpy.random import default_rng
 
 from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial, sample_valid_point
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
 from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
 from .projection import (
-    _asymmetry, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams, _symmetrize,
-    coefficients_batch,
+    _asymmetry, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams, _solve_spd,
+    _symmetrize, coefficients_batch,
 )
 from .quadrature import QuadratureRule
 # bound here at import, so that wrapping the solver's own names (as
@@ -297,9 +297,12 @@ def yong_conditions_check(
         raise ParameterError("a0, a1, qu must be square and same size")
     if E.shape[0] != n:
         raise ParameterError("equilibrium basis does not match the state dimension")
+    # numpy's Cholesky factors NaN without complaint
+    if not np.isfinite(a0).all():
+        raise ParameterError("a0 is not SPD: it has NaN or Inf entries")
     try:
-        scipy.linalg.cholesky(0.5 * (a0 + a0.T), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(0.5 * (a0 + a0.T))
+    except np.linalg.LinAlgError as exc:
         raise ParameterError(f"a0 is not SPD: {exc}") from exc
 
     # (ii) symmetrizability
@@ -381,8 +384,9 @@ def _chart_yong_inputs(manifold, model, grid, rho, u, theta):
     basis = _jet(manifold, omega, grid)[1]
     mu = _metric(manifold, omega, grid)
     a0, a1 = (_symmetrize(g)[0] for g in _grams(basis, mu, grid.nodes))
-    a1 = scipy.linalg.solve(a0, a1, assume_a="pos")
-    D = scipy.linalg.solve(a0, basis[0] * mu[0], assume_a="pos")
+    # a0^-1 times the columns of a1 and of the weighted basis rows
+    a1 = _solve_spd(a0, a1.T).T
+    D = _solve_spd(a0, (basis[0] * mu[0]).T).T
     DT, Dm = _target_linearization(model, rho, u, theta, grid)
     qu = _source_jacobian(model, DT, Dm, D, basis[0].T)
     return a0, a1, qu, manifold.equilibrium_tangent()
@@ -413,7 +417,7 @@ def _audit_passes(manifold: Manifold, samples: int, grid: QuadratureRule, seed: 
     omegas of at most ``_AUDIT_PASS_ROWS`` rows."""
     if samples < 1:
         raise ParameterError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for lo in range(0, samples, _AUDIT_PASS_ROWS):
         yield np.stack([
             sample_valid_point(manifold, rng, grid, **ranges).omega

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,22 @@ class TestRuntimeErrors:
         assert "runtime error (cell 7, t = 0)" in err
         assert "not SPD" in err
 
+    def test_reference_failure_names_cell_and_time(self, tmp_path, capsys, monkeypatch):
+        from kinreduce.config import ScenarioConfig
+
+        initial_field = ScenarioConfig.initial_field
+
+        def with_empty_cell(self):
+            field = initial_field(self)
+            field.values[1] = 0.0
+            return field
+
+        monkeypatch.setattr(ScenarioConfig, "initial_field", with_empty_cell)
+        cfg = write_config(tmp_path, base_config())
+        code = main(["reference", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "runtime error (cell 1, t = 0)" in capsys.readouterr().err
+
     def test_two_maxwellian_mix_preset_runs(self, tmp_path):
         doc = base_config(
             manifold={"kind": "conservative_moment", "size": 4},
@@ -260,6 +278,51 @@ class TestReference:
         write_snapshots(tmp_path / "copy.bin", frames, half_width, dx)
         frames2, *_ = read_snapshots(tmp_path / "copy.bin")
         assert np.array_equal(frames, frames2)
+
+
+# the CLI's set-up imports every module a command needs: a module first
+# imported inside a command is paid by every run of that command
+IMPORT_GRAPH = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import kinreduce.cli as cli
+from kinreduce.config import load_config
+assert "scipy" not in sys.modules, "kinreduce.cli imports scipy"
+out = Path(sys.argv[2])
+cfg = load_config(out / "config.json")
+commands = {
+    "reduce": lambda: cli.cmd_reduce(cfg, out / "reduce"),
+    "reference": lambda: cli.cmd_reference(cfg, out / "reference"),
+    "estimate": lambda: cli.cmd_estimate(out / "reduce", out / "reference", out / "estimate"),
+    "audit": lambda: cli.cmd_audit(cfg, out / "audit"),
+}
+added = {}
+for name, run in commands.items():
+    (out / name).mkdir()
+    before = set(sys.modules)
+    assert run() == 0, name
+    added[name] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def test_commands_import_nothing_after_setup(tmp_path):
+    doc = base_config(
+        spatial_mesh={"cells": 4, "length": 1.0},
+        initial_condition={"preset": "sine-density", "rho0": 1.0, "amplitude": 0.1,
+                           "u": 0.0, "theta": 1.0},
+        audit={"samples": 8, "max_degree": 4},
+    )
+    write_config(tmp_path, doc)
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, str(Path(__file__).parents[1] / "src"),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    added = json.loads(run.stdout.splitlines()[-1])
+    assert added == {name: [] for name in ("reduce", "reference", "estimate", "audit")}
 
 
 class TestRunDirectory:

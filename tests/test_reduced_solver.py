@@ -53,6 +53,15 @@ class TestSpectralRadius:
                 p = sample_valid_point(manifold, rng, wide_grid)
                 assert spectral_radius(p, wide_grid) <= wide_grid.half_width + 1e-9
 
+    def test_matches_the_generalized_eigensolver(self, wide_grid, rng):
+        # the one-row view of _pencil_radius_batch against scipy's eigh
+        for manifold in (ConservativeMoment(2), HermitePerturbation(3)):
+            for _ in range(10):
+                p = sample_valid_point(manifold, rng, wide_grid)
+                coef = coefficients_batch(manifold, p.omega, None, wide_grid)
+                lam = scipy.linalg.eigh(coef.a1[0], coef.a0[0], eigvals_only=True)
+                assert spectral_radius(p, wide_grid) == pytest.approx(np.abs(lam).max(), rel=1e-10)
+
     def test_order_zero_spectrum_symmetric(self, grid):
         omega = np.array([1 / np.sqrt(2 * np.pi), 0.0, 1.0])
         coef = coefficients_batch(ConservativeMoment(0), omega, None, grid)

@@ -13,13 +13,19 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce.ansatz import hermite_polynomial
-from kinreduce.kinetic import moments_of_profile
+import kinreduce.reference_solver as reference_solver
+from kinreduce.kinetic import collision_invariants, moments_of_profile
 from kinreduce.reference_solver import (
     KineticState,
     relaxation_step,
     run_reference,
     transport_step,
 )
+
+EXACT_MODELS = [
+    CollisionModel(kind="bgk", tau=0.3),
+    CollisionModel(kind="esbgk", tau=0.3, prandtl=2.0 / 3.0),
+]
 
 
 def gaussian_bump_field(grid, cells, length=1.0, width=0.05):
@@ -119,6 +125,24 @@ class TestRelaxation:
         want = feq_frozen + (f0 - feq_frozen) * np.exp(-t / tau)
         assert np.abs(state.f.values[0] - want).max() <= 1e-12
 
+    def test_esbgk_exact_exponential_at_prandtl_rate(self, grid):
+        # in d = 1 the ES-BGK target is the Maxwellian, relaxed at Pr/tau
+        tau, prandtl = 0.3, 2.0 / 3.0
+        model = CollisionModel(kind="esbgk", tau=tau, prandtl=prandtl)
+        mesh = SpatialMesh(cells=1, length=1.0)
+        xi = grid.nodes
+        feq = maxwellian(MomentState(1.0, 0.0, 1.0), grid)
+        f0 = feq * (1 + 0.05 * (xi**4 - 6 * xi**2 + 3) * np.exp(-(xi**2) / 4))
+        t = 0.12
+        state = relaxation_step(KineticState(DistributionField(f0[None, :], grid, mesh), 0.0),
+                                model, t)
+        M = maxwellian(moments_of_profile(f0, grid), grid)
+        want = M + np.exp(-prandtl * t / tau) * (f0 - M)
+        assert np.abs(state.f.values[0] - want).max() <= 1e-12
+        basis = collision_invariants(grid) * grid.weights
+        before, after = basis @ f0, basis @ state.f.values[0]
+        assert np.abs(after - before).max() <= 1e-14 * np.abs(before).max()
+
     @pytest.mark.parametrize("kind", ["bgk", "shakhov"])
     def test_vanishing_density_names_the_cell(self, grid, kind):
         mesh = SpatialMesh(cells=3, length=1.0)
@@ -182,6 +206,57 @@ class TestRun:
         field = DistributionField(f0[None, :], grid, mesh)
         traj = run_reference(bgk, field, 0.5, output_interval=0.01)
         assert np.diff(traj.entropy).max() <= 1e-10
+
+    def test_vanishing_density_names_the_cell_and_time(self, grid, bgk):
+        mesh = SpatialMesh(cells=3, length=1.0)
+        vals = np.tile(maxwellian(MomentState(1.0, 0.0, 1.0), grid), (3, 1))
+        vals[1] = 0.0
+        with pytest.raises(StepError, match="unrealizable moments") as info:
+            run_reference(bgk, DistributionField(vals, grid, mesh), 0.01)
+        assert info.value.cell == 1
+        assert info.value.time == 0.0
+
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.kind)
+    def test_fused_relaxations_match_half_steps(self, grid, model):
+        # R(dt/2) T R(dt) T ... R(dt) T R(dt/2) against the unfused loop
+        # R(dt/2) T R(dt/2) per substep, at the same output times
+        field = gaussian_bump_field(grid, 32)
+        final, interval, cfl = 0.04, 0.02, 0.45
+        traj = run_reference(model, field, final, cfl=cfl, output_interval=interval)
+        dt_cfl = cfl * field.mesh.dx / np.abs(grid.nodes).max()
+        state = KineticState(field.copy(), 0.0)
+        times, snaps = [0.0], [field.values]
+        for target in (interval, interval + interval):
+            n_sub = max(1, int(np.ceil((target - state.time) / dt_cfl - 1e-12)))
+            dt = (target - state.time) / n_sub
+            for _ in range(n_sub):
+                t0 = state.time
+                state = relaxation_step(state, model, 0.5 * dt)
+                state = transport_step(state, dt)
+                state = relaxation_step(state, model, 0.5 * dt)
+                state.time = t0 + dt
+            times.append(state.time)
+            snaps.append(state.f.values)
+        assert np.array_equal(traj.times, np.array(times))
+        assert np.abs(traj.snapshots - np.array(snaps)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "model,calls",
+        [(EXACT_MODELS[0], lambda n: n + 1), (EXACT_MODELS[1], lambda n: n + 1),
+         (CollisionModel(kind="shakhov", tau=0.3, prandtl=2.0 / 3.0), lambda n: 2 * n)],
+        ids=["bgk", "esbgk", "shakhov"],
+    )
+    def test_relaxations_per_output_interval(self, grid, monkeypatch, model, calls):
+        field = gaussian_bump_field(grid, 32)
+        relax = reference_solver.relaxation_step
+        count = []
+        monkeypatch.setattr(reference_solver, "relaxation_step",
+                            lambda *a, **k: count.append(1) or relax(*a, **k))
+        interval, cfl = 0.02, 0.45
+        run_reference(model, field, 2 * interval, cfl=cfl, output_interval=interval)
+        n_sub = int(np.ceil(interval / (cfl * field.mesh.dx / np.abs(grid.nodes).max())))
+        assert n_sub > 1
+        assert len(count) == 2 * calls(n_sub)
 
     def test_strang_splitting_second_order(self, grid):
         # homogeneous Shakhov: transport is trivial, the splitting and

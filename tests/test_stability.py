@@ -249,7 +249,7 @@ class TestYongConditions:
         import scipy.linalg
 
         from kinreduce import AnsatzPoint
-        from kinreduce.projection import assemble_coefficients
+        from kinreduce.projection import _solve_spd, assemble_coefficients
         from kinreduce.stability import _chart_yong_inputs
 
         model = CollisionModel(kind, tau=0.5, prandtl=prandtl)
@@ -262,7 +262,9 @@ class TestYongConditions:
         coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
         a0, a1, qu, eq = _chart_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
         assert np.array_equal(a0, coef.a0)
-        assert np.array_equal(a1, scipy.linalg.solve(coef.a0, coef.a1, assume_a="pos"))
+        assert np.array_equal(a1, _solve_spd(coef.a0, coef.a1.T).T)
+        want_a1 = scipy.linalg.solve(coef.a0, coef.a1, assume_a="pos")
+        assert np.abs(a1 - want_a1).max() <= 1e-12 * np.abs(want_a1).max()
         want = _central_jacobian(rhs, omega)
         assert np.abs(qu - want).max() <= 1e-8 * np.abs(want).max()
         assert np.abs(qu @ eq).max() <= 1e-12 * np.abs(qu).max()
