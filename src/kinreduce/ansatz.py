@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 
 from .errors import (
     ConfigurationError,
@@ -68,6 +67,11 @@ _NEWTON_TOL = 1e-11
 # rows per chunk of the cold starts' resultant scan (801 points a row)
 _NODE_PASS_ROWS = 128
 _SCAN_CHUNK_ROWS = 16
+
+# audit sampling: the default (lo, hi) of each range keyword, and the
+# exhaustion rule, a point fails after this many consecutive rejections
+_SAMPLE_RANGES = {"rho_range": (0.5, 2.0), "u_range": (-1.0, 1.0), "theta_range": (0.5, 1.5)}
+_SAMPLE_MAX_REJECTS = 500
 
 
 def hermite_polynomials(n: int, x: np.ndarray) -> list[np.ndarray]:
@@ -440,11 +444,12 @@ class ConservativeMoment:
             out[r].append(guesses[r])
         return out
 
-    def equilibrium_params(self, rho: float, u: float, theta: float) -> np.ndarray:
-        omega = np.zeros(self.dim)
-        omega[0] = rho / np.sqrt(2.0 * np.pi * theta)
-        omega[-2] = u
-        omega[-1] = theta
+    def equilibrium_params(self, rho, u, theta) -> np.ndarray:
+        """The Maxwellian (rho, u, theta); arrays give one row each."""
+        omega = np.zeros(np.shape(rho) + (self.dim,))
+        omega[..., 0] = rho / np.sqrt(2.0 * np.pi * theta)
+        omega[..., -2] = u
+        omega[..., -1] = theta
         return omega
 
     def equilibrium_tangent(self) -> np.ndarray:
@@ -455,38 +460,43 @@ class ConservativeMoment:
         e[-1, 2] = 1.0
         return e
 
-    def sample(self, rng: np.random.Generator, grid: QuadratureRule, **ranges) -> np.ndarray:
-        rho_lo, rho_hi = ranges.get("rho_range", (0.5, 2.0))
-        u_lo, u_hi = ranges.get("u_range", (-1.0, 1.0))
-        th_lo, th_hi = ranges.get("theta_range", (0.5, 1.5))
-        for _ in range(500):
-            rho = rng.uniform(rho_lo, rho_hi)
-            u = rng.uniform(u_lo, u_hi)
-            theta = rng.uniform(th_lo, th_hi)
-            omega = self.equilibrium_params(rho, u, theta)
-            if self.degree > 0:
-                # perturbing polynomial in the scaled variable z keeps
-                # rejection rates low while leaving the top coefficient
-                # large enough for a well-conditioned chart
-                s = 2.5 * np.sqrt(theta)
-                beta = rng.uniform(-0.3, 0.3, size=self.degree) * 3.0 ** (
-                    -np.arange(self.degree)
-                )
-                if abs(beta[-1]) < 0.05 * 3.0 ** (1 - self.degree):
-                    continue
-                # coefficients of p(z(xi)) with p = 1 + sum beta_j z^j and
-                # z = (xi - u)/s, composed by Horner's rule
-                z = np.array([-u / s, 1.0 / s])
-                coeffs = np.array([beta[-1]])
-                for b in (1.0, *beta)[-2::-1]:
-                    coeffs = P.polyadd(b, P.polymul(coeffs, z))
-                if P.polyval(grid.nodes, coeffs).min() <= 1e-4:
-                    continue  # the polynomial factor must stay positive on [-L, L]
-                if coeffs.size < self.degree + 1:
-                    coeffs = np.pad(coeffs, (0, self.degree + 1 - coeffs.size))
-                omega[: self.degree + 1] = omega[0] * coeffs
-            return omega
-        raise RuntimeError("failed to sample a valid ConservativeMoment point")
+    def sample_batch(
+        self, rng: np.random.Generator, grid: QuadratureRule, count: int, **ranges
+    ) -> np.ndarray:
+        """``count`` random valid points, shape (count, d): a Maxwellian
+        from the ranges times p(z) = 1 + sum beta_j z^j in the scaled
+        variable z = (xi - u)/s, s = 2.5 sqrt(theta), which keeps
+        rejection rates low while leaving the top coefficient large
+        enough for a well-conditioned chart; p must stay above 1e-4 on
+        the nodes."""
+        N = self.degree
+        scale = 3.0 ** (-np.arange(N))
+        top_min = 0.05 * 3.0 ** (1 - N)
+
+        def trial(x):
+            rho, u, theta = x[:, 0], x[:, 1], x[:, 2]
+            omegas = self.equilibrium_params(rho, u, theta)
+            if N == 0:
+                return np.ones(len(x), dtype=bool), omegas
+            beta = x[:, 3:] * scale
+            s = 2.5 * np.sqrt(theta)
+            z0, z1 = (-u / s)[:, None], (1.0 / s)[:, None]
+            # coefficients of p(z(xi)), composed by Horner's rule
+            coeffs = beta[:, -1:]
+            for j in range(N - 2, -2, -1):
+                new = np.empty((len(x), coeffs.shape[1] + 1))
+                new[:, :1] = (beta[:, j, None] if j >= 0 else 1.0) + coeffs[:, :1] * z0
+                new[:, 1:-1] = coeffs[:, 1:] * z0 + coeffs[:, :-1] * z1
+                new[:, -1:] = coeffs[:, -1:] * z1
+                coeffs = new
+            vals = coeffs[:, -1, None] * np.ones(len(grid))
+            for k in range(N - 1, -1, -1):
+                vals = coeffs[:, k, None] + vals * grid.nodes
+            ok = (np.abs(beta[:, -1]) >= top_min) & (vals.min(axis=1) > 1e-4)
+            omegas[:, : N + 1] = omegas[:, :1] * coeffs
+            return ok, omegas
+
+        return _sample_rounds(self, rng, grid, count, ranges, [-0.3] * N, [0.3] * N, trial)
 
 
 class HermitePerturbation:
@@ -567,8 +577,8 @@ class HermitePerturbation:
         return np.exp(expo)
 
     def equilibrium_params(self, rho, u, theta):
-        omega = np.zeros(self.dim)
-        omega[:3] = (rho, u, theta)
+        omega = np.zeros(np.shape(rho) + (self.dim,))
+        omega[..., 0], omega[..., 1], omega[..., 2] = rho, u, theta
         return omega
 
     def equilibrium_tangent(self):
@@ -576,24 +586,26 @@ class HermitePerturbation:
         e[0, 0] = e[1, 1] = e[2, 2] = 1.0
         return e
 
-    def sample(self, rng, grid, **ranges):
-        rho_lo, rho_hi = ranges.get("rho_range", (0.5, 2.0))
-        u_lo, u_hi = ranges.get("u_range", (-1.0, 1.0))
-        th_lo, th_hi = ranges.get("theta_range", (0.5, 1.5))
+    def sample_batch(self, rng, grid, count, **ranges):
+        """``count`` random valid points, shape (count, d): a Maxwellian
+        from the ranges and each free alpha_k uniform within
+        0.4 / (n_free max|He_k(w)|) on the nodes; f must stay positive
+        on the nodes."""
         n_free = self.degree - 2
-        for _ in range(500):
-            rho = rng.uniform(rho_lo, rho_hi)
-            u = rng.uniform(u_lo, u_hi)
-            theta = rng.uniform(th_lo, th_hi)
-            omega = self.equilibrium_params(rho, u, theta)
-            w = (grid.nodes - u) / np.sqrt(theta)
+
+        def trial(x):
+            rho, u, theta = x[:, 0], x[:, 1], x[:, 2]
+            omegas = self.equilibrium_params(rho, u, theta)
+            w = (grid.nodes[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
+            he = hermite_polynomials(self.degree, w)
             for j, k in enumerate(range(3, self.degree + 1)):
-                cap = 0.4 / (n_free * np.abs(hermite_polynomial(k, w)).max())
-                omega[3 + j] = rng.uniform(-cap, cap)
-            vals = self.values_batch(omega, grid.nodes)
-            if vals.min() > 0.0:
-                return omega
-        raise RuntimeError("failed to sample a valid HermitePerturbation point")
+                cap = 0.4 / (n_free * np.abs(he[k]).max(axis=1))
+                omegas[:, 3 + j] = -cap + 2.0 * cap * x[:, 3 + j]
+            return self.values_batch(omegas, grid.nodes).min(axis=1) > 0.0, omegas
+
+        return _sample_rounds(
+            self, rng, grid, count, ranges, [0.0] * n_free, [1.0] * n_free, trial
+        )
 
 
 class EntropyClosure:
@@ -641,10 +653,10 @@ class EntropyClosure:
     def equilibrium_params(self, rho, u, theta):
         if self.n < 3:
             raise ParameterError("need n >= 3 to represent a Maxwellian")
-        omega = np.zeros(self.dim)
-        omega[0] = np.log(rho / np.sqrt(2.0 * np.pi * theta)) - u * u / (2.0 * theta)
-        omega[1] = u / theta
-        omega[2] = -1.0 / (2.0 * theta)
+        omega = np.zeros(np.shape(rho) + (self.dim,))
+        omega[..., 0] = np.log(rho / np.sqrt(2.0 * np.pi * theta)) - u * u / (2.0 * theta)
+        omega[..., 1] = u / theta
+        omega[..., 2] = -1.0 / (2.0 * theta)
         return omega
 
     def equilibrium_tangent(self):
@@ -652,19 +664,19 @@ class EntropyClosure:
         e[0, 0] = e[1, 1] = e[2, 2] = 1.0
         return e
 
-    def sample(self, rng, grid, **ranges):
-        rho_lo, rho_hi = ranges.get("rho_range", (0.5, 2.0))
-        u_lo, u_hi = ranges.get("u_range", (-1.0, 1.0))
-        th_lo, th_hi = ranges.get("theta_range", (0.5, 1.5))
+    def sample_batch(self, rng, grid, count, **ranges):
+        """``count`` random points, shape (count, d): a Maxwellian from
+        the ranges and each alpha_p, p >= 3, uniform within
+        0.3 / (max(n - 3, 1) max|xi^p|) on the nodes; never rejected."""
         n_extra = max(self.n - 3, 1)
-        rho = rng.uniform(rho_lo, rho_hi)
-        u = rng.uniform(u_lo, u_hi)
-        theta = rng.uniform(th_lo, th_hi)
-        omega = self.equilibrium_params(rho, u, theta)
-        for p in range(3, self.n):
-            cap = 0.3 / (n_extra * np.abs(grid.nodes**p).max())
-            omega[p] = rng.uniform(-cap, cap)
-        return omega
+        caps = [0.3 / (n_extra * np.abs(grid.nodes**p).max()) for p in range(3, self.n)]
+
+        def trial(x):
+            omegas = self.equilibrium_params(x[:, 0], x[:, 1], x[:, 2])
+            omegas[:, 3:] = x[:, 3:]
+            return np.ones(len(x), dtype=bool), omegas
+
+        return _sample_rounds(self, rng, grid, count, ranges, [-c for c in caps], caps, trial)
 
 
 Manifold = ConservativeMoment | HermitePerturbation | EntropyClosure
@@ -685,6 +697,43 @@ class AnsatzPoint:
                 f"omega has shape {omega.shape}, manifold dimension is {self.manifold.dim}"
             )
         self.manifold.check_params(omega)
+
+
+def _sample_rounds(manifold, rng, grid, count, ranges, extra_lo, extra_hi, trial):
+    """``count`` accepted points of a manifold's sampler, shape (count, d).
+    An attempt is one row of ``rng.uniform(lo, hi)``: rho, u and theta
+    from the ranges, then the manifold's extra columns; ``trial`` maps a
+    block of attempts to (accepted mask, omegas).  A round draws no more
+    attempts than there are points missing, nor more than the run of
+    rejections left, so the points, their order and the generator's
+    final state are those of drawing one attempt at a time."""
+    unknown = sorted(set(ranges) - set(_SAMPLE_RANGES))
+    if unknown:
+        raise ParameterError(
+            f"unknown sample range keyword(s) {', '.join(unknown)}; "
+            f"expected {', '.join(_SAMPLE_RANGES)}"
+        )
+    bounds = {key: tuple(ranges.get(key, dflt)) for key, dflt in _SAMPLE_RANGES.items()}
+    lo = np.array([b[0] for b in bounds.values()] + list(extra_lo), dtype=float)
+    hi = np.array([b[1] for b in bounds.values()] + list(extra_hi), dtype=float)
+    out = np.empty((count, manifold.dim))
+    done = misses = 0  # misses: rejected attempts since the last accepted one
+    while done < count:
+        k = min(count - done, _NODE_PASS_ROWS, _SAMPLE_MAX_REJECTS - misses)
+        ok, omegas = trial(rng.uniform(lo, hi, size=(k, lo.size)))
+        hits = np.flatnonzero(ok)
+        out[done : done + hits.size] = omegas[hits]
+        done += hits.size
+        misses = misses + k if hits.size == 0 else k - 1 - int(hits[-1])
+        if misses == _SAMPLE_MAX_REJECTS:
+            shown = ", ".join(f"{key}={b}" for key, b in bounds.items())
+            raise ConfigurationError(
+                f"failed to sample a valid {manifold.name} point: "
+                f"{_SAMPLE_MAX_REJECTS} consecutive draws rejected on the velocity "
+                f"grid of half width {grid.half_width} with {shown}"
+            )
+    manifold.check_params(out)
+    return out
 
 
 def _guard_weight(exponent: np.ndarray) -> None:
@@ -1120,5 +1169,6 @@ def sample_valid_point(
     grid: QuadratureRule,
     **ranges,
 ) -> AnsatzPoint:
-    """Random valid point for audits; deterministic given the generator."""
-    return AnsatzPoint(manifold, manifold.sample(rng, grid, **ranges))
+    """Random valid point for audits, deterministic given the generator:
+    the one-row view of ``sample_batch``."""
+    return AnsatzPoint(manifold, manifold.sample_batch(rng, grid, 1, **ranges)[0])

@@ -78,13 +78,13 @@ def cmd_audit(cfg: ScenarioConfig, out_dir: Path) -> int:
     speed = propagation_speed_audit(manifold, cfg.audit_samples, grid, seed=cfg.audit_seed)
 
     gusc = {}
+    dim = cfg.audit_dimension
+    space = HermiteSpace(dim, cfg.audit_max_degree)
     for kind in ("bgk", "shakhov", "esbgk"):
-        dim = cfg.audit_dimension
         prandtl = cfg.prandtl
         if kind == "esbgk":
             prandtl = max(prandtl, (dim - 1) / dim + 1e-9)
         model = CollisionModel(kind=kind, tau=cfg.tau, prandtl=prandtl)
-        space = HermiteSpace(dim, cfg.audit_max_degree)
         D = linearized_collision_matrix(model, space)
         lam = min(prandtl, 1.0) / cfg.tau if kind != "bgk" else 1.0 / cfg.tau
         if cfg.audit_lambda_claim is not None and kind == cfg.collision_kind:

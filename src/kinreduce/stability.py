@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.random import default_rng
 
-from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial, sample_valid_point
+from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
 from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
 from .projection import (
@@ -412,17 +412,14 @@ def assemble_yong_report(
 
 
 def _audit_passes(manifold: Manifold, samples: int, grid: QuadratureRule, seed: int, **ranges):
-    """The points both sampled audits check: the first ``samples`` draws
-    of ``sample_valid_point`` from ``default_rng(seed)``, as stacked
-    omegas of at most ``_AUDIT_PASS_ROWS`` rows."""
+    """The points both sampled audits check: the first ``samples`` rows
+    of the manifold's ``sample_batch`` from ``default_rng(seed)``, one
+    call per stack of at most ``_AUDIT_PASS_ROWS`` rows."""
     if samples < 1:
         raise ParameterError("need at least one sample")
     rng = default_rng(seed)
     for lo in range(0, samples, _AUDIT_PASS_ROWS):
-        yield np.stack([
-            sample_valid_point(manifold, rng, grid, **ranges).omega
-            for _ in range(min(_AUDIT_PASS_ROWS, samples - lo))
-        ])
+        yield manifold.sample_batch(rng, grid, min(_AUDIT_PASS_ROWS, samples - lo), **ranges)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from kinreduce import (
     HermitePerturbation,
     InversionError,
     MomentState,
+    ParameterError,
     RealizabilityError,
     SpatialMesh,
     DistributionField,
@@ -369,7 +370,7 @@ class TestBatchedLadder:
         rng = np.random.default_rng(7)
         kinds = {"converged": [], "jitter": [], "cold": []}
         for trial in range(90):
-            p = cm.sample(rng, grid)
+            p = cm.sample_batch(rng, grid, 1)[0]
             c = cm.raw_moments_batch(p[None, :], grid)
             warm = p.copy()
             if trial % 3 == 1:
@@ -466,7 +467,7 @@ class TestBatchedLadder:
     def test_cold_start_candidates_per_row(self, degree, wide_grid):
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(300 + degree)
-        rows = [cm.raw_moments_batch(cm.sample(rng, wide_grid)[None, :], wide_grid)[0]
+        rows = [cm.raw_moments_batch(cm.sample_batch(rng, wide_grid, 1)[0][None, :], wide_grid)[0]
                 for _ in range(3)]
         mix = two_maxwellian(wide_grid, 0.7, -0.6, 0.6, 0.3, 1.4, 0.5)
         rows.append(np.stack([wide_grid.nodes**k for k in range(degree + 3)])
@@ -486,7 +487,8 @@ class TestBatchedLadder:
         # no realizable degree-2 point has the moments of this mixture
         cm = ConservativeMoment(2)
         rng = np.random.default_rng(11)
-        good = [cm.raw_moments_batch(cm.sample(rng, grid)[None, :], grid)[0] for _ in range(3)]
+        good = [cm.raw_moments_batch(cm.sample_batch(rng, grid, 1)[0][None, :], grid)[0]
+                for _ in range(3)]
         mix = two_maxwellian(grid, 0.5, -2.0, 0.6, 0.5, 2.0, 0.6)
         bad = np.stack([grid.nodes**k for k in range(5)]) @ (mix * grid.weights)
         C = np.stack([good[0], good[1], bad, good[2]])
@@ -560,7 +562,7 @@ class TestMomentJet:
         grid = truncated_rule(half_width, cells)
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(40 + degree)
-        omegas = [cm.sample(rng, grid, u_range=(-2.0, 2.0)) for _ in range(8)]
+        omegas = [cm.sample_batch(rng, grid, 1, u_range=(-2.0, 2.0))[0] for _ in range(8)]
         omegas += [cm.equilibrium_params(rho, u, theta)
                    for rho, u, theta in ((1.0, -2.0, 0.5), (0.7, 2.0, 1.4), (1.3, 0.3, 0.9))]
         omegas = np.stack(omegas)
@@ -600,12 +602,108 @@ def polynomial_object_sample(cm, rng, grid):
     raise RuntimeError("no sample")
 
 
+def per_point_sample(manifold, rng, grid, **ranges):
+    """The per-point samplers as they were before ``sample_batch``: one
+    rejection attempt at a time, a point after at most 500 attempts.
+    The reference for the stacked draws."""
+    rho_lo, rho_hi = ranges.get("rho_range", (0.5, 2.0))
+    u_lo, u_hi = ranges.get("u_range", (-1.0, 1.0))
+    th_lo, th_hi = ranges.get("theta_range", (0.5, 1.5))
+    if isinstance(manifold, EntropyClosure):
+        n_extra = max(manifold.n - 3, 1)
+        rho = rng.uniform(rho_lo, rho_hi)
+        u = rng.uniform(u_lo, u_hi)
+        theta = rng.uniform(th_lo, th_hi)
+        omega = manifold.equilibrium_params(rho, u, theta)
+        for p in range(3, manifold.n):
+            cap = 0.3 / (n_extra * np.abs(grid.nodes**p).max())
+            omega[p] = rng.uniform(-cap, cap)
+        return omega
+    for _ in range(500):
+        rho = rng.uniform(rho_lo, rho_hi)
+        u = rng.uniform(u_lo, u_hi)
+        theta = rng.uniform(th_lo, th_hi)
+        omega = manifold.equilibrium_params(rho, u, theta)
+        if isinstance(manifold, HermitePerturbation):
+            n_free = manifold.degree - 2
+            w = (grid.nodes - u) / np.sqrt(theta)
+            for j, k in enumerate(range(3, manifold.degree + 1)):
+                cap = 0.4 / (n_free * np.abs(ansatz.hermite_polynomial(k, w)).max())
+                omega[3 + j] = rng.uniform(-cap, cap)
+            if manifold.values_batch(omega, grid.nodes).min() > 0.0:
+                return omega
+            continue
+        if manifold.degree > 0:
+            s = 2.5 * np.sqrt(theta)
+            beta = rng.uniform(-0.3, 0.3, size=manifold.degree) * 3.0 ** (
+                -np.arange(manifold.degree)
+            )
+            if abs(beta[-1]) < 0.05 * 3.0 ** (1 - manifold.degree):
+                continue
+            z = np.array([-u / s, 1.0 / s])
+            coeffs = np.array([beta[-1]])
+            for b in (1.0, *beta)[-2::-1]:
+                coeffs = np.polynomial.polynomial.polyadd(
+                    b, np.polynomial.polynomial.polymul(coeffs, z)
+                )
+            if np.polynomial.polynomial.polyval(grid.nodes, coeffs).min() <= 1e-4:
+                continue
+            if coeffs.size < manifold.degree + 1:
+                coeffs = np.pad(coeffs, (0, manifold.degree + 1 - coeffs.size))
+            omega[: manifold.degree + 1] = omega[0] * coeffs
+        return omega
+    raise RuntimeError("no sample")
+
+
 class TestConservativeMomentSampler:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_draws_match_the_polynomial_object_sampler(self, degree, wide_grid):
         cm = ConservativeMoment(degree)
         for seed in (0, 1, 7):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = np.stack([cm.sample(r1, wide_grid) for _ in range(60)])
+            got = np.stack([cm.sample_batch(r1, wide_grid, 1)[0] for _ in range(60)])
             want = np.stack([polynomial_object_sample(cm, r2, wide_grid) for _ in range(60)])
             assert np.array_equal(got, want)
+
+
+SAMPLERS = (
+    [ConservativeMoment(n) for n in range(5)]
+    + [HermitePerturbation(n) for n in (3, 4, 5)]
+    + [EntropyClosure(n) for n in (3, 4, 5)]
+)
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("ranges", [{}, {"u_range": (-2, 2)}], ids=["default", "u2"])
+    @pytest.mark.parametrize("manifold", SAMPLERS, ids=lambda m: m.name)
+    def test_matches_the_per_point_loop(self, manifold, ranges, grid):
+        """Same points, same order, same generator state afterwards as
+        drawing one point at a time."""
+        counts = (1, 60, 300)
+        for seed in (0, 1, 7, 42):
+            ref = np.random.default_rng(seed)
+            want, states = [], {}
+            for i in range(1, counts[-1] + 1):
+                want.append(per_point_sample(manifold, ref, grid, **ranges))
+                if i in counts:
+                    states[i] = ref.bit_generator.state
+            for count in counts:
+                rng = np.random.default_rng(seed)
+                got = manifold.sample_batch(rng, grid, count, **ranges)
+                assert got.shape == (count, manifold.dim)
+                assert np.array_equal(got, np.stack(want[:count]))
+                assert rng.bit_generator.state == states[count]
+
+    @pytest.mark.parametrize("manifold", SAMPLERS[2:9:3], ids=lambda m: m.name)
+    def test_unknown_range_keyword_is_rejected(self, manifold, grid):
+        with pytest.raises(ParameterError, match="u_rnage"):
+            manifold.sample_batch(np.random.default_rng(0), grid, 3, u_rnage=(-2.0, 2.0))
+
+    def test_exhausted_sampler_is_a_configuration_error(self):
+        # no degree-1 polynomial 1 + beta z stays positive on [-100, 100]
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError) as info:
+            ConservativeMoment(1).sample_batch(rng, truncated_rule(100.0, 64), 5)
+        msg = str(info.value)
+        assert "conservative_moment(N=1)" in msg and "half width 100.0" in msg
+        assert "theta_range=(0.5, 1.5)" in msg

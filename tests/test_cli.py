@@ -17,6 +17,9 @@ from kinreduce.io import (
 )
 
 
+DEMO_AUDIT = Path(__file__).resolve().parents[1] / "configs" / "demo_audit.json"
+
+
 def base_config(**overrides):
     doc = {
         "manifold": {"kind": "conservative_moment", "size": 2},
@@ -387,6 +390,30 @@ class TestAudit:
         rep = json.loads((out / "stability.json").read_text())
         assert not rep["gusc"]["shakhov"]["pass"]
         assert rep["gusc"]["shakhov"]["worst_quotient"] == pytest.approx(-0.7, abs=1e-8)
+
+
+    def test_unsamplable_manifold_exits_two(self, tmp_path, capsys):
+        # no degree-1 polynomial factor stays positive on [-100, 100]
+        doc = json.loads(DEMO_AUDIT.read_text(encoding="utf-8"))
+        doc["manifold"]["size"] = 1
+        doc["velocity_grid"]["half_width"] = 100.0
+        cfg = write_config(tmp_path, doc)
+        code = main(["audit", "--config", str(cfg), "--out", str(tmp_path / "aud")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: failed to sample a valid conservative_moment(N=1) point")
+        assert "half width 100.0" in err and "u_range=(-1.0, 1.0)" in err
+
+    def test_demo_audit_builds_no_ansatz_point(self, tmp_path, monkeypatch):
+        from kinreduce.ansatz import AnsatzPoint
+
+        def refuse(self):
+            raise AssertionError("the audit built an AnsatzPoint")
+
+        monkeypatch.setattr(AnsatzPoint, "__post_init__", refuse)
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(DEMO_AUDIT), "--out", str(out)]) == 0
+        assert (out / "stability.json").is_file()
 
 
 class TestEstimate:
