@@ -37,6 +37,7 @@ from .errors import (
 )
 from .kinetic import DistributionField
 from .quadrature import QuadratureRule
+from .workspace import WorkArrays, centered, take
 
 __all__ = [
     "ConservativeMoment",
@@ -74,13 +75,22 @@ _SAMPLE_RANGES = {"rho_range": (0.5, 2.0), "u_range": (-1.0, 1.0), "theta_range"
 _SAMPLE_MAX_REJECTS = 500
 
 
-def hermite_polynomials(n: int, x: np.ndarray) -> list[np.ndarray]:
-    """He_0..He_n at x by the three-term recurrence."""
+def hermite_polynomials(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """He_0..He_n at x by the three-term recurrence, stacked in one
+    array of shape (n + 1,) + x.shape, written into ``out`` when given."""
     x = np.asarray(x, dtype=float)
-    he = [np.ones_like(x), x.copy()]
+    he = np.empty((n + 1,) + x.shape) if out is None else out
+    he[0] = 1.0
+    if n >= 1:
+        he[1] = x
     for j in range(1, n):
-        he.append(x * he[j] - j * he[j - 1])
-    return he[: n + 1]
+        np.multiply(x, he[j], out=he[j + 1])
+        if j > 1:
+            # He_0 is spent after the first step: it holds j He_{j-1}
+            np.multiply(he[j - 1], j, out=he[0])
+        he[j + 1] -= he[0]
+    he[0] = 1.0
+    return he
 
 
 def hermite_polynomial(k: int, x: np.ndarray) -> np.ndarray:
@@ -110,57 +120,74 @@ class ConservativeMoment:
         if np.any(theta <= 0.0) or not np.all(np.isfinite(omega)):
             raise RealizabilityError("ConservativeMoment needs finite omega, theta > 0")
 
-    def _factors(self, omegas: np.ndarray, xi: np.ndarray):
+    def _factors(self, omegas: np.ndarray, xi: np.ndarray, work: WorkArrays | None = None):
         """xi - u, the Gaussian factor and the polynomial factor on the
         nodes, one row per omega."""
         alpha, u, theta = self.split(omegas)
-        c = xi[None, :] - u[:, None]
-        gauss = np.exp(-c * c / (2.0 * theta[:, None]))
-        poly = np.zeros_like(gauss)
+        shape = (omegas.shape[0], xi.size)
+        c = centered(xi, u, take(work, "node.c", shape))
+        # exp(-c * c / (2 theta))
+        gauss = np.negative(c, out=take(work, "node.exp", shape))
+        gauss *= c
+        gauss /= 2.0 * theta[:, None]
+        np.exp(gauss, out=gauss)
+        poly = take(work, "cm.poly", shape)
+        poly.fill(0.0)
         for k in range(self.degree, -1, -1):  # Horner
-            poly = poly * xi[None, :] + alpha[:, k, None]
+            poly *= xi[None, :]
+            poly += alpha[:, k, None]
         return c, gauss, poly
 
-    def values_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    def values_batch(self, omegas: np.ndarray, xi: np.ndarray, work: WorkArrays | None = None):
         omegas = np.atleast_2d(omegas)
-        out = np.empty((omegas.shape[0], xi.size))
+        out = take(work, "values", (omegas.shape[0], xi.size))
         for lo in range(0, omegas.shape[0], _NODE_PASS_ROWS):
-            _, gauss, poly = self._factors(omegas[lo : lo + _NODE_PASS_ROWS], xi)
+            _, gauss, poly = self._factors(omegas[lo : lo + _NODE_PASS_ROWS], xi, work)
             np.multiply(gauss, poly, out=out[lo : lo + _NODE_PASS_ROWS])
         return out
 
-    def jet_batch(self, omegas: np.ndarray, xi: np.ndarray):
+    def jet_batch(self, omegas: np.ndarray, xi: np.ndarray, work: WorkArrays | None = None):
         """f and the chart tangent basis from one evaluation, shapes
         (m, n) and (m, d, n); f equals ``values_batch``."""
         omegas = np.atleast_2d(omegas)
         _, _, theta = self.split(omegas)
-        c, gauss, poly = self._factors(omegas, xi)
-        f = gauss * poly
-        basis = np.empty((omegas.shape[0], self.dim, xi.size))
-        pw = np.ones_like(gauss)
+        c, gauss, poly = self._factors(omegas, xi, work)
+        f = np.multiply(gauss, poly, out=take(work, "values", c.shape))
+        basis = take(work, "basis", (omegas.shape[0], self.dim, xi.size))
+        # the polynomial factor is spent: it holds the powers of xi
+        pw = poly
+        pw.fill(1.0)
         for k in range(self.degree + 1):
-            basis[:, k, :] = gauss * pw
-            pw = pw * xi[None, :]
-        basis[:, self.degree + 1, :] = c / theta[:, None] * f
-        basis[:, self.degree + 2, :] = c * c / (2.0 * theta[:, None] ** 2) * f
+            np.multiply(gauss, pw, out=basis[:, k, :])
+            pw *= xi[None, :]
+        b = np.divide(c, theta[:, None], out=basis[:, self.degree + 1, :])
+        b *= f
+        b = np.multiply(c, c, out=basis[:, self.degree + 2, :])
+        b /= 2.0 * theta[:, None] ** 2
+        b *= f
         return f, basis
 
     def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.jet_batch(omegas, xi)[1]
 
-    def weight_batch(self, omegas, xi):
+    def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta = self.split(np.atleast_2d(omegas))
-        expo = (xi[None, :] - u[:, None]) ** 2 / (2.0 * theta[:, None])
+        shape = (u.size, xi.size)
+        # (xi - u)^2 / (2 theta)
+        expo = centered(xi, u, take(work, "weight", shape))
+        np.square(expo, out=expo)
+        expo /= 2.0 * theta[:, None]
         _guard_weight(expo)
-        return np.exp(expo)
+        return np.exp(expo, out=expo)
 
-    def moment_frame_grams_batch(self, omegas, grid: QuadratureRule):
+    def moment_frame_grams_batch(self, omegas, grid: QuadratureRule,
+                                 work: WorkArrays | None = None):
         """Gram matrices (M, V) of the monomial frame under the manifold
         metric, one pair per row of ``omegas``: M_kl = int xi^{k+l} G dxi,
         V_kl = int xi^{k+l+1} G dxi.  Hankel structure makes them exactly
         symmetric; M is SPD for any (u, theta)."""
         _, u, theta = self.split(np.atleast_2d(omegas))
-        powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1)
+        powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1, work)
         k = np.arange(self.n_moments)
         M = powers[:, k[:, None] + k[None, :]]
         V = powers[:, k[:, None] + k[None, :] + 1]
@@ -169,7 +196,7 @@ class ConservativeMoment:
     def raw_moments_batch(self, omegas, grid: QuadratureRule):
         """Raw moments int xi^k f dxi for k = 0..N+2."""
         vals = self.values_batch(omegas, grid.nodes)
-        xiP = _xi_powers(grid, self.n_moments - 1)
+        xiP = grid.xi_powers(self.n_moments - 1)
         return vals @ (xiP * grid.weights).T
 
     def gaussian_fit(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,62 +546,104 @@ class HermitePerturbation:
         if np.any(rho <= 0.0) or np.any(theta <= 0.0) or not np.all(np.isfinite(omega)):
             raise RealizabilityError("HermitePerturbation needs rho > 0, theta > 0")
 
-    def _series(self, alpha, he):
-        """The Hermite series s = sum_k alpha_k He_k."""
-        s = np.zeros_like(he[0])
+    def _one_plus_series(self, alpha, he, scratch, work):
+        """1 + s with the Hermite series s = sum_k alpha_k He_k."""
+        s = take(work, "hp.s", scratch.shape)
+        s.fill(0.0)
         for j, k in enumerate(range(3, self.degree + 1)):
-            s += alpha[..., j, None] * he[k]
+            s += np.multiply(alpha[..., j, None], he[k], out=scratch)
+        s += 1.0
         return s
 
-    def _dseries(self, alpha, he):
+    def _dseries(self, alpha, he, scratch, work):
         """ds/dw, by He_k' = k He_{k-1}."""
-        ds = np.zeros_like(he[0])
+        ds = take(work, "hp.ds", scratch.shape)
+        ds.fill(0.0)
         for j, k in enumerate(range(3, self.degree + 1)):
-            ds += alpha[..., j, None] * k * he[k - 1]
+            ds += np.multiply(alpha[..., j, None] * k, he[k - 1], out=scratch)
         return ds
 
-    def _factors(self, omegas, xi):
+    def _factors(self, omegas, xi, work: WorkArrays | None = None):
         """sqrt(theta), w = (xi - u)/sqrt(theta), the standard Gaussian
-        phi(w), He_0..He_N(w) and rho/sqrt(theta), one row per omega."""
+        phi(w), He_0..He_N(w) stacked and rho/sqrt(theta), one row per
+        omega."""
         rho, u, theta, _ = self.split(omegas)
+        shape = (omegas.shape[0], xi.size)
         rt = np.sqrt(theta)
-        w = (xi[None, :] - u[:, None]) / rt[:, None]
-        phi = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
-        return rt, w, phi, hermite_polynomials(self.degree, w), rho[:, None] / rt[:, None]
+        w = centered(xi, u, take(work, "hp.w", shape))
+        w /= rt[:, None]
+        # exp(-0.5 * w * w) / sqrt(2 pi)
+        phi = np.multiply(-0.5, w, out=take(work, "hp.phi", shape))
+        phi *= w
+        np.exp(phi, out=phi)
+        phi /= np.sqrt(2.0 * np.pi)
+        he = take(work, "hp.he", (self.degree + 1,) + shape)
+        hermite_polynomials(self.degree, w, out=he)
+        return rt, w, phi, he, rho[:, None] / rt[:, None]
 
-    def values_batch(self, omegas, xi):
+    def values_batch(self, omegas, xi, work: WorkArrays | None = None):
         omegas = np.atleast_2d(omegas)
-        _, _, phi, he, pref = self._factors(omegas, xi)
-        return pref * phi * (1.0 + self._series(self.split(omegas)[3], he))
+        _, _, phi, he, pref = self._factors(omegas, xi, work)
+        tmp = take(work, "hp.scratch", phi.shape)
+        s1 = self._one_plus_series(self.split(omegas)[3], he, tmp, work)
+        f = np.multiply(pref, phi, out=take(work, "values", phi.shape))
+        f *= s1
+        return f
 
-    def jet_batch(self, omegas, xi):
+    def jet_batch(self, omegas, xi, work: WorkArrays | None = None):
         """f and the chart tangent basis from one evaluation, shapes
         (m, n) and (m, d, n); f equals ``values_batch``."""
         omegas = np.atleast_2d(omegas)
         _, _, theta, alpha = self.split(omegas)
-        rt, w, phi, he, pref = self._factors(omegas, xi)
-        s = self._series(alpha, he)
-        ds = self._dseries(alpha, he)
-        basis = np.empty((omegas.shape[0], self.dim, xi.size))
-        basis[:, 0, :] = phi * (1.0 + s) / rt[:, None]
-        # d/du and d/dtheta act through w = (xi-u)/sqrt(theta)
-        basis[:, 1, :] = pref / rt[:, None] * phi * (w * (1.0 + s) - ds)
-        basis[:, 2, :] = (
-            0.5 * pref / theta[:, None] * phi * ((w * w - 1.0) * (1.0 + s) - w * ds)
-        )
+        rt, w, phi, he, pref = self._factors(omegas, xi, work)
+        tmp = take(work, "hp.scratch", phi.shape)
+        s1 = self._one_plus_series(alpha, he, tmp, work)
+        ds = self._dseries(alpha, he, tmp, work)
+        basis = take(work, "basis", (omegas.shape[0], self.dim, xi.size))
+        # each row of the basis is computed in contiguous arrays and then
+        # copied: a ufunc into a strided row buffers every operand.
+        # f is scratch until its last line.
+        f = take(work, "values", phi.shape)
+        # phi (1 + s) / sqrt(theta)
+        np.multiply(phi, s1, out=tmp)
+        tmp /= rt[:, None]
+        basis[:, 0, :] = tmp
+        # d/du and d/dtheta act through w = (xi-u)/sqrt(theta):
+        # pref / sqrt(theta) phi (w (1 + s) - ds)
+        np.multiply(pref / rt[:, None], phi, out=f)
+        np.multiply(w, s1, out=tmp)
+        tmp -= ds
+        f *= tmp
+        basis[:, 1, :] = f
+        # pref / (2 theta) phi ((w^2 - 1)(1 + s) - w ds)
+        np.multiply(0.5 * pref / theta[:, None], phi, out=f)
+        np.multiply(w, w, out=tmp)
+        tmp -= 1.0
+        tmp *= s1
+        ds *= w
+        tmp -= ds
+        f *= tmp
+        basis[:, 2, :] = f
+        # pref phi He_k, then f = pref phi (1 + s)
+        np.multiply(pref, phi, out=f)
         for j, k in enumerate(range(3, self.degree + 1)):
-            basis[:, 3 + j, :] = pref * phi * he[k]
-        return pref * phi * (1.0 + s), basis
+            basis[:, 3 + j, :] = np.multiply(f, he[k], out=tmp)
+        f *= s1
+        return f, basis
 
     def tangent_batch(self, omegas, xi):
         return self.jet_batch(omegas, xi)[1]
 
-    def weight_batch(self, omegas, xi):
+    def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta, _ = self.split(np.atleast_2d(omegas))
-        w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
-        expo = 0.5 * w * w
+        shape = (u.size, xi.size)
+        w = centered(xi, u, take(work, "hp.w", shape))
+        w /= np.sqrt(theta)[:, None]
+        # 0.5 * w * w
+        expo = np.multiply(0.5, w, out=take(work, "weight", shape))
+        expo *= w
         _guard_weight(expo)
-        return np.exp(expo)
+        return np.exp(expo, out=expo)
 
     def equilibrium_params(self, rho, u, theta):
         omega = np.zeros(np.shape(rho) + (self.dim,))
@@ -622,33 +691,42 @@ class EntropyClosure:
         if not np.all(np.isfinite(omega)):
             raise RealizabilityError("EntropyClosure needs finite coefficients")
 
-    def _exponent(self, omegas, xi):
-        omegas = np.atleast_2d(omegas)
-        expo = np.zeros((omegas.shape[0], xi.size))
+    def _exponent(self, omegas, xi, out):
+        """sum_p alpha_p xi^(p-1) by Horner, into ``out``."""
+        out.fill(0.0)
         for p in range(self.n - 1, -1, -1):
-            expo = expo * xi[None, :] + omegas[:, p, None]
-        return expo
+            out *= xi[None, :]
+            out += omegas[:, p, None]
+        return out
 
-    def values_batch(self, omegas, xi):
-        expo = self._exponent(omegas, xi)
-        if np.any(expo > _WEIGHT_EXP_CAP):
+    def values_batch(self, omegas, xi, work: WorkArrays | None = None):
+        omegas = np.atleast_2d(omegas)
+        expo = self._exponent(omegas, xi, take(work, "values", (omegas.shape[0], xi.size)))
+        # fmax skips NaN, as the comparison does
+        if expo.size and np.fmax.reduce(expo, axis=None) > _WEIGHT_EXP_CAP:
             raise RealizabilityError("EntropyClosure values overflow on the grid")
-        return np.exp(expo)
+        return np.exp(expo, out=expo)
 
-    def jet_batch(self, omegas, xi):
+    def jet_batch(self, omegas, xi, work: WorkArrays | None = None):
         """f and the chart tangent basis (f xi^p), shapes (m, n) and
         (m, d, n)."""
-        f = self.values_batch(np.atleast_2d(omegas), xi)
-        return f, np.stack([f * xi[None, :] ** p for p in range(self.n)], axis=1)
+        f = self.values_batch(np.atleast_2d(omegas), xi, work)
+        basis = take(work, "basis", (f.shape[0], self.n, xi.size))
+        for p in range(self.n):
+            # copied into the strided row: a ufunc there buffers every operand
+            basis[:, p, :] = np.multiply(f, xi[None, :] ** p, out=take(work, "ec.row", f.shape))
+        return f, basis
 
     def tangent_batch(self, omegas, xi):
         return self.jet_batch(omegas, xi)[1]
 
-    def weight_batch(self, omegas, xi):
+    def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         # eta''(f) = 1/f
-        expo = -self._exponent(omegas, xi)
+        omegas = np.atleast_2d(omegas)
+        expo = self._exponent(omegas, xi, take(work, "weight", (omegas.shape[0], xi.size)))
+        np.negative(expo, out=expo)
         _guard_weight(expo)
-        return np.exp(expo)
+        return np.exp(expo, out=expo)
 
     def equilibrium_params(self, rho, u, theta):
         if self.n < 3:
@@ -737,37 +815,37 @@ def _sample_rounds(manifold, rng, grid, count, ranges, extra_lo, extra_hi, trial
 
 
 def _guard_weight(exponent: np.ndarray) -> None:
-    mask = exponent > _WEIGHT_EXP_CAP
-    if np.any(mask):
+    # fmax skips NaN, as the comparison does
+    if exponent.size and np.fmax.reduce(exponent, axis=None) > _WEIGHT_EXP_CAP:
         raise ConfigurationError(
-            f"metric weight overflows at {int(mask.sum())} nodes; "
-            "the velocity truncation is too wide for this temperature"
+            f"metric weight overflows at {np.count_nonzero(exponent > _WEIGHT_EXP_CAP)} "
+            "nodes; the velocity truncation is too wide for this temperature"
         )
 
 
-def _xi_powers(grid: QuadratureRule, upto: int) -> np.ndarray:
-    out = np.empty((upto + 1, len(grid)))
-    out[0] = 1.0
-    for k in range(1, upto + 1):
-        out[k] = out[k - 1] * grid.nodes
-    return out
-
-
-def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int) -> np.ndarray:
+def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
+                      work: WorkArrays | None = None) -> np.ndarray:
     """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
     j = 0..top, one row per (u, theta).  Each row is its own
     vector-matrix product, so it rounds the same in any batch."""
-    X = _xi_powers(grid, top).T
+    X = grid.xi_powers(top).T
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, _NODE_PASS_ROWS):
         rows = slice(lo, lo + _NODE_PASS_ROWS)
-        c = grid.nodes[None, :] - u[rows, None]
-        acc = np.exp(-c * c / (2.0 * theta[rows, None])) * grid.weights[None, :]
-        out[rows] = (acc[:, None, :] @ X)[:, 0, :]
+        shape = (u[rows].size, grid.nodes.size)
+        c = centered(grid.nodes, u[rows], take(work, "node.c", shape))
+        # exp(-c * c / (2 theta)) * weights
+        acc = np.negative(c, out=take(work, "node.exp", shape))
+        acc *= c
+        acc /= 2.0 * theta[rows, None]
+        np.exp(acc, out=acc)
+        acc *= grid.weights[None, :]
+        np.matmul(acc[:, None, :], X, out=out[rows, None, :])
     return out
 
 
-def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule):
+def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule,
+                work: WorkArrays | None = None):
     """Raw moments c_0..c_{N+2} of stacked chart points and their chart
     Jacobians, shapes (m, K) and (m, K, d), from one pass of Gaussian
     power sums P_j.  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
@@ -776,7 +854,7 @@ def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: Quadratu
     order, so each row's bits do not depend on its batch."""
     N, K = manifold.degree, manifold.n_moments
     alpha, u, theta = manifold.split(omegas)
-    P = _gauss_power_sums(u, theta, grid, 2 * N + 4)
+    P = _gauss_power_sums(u, theta, grid, 2 * N + 4, work)
     k = np.arange(K)
     u, theta = u[:, None], theta[:, None]
     J = np.empty((omegas.shape[0], K, manifold.dim))
@@ -826,16 +904,17 @@ def _dips_negative(vals: np.ndarray) -> np.ndarray:
     return vals.min(axis=1) < -_NEGATIVITY_RTOL * np.maximum(vals.max(axis=1), 0.0)
 
 
-def _sign_rule(vals: np.ndarray) -> np.ndarray:
+def _sign_rule(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The sign rule for stacked node values of the ansatz: a row that
     dips negative (``_dips_negative``) is a realizability error (the
-    lowest such row is named); round-off negatives are clipped at zero."""
+    lowest such row is named); round-off negatives are clipped at zero,
+    into ``out`` when given (``vals`` itself may be given)."""
     bad = _dips_negative(vals)
     if bad.any():
         raise RealizabilityError(
             f"ansatz evaluates to {vals[bad][0].min()} at a quadrature node"
         )
-    return np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0, out=out)
 
 
 def _ridge_jitters(manifold: ConservativeMoment, omega: np.ndarray, grid: QuadratureRule):
@@ -862,7 +941,7 @@ def _check_positivity_batch(manifold, omegas, grid, where="recovered parameters"
         raise RealizabilityError(f"{where}: negative ansatz values (row {cell})")
 
 
-def _newton(manifold, targets, omega, grid, require_nonnegative=True):
+def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None):
     """Damped Newton on the moment map, every row in one batch.
 
     Returns the last iterates (``omega`` is updated in place), whether
@@ -876,7 +955,7 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True):
     failed step.
     """
     scale = 1.0 + np.abs(targets)
-    c, J = _moment_jet(manifold, omega, grid)
+    c, J = _moment_jet(manifold, omega, grid, work)
     r = c - targets
     err = (np.abs(r) / scale).max(axis=1)
     live = ~(err <= _NEWTON_TOL)
@@ -912,7 +991,7 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True):
                 cand = base + levels[:, None, None] * steps[rows][None, :, :]
                 valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
                 cand = np.where(valid[..., None], cand, base)
-                c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid)
+                c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid, work)
                 r_t = c_t.reshape(levels.size, rows.size, -1) - tg_a[rows][None, :, :]
                 n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
                 improve = valid & (n_t < best[rows][None, :])
@@ -939,17 +1018,18 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True):
     if require_nonnegative:
         # a row with ok set has finite node values, where this negation
         # of ``_dips_negative`` is exact
-        ok &= ~_dips_negative(manifold.values_batch(omega, grid.nodes))
+        ok &= ~_dips_negative(manifold.values_batch(omega, grid.nodes, work))
     return omega, ok, err
 
 
-def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True):
+def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True,
+                      work=None):
     """One batched Newton solve over every row's list of start points:
     returns the solutions, their success flags and the row each came
     from."""
     owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
     sol = np.array([c for cands in candidates for c in cands]).reshape(-1, manifold.dim)
-    sol, ok, _ = _newton(manifold, targets[owner], sol, grid, require_nonnegative)
+    sol, ok, _ = _newton(manifold, targets[owner], sol, grid, require_nonnegative, work)
     return sol, ok, owner
 
 
@@ -959,6 +1039,7 @@ def recover_batch(
     grid: QuadratureRule,
     omega0: np.ndarray | None = None,
     require_nonnegative: bool = True,
+    work: WorkArrays | None = None,
 ) -> np.ndarray:
     """Damped Newton inversion of the moment map for a batch of cells.
 
@@ -977,7 +1058,7 @@ def recover_batch(
     ``require_nonnegative=False`` admits chart points whose polynomial
     factor dips negative: the conservative solver only consumes signed
     integrals of f and must be able to ride along the realizability
-    boundary.
+    boundary.  ``work`` holds the work arrays of the Newton node passes.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     K = targets.shape[1]
@@ -987,12 +1068,12 @@ def recover_batch(
         omega = manifold.initial_guess(targets, grid)
     else:
         omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
-    omega, ok, _ = _newton(manifold, targets, omega, grid, require_nonnegative)
+    omega, ok, _ = _newton(manifold, targets, omega, grid, require_nonnegative, work)
     bad = np.flatnonzero(~ok)
     if bad.size and manifold.degree > 0:
         jitters = [list(_ridge_jitters(manifold, omega[i], grid)) for i in bad]
         sol, sol_ok, owner = _solve_candidates(
-            manifold, targets[bad], jitters, grid, require_nonnegative
+            manifold, targets[bad], jitters, grid, require_nonnegative, work
         )
         for j, i in enumerate(bad):
             hits = np.flatnonzero(sol_ok & (owner == j))
@@ -1015,7 +1096,8 @@ def recover_batch(
                 break
             rows = bad[left]
             start = np.array([cands[j][pos] for j in left])
-            sol, sol_ok, _ = _newton(manifold, targets[rows], start, grid, require_nonnegative)
+            sol, sol_ok, _ = _newton(manifold, targets[rows], start, grid, require_nonnegative,
+                                     work)
             omega[rows[sol_ok]] = sol[sol_ok]
             ok[rows[sol_ok]] = True
     if not ok.all():
@@ -1116,7 +1198,7 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
     """
     grid = f0.grid
     if isinstance(manifold, ConservativeMoment):
-        xiPw = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
+        xiPw = grid.xi_powers(manifold.n_moments - 1) * grid.weights
         targets = f0.values @ xiPw.T
         fit_ok = _gaussian_fit(targets)[2]
         if not fit_ok.all():

@@ -16,6 +16,7 @@ from numpy.random import default_rng
 
 from .errors import ParameterError, RealizabilityError, StepError
 from .quadrature import QuadratureRule, integrate
+from .workspace import centered
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -166,7 +167,7 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_fl
     xi = grid.nodes
     rho = vals @ wts
     u = (vals @ (xi * wts)) / rho
-    c = np.subtract(xi[None, :], u[:, None], out=out)
+    c = centered(xi, u, out)
     q = None
     if heat_flux:
         q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
@@ -195,7 +196,7 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     """Collision targets from stacked moments (rho, u, theta, q) (d=1
     formulas), written into ``out`` when given."""
     th = theta[:, None]
-    c = np.subtract(grid.nodes[None, :], u[:, None], out=out)
+    c = centered(grid.nodes, u, out)
     factor = None
     if model.kind == "shakhov":
         factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
@@ -214,16 +215,20 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     return feq
 
 
-def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule):
-    """Q[f] for stacked profiles; nonpositive collision moments raise
+def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None):
+    """Q[f] for stacked profiles, written into ``out`` when given (as
+    ``_target_batch``'s); nonpositive collision moments raise
     RealizabilityError for the lowest such row."""
     try:
-        targets = _target_batch(model, vals, grid)
+        q = _target_batch(model, vals, grid, out)
     except StepError as exc:
         err = RealizabilityError(str(exc))
         err.row = exc.cell
         raise err from None
-    return collision_rate(model) * (targets - vals)
+    # collision_rate(model) * (targets - vals)
+    q -= vals
+    q *= collision_rate(model)
+    return q
 
 
 def collision_profile(model: CollisionModel, values: np.ndarray, grid: QuadratureRule) -> np.ndarray:
@@ -251,23 +256,28 @@ def _target_linearization(model: CollisionModel, rho, u, theta, grid: Quadrature
     return DT, Dm * grid.weights
 
 
-def entropy_density(values: np.ndarray, grid: QuadratureRule):
+def entropy_density(values: np.ndarray, grid: QuadratureRule, out: np.ndarray | None = None):
     """Integral of f log f - f over the ordinate, with 0 log 0 := 0: a
-    float for one profile, one value per row for stacked profiles."""
+    float for one profile, one value per row for stacked profiles.
+    ``out``, an array of the shape of ``values`` that does not overlap
+    it, is used as work space in place of a new array."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != grid.nodes.shape:
         raise ParameterError(
             f"profile length {values.shape[-1:]} does not match rule nodes {grid.nodes.shape}"
         )
-    if np.any(values < 0.0):
+    # fmin skips NaN, as the comparison does
+    if values.size and np.fmin.reduce(values, axis=None) < 0.0:
         raise RealizabilityError("entropy requires a nonnegative profile")
-    eta = np.where(
-        values > 0.0,
-        values * np.log(np.maximum(values, POSITIVITY_FLOOR)) - values,
-        0.0,
-    )
+    # f log f - f where f > 0, else 0
+    eta = np.maximum(values, POSITIVITY_FLOOR, out=out)
+    np.log(eta, out=eta)
+    eta *= values
+    eta -= values
+    np.copyto(eta, 0.0, where=~(values > 0.0))
     # a row sum in the same order as ``integrate``'s
-    out = np.add.reduce(eta * grid.weights, axis=-1)
+    eta *= grid.weights
+    out = np.add.reduce(eta, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

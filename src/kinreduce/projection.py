@@ -17,6 +17,7 @@ from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _sign_rule
 from .errors import DegenerateChartError, KinReduceError, ParameterError
 from .kinetic import CollisionModel, _collision_rows
 from .quadrature import QuadratureRule
+from .workspace import WorkArrays, take
 
 __all__ = [
     "ReducedCoefficients",
@@ -43,17 +44,23 @@ class ReducedCoefficients:
     q: np.ndarray
 
 
-def _metric(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule) -> np.ndarray:
+def _metric(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule,
+            work: WorkArrays | None = None) -> np.ndarray:
     """Metric-weighted quadrature weights, one row per omega, with the
     weight's overflow guard applied row by row."""
-    return _by_row(lambda w: manifold.weight_batch(w, grid.nodes), omegas) * grid.weights
+    mu = _by_row(lambda w: manifold.weight_batch(w, grid.nodes, work), omegas)
+    mu *= grid.weights
+    return mu
 
 
-def _grams(basis: np.ndarray, mu: np.ndarray, xi: np.ndarray):
+def _grams(basis: np.ndarray, mu: np.ndarray, xi: np.ndarray, work: WorkArrays | None = None):
     """g(b_k, b_l) and g(b_k, xi b_l) for every row, not symmetrized."""
     basis_t = np.swapaxes(basis, -1, -2)
-    weighted = basis * mu[:, None, :]
-    return weighted @ basis_t, (weighted * xi) @ basis_t
+    weighted = np.multiply(basis, mu[:, None, :], out=take(work, "grams", basis.shape))
+    a0 = weighted @ basis_t
+    # (basis * mu) * xi
+    weighted *= xi
+    return a0, weighted @ basis_t
 
 
 def _cholesky(a0: np.ndarray) -> np.ndarray:
@@ -96,11 +103,12 @@ def _stack(manifold: Manifold, omegas) -> np.ndarray:
     return omegas
 
 
-def _jet(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):
+def _jet(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule,
+         work: WorkArrays | None = None):
     """f and the chart tangent bases on the nodes from one evaluation,
     after ``check_params``; both rules name their lowest failing row."""
     _by_row(manifold.check_params, omegas)
-    return _by_row(lambda w: manifold.jet_batch(w, grid.nodes), omegas)
+    return _by_row(lambda w: manifold.jet_batch(w, grid.nodes, work), omegas)
 
 
 def coefficients_batch(
@@ -109,9 +117,11 @@ def coefficients_batch(
     model: CollisionModel | None,
     grid: QuadratureRule,
     check_spd: bool = True,
+    work: WorkArrays | None = None,
 ) -> ReducedCoefficients:
     """A0, A1 and Q at every row of a stack of parameters ``omegas``,
-    shape (m, d); Q is zero when ``model`` is None.
+    shape (m, d); Q is zero when ``model`` is None.  ``work`` holds the
+    work arrays of the node passes; the results are new arrays.
 
     Every row obeys the rules of a single point, in its order:
     ``check_params``, the metric-weight overflow guard, the ansatz sign
@@ -120,14 +130,17 @@ def coefficients_batch(
     first rule that fails raises its typed error for its lowest failing
     row, with ``row`` set to that row."""
     omegas = _stack(manifold, omegas)
-    f, basis = _jet(manifold, omegas, grid)
-    mu = _metric(manifold, omegas, grid)
-    a0, a1 = (_symmetrize(g) for g in _grams(basis, mu, grid.nodes))
+    f, basis = _jet(manifold, omegas, grid, work)
+    mu = _metric(manifold, omegas, grid, work)
+    a0, a1 = (_symmetrize(g) for g in _grams(basis, mu, grid.nodes, work))
     if model is None:
         q = np.zeros(omegas.shape)
     else:
-        vals = _by_row(_sign_rule, f)
-        q = np.einsum("mkn,mn->mk", basis, _collision_rows(model, vals, grid) * mu)
+        # f is spent: the clip goes in place
+        vals = _by_row(lambda v: _sign_rule(v, out=v), f)
+        rows = _collision_rows(model, vals, grid, take(work, "profile", vals.shape))
+        rows *= mu
+        q = np.einsum("mkn,mn->mk", basis, rows)
     if check_spd:
         _by_row(_cholesky, a0)
     return ReducedCoefficients(a0, a1, q)

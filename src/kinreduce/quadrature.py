@@ -40,6 +40,7 @@ class QuadratureRule:
     domain: str
     half_width: float | None = None
     cells: int = field(default=0, compare=False)
+    _xi_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -62,6 +63,21 @@ class QuadratureRule:
 
     def __len__(self):
         return self.nodes.size
+
+    def xi_powers(self, upto: int) -> np.ndarray:
+        """xi^0..xi^upto on the nodes by repeated products, shape
+        (upto + 1, n), read-only.  The table is built once per rule, up to
+        the largest degree asked for; a smaller degree gets its leading
+        rows, the same bits in the same C layout."""
+        table = self._xi_table
+        if table is None or table.shape[0] <= upto:
+            table = np.empty((upto + 1, self.nodes.size))
+            table[0] = 1.0
+            for k in range(1, upto + 1):
+                table[k] = table[k - 1] * self.nodes
+            table.setflags(write=False)
+            object.__setattr__(self, "_xi_table", table)
+        return table[: upto + 1]
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

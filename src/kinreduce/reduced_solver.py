@@ -45,10 +45,12 @@ from .kinetic import (
 # because perfbench/tracing.py wraps it by name
 from .projection import _solve_spd, assemble_coefficients, coefficients_batch  # noqa: F401
 from .quadrature import QuadratureRule
+from .workspace import WorkArrays, take
 
 __all__ = [
     "ReducedState",
     "ReducedTrajectory",
+    "StepWork",
     "spectral_radius",
     "initial_state",
     "step",
@@ -102,6 +104,24 @@ class ReducedTrajectory:
     model: CollisionModel | None = None
 
 
+class StepWork(WorkArrays):
+    """What a run reuses in every step: the work arrays of its node
+    passes, and the xi tables of its moment sums, built once.
+
+    ``moment_weights`` holds xi^k w on the nodes for the recorded
+    moments, k < N + 3 for ConservativeMoment(N) and k < 3 otherwise;
+    ``flux_weights`` holds xi^(N+3) w, the closure flux's row
+    (ConservativeMoment only)."""
+
+    def __init__(self, manifold: Manifold, grid: QuadratureRule):
+        super().__init__()
+        xi = grid.nodes
+        cm = isinstance(manifold, ConservativeMoment)
+        n_mom = manifold.n_moments if cm else 3
+        self.moment_weights = np.stack([xi**k for k in range(n_mom)]) * grid.weights
+        self.flux_weights = xi**manifold.n_moments * grid.weights if cm else None
+
+
 def initial_state(
     manifold: Manifold, f0: DistributionField
 ) -> ReducedState:
@@ -136,7 +156,7 @@ def _warm_starts(manifold, omega_prev, grid):
     return warm
 
 
-def _cm_recover(manifold, C, grid, omega_prev):
+def _cm_recover(manifold, C, grid, omega_prev, work=None):
     """Batch Newton from the previous parameters; a row that no rung of
     the fallback ladder recovers becomes a StepError naming its cell.
     Signed polynomial factors are admitted: the conservative update
@@ -144,7 +164,8 @@ def _cm_recover(manifold, C, grid, omega_prev):
     realizability boundary."""
     warm = _warm_starts(manifold, omega_prev, grid)
     try:
-        return recover_batch(manifold, C, grid, omega0=warm, require_nonnegative=False)
+        return recover_batch(manifold, C, grid, omega0=warm, require_nonnegative=False,
+                             work=work)
     except InversionError as exc:
         i = int(exc.rows[0])
         raise StepError(
@@ -152,24 +173,25 @@ def _cm_recover(manifold, C, grid, omega_prev):
             f"the moments {C[i].tolist()}", cell=i) from exc
 
 
-def _cm_speeds(manifold, omegas, grid):
-    M, V = manifold.moment_frame_grams_batch(omegas, grid)
+def _cm_speeds(manifold, omegas, grid, work=None):
+    M, V = manifold.moment_frame_grams_batch(omegas, grid, work)
     return _pencil_radius_batch(M, V)
 
 
-def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds):
-    """Semi-discrete right-hand side of the balanced-law update."""
-    K = manifold.n_moments
-    vals = manifold.values_batch(omegas, grid.nodes)
-    top_flux = vals @ (grid.nodes**K * grid.weights)
+def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
+    """Semi-discrete right-hand side of the balanced-law update; ``work``
+    is the run's ``StepWork`` (a new one when None)."""
+    if work is None:
+        work = StepWork(manifold, grid)
+    vals = manifold.values_batch(omegas, grid.nodes, work)
+    top_flux = vals @ work.flux_weights
     F = np.empty_like(C)
     F[:, :-1] = C[:, 1:]
     F[:, -1] = top_flux
 
     if model is not None:
-        targets = _target_batch(model, vals, grid)
-        xiPw = np.stack([grid.nodes**k for k in range(K)]) * grid.weights
-        target_mom = targets @ xiPw.T
+        targets = _target_batch(model, vals, grid, out=take(work, "profile", vals.shape))
+        target_mom = targets @ work.moment_weights.T
         source = collision_rate(model) * (target_mom - C)
     else:
         source = 0.0
@@ -183,11 +205,11 @@ def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds):
     return -div + source
 
 
-def _cm_step(state: ReducedState, model, cfl, dt_cap):
+def _cm_step(state: ReducedState, model, cfl, dt_cap, work):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     C = state.moments
-    omegas = _cm_recover(manifold, C, grid, state.omegas)
-    speeds = _cm_speeds(manifold, omegas, grid)
+    omegas = _cm_recover(manifold, C, grid, state.omegas, work)
+    speeds = _cm_speeds(manifold, omegas, grid, work)
     smax = float(speeds.max())
     if smax > _SPEED_BLOWUP:
         raise BlowUpError(f"propagation speed {smax:.3e} exceeds blow-up guard",
@@ -196,20 +218,20 @@ def _cm_step(state: ReducedState, model, cfl, dt_cap):
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    r1 = _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds)
+    r1 = _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work)
     C1 = C + dt * r1
-    omegas1 = _cm_recover(manifold, C1, grid, omegas)
-    r2 = _cm_rhs(manifold, model, grid, mesh, C1, omegas1, speeds)
+    omegas1 = _cm_recover(manifold, C1, grid, omegas, work)
+    r2 = _cm_rhs(manifold, model, grid, mesh, C1, omegas1, speeds, work)
     C_new = 0.5 * C + 0.5 * (C1 + dt * r2)
-    omegas_new = _cm_recover(manifold, C_new, grid, omegas1)
+    omegas_new = _cm_recover(manifold, C_new, grid, omegas1, work)
     return ReducedState(manifold, grid, mesh, state.time + dt, omegas_new, C_new), smax
 
 
-def _generic_coefficients(manifold, model, grid, omegas):
+def _generic_coefficients(manifold, model, grid, omegas, work=None):
     """A0, A1 and Q of every cell in one batched assembly; a failing
     cell becomes a StepError that names it."""
     try:
-        return coefficients_batch(manifold, omegas, model, grid)
+        return coefficients_batch(manifold, omegas, model, grid, work=work)
     except (RealizabilityError, DegenerateChartError) as exc:
         i = exc.row
         raise StepError(f"{exc} (parameters {omegas[i].tolist()})", cell=i) from exc
@@ -227,11 +249,11 @@ def _generic_rhs(mesh, omegas, coef, speeds):
     return _solve_spd(coef.a0, b) + 0.5 * a_loc[:, None] * lap
 
 
-def _generic_step(state: ReducedState, model, cfl, dt_cap):
+def _generic_step(state: ReducedState, model, cfl, dt_cap, work):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     omegas = state.omegas
     # one assembly at omega gives both the speeds and the first stage
-    coef = _generic_coefficients(manifold, model, grid, omegas)
+    coef = _generic_coefficients(manifold, model, grid, omegas, work)
     speeds = _pencil_radius_batch(coef.a0, coef.a1)
     smax = float(speeds.max())
     if smax > _SPEED_BLOWUP:
@@ -242,7 +264,7 @@ def _generic_step(state: ReducedState, model, cfl, dt_cap):
         dt = min(dt, dt_cap)
     r1 = _generic_rhs(mesh, omegas, coef, speeds)
     w1 = omegas + dt * r1
-    r2 = _generic_rhs(mesh, w1, _generic_coefficients(manifold, model, grid, w1), speeds)
+    r2 = _generic_rhs(mesh, w1, _generic_coefficients(manifold, model, grid, w1, work), speeds)
     w_new = 0.5 * omegas + 0.5 * (w1 + dt * r2)
     return ReducedState(manifold, grid, mesh, state.time + dt, w_new, None), smax
 
@@ -252,28 +274,33 @@ def step(
     model: CollisionModel | None,
     cfl: float,
     dt_cap: float | None = None,
+    work: StepWork | None = None,
 ) -> ReducedState:
-    """One SSP-RK2 step with dt = cfl * dx / max propagation speed."""
+    """One SSP-RK2 step with dt = cfl * dx / max propagation speed.
+    ``work`` is the run's ``StepWork``, which every stage computes in;
+    without one the step makes its own."""
     if not 0.0 < cfl < 1.0:
         raise StepError(f"cfl must lie in (0, 1), got {cfl}")
+    if work is None:
+        work = StepWork(state.manifold, state.grid)
     if isinstance(state.manifold, ConservativeMoment):
-        new, _ = _cm_step(state, model, cfl, dt_cap)
+        new, _ = _cm_step(state, model, cfl, dt_cap, work)
     else:
-        new, _ = _generic_step(state, model, cfl, dt_cap)
+        new, _ = _generic_step(state, model, cfl, dt_cap, work)
     return new
 
 
-def _record(state: ReducedState, n_mom: int):
+def _record(state: ReducedState, work: StepWork):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
-    vals = manifold.values_batch(state.omegas, grid.nodes)
+    vals = manifold.values_batch(state.omegas, grid.nodes, work)
     # parameter recovery admits negative round-off at 1e-12 relative
-    vals = np.maximum(vals, 0.0)
+    np.maximum(vals, 0.0, out=vals)
     if state.moments is not None:
         totals = mesh.dx * state.moments.sum(axis=0)
     else:
-        xiPw = np.stack([grid.nodes**k for k in range(n_mom)]) * grid.weights
-        totals = mesh.dx * (vals @ xiPw.T).sum(axis=0)
-    ent = mesh.dx * float(np.add.reduce(entropy_density(vals, grid)))
+        totals = mesh.dx * (vals @ work.moment_weights.T).sum(axis=0)
+    eta = entropy_density(vals, grid, take(work, "profile", vals.shape))
+    ent = mesh.dx * float(np.add.reduce(eta))
     return totals, ent
 
 
@@ -286,19 +313,20 @@ def run_reduced(
     output_interval: float | None = None,
 ) -> ReducedTrajectory:
     """Integrate to ``final_time`` recording conserved-quantity totals
-    and entropy at the output cadence of ``kinetic.march``."""
-    n_mom = manifold.n_moments if isinstance(manifold, ConservativeMoment) else 3
+    and entropy at the output cadence of ``kinetic.march``.  The run
+    owns one ``StepWork`` for all of its steps and records."""
+    work = StepWork(manifold, f0.grid)
     times, omegas, totals, entropy = [], [], [], []
 
     def advance(state, target):
         try:
-            return step(state, model, cfl, dt_cap=target - state.time)
+            return step(state, model, cfl, dt_cap=target - state.time, work=work)
         except StepError as exc:
             exc.time = state.time
             raise
 
     def record(state):
-        tot, ent = _record(state, n_mom)
+        tot, ent = _record(state, work)
         times.append(state.time)
         omegas.append(state.omegas)
         totals.append(tot)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.random import default_rng
 
-from .ansatz import ConservativeMoment, Manifold, _xi_powers, hermite_polynomial
+from .ansatz import ConservativeMoment, Manifold, hermite_polynomials
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
 from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
 from .projection import (
@@ -124,11 +124,13 @@ class HermiteSpace:
             key=lambda k: (sum(k), k),
         )
         self.n_basis = len(self.indices)
+        # He_0..He_K on each axis, once
+        he = [hermite_polynomials(max_degree, self.w_nodes[:, axis]) for axis in range(dimension)]
         basis = np.empty((self.n_basis, self.w_nodes.shape[0]))
         for row, k in enumerate(self.indices):
             vals = np.ones(self.w_nodes.shape[0])
             for axis, kj in enumerate(k):
-                vals = vals * hermite_polynomial(kj, self.w_nodes[:, axis])
+                vals = vals * he[axis][kj]
             basis[row] = vals / np.sqrt(np.prod([factorial(kj) for kj in k]))
         self.basis = basis
 
@@ -369,7 +371,7 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     Minv = np.linalg.inv(M)
     a0 = 0.5 * (Minv + Minv.T)
     a1 = V @ Minv  # flux Jacobian dF/dc
-    D = _xi_powers(grid, manifold.n_moments - 1) * grid.weights
+    D = grid.xi_powers(manifold.n_moments - 1) * grid.weights
     chart = manifold.jet_batch(omega, grid.nodes)[1]
     F = _projection_frame(manifold, chart, grid.nodes)[0].T @ Minv
     DT, Dm = _target_linearization(model, rho, u, theta, grid)

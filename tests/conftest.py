@@ -127,8 +127,8 @@ def degenerate_cell(monkeypatch):
     def install(cell, cells, call=None):
         seen = []
 
-        def jet_batch(self, omegas, xi):
-            f, basis = original(self, omegas, xi)
+        def jet_batch(self, omegas, xi, work=None):
+            f, basis = original(self, omegas, xi, work)
             if basis.shape[0] == cells:
                 if call is None or len(seen) == call:
                     basis[cell, 0, :] = 0.0

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ class TestHermiteSpace:
     def test_orthonormality(self, d, K):
         space = HermiteSpace(d, K)
         assert space.orthonormality_defect <= 1e-10
+
+    @pytest.mark.parametrize("d,K", [(1, 6), (2, 4), (3, 8)])
+    def test_basis_matches_the_per_function_build(self, d, K):
+        # one Hermite stack per axis gives the bits of one recurrence
+        # per basis function and axis
+        from kinreduce.ansatz import hermite_polynomial
+
+        space = HermiteSpace(d, K)
+        want = np.empty_like(space.basis)
+        for row, k in enumerate(space.indices):
+            vals = np.ones(space.w_nodes.shape[0])
+            for axis, kj in enumerate(k):
+                vals = vals * hermite_polynomial(kj, space.w_nodes[:, axis])
+            want[row] = vals / np.sqrt(np.prod([factorial(kj) for kj in k]))
+        assert np.array_equal(space.basis, want)
 
     def test_insufficient_quadrature_rejected(self):
         with pytest.raises(ConfigurationError):
