@@ -1,21 +1,21 @@
 """Time integration of the reduced system on a periodic 1D mesh.
 
-For ``ConservativeMoment`` the update is in conservative form: the raw
-moments c_0..c_{N+2} are global coordinates and obey balanced laws
-d_t c_k + d_x F_k = s_k with F_k = c_{k+1} for k < N+2, a closure flux
-F_{N+2} = int xi^{N+3} f_hat for the top moment, and s_k the moment of
-the collision operator (zero for k <= 2 by collision invariance).
-Fluxes are differenced with a local Lax-Friedrichs scheme and advanced
-by SSP-RK2; parameters are recovered per cell by damped Newton.
+Every step is one SSP-RK2 step (``_ssp_rk2``) with dt = cfl * dx / max
+speed.  A path gives it coordinates U, a closure ``closure(U, prev)``,
+the speeds of the step-start closure and ``rhs(U, aux, speeds)``.
 
-Other manifolds use the quasi-linear form
-A0(omega) d_t omega + A1(omega) d_x omega = Q(omega)
-with central differences plus Rusanov-type dissipation; A0, A1 and Q
-are assembled for all cells in one batched pass per stage.
-
-Propagation speeds come from the symmetric-definite pencil
-A1 x = lambda A0 x; on the truncated grid they never exceed the
-velocity bound L.
+``ConservativeMoment`` advances the raw moments c_0..c_{N+2}, global
+coordinates with balanced laws d_t c_k + d_x F_k = s_k: F_k = c_{k+1}
+for k < N+2, F_{N+2} = int xi^{N+3} f_hat, and s_k the collision
+moments (zero for k <= 2).  Its closure is the batched Newton recovery
+``_cm_recover``, its speeds ``_cm_speeds`` and its rhs the local
+Lax-Friedrichs ``_cm_rhs``; a last recovery gives the new parameters.
+Other manifolds advance omega in A0(omega) d_t omega + A1(omega) d_x
+omega = Q(omega): the closure ``_generic_coefficients`` assembles A0,
+A1 and Q of all cells in one batched pass, the step-start assembly
+also gives the speeds, and ``_generic_rhs`` takes central differences
+plus Rusanov-type dissipation.  Speeds come from the symmetric-definite
+pencil A1 x = lambda A0 x and never exceed the velocity bound L.
 """
 
 from __future__ import annotations
@@ -130,9 +130,7 @@ def initial_state(
     moments = None
     if isinstance(manifold, ConservativeMoment):
         # the conservative state is the moment vector itself
-        xi = f0.grid.nodes
-        powers = np.stack([xi**k for k in range(manifold.n_moments)])
-        moments = f0.values @ (powers * f0.grid.weights).T
+        moments = f0.values @ StepWork(manifold, f0.grid).moment_weights.T
     return ReducedState(manifold, f0.grid, f0.mesh, 0.0, omegas, moments)
 
 
@@ -205,28 +203,6 @@ def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
     return -div + source
 
 
-def _cm_step(state: ReducedState, model, cfl, dt_cap, work):
-    manifold, grid, mesh = state.manifold, state.grid, state.mesh
-    C = state.moments
-    omegas = _cm_recover(manifold, C, grid, state.omegas, work)
-    speeds = _cm_speeds(manifold, omegas, grid, work)
-    smax = float(speeds.max())
-    if smax > _SPEED_BLOWUP:
-        raise BlowUpError(f"propagation speed {smax:.3e} exceeds blow-up guard",
-                          time=state.time)
-    dt = cfl * mesh.dx / smax
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-
-    r1 = _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work)
-    C1 = C + dt * r1
-    omegas1 = _cm_recover(manifold, C1, grid, omegas, work)
-    r2 = _cm_rhs(manifold, model, grid, mesh, C1, omegas1, speeds, work)
-    C_new = 0.5 * C + 0.5 * (C1 + dt * r2)
-    omegas_new = _cm_recover(manifold, C_new, grid, omegas1, work)
-    return ReducedState(manifold, grid, mesh, state.time + dt, omegas_new, C_new), smax
-
-
 def _generic_coefficients(manifold, model, grid, omegas, work=None):
     """A0, A1 and Q of every cell in one batched assembly; a failing
     cell becomes a StepError that names it."""
@@ -249,24 +225,23 @@ def _generic_rhs(mesh, omegas, coef, speeds):
     return _solve_spd(coef.a0, b) + 0.5 * a_loc[:, None] * lap
 
 
-def _generic_step(state: ReducedState, model, cfl, dt_cap, work):
-    manifold, grid, mesh = state.manifold, state.grid, state.mesh
-    omegas = state.omegas
-    # one assembly at omega gives both the speeds and the first stage
-    coef = _generic_coefficients(manifold, model, grid, omegas, work)
-    speeds = _pencil_radius_batch(coef.a0, coef.a1)
+def _ssp_rk2(state, U, prev, cfl, dt_cap, closure, speeds_of, rhs):
+    """One SSP-RK2 step of dU/dt = rhs(U, closure(U, prev), speeds), the
+    speeds taken from the step-start closure only.  Returns the new U,
+    the closure at the middle stage (a warm start for one at the new U)
+    and dt."""
+    aux = closure(U, prev)
+    speeds = speeds_of(aux)
     smax = float(speeds.max())
     if smax > _SPEED_BLOWUP:
         raise BlowUpError(f"propagation speed {smax:.3e} exceeds blow-up guard",
                           time=state.time)
-    dt = cfl * mesh.dx / smax
+    dt = cfl * state.mesh.dx / smax
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    r1 = _generic_rhs(mesh, omegas, coef, speeds)
-    w1 = omegas + dt * r1
-    r2 = _generic_rhs(mesh, w1, _generic_coefficients(manifold, model, grid, w1, work), speeds)
-    w_new = 0.5 * omegas + 0.5 * (w1 + dt * r2)
-    return ReducedState(manifold, grid, mesh, state.time + dt, w_new, None), smax
+    U1 = U + dt * rhs(U, aux, speeds)
+    aux1 = closure(U1, aux)
+    return 0.5 * U + 0.5 * (U1 + dt * rhs(U1, aux1, speeds)), aux1, dt
 
 
 def step(
@@ -276,24 +251,39 @@ def step(
     dt_cap: float | None = None,
     work: StepWork | None = None,
 ) -> ReducedState:
-    """One SSP-RK2 step with dt = cfl * dx / max propagation speed.
-    ``work`` is the run's ``StepWork``, which every stage computes in;
-    without one the step makes its own."""
+    """One SSP-RK2 step, in the moments for ConservativeMoment and in
+    omega otherwise.  ``work`` is the run's ``StepWork``, which every
+    stage computes in; without one the step makes its own."""
     if not 0.0 < cfl < 1.0:
         raise StepError(f"cfl must lie in (0, 1), got {cfl}")
+    manifold, grid, mesh = state.manifold, state.grid, state.mesh
     if work is None:
-        work = StepWork(state.manifold, state.grid)
-    if isinstance(state.manifold, ConservativeMoment):
-        new, _ = _cm_step(state, model, cfl, dt_cap, work)
+        work = StepWork(manifold, grid)
+    # the lambdas look the stage kernels up when called, so that
+    # perfbench/tracing.py can wrap them by name
+    if isinstance(manifold, ConservativeMoment):
+        C, omegas1, dt = _ssp_rk2(
+            state, state.moments, state.omegas, cfl, dt_cap,
+            lambda C, prev: _cm_recover(manifold, C, grid, prev, work),
+            lambda omegas: _cm_speeds(manifold, omegas, grid, work),
+            lambda C, omegas, s: _cm_rhs(manifold, model, grid, mesh, C, omegas, s, work))
+        omegas = _cm_recover(manifold, C, grid, omegas1, work)
     else:
-        new, _ = _generic_step(state, model, cfl, dt_cap, work)
-    return new
+        omegas, _, dt = _ssp_rk2(
+            state, state.omegas, None, cfl, dt_cap,
+            lambda w, _: _generic_coefficients(manifold, model, grid, w, work),
+            lambda coef: _pencil_radius_batch(coef.a0, coef.a1),
+            lambda w, coef, s: _generic_rhs(mesh, w, coef, s))
+        C = None
+    return ReducedState(manifold, grid, mesh, state.time + dt, omegas, C)
 
 
 def _record(state: ReducedState, work: StepWork):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     vals = manifold.values_batch(state.omegas, grid.nodes, work)
-    # parameter recovery admits negative round-off at 1e-12 relative
+    # not round-off alone: the CM recovery admits signed factors, and on
+    # the demo this clip drops dips down to -8% of the cell maximum on up
+    # to 69 of 200 cells (ROADMAP item 9)
     np.maximum(vals, 0.0, out=vals)
     if state.moments is not None:
         totals = mesh.dx * state.moments.sum(axis=0)

@@ -254,7 +254,7 @@ class YongReport:
     block_passed: bool
     symmetry_defect: float
     symmetry_passed: bool
-    dissipativity_constant: float
+    dissipativity_constant: float | None  # None: the complement is empty
     dissipativity_passed: bool
     gwsc_passed: bool
 
@@ -270,7 +270,7 @@ def _a0_orthonormalize(vectors: np.ndarray, a0: np.ndarray, tol=1e-12) -> np.nda
         norm = np.sqrt(max(w @ a0 @ w, 0.0))
         if norm > tol:
             out.append(w / norm)
-    return np.array(out).T
+    return np.array(out).reshape(-1, vectors.shape[0]).T
 
 
 def yong_conditions_check(
@@ -286,7 +286,8 @@ def yong_conditions_check(
     ``equilibrium_basis`` spans the equilibrium tangent there.  Checks:
     (i) the similarity-transformed source Jacobian is block diagonal
     with a leading zero block, (ii) a0 a1 = a1^T a0, (iii) a0 qu +
-    qu^T a0 <= -c * (projector Gram) on the complement, reporting c.
+    qu^T a0 <= -c * (projector Gram) on the complement, reporting c
+    (None, and passed, when the equilibrium basis spans the space).
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -332,10 +333,7 @@ def yong_conditions_check(
     # (iii) dissipativity on the complement
     W = 0.5 * (a0 @ qu + qu.T @ a0)
     Wc = C.T @ W @ C
-    if Wc.size:
-        c_const = float(-np.linalg.eigvalsh(0.5 * (Wc + Wc.T)).max())
-    else:
-        c_const = np.inf
+    c_const = float(-np.linalg.eigvalsh(0.5 * (Wc + Wc.T)).max()) if Wc.size else None
     gwsc_passed = bool(np.linalg.eigvalsh(W).max() <= 1e-10 * scale)
     return YongReport(
         block_defect=block_defect,
@@ -343,7 +341,7 @@ def yong_conditions_check(
         symmetry_defect=sym_defect,
         symmetry_passed=bool(symmetry_passed),
         dissipativity_constant=c_const,
-        dissipativity_passed=bool(c_const > 0.0),
+        dissipativity_passed=c_const is None or c_const > 0.0,
         gwsc_passed=gwsc_passed,
     )
 

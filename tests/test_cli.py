@@ -392,6 +392,22 @@ class TestAudit:
         assert rep["gusc"]["shakhov"]["worst_quotient"] == pytest.approx(-0.7, abs=1e-8)
 
 
+    @pytest.mark.parametrize("kind, size", [("conservative_moment", 0), ("entropy_closure", 3)])
+    def test_equilibrium_manifolds_write_strict_json(self, tmp_path, kind, size):
+        # the equilibrium tangent is the whole space: no dissipativity
+        # constant, written as null, never as the bare token Infinity
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(DEMO_AUDIT.read_text(encoding="utf-8"))
+        doc["manifold"] = {"kind": kind, "size": size}
+        out = tmp_path / "aud"
+        assert main(["audit", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        rep = json.loads((out / "stability.json").read_text(), parse_constant=refuse)
+        assert rep["yong"]["dissipativity_constant"] is None
+        assert all(rep["yong"][key] for key in
+                   ("block_pass", "symmetry_pass", "dissipativity_pass", "gwsc_pass"))
+
     def test_unsamplable_manifold_exits_two(self, tmp_path, capsys):
         # no degree-1 polynomial factor stays positive on [-100, 100]
         doc = json.loads(DEMO_AUDIT.read_text(encoding="utf-8"))

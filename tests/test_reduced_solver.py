@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kinreduce.reduced_solver as reduced_solver
 from kinreduce import (
     AnsatzPoint,
+    BlowUpError,
     CollisionModel,
     ConservativeMoment,
     DegenerateChartError,
@@ -140,6 +142,57 @@ class TestStep:
         e1 = np.linalg.norm(c1 - c2)
         e2 = np.linalg.norm(c2 - c4)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+
+
+BOTH_PATHS = pytest.mark.parametrize(
+    "manifold", [ConservativeMoment(2), HermitePerturbation(3)], ids=lambda m: m.name)
+
+
+class TestOneDriver:
+    """The contract both paths share through the one SSP-RK2 driver."""
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("cfl", [0.0, 1.0, 1.5, -0.2])
+    def test_cfl_outside_the_unit_interval(self, grid, bgk, manifold, cfl):
+        state = initial_state(manifold, sine_density_field(grid, cells=8))
+        with pytest.raises(StepError, match="cfl must lie in"):
+            step(state, bgk, cfl)
+
+    @BOTH_PATHS
+    def test_blow_up_guard_names_the_time(self, grid, bgk, manifold, monkeypatch):
+        monkeypatch.setattr(reduced_solver, "_SPEED_BLOWUP", 1e-3)
+        with pytest.raises(BlowUpError, match="exceeds blow-up guard") as info:
+            run_reduced(manifold, bgk, sine_density_field(grid, cells=8), 0.01)
+        assert info.value.time == 0.0
+
+    @BOTH_PATHS
+    def test_closures_and_speeds_per_step(self, grid, bgk, manifold, monkeypatch):
+        # CM: one recovery per stage plus the new state's, speeds from
+        # the first only; chart: one assembly per stage, the first also
+        # giving the speeds
+        counts = dict.fromkeys(
+            ["_cm_recover", "_cm_speeds", "_generic_coefficients", "_cm_rhs", "_generic_rhs"],
+            0)
+
+        def counting(name):
+            fn = getattr(reduced_solver, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(reduced_solver, name, wrapper)
+
+        state = initial_state(manifold, sine_density_field(grid, cells=8))
+        for name in counts:
+            counting(name)
+        step(state, bgk, 0.45)
+        if isinstance(manifold, ConservativeMoment):
+            want = {"_cm_recover": 3, "_cm_speeds": 1, "_cm_rhs": 2}
+        else:
+            want = {"_generic_coefficients": 2, "_generic_rhs": 2}
+        assert counts == {name: want.get(name, 0) for name in counts}
 
 
 def per_cell_generic_rhs(manifold, model, grid, mesh, omegas, speeds, reference):

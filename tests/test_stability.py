@@ -195,6 +195,19 @@ class TestYongConditions:
         rep = yong_conditions_check(a0, a1, qu, eq)
         assert rep.block_passed and rep.symmetry_passed and rep.gwsc_passed
 
+    def test_equilibrium_basis_spanning_the_space(self):
+        # the equilibrium manifolds (ConservativeMoment(0),
+        # EntropyClosure(3)): an empty complement, so no constant
+        n = 3
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(n, n))
+        a0 = m @ m.T + n * np.eye(n)
+        sym = rng.normal(size=(n, n))
+        a1 = np.linalg.solve(a0, 0.5 * (sym + sym.T))
+        rep = yong_conditions_check(a0, a1, np.zeros((n, n)), rng.normal(size=(n, n)))
+        assert rep.block_passed and rep.symmetry_passed and rep.gwsc_passed
+        assert rep.dissipativity_passed and rep.dissipativity_constant is None
+
     def test_reduced_bgk_dissipativity_constant(self, grid):
         tau = 0.5
         rep = assemble_yong_report(
