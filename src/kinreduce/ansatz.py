@@ -347,15 +347,14 @@ class ConservativeMoment:
         (u, theta).  theta is eliminated with a numerical Sylvester
         resultant; its sign changes along u (on standardized moments)
         locate every simple root, and each surviving theta branch
-        yields a candidate chart point.  The variable-projection
-        ``initial_guess`` comes last.  The scan, the bisections and the
-        refinements run in lockstep over all rows and brackets.
+        yields a candidate chart point (none for N = 0).  The scan, the
+        bisections and the refinements run in lockstep over all rows and
+        brackets.
         """
         C = np.atleast_2d(np.asarray(C, dtype=float))
         N = self.degree
-        guesses = self.initial_guess(C, grid)
         if N == 0:
-            return [[g] for g in guesses]
+            return [[] for _ in C]
         u0, th0 = self.gaussian_fit(C)
         s = np.sqrt(th0)
         K = self.n_moments
@@ -373,10 +372,11 @@ class ConservativeMoment:
 
         def central(ups, chb):
             # central moments about u for points ups on rows chb
+            pw = [(-ups) ** e for e in range(N + 3)]
             mu = np.zeros((ups.size, N + 3))
             for i in range(N + 3):
                 for k in range(i + 1):
-                    mu[:, i] += comb(i, k) * (-ups) ** (i - k) * chb[:, k]
+                    mu[:, i] += comb(i, k) * pw[i - k] * chb[:, k]
             return mu
 
         def gamma_coefs(mu, m):
@@ -467,8 +467,6 @@ class ConservativeMoment:
             alpha, _ = self._varpro_split(u_c, th_c, C[owner], grid)
             for r, al, u, th in zip(owner, alpha, u_c, th_c):
                 out[r].append(np.concatenate([al, [u, th]]))
-        for r in range(R):
-            out[r].append(guesses[r])
         return out
 
     def equilibrium_params(self, rho, u, theta) -> np.ndarray:
@@ -833,11 +831,11 @@ def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
     for lo in range(0, u.size, _NODE_PASS_ROWS):
         rows = slice(lo, lo + _NODE_PASS_ROWS)
         shape = (u[rows].size, grid.nodes.size)
-        c = centered(grid.nodes, u[rows], take(work, "node.c", shape))
-        # exp(-c * c / (2 theta)) * weights
-        acc = np.negative(c, out=take(work, "node.exp", shape))
-        acc *= c
-        acc /= 2.0 * theta[rows, None]
+        acc = centered(grid.nodes, u[rows], take(work, "node.c", shape))
+        # exp(c * c / -(2 theta)) * weights, c = xi - u: the same bits as
+        # exp(-c * c / (2 theta)), since rounding is sign-symmetric
+        np.multiply(acc, acc, out=acc)
+        acc /= -2.0 * theta[rows, None]
         np.exp(acc, out=acc)
         acc *= grid.weights[None, :]
         np.matmul(acc[:, None, :], X, out=out[rows, None, :])
@@ -851,24 +849,28 @@ def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: Quadratu
     power sums P_j.  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
     and d/dtheta act on the Gaussian as (xi - u)/theta and
     (xi - u)^2/(2 theta^2).  The sums over j are elementwise, in a fixed
-    order, so each row's bits do not depend on its batch."""
+    order from 0.0, so each row's bits do not depend on its batch."""
     N, K = manifold.degree, manifold.n_moments
     alpha, u, theta = manifold.split(omegas)
     P = _gauss_power_sums(u, theta, grid, 2 * N + 4, work)
-    k = np.arange(K)
-    u, theta = u[:, None], theta[:, None]
-    J = np.empty((omegas.shape[0], K, manifold.dim))
-    c = d_u = d_theta = 0.0
-    for j in range(N + 1):
-        p0, p1, p2 = P[:, j + k], P[:, j + k + 1], P[:, j + k + 2]
-        J[:, :, j] = p0
-        e1 = p1 - u * p0  # sum w xi^(j+k) (xi - u) G
-        c = c + alpha[:, j, None] * p0
-        d_u = d_u + alpha[:, j, None] * e1
-        d_theta = d_theta + alpha[:, j, None] * ((p2 - u * p1) - u * e1)
-    J[:, :, -2] = d_u / theta
-    J[:, :, -1] = d_theta / (2.0 * theta * theta)
-    return c, J
+    # p_i[j, k] = P_{j+k+i}, gathered once, rows last
+    idx = np.arange(N + 1)[:, None] + np.arange(K + 2)
+    G = np.take(P.T, idx, axis=0, out=take(work, "jet.gather", idx.shape + u.shape))
+    p0, p1, p2 = G[:, :K], G[:, 1 : K + 1], G[:, 2:]
+    # alpha_j times sum w xi^(j+k) (xi - u)^i G for i = 0, 1, 2
+    terms = take(work, "jet.terms", (4,) + p0.shape)
+    terms[0] = p0
+    e1 = np.subtract(p1, np.multiply(u, p0, out=terms[1]), out=terms[1])
+    np.subtract(p2, np.multiply(u, p1, out=terms[2]), out=terms[2])
+    terms[2] -= np.multiply(u, e1, out=terms[3])
+    terms[:3] *= np.ascontiguousarray(alpha.T)[:, None, :]
+    # sums over j from 0.0, j outer to the contiguous rows: sequential
+    c, d_u, d_theta = np.add.reduce(terms[:3], axis=1, initial=0.0)
+    J = take(work, "jet.J", (manifold.dim, K, len(u)))
+    J[: N + 1] = p0
+    np.divide(d_u, theta, out=J[-2])
+    np.divide(d_theta, 2.0 * theta * theta, out=J[-1])
+    return c.T.copy(), J.transpose(2, 1, 0).copy()
 
 
 def _gaussian_fit(C: np.ndarray):
@@ -941,23 +943,23 @@ def _check_positivity_batch(manifold, omegas, grid, where="recovered parameters"
         raise RealizabilityError(f"{where}: negative ansatz values (row {cell})")
 
 
-def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None):
+def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None, jet=None):
     """Damped Newton on the moment map, every row in one batch.
 
     Returns the last iterates (``omega`` is updated in place), whether
-    each row converged to a realizable point, and each row's largest
-    scaled moment residual.  Every trial point is one ``_moment_jet``
-    evaluation, which gives its residual and its Jacobian, so the
-    accepted trial is the next iterate as it stands.  A row's arithmetic
+    each row converged to a realizable point, each row's largest scaled
+    moment residual and the iterates' moment jet (c, J).  Every trial
+    point is one ``_moment_jet`` evaluation, so the accepted trial is
+    the next iterate as it stands; ``jet``, the start points' jet when
+    known, spares the first one.  A row's arithmetic
     is its own: its result depends only on its moments and start point,
     not on the rows batched with it.  A row is frozen once no damping
     level improves its residual: its later iterations would repeat that
     failed step.
     """
     scale = 1.0 + np.abs(targets)
-    c, J = _moment_jet(manifold, omega, grid, work)
-    r = c - targets
-    err = (np.abs(r) / scale).max(axis=1)
+    c, J = (a.copy() for a in jet) if jet else _moment_jet(manifold, omega, grid, work)
+    err = (np.abs(c - targets) / scale).max(axis=1)
     live = ~(err <= _NEWTON_TOL)
     # the full step first (the common case), then the halvings in
     # growing groups for the stragglers
@@ -966,8 +968,9 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None)
         act = np.flatnonzero(live)
         if act.size == 0:
             break
-        om_a, r_a, J_a = omega[act], r[act], J[act]
+        om_a, J_a = omega[act], J[act]
         sc_a, tg_a = scale[act], targets[act]
+        r_a = c[act] - tg_a
         step = _solve_rows(J_a, -r_a)
         # near chart-degenerate points the plain solve emits noise steps;
         # fall back to a truncated pseudo-inverse there
@@ -982,7 +985,7 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None)
 
         def damped_round(steps):
             # per row the largest improving level wins; the winner's
-            # residual and Jacobian are kept
+            # moments and Jacobian are kept
             for levels in groups:
                 rows = np.flatnonzero(~accepted)
                 if rows.size == 0:
@@ -992,14 +995,15 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None)
                 valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
                 cand = np.where(valid[..., None], cand, base)
                 c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid, work)
-                r_t = c_t.reshape(levels.size, rows.size, -1) - tg_a[rows][None, :, :]
+                c_t = c_t.reshape(levels.size, rows.size, -1)
+                r_t = c_t - tg_a[rows][None, :, :]
                 n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
                 improve = valid & (n_t < best[rows][None, :])
                 hit = np.flatnonzero(improve.any(axis=0))
                 first = improve.argmax(axis=0)[hit]
                 dest = act[rows[hit]]
                 omega[dest] = cand[first, hit]
-                r[dest] = r_t[first, hit]
+                c[dest] = c_t[first, hit]
                 J[dest] = J_t[first * rows.size + hit]
                 accepted[rows[hit]] = True
 
@@ -1012,25 +1016,40 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None)
             damped_round(step_retry)
         live[act[~accepted]] = False
         hit = act[accepted]
-        err[hit] = (np.abs(r[hit]) / scale[hit]).max(axis=1)
+        err[hit] = (np.abs(c[hit] - targets[hit]) / scale[hit]).max(axis=1)
         live[hit] = ~(err[hit] <= _NEWTON_TOL)
     ok = err <= _NEWTON_TOL
     if require_nonnegative:
         # a row with ok set has finite node values, where this negation
         # of ``_dips_negative`` is exact
         ok &= ~_dips_negative(manifold.values_batch(omega, grid.nodes, work))
-    return omega, ok, err
+    return omega, ok, err, (c, J)
 
 
 def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True,
                       work=None):
     """One batched Newton solve over every row's list of start points:
-    returns the solutions, their success flags and the row each came
-    from."""
+    returns the solutions, their success flags, the row each came from
+    and the solutions' moment jet."""
     owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
     sol = np.array([c for cands in candidates for c in cands]).reshape(-1, manifold.dim)
-    sol, ok, _ = _newton(manifold, targets[owner], sol, grid, require_nonnegative, work)
-    return sol, ok, owner
+    sol, ok, _, jet = _newton(manifold, targets[owner], sol, grid, require_nonnegative, work)
+    return sol, ok, owner, jet
+
+
+def _cold_starts(manifold, targets, grid):
+    """``starts(kind, rows)``: the rows' cold starts by the manifold's method
+    ``kind``, cold_start_candidates or initial_guess, each computed once, when
+    first asked for; a row's bits do not depend on the rows asked with it."""
+    found = {}
+
+    def starts(kind, rows):
+        new = [i for i in rows if (kind, i) not in found]
+        if new:
+            found.update(zip([(kind, i) for i in new], getattr(manifold, kind)(targets[new], grid)))
+        return [found[kind, i] for i in rows]
+
+    return starts
 
 
 def recover_batch(
@@ -1040,39 +1059,52 @@ def recover_batch(
     omega0: np.ndarray | None = None,
     require_nonnegative: bool = True,
     work: WorkArrays | None = None,
-) -> np.ndarray:
+    jet0=None, return_jet=False, cold_starts=None,
+):
     """Damped Newton inversion of the moment map for a batch of cells.
 
     ``targets`` holds raw moments c_0..c_{N+2} per row; rows are solved
     simultaneously.  Rows that stall or end unrealizable go down a
     fallback ladder, each rung solved in batches across all of them:
     ridge-jitter restarts (per row, the solution closest to the stalled
-    iterate), then the resultant-scan cold starts (per row, the first
-    candidate that converges, tried in order).  A row's result depends
-    bit for bit only on its own moments and warm start, never on the
-    rows batched with it or on how the rungs are scheduled; near the
-    Maxwellian fold that row's own round-off still picks the preimage.
-    A row that survives no rung raises
+    iterate), then the cold starts, each computed only for the rows
+    that reach it: per row, the first resultant-scan candidate that
+    converges, tried in order, then the variable-projection guess.  A
+    row's result depends bit for bit only on its own moments and warm
+    start, never on the rows batched with it or on how the rungs are
+    scheduled; near the Maxwellian fold that row's own round-off still
+    picks the preimage.  A row that survives no rung raises
     ``InversionError`` naming the first such row, with every failed row
     in ``rows`` and the batch's iterates in ``omega``.
     ``require_nonnegative=False`` admits chart points whose polynomial
     factor dips negative: the conservative solver only consumes signed
     integrals of f and must be able to ride along the realizability
     boundary.  ``work`` holds the work arrays of the Newton node passes.
+    ``jet0``, the moment jet (c, J) of ``omega0``, spares Newton its
+    first evaluation and changes no bit; ``return_jet`` returns (omega,
+    its jet) for the next recovery.  ``cold_starts`` (``_cold_starts``
+    of the same targets) shares the rows' cold starts with the caller.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     K = targets.shape[1]
     if K != manifold.n_moments:
         raise ParameterError(f"expected {manifold.n_moments} moments per row, got {K}")
+    starts = cold_starts or _cold_starts(manifold, targets, grid)
     if omega0 is None:
-        omega = manifold.initial_guess(targets, grid)
+        omega = np.array(starts("initial_guess", range(targets.shape[0])))
     else:
         omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
-    omega, ok, _ = _newton(manifold, targets, omega, grid, require_nonnegative, work)
+    omega, ok, _, (c, J) = _newton(manifold, targets, omega, grid, require_nonnegative, work,
+                                   jet0)
+
+    def keep(rows, sol, jet, picks):  # a rung's solutions replace the iterates
+        omega[rows], c[rows], J[rows] = sol[picks], jet[0][picks], jet[1][picks]
+        ok[rows] = True
+
     bad = np.flatnonzero(~ok)
     if bad.size and manifold.degree > 0:
         jitters = [list(_ridge_jitters(manifold, omega[i], grid)) for i in bad]
-        sol, sol_ok, owner = _solve_candidates(
+        sol, sol_ok, owner, jet = _solve_candidates(
             manifold, targets[bad], jitters, grid, require_nonnegative, work
         )
         for j, i in enumerate(bad):
@@ -1081,25 +1113,29 @@ def recover_batch(
                 # several jitters may land on different preimages; keep
                 # the branch continuous with the stalled iterate
                 dist = np.linalg.norm(sol[hits] - omega[i], axis=1)
-                omega[i] = sol[hits[np.argmin(dist)]]
-                ok[i] = True
+                keep(i, sol, jet, hits[np.argmin(dist)])
         bad = np.flatnonzero(~ok)
     if bad.size:
         bad = bad[_gaussian_fit(targets[bad])[2]]
     if bad.size:
-        cands = manifold.cold_start_candidates(targets[bad], grid)
+        cands = starts("cold_start_candidates", bad)
         # each row's candidates in order, one batch per position; a row
         # leaves once one converges, the rest are never solved
-        for pos in range(max(len(c) for c in cands)):
+        for pos in range(max(len(cs) for cs in cands)):
             left = [j for j, i in enumerate(bad) if not ok[i] and pos < len(cands[j])]
             if not left:
                 break
             rows = bad[left]
             start = np.array([cands[j][pos] for j in left])
-            sol, sol_ok, _ = _newton(manifold, targets[rows], start, grid, require_nonnegative,
-                                     work)
-            omega[rows[sol_ok]] = sol[sol_ok]
-            ok[rows[sol_ok]] = True
+            sol, sol_ok, _, jet = _newton(manifold, targets[rows], start, grid,
+                                          require_nonnegative, work)
+            keep(rows[sol_ok], sol, jet, sol_ok)
+        rows = bad[~ok[bad]]
+        if rows.size:
+            sol, sol_ok, _, jet = _newton(manifold, targets[rows],
+                                          np.array(starts("initial_guess", rows)), grid,
+                                          require_nonnegative, work)
+            keep(rows[sol_ok], sol, jet, sol_ok)
     if not ok.all():
         rows = np.flatnonzero(~ok)
         i = int(rows[0])
@@ -1110,22 +1146,24 @@ def recover_batch(
             rows=rows,
             omega=omega,
         )
-    return omega
+    return (omega, (c, J)) if return_jet else omega
 
 
-def _closest_branch(manifold, omegas, targets, f0_vals, grid):
+def _closest_branch(manifold, omegas, targets, f0_vals, grid, starts):
     """Among the exact preimages of each row's moments, pick the one
     closest to the known data f0 (they share all moments but are
     different functions).  The given solution comes first and the
-    cold-start candidates follow in order; ties keep the earlier."""
+    cold starts of ``starts`` (``_cold_starts``) follow in order, the
+    guess last; ties keep the earlier."""
     dist = ((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2) @ grid.weights
     norm = (f0_vals**2) @ grid.weights
     # rows already at the on-manifold fixed point keep it
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
     if rows.size == 0:
         return omegas
-    cands = manifold.cold_start_candidates(targets[rows], grid)
-    sol, ok, owner = _solve_candidates(manifold, targets[rows], cands, grid)
+    cands = [cs + [g] for cs, g in zip(starts("cold_start_candidates", rows),
+                                       starts("initial_guess", rows))]
+    sol, ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
     d = ((manifold.values_batch(sol, grid.nodes) - f0_vals[rows][owner]) ** 2) @ grid.weights
     d[~(ok & np.isfinite(d))] = np.inf
     for j, i in enumerate(rows):
@@ -1207,8 +1245,10 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
                 f"cell {i}: moments {targets[i].tolist()} have no positive "
                 "density and temperature"
             )
+        # the recovery and the branch choice share each row's cold starts
+        starts = _cold_starts(manifold, targets, grid)
         try:
-            omegas = recover_batch(manifold, targets, grid)
+            omegas = recover_batch(manifold, targets, grid, cold_starts=starts)
         except InversionError as exc:
             i = int(exc.rows[0])
             raise InversionError(
@@ -1219,7 +1259,7 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
             ) from exc
         # the moment map is two-to-one over part of the chart; with the
         # data in hand the branch closest to f0 in L2 is canonical
-        return _closest_branch(manifold, omegas, targets, f0.values, grid)
+        return _closest_branch(manifold, omegas, targets, f0.values, grid, starts)
     omegas = np.empty((f0.mesh.cells, manifold.dim))
     for i in range(f0.mesh.cells):
         f0_vals = f0.values[i]

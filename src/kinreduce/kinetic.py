@@ -16,7 +16,7 @@ from numpy.random import default_rng
 
 from .errors import ParameterError, RealizabilityError, StepError
 from .quadrature import QuadratureRule, integrate
-from .workspace import centered
+from .workspace import WorkArrays, centered, take
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -159,10 +159,11 @@ def collision_rate(model: CollisionModel) -> float:
     return 1.0 / model.tau
 
 
-def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_flux=True):
+def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_flux=True,
+                       work: WorkArrays | None = None):
     """Vectorized (rho, u, theta, q) of stacked velocity profiles; q is
     None unless ``heat_flux``.  ``out``, an array of the shape of
-    ``vals``, is used as work space in place of a new array."""
+    ``vals``, and ``work`` are used as work space in place of new arrays."""
     wts = grid.weights
     xi = grid.nodes
     rho = vals @ wts
@@ -170,7 +171,10 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_fl
     c = centered(xi, u, out)
     q = None
     if heat_flux:
-        q = np.einsum("mn,mn->m", vals, c * c * c * wts[None, :]) / rho
+        c3 = np.multiply(c, c, out=take(work, "kin.scratch", c.shape))  # c * c * c * wts
+        c3 *= c
+        c3 *= wts
+        q = np.einsum("mn,mn->m", vals, c3) / rho
     # c * c * wts, in place
     c *= c
     c *= wts
@@ -178,30 +182,39 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_fl
     return rho, u, theta, q
 
 
-def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None):
+def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None,
+                  work: WorkArrays | None = None):
     """Collision targets for stacked profiles (d=1 formulas), written
     into ``out`` when given (an array of the shape of ``vals`` that does
-    not overlap it).  A row whose density or temperature is not positive
-    raises StepError naming the lowest such row."""
+    not overlap it), with ``work`` as work space.  A row whose density
+    or temperature is not positive raises StepError naming the lowest
+    such row."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rho, u, theta, q = _moments_of_values(
-            vals, grid, out, heat_flux=model.kind == "shakhov")
+            vals, grid, out, heat_flux=model.kind == "shakhov", work=work)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
         raise StepError("unrealizable moments during collision evaluation", cell=bad)
-    return _target_of_moments(model, rho, u, theta, q, grid, out)
+    return _target_of_moments(model, rho, u, theta, q, grid, out, work)
 
 
-def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: QuadratureRule, out=None):
+def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: QuadratureRule, out=None,
+                       work: WorkArrays | None = None):
     """Collision targets from stacked moments (rho, u, theta, q) (d=1
-    formulas), written into ``out`` when given."""
+    formulas), written into ``out`` when given, with ``work`` as work space."""
     th = theta[:, None]
     c = centered(grid.nodes, u, out)
     factor = None
     if model.kind == "shakhov":
-        factor = 1.0 + (1.0 - model.prandtl) * q[:, None] * c / (3.0 * th**2) * (
-            c * c / (2.0 * th) - 1.5
-        )
+        # 1 + (1 - Pr) q c / (3 theta^2) * (c * c / (2 theta) - 1.5)
+        factor = np.multiply((1.0 - model.prandtl) * q[:, None], c,
+                             out=take(work, "kin.factor", c.shape))
+        factor /= 3.0 * th**2
+        poly = np.multiply(c, c, out=take(work, "kin.scratch", c.shape))
+        poly /= 2.0 * th
+        poly -= 1.5
+        factor *= poly
+        factor += 1.0
     # rho (2 pi theta)^(-1/2) exp(-c^2 / (2 theta)), in place over c
     feq = c
     feq *= c

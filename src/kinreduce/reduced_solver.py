@@ -10,6 +10,8 @@ for k < N+2, F_{N+2} = int xi^{N+3} f_hat, and s_k the collision
 moments (zero for k <= 2).  Its closure is the batched Newton recovery
 ``_cm_recover``, its speeds ``_cm_speeds`` and its rhs the local
 Lax-Friedrichs ``_cm_rhs``; a last recovery gives the new parameters.
+Each recovery hands its result's moment jet on to the next, so after the
+first step the step-start recovery only checks the residuals.
 Other manifolds advance omega in A0(omega) d_t omega + A1(omega) d_x
 omega = Q(omega): the closure ``_generic_coefficients`` assembles A0,
 A1 and Q of all cells in one batched pass, the step-start assembly
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, project_initial, recover_batch
+from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _moment_jet, project_initial,
+                     recover_batch)
 from .errors import (
     BlowUpError,
     DegenerateChartError,
@@ -82,7 +85,7 @@ def _pencil_radius_batch(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 @dataclass
 class ReducedState:
     """Per-cell parameters (and, for the conservative path, the moment
-    coordinates that are the authoritative state)."""
+    coordinates that are the authoritative state, and the moment jet of omegas)."""
 
     manifold: Manifold
     grid: QuadratureRule
@@ -90,6 +93,7 @@ class ReducedState:
     time: float
     omegas: np.ndarray
     moments: np.ndarray | None = None
+    jet: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -138,11 +142,12 @@ def _warm_starts(manifold, omega_prev, grid):
     """Warm starts for the next Newton solve.  Rows sitting numerically
     on the chart's rank-deficient ridge (all alphas ~ 0) are nudged off
     it: Newton cannot leave the ridge because the Jacobian is singular
-    there, while a generic nearby start converges quadratically."""
+    there, while a generic nearby start converges quadratically.
+    Returns the starts and which rows were nudged."""
     warm = omega_prev.copy()
     N = manifold.degree
     if N == 0:
-        return warm
+        return warm, np.zeros(len(warm), dtype=bool)
     span = max(grid.half_width, 1.0)
     scales = span ** -np.arange(1, N + 1)
     alpha0 = np.maximum(np.abs(warm[:, 0]), 1e-300)
@@ -151,19 +156,23 @@ def _warm_starts(manifold, omega_prev, grid):
     )
     if on_ridge.any():
         warm[on_ridge, 1 : N + 1] += 3e-2 * alpha0[on_ridge, None] * scales[None, :]
-    return warm
+    return warm, on_ridge
 
 
-def _cm_recover(manifold, C, grid, omega_prev, work=None):
-    """Batch Newton from the previous parameters; a row that no rung of
+def _cm_recover(manifold, C, grid, omega_prev, jet=None, work=None):
+    """Batch Newton from the previous parameters and their moment jet
+    (when known) to the new parameters and theirs; a row that no rung of
     the fallback ladder recovers becomes a StepError naming its cell.
     Signed polynomial factors are admitted: the conservative update
     consumes only integrals of f, and smooth runs ride along the
     realizability boundary."""
-    warm = _warm_starts(manifold, omega_prev, grid)
+    warm, moved = _warm_starts(manifold, omega_prev, grid)
+    if jet is not None and moved.any():  # the nudged rows need a fresh jet
+        jet = jet[0].copy(), jet[1].copy()
+        jet[0][moved], jet[1][moved] = _moment_jet(manifold, warm[moved], grid, work)
     try:
         return recover_batch(manifold, C, grid, omega0=warm, require_nonnegative=False,
-                             work=work)
+                             work=work, jet0=jet, return_jet=True)
     except InversionError as exc:
         i = int(exc.rows[0])
         raise StepError(
@@ -188,7 +197,7 @@ def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
     F[:, -1] = top_flux
 
     if model is not None:
-        targets = _target_batch(model, vals, grid, out=take(work, "profile", vals.shape))
+        targets = _target_batch(model, vals, grid, take(work, "profile", vals.shape), work)
         target_mom = targets @ work.moment_weights.T
         source = collision_rate(model) * (target_mom - C)
     else:
@@ -227,9 +236,9 @@ def _generic_rhs(mesh, omegas, coef, speeds):
 
 def _ssp_rk2(state, U, prev, cfl, dt_cap, closure, speeds_of, rhs):
     """One SSP-RK2 step of dU/dt = rhs(U, closure(U, prev), speeds), the
-    speeds taken from the step-start closure only.  Returns the new U,
-    the closure at the middle stage (a warm start for one at the new U)
-    and dt."""
+    speeds taken from the step-start closure only; the stage-1 closure
+    gets the step-start one as ``prev``.  Returns the new U, the closure
+    at the middle stage (a warm start for one at the new U) and dt."""
     aux = closure(U, prev)
     speeds = speeds_of(aux)
     smax = float(speeds.max())
@@ -260,22 +269,23 @@ def step(
     if work is None:
         work = StepWork(manifold, grid)
     # the lambdas look the stage kernels up when called, so that
-    # perfbench/tracing.py can wrap them by name
+    # perfbench/tracing.py can wrap them by name; the CM closure is the
+    # parameters and their moment jet
     if isinstance(manifold, ConservativeMoment):
-        C, omegas1, dt = _ssp_rk2(
-            state, state.moments, state.omegas, cfl, dt_cap,
-            lambda C, prev: _cm_recover(manifold, C, grid, prev, work),
-            lambda omegas: _cm_speeds(manifold, omegas, grid, work),
-            lambda C, omegas, s: _cm_rhs(manifold, model, grid, mesh, C, omegas, s, work))
-        omegas = _cm_recover(manifold, C, grid, omegas1, work)
+        C, aux1, dt = _ssp_rk2(
+            state, state.moments, (state.omegas, state.jet), cfl, dt_cap,
+            lambda C, prev: _cm_recover(manifold, C, grid, *prev, work=work),
+            lambda aux: _cm_speeds(manifold, aux[0], grid, work),
+            lambda C, aux, s: _cm_rhs(manifold, model, grid, mesh, C, aux[0], s, work))
+        omegas, jet = _cm_recover(manifold, C, grid, *aux1, work=work)
     else:
         omegas, _, dt = _ssp_rk2(
             state, state.omegas, None, cfl, dt_cap,
             lambda w, _: _generic_coefficients(manifold, model, grid, w, work),
             lambda coef: _pencil_radius_batch(coef.a0, coef.a1),
             lambda w, coef, s: _generic_rhs(mesh, w, coef, s))
-        C = None
-    return ReducedState(manifold, grid, mesh, state.time + dt, omegas, C)
+        C = jet = None
+    return ReducedState(manifold, grid, mesh, state.time + dt, omegas, C, jet)
 
 
 def _record(state: ReducedState, work: StepWork):

@@ -11,8 +11,9 @@ relaxation, per substep.  For the exact relaxations the two half
 relaxations that meet between substeps are one full relaxation, so an
 output interval of n substeps is R(dt/2) T R(dt) T ... R(dt) T R(dt/2):
 n + 1 relaxations, and a Strang-complete state at every output time.
-The substeps write into two arrays they reuse in turn, so a BGK or
-ES-BGK substep allocates no field-sized array.
+The substeps write into two arrays they reuse in turn, and a Shakhov
+relaxation computes in the run's work arrays, so no substep allocates a
+field-sized array.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .kinetic import (
     march,
 )
 from .quadrature import QuadratureRule
+from .workspace import WorkArrays, take
 
 __all__ = [
     "KineticState",
@@ -89,25 +91,33 @@ def transport_step(state: KineticState, dt: float, out: np.ndarray | None = None
 
 
 def relaxation_step(
-    state: KineticState, model: CollisionModel, dt: float, out: np.ndarray | None = None
+    state: KineticState, model: CollisionModel, dt: float, out: np.ndarray | None = None,
+    work: WorkArrays | None = None,
 ) -> KineticState:
     """Exact relaxation for BGK and ES-BGK, whose Maxwellian target the
     relaxation leaves unchanged: f(dt) = M + exp(-rate dt) (f - M) with
-    rate = ``collision_rate(model)``.  Explicit RK2 for Shakhov.  The
-    result is clipped at zero and written into ``out`` when given (as
-    for ``transport_step``)."""
+    rate = ``collision_rate(model)``.  Explicit RK2 for Shakhov, whose
+    stages compute in ``work``.  The result is clipped at zero and
+    written into ``out`` when given (as for ``transport_step``)."""
     f = state.f
     vals = f.values
     grid = f.grid
     if model.kind == "shakhov":
         rate = collision_rate(model)
 
-        def rhs(v):
-            return rate * (_target_batch(model, v, grid) - v)
+        def rhs(v, name):  # rate * (target - v), in the work array ``name``
+            k = _target_batch(model, v, grid, take(work, name, v.shape), work)
+            k -= v
+            k *= rate
+            return k
 
-        k1 = rhs(vals)
-        mid = vals + dt * k1
-        new = np.add(vals, 0.5 * dt * (k1 + rhs(mid)), out=out)
+        k1 = rhs(vals, "ref.k1")
+        mid = np.multiply(dt, k1, out=take(work, "ref.mid", vals.shape))
+        mid += vals  # vals + dt k1
+        k2 = rhs(mid, "ref.k2")
+        k2 += k1  # then 0.5 dt (k1 + k2)
+        k2 *= 0.5 * dt
+        new = np.add(vals, k2, out=out)
     else:
         # f + (1 - exp(-rate dt)) (M - f), in the target's buffer
         new = _target_batch(model, vals, grid, out=out)
@@ -138,7 +148,7 @@ def run_reference(
     # exact relaxation leaves the BGK/ES-BGK target unchanged, so the two
     # half relaxations between transports fuse into one full relaxation
     fuse = model is not None and model.kind != "shakhov"
-    spare = np.empty_like(f0.values)
+    spare, work = np.empty_like(f0.values), WorkArrays()
 
     def advance(state, target):
         nonlocal spare
@@ -150,11 +160,12 @@ def run_reference(
             for i in range(n_sub):
                 t0 = state.time
                 if model is not None and (i == 0 or not fuse):
-                    state, spare = relaxation_step(state, model, 0.5 * dt, out=spare), state.f.values
+                    state, spare = (relaxation_step(state, model, 0.5 * dt, spare, work),
+                                    state.f.values)
                 state, spare = transport_step(state, dt, out=spare), state.f.values
                 if model is not None:
                     h = dt if fuse and i < n_sub - 1 else 0.5 * dt
-                    state, spare = relaxation_step(state, model, h, out=spare), state.f.values
+                    state, spare = relaxation_step(state, model, h, spare, work), state.f.values
                 state.time = t0 + dt
         except StepError as exc:
             exc.time = t0

@@ -22,7 +22,15 @@ from kinreduce import (
     truncated_rule,
 )
 import kinreduce.ansatz as ansatz
-from kinreduce.ansatz import _moment_jet, _newton, _ridge_jitters, _sign_rule, recover_batch
+from kinreduce.ansatz import (
+    _gauss_power_sums,
+    _moment_jet,
+    _newton,
+    _ridge_jitters,
+    _sign_rule,
+    recover_batch,
+)
+from kinreduce.workspace import WorkArrays
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
 
@@ -296,7 +304,7 @@ def per_row_initial_guess(cm, c, grid):
 
 def per_row_cold_starts(cm, c, grid):
     """Reference: the resultant-scan candidates of one row, bracket by
-    bracket, then the variable-projection guess."""
+    bracket."""
     N = cm.degree
     u0 = float(c[1] / c[0])
     th0 = float(c[2] / c[0] - u0 * u0)
@@ -354,7 +362,7 @@ def per_row_cold_starts(cm, c, grid):
             if abs(th.imag) <= 1e-7 * max(1.0, abs(th.real)) and th.real > 1e-8:
                 u, theta = u0 + s * up, th0 * float(th.real)
                 out.append(np.concatenate([per_row_varpro(cm, u, theta, c, grid)[0], [u, theta]]))
-    return out + [per_row_initial_guess(cm, c, grid)]
+    return out
 
 
 class TestBatchedLadder:
@@ -377,14 +385,15 @@ class TestBatchedLadder:
                 warm[1:3] = 0.0  # on the chart's rank-deficient ridge
             elif trial % 3 == 2:
                 warm = p * (1.0 + 0.3 * rng.normal(size=p.size))
-            om, ok, err = _newton(cm, c, warm[None, :].copy(), grid, require_nonnegative=False)
+            om, ok, err, _ = _newton(cm, c, warm[None, :].copy(), grid,
+                                     require_nonnegative=False)
             if err[0] <= 1e-11 and trial % 3 == 0:
                 kind = "converged"
             elif ok[0]:
                 continue
             else:
                 jit = np.array(list(_ridge_jitters(cm, om[0], grid)))
-                _, jok, _ = _newton(
+                _, jok, _, _ = _newton(
                     cm, np.repeat(c, 4, axis=0), jit, grid, require_nonnegative=False
                 )
                 kind = "jitter" if jok.any() else "cold"
@@ -399,8 +408,8 @@ class TestBatchedLadder:
         batch = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
 
         def one_row(i, start):
-            sol, ok, _ = _newton(cm, C[i : i + 1], start[None, :].copy(), grid,
-                                 require_nonnegative=False)
+            sol, ok, _, _ = _newton(cm, C[i : i + 1], start[None, :].copy(), grid,
+                                    require_nonnegative=False)
             return sol[0], ok[0]
 
         want, ok = np.empty_like(W), np.zeros(len(C), dtype=bool)
@@ -415,8 +424,10 @@ class TestBatchedLadder:
                 want[i] = min(solved, key=lambda s: np.linalg.norm(s - want[i]))
                 rungs.append("jitter")
                 continue
-            # ... else the first cold start that converges
-            for cand in cm.cold_start_candidates(C[i : i + 1], grid)[0]:
+            # ... else the first cold start that converges, the
+            # variable-projection guess last
+            for cand in (cm.cold_start_candidates(C[i : i + 1], grid)[0]
+                         + [cm.initial_guess(C[i : i + 1], grid)[0]]):
                 s, s_ok = one_row(i, cand)
                 if s_ok:
                     want[i] = s
@@ -463,6 +474,75 @@ class TestBatchedLadder:
         recover_batch(cm, C[rows], grid, omega0=W[rows], require_nonnegative=False)
         assert calls == []
 
+    def test_handed_on_jet_changes_no_bit(self, mixed_batch, grid):
+        """A recovery returns the jet of the rows it returns, and the
+        next recovery from those rows, given that jet, returns what it
+        returns without it, through every rung of the ladder."""
+        cm, C, W = mixed_batch
+        omega, jet = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False,
+                                   return_jet=True)
+        assert same_bits(omega, recover_batch(cm, C, grid, omega0=W, require_nonnegative=False))
+        for got, want in zip(jet, _moment_jet(cm, omega, grid)):
+            assert same_bits(got, want)
+        # the next stage's moments, and moments that send rows down the
+        # ladder again (the starts of the first recovery)
+        for targets in (C * (1.0 + 1e-3 * np.cos(np.arange(C.size)).reshape(C.shape)), C):
+            for start in (omega, W):
+                start_jet = _moment_jet(cm, start, grid)
+                given = recover_batch(cm, targets, grid, omega0=start, require_nonnegative=False,
+                                      jet0=start_jet, return_jet=True)
+                fresh = recover_batch(cm, targets, grid, omega0=start,
+                                      require_nonnegative=False, return_jet=True)
+                assert same_bits(given[0], fresh[0])
+                for a, b in zip(given[1], fresh[1]):
+                    assert same_bits(a, b)
+                assert same_bits(start_jet[0], _moment_jet(cm, start, grid)[0])
+
+    def test_guess_only_for_rows_whose_candidates_fail(self, mixed_batch, grid, monkeypatch):
+        """The variable-projection guess is computed only for the rows
+        whose resultant candidates all fail; with the candidates withheld
+        those rows still recover through it."""
+        cm, C, W = mixed_batch
+        want = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
+        seen = []
+        guess = ConservativeMoment.initial_guess
+        monkeypatch.setattr(ConservativeMoment, "initial_guess",
+                            lambda self, T, g: seen.append(T.copy()) or guess(self, T, g))
+        # the batch's cold rows all converge from a resultant candidate
+        assert same_bits(recover_batch(cm, C, grid, omega0=W, require_nonnegative=False), want)
+        assert seen == []
+
+        def reaches_cold_starts(i):
+            om, ok, _, _ = _newton(cm, C[i : i + 1], W[i : i + 1].copy(), grid,
+                                   require_nonnegative=False)
+            jitters = np.array(list(_ridge_jitters(cm, om[0], grid)))
+            _, jok, _, _ = _newton(cm, np.repeat(C[i : i + 1], 4, axis=0), jitters, grid,
+                                   require_nonnegative=False)
+            return not ok[0] and not jok.any()
+
+        cold = [i for i in range(len(C)) if reaches_cold_starts(i)]
+        assert len(cold) >= 3
+        monkeypatch.setattr(ConservativeMoment, "cold_start_candidates",
+                            lambda self, T, g: [[] for _ in T])
+        omega = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
+        assert len(seen) == 1 and same_bits(seen[0], C[cold])
+        c_back = cm.raw_moments_batch(omega[cold], grid)
+        assert np.abs(c_back - C[cold]).max() <= 1e-11 * (1 + np.abs(C)).max()
+        others = np.setdiff1d(np.arange(len(C)), cold)
+        assert same_bits(omega[others], want[others])
+
+    def test_cold_starts_are_the_same_bits_in_any_batch(self, mixed_batch, grid):
+        """What lets a row's cold starts be computed once and shared:
+        a row gets the same bits alone as in a batch."""
+        cm, C, _ = mixed_batch
+        stacked = cm.cold_start_candidates(C, grid)
+        guesses = cm.initial_guess(C, grid)
+        for i in range(len(C)):
+            alone = cm.cold_start_candidates(C[i : i + 1], grid)[0]
+            assert len(alone) == len(stacked[i])
+            assert all(same_bits(a, b) for a, b in zip(alone, stacked[i]))
+            assert same_bits(cm.initial_guess(C[i : i + 1], grid)[0], guesses[i])
+
     @pytest.mark.parametrize("degree", [2, 4])
     def test_cold_start_candidates_per_row(self, degree, wide_grid):
         cm = ConservativeMoment(degree)
@@ -478,10 +558,15 @@ class TestBatchedLadder:
         for i in range(C.shape[0]):
             alone = cm.cold_start_candidates(C[i : i + 1], wide_grid)[0]
             loop = per_row_cold_starts(cm, C[i], wide_grid)
-            assert len(alone) == len(loop) == len(stacked[i]) >= 2
+            assert len(alone) == len(loop) == len(stacked[i]) >= 1
             for a, b, c in zip(alone, loop, stacked[i]):
                 assert np.abs(a - c).max() <= 1e-12 * (1 + np.abs(a).max())
                 assert np.abs(b - c).max() <= 1e-12 * (1 + np.abs(b).max())
+        # the variable-projection guess, no longer among the candidates
+        guesses = cm.initial_guess(C, wide_grid)
+        for i in range(C.shape[0]):
+            loop = per_row_initial_guess(cm, C[i], wide_grid)
+            assert np.abs(loop - guesses[i]).max() <= 1e-12 * (1 + np.abs(loop).max())
 
     def test_unmatched_row_is_named(self, grid):
         # no realizable degree-2 point has the moments of this mixture
@@ -506,6 +591,26 @@ class TestBatchedLadder:
             recover_batch(cm, C, grid)
         msg = str(info.value)
         assert "row 1" in msg and not any(f"row {i}" in msg for i in (0, 2, 3))
+
+    def test_project_initial_computes_each_cold_start_once(self, monkeypatch):
+        """The recovery and the branch choice of ``project_initial``
+        share each row's candidates and guess."""
+        grid = truncated_rule(10.0, 128)
+        cm = ConservativeMoment(4)
+        f = np.stack([
+            two_maxwellian(grid, 0.7, -0.6, 0.6, 0.3, u2, 0.5) for u2 in (1.0, 1.2, 1.4, 1.6)
+        ])
+        field = DistributionField(f, grid, SpatialMesh(4, 1.0))
+        want = project_initial(cm, field)
+        seen = {"cold_start_candidates": [], "initial_guess": []}
+        for name, rows in seen.items():
+            kernel = getattr(ConservativeMoment, name)
+            monkeypatch.setattr(
+                ConservativeMoment, name,
+                lambda self, T, g, _k=kernel, _r=rows: _r.extend(map(tuple, T)) or _k(self, T, g))
+        assert same_bits(project_initial(cm, field), want)
+        for rows in seen.values():
+            assert rows and len(set(rows)) == len(rows)
 
     def test_project_initial_cells_are_independent(self):
         grid = truncated_rule(10.0, 128)
@@ -574,6 +679,86 @@ class TestMomentJet:
         assert np.all(
             np.abs(J - J_ref).max(axis=(1, 2)) <= 1e-13 * np.abs(J_ref).max(axis=(1, 2))
         )
+
+
+def same_bits(a, b):
+    """Equal to the last bit, signed zeros and NaNs included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def loop_gauss_power_sums(u, theta, grid, top):
+    """Reference: ``ansatz._gauss_power_sums`` as it computed the
+    Gaussian factor before, exp((-c) * c / (2 theta))."""
+    X = grid.xi_powers(top).T
+    out = np.empty((u.size, top + 1))
+    for lo in range(0, u.size, 128):
+        rows = slice(lo, lo + 128)
+        c = grid.nodes[None, :] - u[rows, None]
+        acc = np.negative(c)
+        acc *= c
+        acc /= 2.0 * theta[rows, None]
+        np.exp(acc, out=acc)
+        acc *= grid.weights[None, :]
+        np.matmul(acc[:, None, :], X, out=out[rows, None, :])
+    return out
+
+
+def loop_moment_jet(cm, omegas, grid):
+    """Reference: ``ansatz._moment_jet`` as a loop over the polynomial
+    degree, as it was written before it gathered the power sums."""
+    N, K = cm.degree, cm.n_moments
+    alpha, u, theta = cm.split(omegas)
+    P = loop_gauss_power_sums(u, theta, grid, 2 * N + 4)
+    k = np.arange(K)
+    u, theta = u[:, None], theta[:, None]
+    J = np.empty((omegas.shape[0], K, cm.dim))
+    c = d_u = d_theta = 0.0
+    for j in range(N + 1):
+        p0, p1, p2 = P[:, j + k], P[:, j + k + 1], P[:, j + k + 2]
+        J[:, :, j] = p0
+        e1 = p1 - u * p0
+        c = c + alpha[:, j, None] * p0
+        d_u = d_u + alpha[:, j, None] * e1
+        d_theta = d_theta + alpha[:, j, None] * ((p2 - u * p1) - u * e1)
+    J[:, :, -2] = d_u / theta
+    J[:, :, -1] = d_theta / (2.0 * theta * theta)
+    return c, J
+
+
+class TestOnePassJet:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_bit_identical_to_the_loop(self, degree, wide_grid):
+        """Sampled points (300 rows, more than one node pass), points on
+        the ridge, points whose u is a node (c = +-0 there), and
+        all-zero alphas of either sign."""
+        grid = wide_grid
+        cm = ConservativeMoment(degree)
+        rng = np.random.default_rng(70 + degree)
+        omegas = [cm.sample_batch(rng, grid, 300, u_range=(-2.0, 2.0))]
+        omegas.append(cm.equilibrium_params(np.array([1.0, 0.7, 1.3]), np.array([-2.0, 0.0, 2.0]),
+                                            np.array([0.5, 1.0, 1.4])))
+        at_node = cm.sample_batch(rng, grid, 4)
+        at_node[:, -2] = grid.nodes[[20, 31, 32, 45]]
+        omegas.append(at_node)
+        zeros = np.tile(cm.equilibrium_params(1.0, 0.3, 0.9), (2, 1))
+        zeros[0, : degree + 1] = 0.0
+        zeros[1, : degree + 1] = -0.0
+        omegas.append(zeros)
+        omegas = np.concatenate(omegas)
+        u, theta = omegas[:, -2], omegas[:, -1]
+        for top in (2 * degree + 4, 13):
+            assert same_bits(_gauss_power_sums(u, theta, grid, top),
+                             loop_gauss_power_sums(u, theta, grid, top))
+        got, want = _moment_jet(cm, omegas, grid), loop_moment_jet(cm, omegas, grid)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert not np.signbit(got[0][-2:]).any()
+        # one row at a time, and a stale work array, give the same bits
+        work = WorkArrays()
+        _moment_jet(cm, omegas[::-1] + 0.1, grid, work)
+        rows = [_moment_jet(cm, omegas[i : i + 1], grid, work) for i in (0, 301, 305)]
+        for i, (c, J) in zip((0, 301, 305), rows):
+            assert same_bits(c[0], want[0][i]) and same_bits(J[0], want[1][i])
 
 
 def polynomial_object_sample(cm, rng, grid):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import kinreduce.ansatz as ansatz
 import kinreduce.reduced_solver as reduced_solver
 from kinreduce import (
     AnsatzPoint,
@@ -275,6 +278,64 @@ class TestRecovery:
             _cm_recover(cm, C, grid, omega)
         assert info.value.cell == 2
         assert "moments [1.0, 0.0, -1.0, 0.0, 3.0]" in str(info.value)
+
+
+class TestJetHandoff:
+    """Each CM recovery hands the moment jet of its result to the next
+    one; the handoff spares evaluations and changes no bit."""
+
+    def test_step_start_recovery_evaluates_no_jet(self, grid, bgk, monkeypatch):
+        cm = ConservativeMoment(2)
+        state = step(initial_state(cm, sine_density_field(grid, cells=8)), bgk, 0.45)
+        rows, per_recovery = [0], []
+        moment_jet, recover = ansatz._moment_jet, reduced_solver._cm_recover
+
+        def counting_jet(manifold, omegas, *args):
+            rows[0] += len(omegas)
+            return moment_jet(manifold, omegas, *args)
+
+        def counting_recover(*args, **kwargs):
+            before = rows[0]
+            out = recover(*args, **kwargs)
+            per_recovery.append(rows[0] - before)
+            return out
+
+        monkeypatch.setattr(ansatz, "_moment_jet", counting_jet)
+        monkeypatch.setattr(reduced_solver, "_cm_recover", counting_recover)
+        for _ in range(3):
+            assert not reduced_solver._warm_starts(cm, state.omegas, grid)[1].any()
+            state = step(state, bgk, 0.45)
+        # step-start, stage-1 and final recoveries of three steps
+        assert per_recovery[0::3] == [0, 0, 0]
+        assert all(n > 0 for i, n in enumerate(per_recovery) if i % 3)
+
+    def test_steps_with_and_without_the_jet_agree(self, grid, bgk):
+        cm = ConservativeMoment(2)
+        state = initial_state(cm, sine_density_field(grid, cells=8))
+        for _ in range(3):
+            state = step(state, bgk, 0.45)
+            assert state.jet is not None
+            fresh = step(dataclasses.replace(state, jet=None), bgk, 0.45)
+            handed = step(state, bgk, 0.45)
+            assert np.array_equal(fresh.omegas, handed.omegas)
+            for a, b in zip(fresh.jet, handed.jet):
+                assert np.array_equal(a, b)
+
+    def test_nudged_rows_get_a_fresh_jet(self, grid):
+        # rows on the ridge are nudged off it, and only their jet is new
+        cm = ConservativeMoment(2)
+        rng = np.random.default_rng(3)
+        omega = cm.sample_batch(rng, grid, 6)
+        omega[[1, 4], 1:3] = 0.0
+        assert reduced_solver._warm_starts(cm, omega, grid)[1].tolist() == [
+            False, True, False, False, True, False]
+        C = cm.raw_moments_batch(omega, grid) * 1.001
+        jet = ansatz._moment_jet(cm, omega, grid)
+        fresh = _cm_recover(cm, C, grid, omega)
+        handed = _cm_recover(cm, C, grid, omega, jet)
+        assert np.array_equal(fresh[0], handed[0])
+        for a, b in zip(fresh[1], handed[1]):
+            assert np.array_equal(a, b)
 
 
 class TestRun:
