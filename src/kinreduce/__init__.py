@@ -13,7 +13,6 @@ from .ansatz import (
     ConservativeMoment,
     EntropyClosure,
     HermitePerturbation,
-    project_initial,
     sample_valid_point,
 )
 from .errors import (
@@ -47,6 +46,7 @@ from .kinetic import (
 from .projection import (
     ReducedCoefficients,
     assemble_coefficients,
+    project_initial,
     residual,
 )
 from .quadrature import (

@@ -35,7 +35,6 @@ from .errors import (
     ParameterError,
     RealizabilityError,
 )
-from .kinetic import DistributionField
 from .quadrature import QuadratureRule
 from .workspace import WorkArrays, centered, take
 
@@ -45,7 +44,6 @@ __all__ = [
     "EntropyClosure",
     "AnsatzPoint",
     "recover_batch",
-    "project_initial",
     "sample_valid_point",
     "hermite_polynomial",
 ]
@@ -936,13 +934,6 @@ def _ridge_jitters(manifold: ConservativeMoment, omega: np.ndarray, grid: Quadra
         yield cand
 
 
-def _check_positivity_batch(manifold, omegas, grid, where="recovered parameters"):
-    bad = _dips_negative(manifold.values_batch(omegas, grid.nodes))
-    if np.any(bad):
-        cell = int(np.flatnonzero(bad)[0])
-        raise RealizabilityError(f"{where}: negative ansatz values (row {cell})")
-
-
 def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None, jet=None):
     """Damped Newton on the moment map, every row in one batch.
 
@@ -977,8 +968,10 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
         wild = ~np.isfinite(step).all(axis=1)
         wild |= np.abs(step).max(axis=1) > 1e8 * (1.0 + np.abs(om_a).max(axis=1))
         if wild.any():
-            pin = np.linalg.pinv(J_a[wild], rcond=1e-10)
-            step[wild] = -(pin @ r_a[wild][..., None])[..., 0]
+            # damped_round drops the non-finite steps of wild Jacobians
+            with np.errstate(over="ignore", invalid="ignore"):
+                pin = np.linalg.pinv(J_a[wild], rcond=1e-10)
+                step[wild] = -(pin @ r_a[wild][..., None])[..., 0]
 
         best = np.linalg.norm(r_a / sc_a, axis=1)
         accepted = np.zeros(act.size, dtype=bool)
@@ -1010,9 +1003,10 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
         damped_round(step)
         if not accepted.all():
             retry = ~accepted
-            pin = np.linalg.pinv(J_a[retry], rcond=1e-10)
             step_retry = np.zeros_like(step)
-            step_retry[retry] = -(pin @ r_a[retry][..., None])[..., 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                pin = np.linalg.pinv(J_a[retry], rcond=1e-10)
+                step_retry[retry] = -(pin @ r_a[retry][..., None])[..., 0]
             damped_round(step_retry)
         live[act[~accepted]] = False
         hit = act[accepted]
@@ -1037,21 +1031,6 @@ def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=T
     return sol, ok, owner, jet
 
 
-def _cold_starts(manifold, targets, grid):
-    """``starts(kind, rows)``: the rows' cold starts by the manifold's method
-    ``kind``, cold_start_candidates or initial_guess, each computed once, when
-    first asked for; a row's bits do not depend on the rows asked with it."""
-    found = {}
-
-    def starts(kind, rows):
-        new = [i for i in rows if (kind, i) not in found]
-        if new:
-            found.update(zip([(kind, i) for i in new], getattr(manifold, kind)(targets[new], grid)))
-        return [found[kind, i] for i in rows]
-
-    return starts
-
-
 def recover_batch(
     manifold: ConservativeMoment,
     targets: np.ndarray,
@@ -1059,7 +1038,7 @@ def recover_batch(
     omega0: np.ndarray | None = None,
     require_nonnegative: bool = True,
     work: WorkArrays | None = None,
-    jet0=None, return_jet=False, cold_starts=None,
+    jet0=None, return_jet=False,
 ):
     """Damped Newton inversion of the moment map for a batch of cells.
 
@@ -1082,16 +1061,14 @@ def recover_batch(
     boundary.  ``work`` holds the work arrays of the Newton node passes.
     ``jet0``, the moment jet (c, J) of ``omega0``, spares Newton its
     first evaluation and changes no bit; ``return_jet`` returns (omega,
-    its jet) for the next recovery.  ``cold_starts`` (``_cold_starts``
-    of the same targets) shares the rows' cold starts with the caller.
+    its jet) for the next recovery.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     K = targets.shape[1]
     if K != manifold.n_moments:
         raise ParameterError(f"expected {manifold.n_moments} moments per row, got {K}")
-    starts = cold_starts or _cold_starts(manifold, targets, grid)
     if omega0 is None:
-        omega = np.array(starts("initial_guess", range(targets.shape[0])))
+        omega = manifold.initial_guess(targets, grid)
     else:
         omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
     omega, ok, _, (c, J) = _newton(manifold, targets, omega, grid, require_nonnegative, work,
@@ -1118,7 +1095,7 @@ def recover_batch(
     if bad.size:
         bad = bad[_gaussian_fit(targets[bad])[2]]
     if bad.size:
-        cands = starts("cold_start_candidates", bad)
+        cands = manifold.cold_start_candidates(targets[bad], grid)
         # each row's candidates in order, one batch per position; a row
         # leaves once one converges, the rest are never solved
         for pos in range(max(len(cs) for cs in cands)):
@@ -1133,7 +1110,7 @@ def recover_batch(
         rows = bad[~ok[bad]]
         if rows.size:
             sol, sol_ok, _, jet = _newton(manifold, targets[rows],
-                                          np.array(starts("initial_guess", rows)), grid,
+                                          manifold.initial_guess(targets[rows], grid), grid,
                                           require_nonnegative, work)
             keep(rows[sol_ok], sol, jet, sol_ok)
     if not ok.all():
@@ -1147,142 +1124,6 @@ def recover_batch(
             omega=omega,
         )
     return (omega, (c, J)) if return_jet else omega
-
-
-def _closest_branch(manifold, omegas, targets, f0_vals, grid, starts):
-    """Among the exact preimages of each row's moments, pick the one
-    closest to the known data f0 (they share all moments but are
-    different functions).  The given solution comes first and the
-    cold starts of ``starts`` (``_cold_starts``) follow in order, the
-    guess last; ties keep the earlier."""
-    dist = ((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2) @ grid.weights
-    norm = (f0_vals**2) @ grid.weights
-    # rows already at the on-manifold fixed point keep it
-    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
-    if rows.size == 0:
-        return omegas
-    cands = [cs + [g] for cs, g in zip(starts("cold_start_candidates", rows),
-                                       starts("initial_guess", rows))]
-    sol, ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
-    d = ((manifold.values_batch(sol, grid.nodes) - f0_vals[rows][owner]) ** 2) @ grid.weights
-    d[~(ok & np.isfinite(d))] = np.inf
-    for j, i in enumerate(rows):
-        mine = np.flatnonzero(owner == j)
-        k = int(np.argmin(np.concatenate([[dist[i]], d[mine]])))
-        if k:
-            omegas[i] = sol[mine[k - 1]]
-    return omegas
-
-
-def _projection_residual(manifold, omega, f0_vals, grid):
-    f, basis = manifold.jet_batch(omega, grid.nodes)
-    w = manifold.weight_batch(omega, grid.nodes)[0]
-    return basis[0] @ ((f0_vals - f[0]) * w * grid.weights)
-
-
-def _project_newton(manifold, omega, f0_vals, grid, tol_scale):
-    """Damped Newton on the metric-orthogonality conditions
-    g(f0 - f_hat, b_k) = 0 with a finite-difference Jacobian."""
-    omega = omega.copy()
-    r = _projection_residual(manifold, omega, f0_vals, grid)
-    tol = 1e-11 * tol_scale
-    for _ in range(50):
-        if np.abs(r).max() <= tol:
-            break
-        J = np.empty((omega.size, omega.size))
-        for j in range(omega.size):
-            h = 1e-6 * max(abs(omega[j]), 1.0)
-            op = omega.copy()
-            op[j] += h
-            om = omega.copy()
-            om[j] -= h
-            J[:, j] = (
-                _projection_residual(manifold, op, f0_vals, grid)
-                - _projection_residual(manifold, om, f0_vals, grid)
-            ) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        best = np.linalg.norm(r)
-        s = 1.0
-        for _ in range(13):
-            cand = omega + s * step
-            try:
-                manifold.check_params(cand)
-                r_try = _projection_residual(manifold, cand, f0_vals, grid)
-            except (RealizabilityError, FloatingPointError):
-                s *= 0.5
-                continue
-            if np.linalg.norm(r_try) < best:
-                omega, r = cand, r_try
-                break
-            s *= 0.5
-        else:
-            raise InversionError("projection Newton stalled")
-    else:
-        raise InversionError("projection Newton did not converge in 50 iterations")
-    return omega
-
-
-def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
-    """Metric-orthogonal projection of an initial field onto the
-    manifold: the stacked parameters, one row per space cell.
-
-    For ConservativeMoment the metric weight cancels the Gaussian in the
-    tangent directions, so the conditions reduce to literal moment
-    matching; the other manifolds use damped Newton on the
-    orthogonality conditions.
-    """
-    grid = f0.grid
-    if isinstance(manifold, ConservativeMoment):
-        xiPw = grid.xi_powers(manifold.n_moments - 1) * grid.weights
-        targets = f0.values @ xiPw.T
-        fit_ok = _gaussian_fit(targets)[2]
-        if not fit_ok.all():
-            i = int(np.flatnonzero(~fit_ok)[0])
-            raise RealizabilityError(
-                f"cell {i}: moments {targets[i].tolist()} have no positive "
-                "density and temperature"
-            )
-        # the recovery and the branch choice share each row's cold starts
-        starts = _cold_starts(manifold, targets, grid)
-        try:
-            omegas = recover_batch(manifold, targets, grid, cold_starts=starts)
-        except InversionError as exc:
-            i = int(exc.rows[0])
-            raise InversionError(
-                f"cell {i}: initial projection failed, no realizable chart point "
-                f"matches the moments {targets[i].tolist()}",
-                rows=exc.rows,
-                omega=exc.omega,
-            ) from exc
-        # the moment map is two-to-one over part of the chart; with the
-        # data in hand the branch closest to f0 in L2 is canonical
-        return _closest_branch(manifold, omegas, targets, f0.values, grid, starts)
-    omegas = np.empty((f0.mesh.cells, manifold.dim))
-    for i in range(f0.mesh.cells):
-        f0_vals = f0.values[i]
-        rho = float(np.add.reduce(f0_vals * grid.weights))
-        if rho <= 0.0:
-            raise RealizabilityError(f"cell {i}: vanishing density")
-        u = float(np.add.reduce(grid.nodes * f0_vals * grid.weights)) / rho
-        theta = float(np.add.reduce((grid.nodes - u) ** 2 * f0_vals * grid.weights)) / rho
-        if theta <= 0.0:
-            raise RealizabilityError(f"cell {i}: nonpositive temperature")
-        if isinstance(manifold, EntropyClosure) and manifold.n < 3:
-            omega0 = np.zeros(manifold.dim)
-            omega0[0] = np.log(max(rho / (2.0 * grid.half_width), 1e-12))
-        else:
-            omega0 = manifold.equilibrium_params(rho, u, theta)
-        tol_scale = 1.0 + rho
-        try:
-            omega = _project_newton(manifold, omega0, f0_vals, grid, tol_scale)
-        except InversionError as exc:
-            raise InversionError(f"cell {i}: {exc}") from exc
-        _check_positivity_batch(manifold, omega[None, :], grid, f"cell {i} projection")
-        omegas[i] = omega
-    return omegas
 
 
 def sample_valid_point(

@@ -228,12 +228,13 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     return feq
 
 
-def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None):
+def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None,
+                    work: WorkArrays | None = None):
     """Q[f] for stacked profiles, written into ``out`` when given (as
-    ``_target_batch``'s); nonpositive collision moments raise
-    RealizabilityError for the lowest such row."""
+    ``_target_batch``'s), with ``work`` as work space; nonpositive
+    collision moments raise RealizabilityError for the lowest such row."""
     try:
-        q = _target_batch(model, vals, grid, out)
+        q = _target_batch(model, vals, grid, out, work)
     except StepError as exc:
         err = RealizabilityError(str(exc))
         err.row = exc.cell

@@ -1,4 +1,5 @@
-"""Reduced-system coefficient assembly and the tangent-space projector.
+"""Reduced-system coefficient assembly, the tangent-space projector and
+the metric-orthogonal projection of an initial field onto a manifold.
 
 The reduced dynamics reads A0(omega) d_t omega + A1(omega) d_x omega =
 Q(omega) with A0_kl = g(b_k, b_l), A1_kl = g(b_k, xi b_l) and
@@ -13,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _sign_rule
-from .errors import DegenerateChartError, KinReduceError, ParameterError
-from .kinetic import CollisionModel, _collision_rows
+from .ansatz import (AnsatzPoint, ConservativeMoment, EntropyClosure, Manifold, _gaussian_fit,
+                     _newton, _sign_rule, _solve_candidates)
+from .errors import (DegenerateChartError, InversionError, KinReduceError, ParameterError,
+                     RealizabilityError)
+from .kinetic import CollisionModel, DistributionField, _collision_rows
 from .quadrature import QuadratureRule
 from .workspace import WorkArrays, take
 
@@ -25,6 +28,7 @@ __all__ = [
     "assemble_coefficients",
     "residual_batch",
     "residual",
+    "project_initial",
 ]
 
 
@@ -138,7 +142,7 @@ def coefficients_batch(
     else:
         # f is spent: the clip goes in place
         vals = _by_row(lambda v: _sign_rule(v, out=v), f)
-        rows = _collision_rows(model, vals, grid, take(work, "profile", vals.shape))
+        rows = _collision_rows(model, vals, grid, take(work, "profile", vals.shape), work)
         rows *= mu
         q = np.einsum("mkn,mn->mk", basis, rows)
     if check_spd:
@@ -240,3 +244,143 @@ def residual(
     ``residual_batch``.  ``domega_dx`` is the spatial gradient of the
     parameters at this point."""
     return residual_batch(p.manifold, p.omega, domega_dx, model, grid)[0]
+
+
+def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
+    """Metric-orthogonal projection of an initial field onto the
+    manifold: the stacked parameters, one row per space cell.
+
+    For ConservativeMoment the metric weight cancels the Gaussian in the
+    tangent directions, so the conditions reduce to literal moment
+    matching (``_nearest_preimage``); the other manifolds solve the
+    orthogonality conditions by Gauss-Newton (``_chart_projection``).
+    """
+    if isinstance(manifold, ConservativeMoment):
+        return _nearest_preimage(manifold, f0)
+    return _chart_projection(manifold, f0)
+
+
+def _sq_distances(manifold: Manifold, omegas, f0_vals, grid: QuadratureRule) -> np.ndarray:
+    """Squared L2 distances from the ansatz at each row to ``f0_vals``."""
+    return ((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2) @ grid.weights
+
+
+def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np.ndarray:
+    """Each cell's realizable chart point with f0's raw moments
+    c_0..c_{N+2}.  The moment map is two-to-one over part of the chart,
+    so with the data in hand the preimage nearest f0 in L2 is canonical:
+    Newton from the variable-projection guess, and, unless that lands
+    on f0 itself, from every resultant-scan cold start, all in one
+    batch; ties keep the earlier (the guess, then scan order)."""
+    grid = f0.grid
+    targets = f0.values @ (grid.xi_powers(manifold.n_moments - 1) * grid.weights).T
+    bad = np.flatnonzero(~_gaussian_fit(targets)[2])
+    if bad.size:
+        raise RealizabilityError(f"cell {bad[0]}: moments {targets[bad[0]].tolist()} have no "
+                                 "positive density and temperature")
+    omegas, ok, _, _ = _newton(manifold, targets, manifold.initial_guess(targets, grid), grid)
+    dist = _sq_distances(manifold, omegas, f0.values, grid)
+    dist[~(ok & np.isfinite(dist))] = np.inf
+    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum((f0.values**2) @ grid.weights, 1e-300)))
+    cands = manifold.cold_start_candidates(targets[rows], grid) if rows.size else []
+    if any(cands):
+        sol, sol_ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
+        d = _sq_distances(manifold, sol, f0.values[rows[owner]], grid)
+        d[~(sol_ok & np.isfinite(d))] = np.inf
+        # per row the first nearest cold start, where it beats the guess
+        nearest = np.full(rows.size, np.inf)
+        np.minimum.at(nearest, owner, d)
+        hit = np.flatnonzero((d == nearest[owner]) & (d < dist[rows[owner]]))
+        j, first = np.unique(owner[hit], return_index=True)
+        omegas[rows[j]] = sol[hit[first]]
+        dist[rows[j]] = d[hit[first]]
+    failed = np.flatnonzero(dist == np.inf)
+    if failed.size:
+        raise InversionError(f"cell {failed[0]}: initial projection failed, no realizable chart "
+                             f"point matches the moments {targets[failed[0]].tolist()}",
+                             rows=failed, omega=omegas)
+    return omegas
+
+
+def _orthogonality(manifold: Manifold, omegas, f0_vals, grid: QuadratureRule):
+    """The residuals r_k = g(f0 - f_hat, b_k) of the orthogonality
+    conditions at every row, and the chart bases, metric and
+    differences f0 - f_hat they come from."""
+    f, chart = _jet(manifold, omegas, grid)
+    mu = _metric(manifold, omegas, grid)
+    h = f0_vals - f
+    return ((chart * mu[:, None, :]) @ h[..., None])[..., 0], chart, mu, h
+
+
+def _passing_rows(rule, rows: np.ndarray):
+    """``rule`` of the index array ``rows`` for the rows that pass it
+    alone: (their mask, ``rule``'s arrays stacked over them, or None).
+    A block that raises a typed error is halved, so a failing row
+    rejects only itself."""
+    try:
+        return np.ones(rows.size, dtype=bool), rule(rows)
+    except KinReduceError:
+        if rows.size == 1:
+            return np.zeros(1, dtype=bool), None
+    halves = [_passing_rows(rule, half) for half in np.array_split(rows, 2)]
+    found = [out for _, out in halves if out is not None]
+    return (np.concatenate([ok for ok, _ in halves]),
+            tuple(map(np.concatenate, zip(*found))) if found else None)
+
+
+def _chart_projection(manifold: Manifold, f0: DistributionField) -> np.ndarray:
+    """Damped Gauss-Newton on g(f0 - f_hat, b_k) = 0, every cell in one
+    batch, from each cell's Maxwellian.  The step A0^-1 r is the
+    coefficient part of ``_project`` of f0 - f_hat, the exact Newton
+    step where f_hat = f0; each row halves its own step until |r|
+    falls.  A row converges at max|r_k| <= 1e-11 (1 + rho)."""
+    grid, vals = f0.grid, f0.values
+    # each cell's sums as one row, in the order of a lone row's
+    rho = np.add.reduce(vals * grid.weights, axis=1)
+    if (rho <= 0.0).any():
+        raise RealizabilityError(f"cell {np.flatnonzero(rho <= 0.0)[0]}: vanishing density")
+    u = np.add.reduce(grid.nodes * vals * grid.weights, axis=1) / rho
+    theta = np.add.reduce((grid.nodes - u[:, None]) ** 2 * vals * grid.weights, axis=1) / rho
+    if (theta <= 0.0).any():
+        raise RealizabilityError(f"cell {np.flatnonzero(theta <= 0.0)[0]}: nonpositive temperature")
+    if isinstance(manifold, EntropyClosure) and manifold.n < 3:
+        omegas = np.zeros((rho.size, manifold.dim))
+        omegas[:, 0] = np.log(np.maximum(rho / (2.0 * grid.half_width), 1e-12))
+    else:
+        omegas = manifold.equilibrium_params(rho, u, theta)
+    tol = 1e-11 * (1.0 + rho)
+    r, *at = _orthogonality(manifold, omegas, vals, grid)
+    for _ in range(50):
+        live = np.flatnonzero(~(np.abs(r).max(axis=1) <= tol))
+        if live.size == 0:
+            break
+        step = _project(*(a[live] for a in at))[0]
+        best = np.linalg.norm(r[live], axis=1)
+        left = np.arange(live.size)  # rows of ``live`` without an accepted level
+        for s in 0.5 ** np.arange(13):
+            cand = omegas[live[left]] + s * step[left]
+            ok, out = _passing_rows(
+                lambda j: _orthogonality(manifold, cand[j], vals[live[left[j]]], grid),
+                np.arange(left.size))
+            if out is not None:
+                with np.errstate(over="ignore"):  # an overflowing |r| is inf: rejected
+                    won = np.linalg.norm(out[0], axis=1) < best[left[ok]]
+                dest = live[left[ok][won]]
+                omegas[dest] = cand[ok][won]
+                for a, new in zip([r, *at], out):
+                    a[dest] = new[won]
+                left = np.setdiff1d(left, left[ok][won])
+            if left.size == 0:
+                break
+        else:
+            raise InversionError(f"cell {live[left[0]]}: initial projection stalled, no damped "
+                                 "Gauss-Newton step reduces the orthogonality residual",
+                                 rows=live[left], omega=omegas)
+    else:
+        raise InversionError(f"cell {live[0]}: initial projection did not converge in 50 "
+                             "iterations", rows=live, omega=omegas)
+    try:
+        _by_row(_sign_rule, manifold.values_batch(omegas, grid.nodes))
+    except RealizabilityError as exc:
+        raise RealizabilityError(f"cell {exc.row}: initial projection: {exc}") from None
+    return omegas

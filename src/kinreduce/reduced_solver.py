@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _moment_jet, project_initial,
-                     recover_batch)
+from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _moment_jet, recover_batch
 from .errors import (
     BlowUpError,
     DegenerateChartError,
@@ -46,7 +45,8 @@ from .kinetic import (
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
-from .projection import _solve_spd, assemble_coefficients, coefficients_batch  # noqa: F401
+from .projection import (_solve_spd, assemble_coefficients, coefficients_batch,  # noqa: F401
+                         project_initial)
 from .quadrature import QuadratureRule
 from .workspace import WorkArrays, take
 

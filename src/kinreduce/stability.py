@@ -28,7 +28,7 @@ from numpy.random import default_rng
 
 from .ansatz import ConservativeMoment, Manifold, hermite_polynomials
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
-from .kinetic import CollisionModel, MomentState, _target_linearization, collision_rate
+from .kinetic import CollisionModel, _target_linearization, collision_rate
 from .projection import (
     _asymmetry, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams, _solve_spd,
     _symmetrize, coefficients_batch,
@@ -74,40 +74,24 @@ def _mgs_orthonormalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 class HermiteSpace:
-    """Orthonormal truncated Hermite basis around a Maxwellian.
+    """Orthonormal truncated Hermite basis around a Maxwellian of unit density.
 
-    Basis functions are f0 * He_k(w) / sqrt(rho k!) with
+    Basis functions are f0 * He_k(w) / sqrt(k!) with
     w = (xi - u)/sqrt(theta), orthonormal under the entropy-Hessian
     metric.  All inner products reduce to Gaussian expectations of
     Hermite products, evaluated with a tensor Gauss-Hermite rule of
-    ``quad_points`` nodes per axis (needs >= K + 2 for exactness).
+    K + 4 nodes per axis (exact from K + 2 on).
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        max_degree: int,
-        state: MomentState | None = None,
-        quad_points: int | None = None,
-        metric_scale: float = 1.0,
-    ):
+    def __init__(self, dimension: int, max_degree: int):
         if dimension not in (1, 2, 3):
             raise ParameterError("dimension must be 1, 2 or 3")
         if max_degree < 2:
             raise ParameterError("max_degree must be >= 2 to contain W0")
-        if metric_scale <= 0.0:
-            raise ParameterError("metric_scale must be positive")
         self.dimension = dimension
         self.max_degree = max_degree
-        self.state = state or MomentState(rho=1.0, u=0.0, theta=1.0)
-        self.metric_scale = metric_scale
-        n1 = quad_points if quad_points is not None else max_degree + 4
-        if n1 < max_degree + 2:
-            raise ConfigurationError(
-                f"quadrature order {n1} insufficient for degree {max_degree}"
-            )
 
-        y, wy = hermgauss(n1)
+        y, wy = hermgauss(max_degree + 4)
         axis_nodes = np.sqrt(2.0) * y
         axis_prob = wy / np.sqrt(np.pi)  # standard Gaussian expectation
         grids = np.meshgrid(*([axis_nodes] * dimension), indexing="ij")
@@ -146,8 +130,7 @@ class HermiteSpace:
     def coefficients(self, poly_vals: np.ndarray) -> np.ndarray:
         """Coefficients of f0 * s(w) in the orthonormal basis, given the
         values of s on the tensor nodes."""
-        scale = np.sqrt(self.state.rho * self.metric_scale)
-        return scale * (self.basis @ (self.prob * poly_vals))
+        return self.basis @ (self.prob * poly_vals)
 
     # equilibrium and collision subspaces, expressed through w
     def w0_vectors(self) -> np.ndarray:

@@ -138,3 +138,98 @@ def degenerate_cell(monkeypatch):
         monkeypatch.setattr(HermitePerturbation, "jet_batch", jet_batch)
 
     return install
+
+
+def ladder_projection(manifold, f0):
+    """ConservativeMoment's initial projection as the stepping recovery's
+    fallback ladder computed it: ``recover_batch`` from the
+    variable-projection guess (ridge jitters, then the first converging
+    cold start, then the guess again), then, unless that lands on f0
+    itself, the preimage nearest f0 in L2 among it, the cold starts and
+    the guess, ties keeping the earlier.  The reference for the one-pass
+    nearest-preimage rule."""
+    from kinreduce.ansatz import _solve_candidates, recover_batch
+
+    grid, vals = f0.grid, f0.values
+    targets = vals @ (grid.xi_powers(manifold.n_moments - 1) * grid.weights).T
+    omegas = recover_batch(manifold, targets, grid)
+    dist = ((manifold.values_batch(omegas, grid.nodes) - vals) ** 2) @ grid.weights
+    norm = (vals**2) @ grid.weights
+    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
+    if rows.size == 0:
+        return omegas
+    cands = [cs + [g] for cs, g in zip(manifold.cold_start_candidates(targets[rows], grid),
+                                       manifold.initial_guess(targets[rows], grid))]
+    sol, ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
+    d = ((manifold.values_batch(sol, grid.nodes) - vals[rows][owner]) ** 2) @ grid.weights
+    d[~(ok & np.isfinite(d))] = np.inf
+    for j, i in enumerate(rows):
+        mine = np.flatnonzero(owner == j)
+        k = int(np.argmin(np.concatenate([[dist[i]], d[mine]])))
+        if k:
+            omegas[i] = sol[mine[k - 1]]
+    return omegas
+
+
+def fd_newton_projection(manifold, f0):
+    """The chart manifolds' initial projection cell by cell: damped
+    Newton on g(f0 - f_hat, b_k) = 0 with a central finite-difference
+    Jacobian, from each cell's Maxwellian.  The reference for the
+    batched Gauss-Newton."""
+    from kinreduce import EntropyClosure, InversionError, RealizabilityError
+    from kinreduce.ansatz import _dips_negative
+
+    grid = f0.grid
+
+    def residual(omega, f0_vals):
+        f, basis = manifold.jet_batch(omega, grid.nodes)
+        w = manifold.weight_batch(omega, grid.nodes)[0]
+        return basis[0] @ ((f0_vals - f[0]) * w * grid.weights)
+
+    omegas = np.empty((f0.mesh.cells, manifold.dim))
+    for i, f0_vals in enumerate(f0.values):
+        rho = float(np.add.reduce(f0_vals * grid.weights))
+        if rho <= 0.0:
+            raise RealizabilityError(f"cell {i}: vanishing density")
+        u = float(np.add.reduce(grid.nodes * f0_vals * grid.weights)) / rho
+        theta = float(np.add.reduce((grid.nodes - u) ** 2 * f0_vals * grid.weights)) / rho
+        if theta <= 0.0:
+            raise RealizabilityError(f"cell {i}: nonpositive temperature")
+        if isinstance(manifold, EntropyClosure) and manifold.n < 3:
+            omega = np.zeros(manifold.dim)
+            omega[0] = np.log(max(rho / (2.0 * grid.half_width), 1e-12))
+        else:
+            omega = manifold.equilibrium_params(rho, u, theta)
+        r = residual(omega, f0_vals)
+        for _ in range(50):
+            if np.abs(r).max() <= 1e-11 * (1.0 + rho):
+                break
+            J = np.empty((omega.size, omega.size))
+            for j in range(omega.size):
+                h = 1e-6 * max(abs(omega[j]), 1.0)
+                op, om = omega.copy(), omega.copy()
+                op[j] += h
+                om[j] -= h
+                J[:, j] = (residual(op, f0_vals) - residual(om, f0_vals)) / (2.0 * h)
+            try:
+                step = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            for s in 0.5 ** np.arange(13):
+                cand = omega + s * step
+                try:
+                    manifold.check_params(cand)
+                    r_try = residual(cand, f0_vals)
+                except RealizabilityError:
+                    continue
+                if np.linalg.norm(r_try) < np.linalg.norm(r):
+                    omega, r = cand, r_try
+                    break
+            else:
+                raise InversionError(f"cell {i}: projection Newton stalled")
+        else:
+            raise InversionError(f"cell {i}: projection Newton did not converge in 50 iterations")
+        if _dips_negative(manifold.values_batch(omega, grid.nodes))[0]:
+            raise RealizabilityError(f"cell {i}: negative ansatz values")
+        omegas[i] = omega
+    return omegas

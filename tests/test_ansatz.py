@@ -593,8 +593,8 @@ class TestBatchedLadder:
         assert "row 1" in msg and not any(f"row {i}" in msg for i in (0, 2, 3))
 
     def test_project_initial_computes_each_cold_start_once(self, monkeypatch):
-        """The recovery and the branch choice of ``project_initial``
-        share each row's candidates and guess."""
+        """``project_initial`` computes each row's candidates and guess
+        at most once."""
         grid = truncated_rule(10.0, 128)
         cm = ConservativeMoment(4)
         f = np.stack([

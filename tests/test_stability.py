@@ -5,7 +5,6 @@ import pytest
 
 from kinreduce import (
     CollisionModel,
-    ConfigurationError,
     ConservativeMoment,
     EntropyClosure,
     HermitePerturbation,
@@ -43,10 +42,6 @@ class TestHermiteSpace:
                 vals = vals * hermite_polynomial(kj, space.w_nodes[:, axis])
             want[row] = vals / np.sqrt(np.prod([factorial(kj) for kj in k]))
         assert np.array_equal(space.basis, want)
-
-    def test_insufficient_quadrature_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HermiteSpace(1, 6, quad_points=5)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_collision_subspaces_orthogonal_to_w0(self, d):
@@ -155,16 +150,6 @@ class TestGuscCheck:
         rep = gusc_check(D, space.w0_projector(), 1.0 / 0.8)
         assert rep.kernel_defect <= 1e-10
         assert rep.gwsc_passed
-
-    def test_metric_scaling_leaves_verdict_unchanged(self):
-        model = CollisionModel("shakhov", tau=1.0, prandtl=2 / 3)
-        verdicts = []
-        for scale in (1.0, 13.7):
-            space = HermiteSpace(1, 4, metric_scale=scale)
-            D = linearized_collision_matrix(model, space)
-            rep = gusc_check(D, space.w0_projector(), 2 / 3)
-            verdicts.append((rep.passed, round(rep.worst_quotient, 10)))
-        assert verdicts[0] == verdicts[1]
 
 
 MODELS = [("bgk", 1.0), ("shakhov", 2 / 3), ("esbgk", 0.8)]

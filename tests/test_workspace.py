@@ -359,10 +359,12 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_a_warm_generic_step_allocates_less_than_one_field(grid):
+@pytest.mark.parametrize("model", [CollisionModel(kind="bgk", tau=0.1),
+                                   CollisionModel(kind="shakhov", tau=0.1, prandtl=2 / 3)],
+                         ids=lambda m: m.kind)
+def test_a_warm_generic_step_allocates_less_than_one_field(model, grid):
     # 100 cells on 256 nodes, the hermite4_generic state
     state = initial_state(HermitePerturbation(4), sine_field(grid, 100))
-    model = CollisionModel(kind="bgk", tau=0.1)
     work = StepWork(state.manifold, grid)
     step(state, model, 0.45, work=work)
     field = state.omegas.shape[0] * len(grid) * 8
