@@ -351,7 +351,7 @@ class ConservativeMoment:
         """
         C = np.atleast_2d(np.asarray(C, dtype=float))
         N = self.degree
-        if N == 0:
+        if N == 0 or not len(C):
             return [[] for _ in C]
         u0, th0 = self.gaussian_fit(C)
         s = np.sqrt(th0)

@@ -80,9 +80,15 @@ class DistributionField:
         # min and max see every NaN and Inf without a temporary mask
         lo, hi = self.values.min(), self.values.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise RealizabilityError("distribution field contains NaN/Inf")
+            self._reject(~np.isfinite(self.values), "contains NaN/Inf")
         if lo < 0.0:
-            raise RealizabilityError("distribution field has negative values")
+            self._reject(self.values < 0.0, "has negative values")
+
+    def _reject(self, bad: np.ndarray, what: str):
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        err = RealizabilityError(f"distribution field {what} in cell {row}")
+        err.row = row
+        raise err
 
     def copy(self) -> "DistributionField":
         return DistributionField(self.values.copy(), self.grid, self.mesh)
@@ -183,18 +189,20 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_fl
 
 
 def _target_batch(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None,
-                  work: WorkArrays | None = None):
-    """Collision targets for stacked profiles (d=1 formulas), written
-    into ``out`` when given (an array of the shape of ``vals`` that does
-    not overlap it), with ``work`` as work space.  A row whose density
-    or temperature is not positive raises StepError naming the lowest
-    such row."""
+                  work: WorkArrays | None = None, heat_flux_scale: float = 1.0):
+    """Collision targets for stacked profiles (d=1 formulas; Shakhov's at
+    the heat flux times ``heat_flux_scale``), written into ``out`` when
+    given (an array of the shape of ``vals`` that does not overlap it),
+    with ``work`` as work space.  A row whose density or temperature is
+    not positive raises StepError naming the lowest such row."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rho, u, theta, q = _moments_of_values(
             vals, grid, out, heat_flux=model.kind == "shakhov", work=work)
     if np.any(rho <= 0.0) or np.any(theta <= 0.0):
         bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
         raise StepError("unrealizable moments during collision evaluation", cell=bad)
+    if q is not None:
+        q *= heat_flux_scale
     return _target_of_moments(model, rho, u, theta, q, grid, out, work)
 
 

@@ -282,7 +282,7 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     dist = _sq_distances(manifold, omegas, f0.values, grid)
     dist[~(ok & np.isfinite(dist))] = np.inf
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum((f0.values**2) @ grid.weights, 1e-300)))
-    cands = manifold.cold_start_candidates(targets[rows], grid) if rows.size else []
+    cands = manifold.cold_start_candidates(targets[rows], grid)
     if any(cands):
         sol, sol_ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
         d = _sq_distances(manifold, sol, f0.values[rows[owner]], grid)

@@ -1,17 +1,18 @@
 """Discrete-velocity reference solver for the full kinetic equation.
 
 Transport is first-order upwind per velocity node (monotone and
-positivity preserving under the CFL bound).  Relaxation is the exact
-exponential update for BGK and ES-BGK (in d = 1 the ES-BGK target is
-the Maxwellian, relaxed at rate Pr/tau), whose conserved moments freeze
-the target, and a two-stage explicit RK2 for Shakhov.
+positivity preserving under the CFL bound).  Relaxation is solved
+exactly in time for all three collision models: it freezes rho, u and
+theta, so the BGK target is fixed (as the ES-BGK one, which in d = 1 is
+the Maxwellian relaxed at rate Pr/tau), and the Shakhov target is
+affine in a heat flux that decays as exp(-Pr t/tau).
 
 A run applies Strang splitting, half relaxation, transport, half
-relaxation, per substep.  For the exact relaxations the two half
-relaxations that meet between substeps are one full relaxation, so an
-output interval of n substeps is R(dt/2) T R(dt) T ... R(dt) T R(dt/2):
-n + 1 relaxations, and a Strang-complete state at every output time.
-The substeps write into two arrays they reuse in turn, and a Shakhov
+relaxation, per substep.  The exact relaxations compose, so the two
+half relaxations that meet between substeps are one full relaxation,
+and an output interval of n substeps is R(dt/2) T R(dt) T ... R(dt) T
+R(dt/2): n + 1 relaxations, and a Strang-complete state at every output
+time.  The substeps write into two arrays they reuse in turn, and a
 relaxation computes in the run's work arrays, so no substep allocates a
 field-sized array.
 """
@@ -32,7 +33,7 @@ from .kinetic import (
     march,
 )
 from .quadrature import QuadratureRule
-from .workspace import WorkArrays, take
+from .workspace import WorkArrays
 
 __all__ = [
     "KineticState",
@@ -94,38 +95,30 @@ def relaxation_step(
     state: KineticState, model: CollisionModel, dt: float, out: np.ndarray | None = None,
     work: WorkArrays | None = None,
 ) -> KineticState:
-    """Exact relaxation for BGK and ES-BGK, whose Maxwellian target the
-    relaxation leaves unchanged: f(dt) = M + exp(-rate dt) (f - M) with
-    rate = ``collision_rate(model)``.  Explicit RK2 for Shakhov, whose
-    stages compute in ``work``.  The result is clipped at zero and
-    written into ``out`` when given (as for ``transport_step``)."""
+    """The exact relaxation f + (1 - exp(-h)) (T - f), h =
+    ``collision_rate(model) * dt``, clipped at zero and written into
+    ``out`` when given (as for ``transport_step``), with ``work`` as work
+    space.  rho, u and theta stay frozen, so T is the Maxwellian for BGK
+    and ES-BGK; Shakhov's q decays as q0 exp(-Pr h), and its T is the
+    Shakhov target at q0 exp(-h) phi1((1 - Pr) h) / phi1(-h)."""
     f = state.f
     vals = f.values
-    grid = f.grid
+    h = collision_rate(model) * dt
+    scale = 1.0
     if model.kind == "shakhov":
-        rate = collision_rate(model)
-
-        def rhs(v, name):  # rate * (target - v), in the work array ``name``
-            k = _target_batch(model, v, grid, take(work, name, v.shape), work)
-            k -= v
-            k *= rate
-            return k
-
-        k1 = rhs(vals, "ref.k1")
-        mid = np.multiply(dt, k1, out=take(work, "ref.mid", vals.shape))
-        mid += vals  # vals + dt k1
-        k2 = rhs(mid, "ref.k2")
-        k2 += k1  # then 0.5 dt (k1 + k2)
-        k2 *= 0.5 * dt
-        new = np.add(vals, k2, out=out)
-    else:
-        # f + (1 - exp(-rate dt)) (M - f), in the target's buffer
-        new = _target_batch(model, vals, grid, out=out)
-        new -= vals
-        new *= -np.expm1(-collision_rate(model) * dt)
-        new += vals
+        scale = np.exp(-h) * _phi1((1.0 - model.prandtl) * h) / _phi1(-h)
+    # f + (1 - exp(-h)) (T - f), in the target's buffer
+    new = _target_batch(model, vals, f.grid, out, work, heat_flux_scale=scale)
+    new -= vals
+    new *= -np.expm1(-h)
+    new += vals
     np.maximum(new, 0.0, out=new)
-    return KineticState(DistributionField(new, grid, f.mesh), state.time + dt)
+    return KineticState(DistributionField(new, f.grid, f.mesh), state.time + dt)
+
+
+def _phi1(x: float) -> float:
+    """expm1(x) / x, and 1 at x = 0."""
+    return np.expm1(x) / x if x else 1.0
 
 
 def run_reference(
@@ -145,9 +138,6 @@ def run_reference(
     xiPw = np.stack([np.ones_like(xi), xi, xi * xi]) * grid.weights
     times, snaps, totals, entropy = [], [], [], []
 
-    # exact relaxation leaves the BGK/ES-BGK target unchanged, so the two
-    # half relaxations between transports fuse into one full relaxation
-    fuse = model is not None and model.kind != "shakhov"
     spare, work = np.empty_like(f0.values), WorkArrays()
 
     def advance(state, target):
@@ -159,12 +149,12 @@ def run_reference(
         try:
             for i in range(n_sub):
                 t0 = state.time
-                if model is not None and (i == 0 or not fuse):
+                if model is not None and i == 0:
                     state, spare = (relaxation_step(state, model, 0.5 * dt, spare, work),
                                     state.f.values)
                 state, spare = transport_step(state, dt, out=spare), state.f.values
                 if model is not None:
-                    h = dt if fuse and i < n_sub - 1 else 0.5 * dt
+                    h = dt if i < n_sub - 1 else 0.5 * dt
                     state, spare = relaxation_step(state, model, h, spare, work), state.f.values
                 state.time = t0 + dt
         except StepError as exc:

@@ -568,6 +568,13 @@ class TestBatchedLadder:
             loop = per_row_initial_guess(cm, C[i], wide_grid)
             assert np.abs(loop - guesses[i]).max() <= 1e-12 * (1 + np.abs(loop).max())
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_cold_starts_of_no_rows(self, degree, grid):
+        cm = ConservativeMoment(degree)
+        C = np.empty((0, cm.n_moments))
+        assert cm.cold_start_candidates(C, grid) == []
+        assert cm.initial_guess(C, grid).shape == (0, cm.dim)
+
     def test_unmatched_row_is_named(self, grid):
         # no realizable degree-2 point has the moments of this mixture
         cm = ConservativeMoment(2)

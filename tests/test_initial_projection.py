@@ -140,7 +140,7 @@ class TestNearestPreimage:
         monkeypatch.setattr(ConservativeMoment, "cold_start_candidates",
                             lambda self, T, g: asked.append(len(T)) or kernel(self, T, g))
         omegas = project_initial(ConservativeMoment(2), f0)
-        assert asked == []
+        assert sum(asked) == 0  # no row is cold-started
         assert same_bits(omegas, ladder_projection(ConservativeMoment(2), f0))
 
     @pytest.mark.parametrize("p", [

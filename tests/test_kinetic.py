@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from kinreduce import (
     CollisionModel,
+    DistributionField,
     MomentState,
     RealizabilityError,
+    SpatialMesh,
     collision_invariants,
     entropy,
     entropy_production,
@@ -79,6 +81,24 @@ class TestMoments:
             MomentState(rho=-1.0, u=0.0, theta=1.0)
         with pytest.raises(RealizabilityError):
             MomentState(rho=1.0, u=0.0, theta=0.0)
+
+
+class TestDistributionField:
+    def test_errors_name_the_lowest_offending_cell(self, grid):
+        vals = np.tile(maxwellian(MomentState(1.0, 0.0, 1.0), grid), (4, 1))
+        vals[1, 7] = np.nan
+        vals[2, 3] = -1e-3
+        mesh = SpatialMesh(cells=4, length=1.0)
+        with pytest.raises(RealizabilityError, match="NaN/Inf in cell 1") as info:
+            DistributionField(vals, grid, mesh)
+        assert info.value.row == 1
+        vals[1, 7] = np.inf
+        with pytest.raises(RealizabilityError, match="NaN/Inf in cell 1"):
+            DistributionField(vals, grid, mesh)
+        vals[1, 7] = 0.0
+        with pytest.raises(RealizabilityError, match="negative values in cell 2") as info:
+            DistributionField(vals, grid, mesh)
+        assert info.value.row == 2
 
 
 class TestMaxwellian:

@@ -22,9 +22,10 @@ from kinreduce.reference_solver import (
     transport_step,
 )
 
-EXACT_MODELS = [
+MODELS = [
     CollisionModel(kind="bgk", tau=0.3),
     CollisionModel(kind="esbgk", tau=0.3, prandtl=2.0 / 3.0),
+    CollisionModel(kind="shakhov", tau=0.3, prandtl=2.0 / 3.0),
 ]
 
 
@@ -216,7 +217,7 @@ class TestRun:
         assert info.value.cell == 1
         assert info.value.time == 0.0
 
-    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_fused_relaxations_match_half_steps(self, grid, model):
         # R(dt/2) T R(dt) T ... R(dt) T R(dt/2) against the unfused loop
         # R(dt/2) T R(dt/2) per substep, at the same output times
@@ -240,13 +241,8 @@ class TestRun:
         assert np.array_equal(traj.times, np.array(times))
         assert np.abs(traj.snapshots - np.array(snaps)).max() <= 1e-14
 
-    @pytest.mark.parametrize(
-        "model,calls",
-        [(EXACT_MODELS[0], lambda n: n + 1), (EXACT_MODELS[1], lambda n: n + 1),
-         (CollisionModel(kind="shakhov", tau=0.3, prandtl=2.0 / 3.0), lambda n: 2 * n)],
-        ids=["bgk", "esbgk", "shakhov"],
-    )
-    def test_relaxations_per_output_interval(self, grid, monkeypatch, model, calls):
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_relaxations_per_output_interval(self, grid, monkeypatch, model):
         field = gaussian_bump_field(grid, 32)
         relax = reference_solver.relaxation_step
         count = []
@@ -256,11 +252,20 @@ class TestRun:
         run_reference(model, field, 2 * interval, cfl=cfl, output_interval=interval)
         n_sub = int(np.ceil(interval / (cfl * field.mesh.dx / np.abs(grid.nodes).max())))
         assert n_sub > 1
-        assert len(count) == 2 * calls(n_sub)
+        assert len(count) == 2 * (n_sub + 1)
 
-    def test_strang_splitting_second_order(self, grid):
-        # homogeneous Shakhov: transport is trivial, the splitting and
-        # the RK2 relaxation dominate the time error
+    def test_shakhov_at_unit_prandtl_is_bgk(self, grid):
+        # Pr = 1 zeroes the Shakhov target's heat-flux term
+        field = gaussian_bump_field(grid, 32)
+        shakhov = CollisionModel(kind="shakhov", tau=0.3, prandtl=1.0)
+        runs = [run_reference(model, field, 0.04, output_interval=0.02)
+                for model in (shakhov, MODELS[0])]
+        assert np.abs(runs[0].snapshots - runs[1].snapshots).max() <= 1e-15
+
+    def test_homogeneous_shakhov_is_the_exact_flow(self, grid):
+        # transport is trivial, so the Strang substeps compose the exact
+        # relaxation: rho, u and theta frozen, q(t) = q0 exp(-Pr t/tau),
+        # f(t) = M + e^{-s} (f0 - M) + q0 (e^{-Pr s} - e^{-s}) phi, s = t/tau
         model = CollisionModel(kind="shakhov", tau=0.2, prandtl=2 / 3)
         mesh = SpatialMesh(cells=2, length=1.0)
         xi = grid.nodes
@@ -278,7 +283,18 @@ class TestRun:
                 state = relaxation_step(state, model, 0.5 * dt)
             return state.f.values
 
-        s1, s2, s4 = solve(8), solve(16), solve(32)
-        e1 = np.abs(s1 - s2).max()
-        e2 = np.abs(s2 - s4).max()
-        assert e1 / e2 == pytest.approx(4.0, rel=0.3)
+        m0 = moments_of_profile(f0, grid)
+        assert m0.heat_flux > 1e-2
+        s = T / model.tau
+        M = maxwellian(m0, grid)
+        c = xi - m0.u
+        phi = M * c * (c * c / (2 * m0.theta) - 1.5) / (3 * m0.theta**2)
+        exact = M + np.exp(-s) * (f0 - M) + m0.heat_flux * (
+            np.exp(-model.prandtl * s) - np.exp(-s)) * phi
+        sols = [solve(n) for n in (8, 16, 32)]
+        for vals in sols:
+            m = moments_of_profile(vals[0], grid)
+            assert abs(m.heat_flux / m0.heat_flux - np.exp(-model.prandtl * s)) <= 1e-10
+            assert max(abs(m.rho - m0.rho), abs(m.u - m0.u), abs(m.theta - m0.theta)) <= 1e-13
+            assert np.abs(vals - exact).max() <= 1e-13
+        assert max(np.abs(sols[0] - sols[1]).max(), np.abs(sols[1] - sols[2]).max()) <= 1e-13
