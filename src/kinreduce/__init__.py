@@ -59,6 +59,7 @@ from .quadrature import (
 from .reduced_solver import ReducedState, run_reduced, spectral_radius, step
 from .reference_solver import relaxation_step, run_reference, transport_step
 from .stability import (
+    AuditSample,
     HermiteSpace,
     assemble_yong_report,
     gusc_check,

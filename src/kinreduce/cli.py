@@ -27,6 +27,7 @@ from .kinetic import CollisionModel, SpatialMesh
 from .reduced_solver import ReducedTrajectory, run_reduced
 from .reference_solver import KineticTrajectory, run_reference
 from .stability import (
+    AuditSample,
     HermiteSpace,
     assemble_yong_report,
     gusc_check,
@@ -74,8 +75,9 @@ def cmd_audit(cfg: ScenarioConfig, out_dir: Path) -> int:
     t0 = _time.perf_counter()
     manifold = cfg.manifold()
     grid = cfg.grid()
-    hyp = hyperbolicity_audit(manifold, cfg.audit_samples, grid, seed=cfg.audit_seed)
-    speed = propagation_speed_audit(manifold, cfg.audit_samples, grid, seed=cfg.audit_seed)
+    sample = AuditSample(manifold, cfg.audit_samples, grid, seed=cfg.audit_seed)
+    hyp = hyperbolicity_audit(sample)
+    speed = propagation_speed_audit(sample)
 
     gusc = {}
     dim = cfg.audit_dimension

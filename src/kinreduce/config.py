@@ -97,6 +97,14 @@ def _require_keys(section: dict, allowed: dict, where: str):
             raise ConfigurationError(f"missing key {where}.{key}")
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The section ``doc[key]``, {} when absent; it must be an object."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{key} must be a JSON object")
+    return section
+
+
 def _number(section, key, where, lo=None, hi=None, integer=False, default=None):
     if key not in section:
         if default is not None:
@@ -105,7 +113,11 @@ def _number(section, key, where, lo=None, hi=None, integer=False, default=None):
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigurationError(f"{where}.{key} must be a number, got {val!r}")
-    if isinstance(val, float) and not np.isfinite(val):
+    try:
+        finite = np.isfinite(float(val))
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ConfigurationError(f"{where}.{key} must be finite, got {val!r}")
     if integer and int(val) != val:
         raise ConfigurationError(f"{where}.{key} must be an integer, got {val!r}")
@@ -135,7 +147,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         "config",
     )
 
-    man = doc["manifold"]
+    man = _section(doc, "manifold")
     _require_keys(man, {"kind": True, "size": True}, "manifold")
     kind = man["kind"]
     if kind not in ("conservative_moment", "hermite_perturbation", "entropy_closure"):
@@ -144,7 +156,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     hi = {"conservative_moment": 10, "hermite_perturbation": 10, "entropy_closure": 7}[kind]
     size = _number(man, "size", "manifold", lo=lo, hi=hi, integer=True)
 
-    col = doc["collision"]
+    col = _section(doc, "collision")
     _require_keys(col, {"kind": True, "tau": True, "prandtl": False}, "collision")
     ckind = col["kind"]
     if ckind not in ("bgk", "shakhov", "esbgk"):
@@ -152,19 +164,19 @@ def parse_config(doc: dict) -> ScenarioConfig:
     tau = _number(col, "tau", "collision", lo=np.finfo(float).tiny)
     prandtl = _number(col, "prandtl", "collision", lo=1e-12, default=1.0)
 
-    vg = doc["velocity_grid"]
+    vg = _section(doc, "velocity_grid")
     _require_keys(vg, {"half_width": True, "cells": True}, "velocity_grid")
     half_width = _number(vg, "half_width", "velocity_grid", lo=1e-12)
     vcells = _number(vg, "cells", "velocity_grid", lo=1, hi=4096, integer=True)
 
-    sm = doc["spatial_mesh"]
+    sm = _section(doc, "spatial_mesh")
     _require_keys(sm, {"cells": True, "length": True, "periodic": False}, "spatial_mesh")
     scells = _number(sm, "cells", "spatial_mesh", lo=1, hi=100000, integer=True)
     length = _number(sm, "length", "spatial_mesh", lo=1e-12)
-    if not sm.get("periodic", True):
+    if sm.get("periodic", True) is not True:
         raise ConfigurationError("spatial_mesh.periodic must be true (only periodic meshes)")
 
-    ic = doc["initial_condition"]
+    ic = _section(doc, "initial_condition")
     if "preset" not in ic:
         raise ConfigurationError("missing key initial_condition.preset")
     preset = ic["preset"]
@@ -194,7 +206,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         for k, bounds in param_spec.items()
     }
 
-    tm = doc["time"]
+    tm = _section(doc, "time")
     _require_keys(tm, {"final": True, "cfl": False, "output_interval": False}, "time")
     final = _number(tm, "final", "time", lo=0.0)
     cfl = _number(tm, "cfl", "time", lo=1e-6, hi=0.999, default=0.45)
@@ -202,15 +214,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
         tm, "output_interval", "time", lo=1e-12, default=max(final, 1e-12)
     )
 
-    norms = doc.get("norms", {})
+    norms = _section(doc, "norms")
     _require_keys(norms, {"p": False}, "norms")
     p = _number(norms, "p", "norms", lo=1.0 + 1e-9, hi=64.0, default=2.0)
 
-    seeds = doc.get("seeds", {})
+    seeds = _section(doc, "seeds")
     _require_keys(seeds, {"audit": False}, "seeds")
     audit_seed = _number(seeds, "audit", "seeds", lo=0, integer=True, default=0)
 
-    audit = doc.get("audit", {})
+    audit = _section(doc, "audit")
     _require_keys(
         audit,
         {"samples": False, "max_degree": False, "dimension": False, "lambda_claim": False},
@@ -256,6 +268,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)

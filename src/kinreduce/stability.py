@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -30,8 +31,8 @@ from .ansatz import ConservativeMoment, Manifold, hermite_polynomials
 from .errors import ConfigurationError, DegenerateChartError, ParameterError
 from .kinetic import CollisionModel, _target_linearization, collision_rate
 from .projection import (
-    _asymmetry, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams, _solve_spd,
-    _symmetrize, coefficients_batch,
+    _asymmetry, _by_row, _cholesky, _grams, _jet, _metric, _projection_frame, _raw_grams,
+    _solve_spd, _symmetrize,
 )
 from .quadrature import QuadratureRule
 # bound here at import, so that wrapping the solver's own names (as
@@ -48,6 +49,7 @@ __all__ = [
     "YongReport",
     "yong_conditions_check",
     "assemble_yong_report",
+    "AuditSample",
     "SpeedAuditReport",
     "propagation_speed_audit",
     "HyperbolicityReport",
@@ -126,6 +128,8 @@ class HermiteSpace:
                 "increase the quadrature order"
             )
         self.orthonormality_defect = defect
+        self._w0_projector = self.projector(self.w0_vectors())
+        self._w0_projector.flags.writeable = False
 
     def coefficients(self, poly_vals: np.ndarray) -> np.ndarray:
         """Coefficients of f0 * s(w) in the orthonormal basis, given the
@@ -165,7 +169,8 @@ class HermiteSpace:
         return U.T @ U
 
     def w0_projector(self) -> np.ndarray:
-        return self.projector(self.w0_vectors())
+        """The projector onto W0, built once per space; read-only."""
+        return self._w0_projector
 
 
 def linearized_collision_matrix(
@@ -394,15 +399,28 @@ def assemble_yong_report(
     return yong_conditions_check(a0, a1, qu, eq)
 
 
-def _audit_passes(manifold: Manifold, samples: int, grid: QuadratureRule, seed: int, **ranges):
-    """The points both sampled audits check: the first ``samples`` rows
-    of the manifold's ``sample_batch`` from ``default_rng(seed)``, one
-    call per stack of at most ``_AUDIT_PASS_ROWS`` rows."""
-    if samples < 1:
-        raise ParameterError("need at least one sample")
-    rng = default_rng(seed)
-    for lo in range(0, samples, _AUDIT_PASS_ROWS):
-        yield manifold.sample_batch(rng, grid, min(_AUDIT_PASS_ROWS, samples - lo), **ranges)
+class AuditSample:
+    """The points both sampled audits check, drawn once: the first
+    ``samples`` rows of the manifold's ``sample_batch`` from
+    ``default_rng(seed)``, one call per stack of at most
+    ``_AUDIT_PASS_ROWS`` rows.  Each stack's raw (A0, A1) is assembled
+    on first use and kept, so the two audits share one assembly."""
+
+    def __init__(self, manifold: Manifold, samples: int, grid: QuadratureRule, seed: int = 0,
+                 **ranges):
+        if samples < 1:
+            raise ParameterError("need at least one sample")
+        rng = default_rng(seed)
+        self.manifold, self.samples, self.grid = manifold, samples, grid
+        self.stacks = [
+            manifold.sample_batch(rng, grid, min(_AUDIT_PASS_ROWS, samples - lo), **ranges)
+            for lo in range(0, samples, _AUDIT_PASS_ROWS)
+        ]
+
+    @cached_property
+    def raw_grams(self) -> list:
+        """A0 and A1 of each stack, not symmetrized, in stack order."""
+        return [_raw_grams(self.manifold, omegas, self.grid) for omegas in self.stacks]
 
 
 @dataclass(frozen=True)
@@ -414,30 +432,26 @@ class SpeedAuditReport:
     passed: bool
 
 
-def propagation_speed_audit(
-    manifold: Manifold,
-    samples: int,
-    grid: QuadratureRule,
-    seed: int = 0,
-    bound: float | None = None,
-    **ranges,
-) -> SpeedAuditReport:
-    """Check that reduced propagation speeds never exceed the kinetic
-    bound sup |v| = L on the truncated grid; an explicit ``bound``
-    below the attainable radius exercises the failure path.  The speeds
-    are the ones the solver takes: the monomial-frame pencil for
-    ConservativeMoment, the chart pencil (A0, A1) otherwise."""
+def propagation_speed_audit(sample: AuditSample, bound: float | None = None) -> SpeedAuditReport:
+    """Check that reduced propagation speeds at the ``sample`` points
+    never exceed the kinetic bound sup |v| = L on the truncated grid; an
+    explicit ``bound`` below the attainable radius exercises the failure
+    path.  The speeds are the ones the solver takes: the monomial-frame
+    pencil for ConservativeMoment, the chart pencil of the symmetrized
+    (A0, A1) otherwise, after ``coefficients_batch``'s Cholesky test."""
+    manifold, grid = sample.manifold, sample.grid
     worst = 0.0
-    for omegas in _audit_passes(manifold, samples, grid, seed, **ranges):
-        if isinstance(manifold, ConservativeMoment):
-            speeds = _cm_speeds(manifold, omegas, grid)
-        else:
-            coef = coefficients_batch(manifold, omegas, None, grid)
-            speeds = _pencil_radius_batch(coef.a0, coef.a1)
-        worst = max(worst, float(speeds.max()))
+    if isinstance(manifold, ConservativeMoment):
+        for omegas in sample.stacks:
+            worst = max(worst, float(_cm_speeds(manifold, omegas, grid).max()))
+    else:
+        for raw in sample.raw_grams:
+            a0, a1 = (_symmetrize(g) for g in raw)
+            _by_row(_cholesky, a0)
+            worst = max(worst, float(_pencil_radius_batch(a0, a1).max()))
     bound = float(grid.half_width if bound is None else bound)
     return SpeedAuditReport(
-        samples=samples,
+        samples=sample.samples,
         max_radius=worst,
         bound=bound,
         margin=bound - worst,
@@ -453,27 +467,20 @@ class HyperbolicityReport:
     passed: bool
 
 
-def hyperbolicity_audit(
-    manifold: Manifold,
-    samples: int,
-    grid: QuadratureRule,
-    seed: int = 0,
-    **ranges,
-) -> HyperbolicityReport:
+def hyperbolicity_audit(sample: AuditSample) -> HyperbolicityReport:
     """A0 must admit a Cholesky factorization and A1 must be symmetric
-    to round-off before symmetrization, at the points of the speed audit;
-    a failed factorization is reported in ``cholesky_ok``, not raised."""
+    to round-off before symmetrization, at the ``sample`` points; a
+    failed factorization is reported in ``cholesky_ok``, not raised."""
     worst = 0.0
     ok = True
-    for omegas in _audit_passes(manifold, samples, grid, seed, **ranges):
-        a0, a1 = _raw_grams(manifold, omegas, grid)
+    for a0, a1 in sample.raw_grams:
         try:
             _cholesky(_symmetrize(a0))
         except DegenerateChartError:
             ok = False
         worst = max(worst, float(_asymmetry(a1).max()))
     return HyperbolicityReport(
-        samples=samples,
+        samples=sample.samples,
         max_asymmetry=worst,
         cholesky_ok=ok,
         passed=bool(ok and worst <= 1e-10),

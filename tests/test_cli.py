@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinreduce import ConfigurationError
 from kinreduce.cli import main
@@ -18,6 +20,15 @@ from kinreduce.io import (
 
 
 DEMO_AUDIT = Path(__file__).resolve().parents[1] / "configs" / "demo_audit.json"
+
+# arbitrary JSON values, with integers beyond the float range among the leaves
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
 
 
 def base_config(**overrides):
@@ -80,6 +91,14 @@ class TestConfigValidation:
         assert code == 2
         assert "spatial_mesh.periodic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("periodic", ["no", 5, [0]])
+    def test_truthy_periodic_that_is_not_true_is_rejected(self, periodic):
+        from kinreduce.config import parse_config
+
+        doc = base_config(spatial_mesh={"cells": 16, "length": 1.0, "periodic": periodic})
+        with pytest.raises(ConfigurationError, match=r"spatial_mesh\.periodic must be true"):
+            parse_config(doc)
+
     def test_missing_file(self, tmp_path):
         code = main(
             ["reduce", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -98,6 +117,10 @@ class TestConfigValidation:
             ("time", "final", float("inf")),
             ("spatial_mesh", "cells", float("inf")),
             ("seeds", "audit", float("nan")),
+            # integers too large for a float
+            ("collision", "tau", 10**400),
+            ("spatial_mesh", "cells", 10**400),
+            ("seeds", "audit", 10**400),
         ],
     )
     def test_non_finite_number_names_field(self, section, key, value):
@@ -116,6 +139,49 @@ class TestConfigValidation:
         code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "collision.tau" in capsys.readouterr().err
+
+    def test_integer_over_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # the json module refuses an integer of more than 4300 digits
+        cfg = write_config(tmp_path, base_config(collision={"kind": "bgk", "tau": 7}))
+        cfg.write_text(cfg.read_text().replace('"tau": 7', '"tau": 1' + "0" * 5000))
+        assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [("manifold", 3), ("time", None), ("collision", 1.5), ("norms", 5),
+         ("initial_condition", 7), ("initial_condition", "preset"), ("audit", [1]),
+         ("seeds", "audit")],
+    )
+    def test_section_not_an_object_names_it(self, section, value):
+        from kinreduce.config import parse_config
+
+        with pytest.raises(ConfigurationError, match=rf"^{section} must be a JSON object$"):
+            parse_config(base_config(**{section: value}))
+
+    def test_section_not_an_object_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(manifold=3))
+        assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "manifold must be a JSON object" in capsys.readouterr().err
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_any_json_in_one_place_is_a_config_or_a_configuration_error(self, data):
+        # one section or one leaf of a valid scenario replaced by
+        # arbitrary JSON: parse_config returns or raises ConfigurationError
+        from kinreduce.config import parse_config
+
+        doc = base_config(audit={"samples": 8, "max_degree": 4, "lambda_claim": 0.5})
+        paths = [(sec,) for sec in doc] + [(sec, key) for sec in doc for key in doc[sec]]
+        path = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_JSON)
+        try:
+            parse_config(doc)
+        except ConfigurationError:
+            pass
 
     def test_threads_flag_is_unknown(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -419,6 +485,37 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err.startswith("error: failed to sample a valid conservative_moment(N=1) point")
         assert "half width 100.0" in err and "u_range=(-1.0, 1.0)" in err
+
+    @pytest.mark.parametrize("kind, size", [("conservative_moment", 2),
+                                            ("hermite_perturbation", 4)])
+    def test_each_stack_is_drawn_and_assembled_once(self, tmp_path, monkeypatch, kind, size):
+        # 200 samples are two stacks, 128 and 72 rows, that both audits
+        # share; the Yong check's chart jet is the one-row call
+        from kinreduce import ConservativeMoment, HermitePerturbation
+
+        cls = {"conservative_moment": ConservativeMoment,
+               "hermite_perturbation": HermitePerturbation}[kind]
+        rows = {"sample_batch": [], "jet_batch": []}
+
+        def counted(name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                out = original(self, *args, **kwargs)
+                rows[name].append(len(out[0] if name == "jet_batch" else out))
+                return out
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted("sample_batch")
+        counted("jet_batch")
+        doc = base_config(manifold={"kind": kind, "size": size})
+        doc["audit"] = {"samples": 200}
+        cfg = write_config(tmp_path, doc)
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "aud")]) == 0
+        assert rows["sample_batch"] == [128, 72]
+        if kind == "hermite_perturbation":
+            assert rows["jet_batch"] == [128, 72, 1]
 
     def test_demo_audit_builds_no_ansatz_point(self, tmp_path, monkeypatch):
         from kinreduce.ansatz import AnsatzPoint

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kinreduce import (
+    AuditSample,
     CollisionModel,
     ConservativeMoment,
     EntropyClosure,
@@ -315,7 +316,7 @@ class TestYongConditions:
 class TestSpeedAudit:
     def test_all_manifolds_pass(self, wide_grid):
         for manifold in (ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)):
-            rep = propagation_speed_audit(manifold, 30, wide_grid, seed=12)
+            rep = propagation_speed_audit(AuditSample(manifold, 30, wide_grid, seed=12))
             assert rep.passed and rep.margin > 0.0
 
     @pytest.mark.parametrize(
@@ -333,7 +334,7 @@ class TestSpeedAudit:
         else:
             coef = coefficients_batch(manifold, omegas, None, wide_grid)
             speeds = _pencil_radius_batch(coef.a0, coef.a1)
-        rep = propagation_speed_audit(manifold, 150, wide_grid, seed=5)
+        rep = propagation_speed_audit(AuditSample(manifold, 150, wide_grid, seed=5))
         assert rep.samples == 150
         assert rep.max_radius == pytest.approx(speeds.max(), rel=1e-14)
 
@@ -354,7 +355,7 @@ class TestSpeedAudit:
     def test_constructed_violation_reported(self, wide_grid):
         # a claimed bound below the attained radius must be flagged
         rep = propagation_speed_audit(
-            ConservativeMoment(0), 20, wide_grid, seed=4, bound=1.0
+            AuditSample(ConservativeMoment(0), 20, wide_grid, seed=4), bound=1.0
         )
         assert not rep.passed
         assert rep.margin < 0.0
@@ -363,7 +364,7 @@ class TestSpeedAudit:
 class TestHyperbolicityAudit:
     def test_random_points_pass(self, wide_grid):
         for manifold in (ConservativeMoment(4), HermitePerturbation(3), EntropyClosure(4)):
-            rep = hyperbolicity_audit(manifold, 30, wide_grid, seed=9)
+            rep = hyperbolicity_audit(AuditSample(manifold, 30, wide_grid, seed=9))
             assert rep.passed
             assert rep.max_asymmetry <= 1e-10
 
@@ -383,18 +384,18 @@ class TestHyperbolicityAudit:
             omega = sample_valid_point(manifold, rng, wide_grid).omega[None]
             coefficients_batch(manifold, omega, None, wide_grid)  # raises unless Cholesky succeeds
             worst = max(worst, float(_asymmetry(_raw_grams(manifold, omega, wide_grid)[1])[0]))
-        rep = hyperbolicity_audit(manifold, 150, wide_grid, seed=3)
+        rep = hyperbolicity_audit(AuditSample(manifold, 150, wide_grid, seed=3))
         assert rep.samples == 150
         assert rep.max_asymmetry == worst
         assert rep.cholesky_ok and rep.passed
 
     def test_singular_gram_is_reported_not_raised(self, wide_grid, degenerate_cell):
         degenerate_cell(cell=7, cells=30)
-        rep = hyperbolicity_audit(HermitePerturbation(3), 30, wide_grid, seed=9)
+        rep = hyperbolicity_audit(AuditSample(HermitePerturbation(3), 30, wide_grid, seed=9))
         assert rep.cholesky_ok is False
         assert rep.passed is False
 
     @pytest.mark.parametrize("audit", [hyperbolicity_audit, propagation_speed_audit])
     def test_no_samples_rejected(self, audit, wide_grid):
         with pytest.raises(ParameterError):
-            audit(ConservativeMoment(2), 0, wide_grid)
+            audit(AuditSample(ConservativeMoment(2), 0, wide_grid))
