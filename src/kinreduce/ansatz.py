@@ -25,7 +25,7 @@ with every downstream discrete operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, erf, factorial, pi, sqrt
 
 import numpy as np
 
@@ -60,12 +60,18 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_HALVINGS = 12
 _NEWTON_TOL = 1e-11
 
-# chunk sizes that bound the temporaries of the batched inversion:
-# rows per pass over the quadrature nodes, which also bounds every
-# Newton evaluation (results are the same for any size), and moment
-# rows per chunk of the cold starts' resultant scan (801 points a row)
+# chunk sizes that bound field-sized temporaries: rows per pass over
+# the quadrature nodes (profiles, and the power sums of the rows whose
+# Gaussian the grid does not resolve; the moment jets of resolved rows
+# make no node pass), also rows per round of the audit sampler, and
+# moment rows per chunk of the cold starts' resultant scan (801 points
+# a row); results are the same for any size
 _NODE_PASS_ROWS = 128
 _SCAN_CHUNK_ROWS = 16
+
+# erf(x) rounds to 1.0 in double for x >= 5.92158719579450...
+_ERF_ONE = 5.93
+_HALF_SQRT_PI = 0.5 * sqrt(pi)
 
 # audit sampling: the default (lo, hi) of each range keyword, and the
 # exhaustion rule, a point fails after this many consecutive rejections
@@ -822,8 +828,93 @@ def _guard_weight(exponent: np.ndarray) -> None:
 def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
                       work: WorkArrays | None = None) -> np.ndarray:
     """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
-    j = 0..top, one row per (u, theta).  Each row is its own
-    vector-matrix product, so it rounds the same in any batch."""
+    j = 0..top, one row per (u, theta), shape (rows, top + 1), stored
+    rows last (the transpose of a (top + 1, rows) array).
+
+    Where the composite Gauss-Legendre rule on [-L, L] resolves the
+    Gaussian, sqrt(theta) >= 2h for cells of width h, the sums are the
+    integrals over [-L, L] to round-off, and each row takes the
+    truncated-normal recurrence (``_truncated_moments``).  Other rows,
+    and grids that are not a composite rule on [-L, L], take the node
+    pass (``_node_power_sums``).  The rule and both kernels act row by
+    row, so a row rounds the same in any batch."""
+    if grid.domain == "truncated" and grid.cells:
+        fit = theta >= (4.0 * grid.half_width / grid.cells) ** 2
+    else:
+        fit = np.zeros(u.size, dtype=bool)
+    if fit.all():
+        Z = take(work, "power.sums", (2 * top + 1, u.size))
+        return _truncated_moments(u, theta, grid.half_width, top, Z).T
+    P = np.empty((top + 1, u.size))
+    if fit.any():
+        Z = np.empty((2 * top + 1, np.count_nonzero(fit)))
+        P[:, fit] = _truncated_moments(u[fit], theta[fit], grid.half_width, top, Z)
+    P[:, ~fit] = _node_power_sums(u[~fit], theta[~fit], grid, top, work).T
+    return P.T
+
+
+def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarray:
+    """P_j = int_{-L}^{L} xi^j G(xi; u, theta) dxi, j = 0..top, rows
+    last, shape (top + 1, rows), by the truncated-normal moment
+    recurrence (integration by parts; Johnson, Kotz & Balakrishnan 1994,
+    ch. 13), with G_+ = G(L) and G_- = G(-L):
+
+        P_0 = sqrt(pi theta / 2) (erf((L - u) / sqrt(2 theta))
+                                  + erf((L + u) / sqrt(2 theta))),
+        P_m = u P_{m-1} + (m - 1) theta P_{m-2}
+              - theta (L^{m-1} G_+ - (-L)^{m-1} G_-).
+
+    ``Z`` has 2 top + 1 rows: P_j is written to Z[2j] and the boundary
+    term of P_{j+2} to Z[2j + 1], so each step reads its three terms
+    from one window; the result is the view Z[::2].  Every operation is
+    elementwise over the rows."""
+    m = u.size
+    ends = np.empty((2, m))
+    np.subtract(L, u, out=ends[0])
+    np.add(L, u, out=ends[1])
+    # G_+- = exp((L -+ u)^2 / -(2 theta))
+    g = np.multiply(ends, ends)
+    g /= theta * -2.0
+    np.exp(g, out=g)
+    # the erf arguments; erf is 1.0 in double beyond _ERF_ONE (NaN
+    # arguments take erf too)
+    s = np.sqrt(theta * 2.0)
+    ends /= s
+    near = ~(ends >= _ERF_ONE)
+    erfs = np.ones((2, m))
+    if near.any():
+        erfs[near] = [erf(x) for x in ends[near].tolist()]
+    np.multiply(s, _HALF_SQRT_PI, out=Z[0])
+    Z[0] *= np.add(erfs[0], erfs[1], out=erfs[0])
+    if top == 0:
+        return Z[::2]
+    g *= theta
+    odd = np.subtract(g[0], g[1], out=erfs[1])  # theta (G_+ - G_-)
+    even = np.add(g[0], g[1], out=g[1])  # theta (G_+ + G_-)
+    # L^1..L^(top-1) by repeated products, which round alike everywhere
+    lpow = np.multiply.accumulate(np.full(top - 1, float(L)))
+    np.multiply(lpow[0::2, None], even, out=Z[1 : 2 * top - 2 : 4])
+    np.multiply(lpow[1::2, None], odd, out=Z[3 : 2 * top - 2 : 4])
+    np.multiply(u, Z[0], out=Z[2])
+    Z[2] -= odd
+    # steps m = 2..top: (m - 1) theta P_{m-2} - B_m + u P_{m-1}, summed
+    # over the window Z[2m - 4 : 2m - 1] in that order from 0.0
+    coef = np.empty((top - 1, 3, m))
+    np.multiply(np.arange(1.0, top)[:, None], theta, out=coef[:, 0])
+    coef[:, 1] = -1.0
+    coef[:, 2] = u
+    terms = np.empty((3, m))
+    for k in range(2, top + 1):
+        np.multiply(coef[k - 2], Z[2 * k - 4 : 2 * k - 1], out=terms)
+        np.add.reduce(terms, axis=0, out=Z[2 * k], initial=0.0)
+    return Z[::2]
+
+
+def _node_power_sums(u, theta, grid: QuadratureRule, top: int,
+                     work: WorkArrays | None = None) -> np.ndarray:
+    """The power sums by one pass over the quadrature nodes, shape
+    (rows, top + 1).  Each row is its own vector-matrix product, so it
+    rounds the same in any batch."""
     X = grid.xi_powers(top).T
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, _NODE_PASS_ROWS):
@@ -843,8 +934,8 @@ def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
 def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule,
                 work: WorkArrays | None = None):
     """Raw moments c_0..c_{N+2} of stacked chart points and their chart
-    Jacobians, shapes (m, K) and (m, K, d), from one pass of Gaussian
-    power sums P_j.  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
+    Jacobians, shapes (m, K) and (m, K, d), from the Gaussian power sums
+    P_j (``_gauss_power_sums``).  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
     and d/dtheta act on the Gaussian as (xi - u)/theta and
     (xi - u)^2/(2 theta^2).  The sums over j are elementwise, in a fixed
     order from 0.0, so each row's bits do not depend on its batch."""
@@ -1058,7 +1149,7 @@ def recover_batch(
     ``require_nonnegative=False`` admits chart points whose polynomial
     factor dips negative: the conservative solver only consumes signed
     integrals of f and must be able to ride along the realizability
-    boundary.  ``work`` holds the work arrays of the Newton node passes.
+    boundary.  ``work`` holds the work arrays of Newton's power sums.
     ``jet0``, the moment jet (c, J) of ``omega0``, spares Newton its
     first evaluation and changes no bit; ``return_jet`` returns (omega,
     its jet) for the next recovery.

@@ -261,8 +261,10 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
 
 
 def _sq_distances(manifold: Manifold, omegas, f0_vals, grid: QuadratureRule) -> np.ndarray:
-    """Squared L2 distances from the ansatz at each row to ``f0_vals``."""
-    return ((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2) @ grid.weights
+    """Squared L2 distances from the ansatz at each row to ``f0_vals``,
+    each row summed on its own in a fixed order."""
+    return np.add.reduce((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2
+                         * grid.weights, axis=1)
 
 
 def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np.ndarray:
@@ -273,7 +275,10 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     on f0 itself, from every resultant-scan cold start, all in one
     batch; ties keep the earlier (the guess, then scan order)."""
     grid = f0.grid
-    targets = f0.values @ (grid.xi_powers(manifold.n_moments - 1) * grid.weights).T
+    # each cell's moments on their own, in a fixed order: a BLAS product
+    # rounds a row differently with the number of cells
+    xiPw = grid.xi_powers(manifold.n_moments - 1) * grid.weights
+    targets = np.stack([np.add.reduce(f0.values * x, axis=1) for x in xiPw], axis=1)
     bad = np.flatnonzero(~_gaussian_fit(targets)[2])
     if bad.size:
         raise RealizabilityError(f"cell {bad[0]}: moments {targets[bad[0]].tolist()} have no "
@@ -281,7 +286,8 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     omegas, ok, _, _ = _newton(manifold, targets, manifold.initial_guess(targets, grid), grid)
     dist = _sq_distances(manifold, omegas, f0.values, grid)
     dist[~(ok & np.isfinite(dist))] = np.inf
-    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum((f0.values**2) @ grid.weights, 1e-300)))
+    norm = np.add.reduce(f0.values**2 * grid.weights, axis=1)
+    rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
     cands = manifold.cold_start_candidates(targets[rows], grid)
     if any(cands):
         sol, sol_ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)

@@ -1,8 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinreduce import (
     ConfigurationError,
@@ -244,13 +251,9 @@ def per_row_varpro(cm, u, theta, c, grid):
     """Reference: the alphas matching c_0..c_N with (u, theta) frozen,
     and the residual on the two remaining moments, for one row."""
     N = cm.degree
-    xp = [np.ones_like(grid.nodes)]
-    for _ in range(2 * N + 2):
-        xp.append(xp[-1] * grid.nodes)
-    acc = np.exp(-((grid.nodes - u) ** 2) / (2.0 * theta)) * grid.weights
-    # one product against the transposed power table, as the kernel
-    # takes it: the ridge amplifies any other summation order
-    pw = acc @ np.stack(xp).T
+    # the power sums of the kernel: the ridge amplifies any other
+    # rounding of them
+    pw = _gauss_power_sums(np.array([u]), np.array([theta]), grid, 2 * N + 2)[0]
     k = np.arange(N + 1)
     alpha = np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
     rows = pw[np.array([N + 1, N + 2])[:, None] + k[None, :]]
@@ -289,7 +292,10 @@ def per_row_initial_guess(cm, c, grid):
             xm[d] -= h
             J[:, d] = (per_row_varpro(cm, xp[0], xp[1], c, grid)[1]
                        - per_row_varpro(cm, xm[0], xm[1], c, grid)[1]) / (2.0 * h)
-        step = np.linalg.solve(J, -r2)
+        try:
+            step = np.linalg.solve(J, -r2)
+        except np.linalg.LinAlgError:  # as ``_solve_rows`` at rcond 1e-10
+            step = np.linalg.lstsq(J, -r2, rcond=1e-10)[0]
         base = np.linalg.norm(r2 / scale2)
         for s in 0.5 ** np.arange(25):
             cand = x + s * step
@@ -711,12 +717,12 @@ def loop_gauss_power_sums(u, theta, grid, top):
     return out
 
 
-def loop_moment_jet(cm, omegas, grid):
+def loop_moment_jet(cm, omegas, P):
     """Reference: ``ansatz._moment_jet`` as a loop over the polynomial
-    degree, as it was written before it gathered the power sums."""
+    degree, as it was written before it gathered the power sums, on
+    given power sums P of the rows, shape (m, 2N + 5)."""
     N, K = cm.degree, cm.n_moments
     alpha, u, theta = cm.split(omegas)
-    P = loop_gauss_power_sums(u, theta, grid, 2 * N + 4)
     k = np.arange(K)
     u, theta = u[:, None], theta[:, None]
     J = np.empty((omegas.shape[0], K, cm.dim))
@@ -733,12 +739,29 @@ def loop_moment_jet(cm, omegas, grid):
     return c, J
 
 
+def power_sum_scale(u, theta, grid, top):
+    """sum_n w_n |xi_n|^j G(xi_n; u, theta), j = 0..top: the size of the
+    terms each power sum adds up, against which its rounding counts."""
+    gauss = np.exp(-((grid.nodes[None, :] - u[:, None]) ** 2) / (2.0 * theta[:, None]))
+    return (gauss * grid.weights) @ (np.abs(grid.nodes)[:, None] ** np.arange(top + 1))
+
+
+def resolved(theta, grid):
+    """The rows whose Gaussian the grid resolves: sqrt(theta) >= 2h."""
+    return theta >= (4.0 * grid.half_width / grid.cells) ** 2
+
+
 class TestOnePassJet:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
-    def test_bit_identical_to_the_loop(self, degree, wide_grid):
+    def test_matches_the_loop(self, degree, wide_grid):
         """Sampled points (300 rows, more than one node pass), points on
-        the ridge, points whose u is a node (c = +-0 there), and
-        all-zero alphas of either sign."""
+        the ridge, points whose u is a node (c = +-0 there), all-zero
+        alphas of either sign, and two points whose Gaussian the grid
+        does not resolve.  Those two take the node pass to the bit.  The
+        others are the integral over [-L, L], for which a 32 times finer
+        rule stands in, to 1e-14 of sum w |xi|^j G (measured: 2.6e-15;
+        the node pass is up to 1.9e-12 off it, at the nodes near -L).
+        Given the same power sums, the jet is the loop's to the bit."""
         grid = wide_grid
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(70 + degree)
@@ -752,20 +775,139 @@ class TestOnePassJet:
         zeros[0, : degree + 1] = 0.0
         zeros[1, : degree + 1] = -0.0
         omegas.append(zeros)
+        omegas.append(cm.equilibrium_params(np.array([1.0, 0.8]), np.array([0.2, -0.5]),
+                                            np.array([0.1, 0.29])))
         omegas = np.concatenate(omegas)
         u, theta = omegas[:, -2], omegas[:, -1]
+        fine = resolved(theta, grid)
+        assert (~fine).sum() == 2
+        finer = truncated_rule(grid.half_width, 32 * grid.cells)
         for top in (2 * degree + 4, 13):
-            assert same_bits(_gauss_power_sums(u, theta, grid, top),
-                             loop_gauss_power_sums(u, theta, grid, top))
-        got, want = _moment_jet(cm, omegas, grid), loop_moment_jet(cm, omegas, grid)
+            got = _gauss_power_sums(u, theta, grid, top)
+            assert same_bits(got[~fine], loop_gauss_power_sums(u[~fine], theta[~fine], grid, top))
+            integral = loop_gauss_power_sums(u[fine], theta[fine], finer, top)
+            scale = power_sum_scale(u[fine], theta[fine], grid, top)
+            assert np.all(np.abs(got[fine] - integral) <= 1e-14 * scale)
+        P = _gauss_power_sums(u, theta, grid, 2 * degree + 4)
+        got, want = _moment_jet(cm, omegas, grid), loop_moment_jet(cm, omegas, P)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        assert not np.signbit(got[0][-2:]).any()
+        assert not np.signbit(got[0][-4:-2]).any()
         # one row at a time, and a stale work array, give the same bits
         work = WorkArrays()
         _moment_jet(cm, omegas[::-1] + 0.1, grid, work)
-        rows = [_moment_jet(cm, omegas[i : i + 1], grid, work) for i in (0, 301, 305)]
-        for i, (c, J) in zip((0, 301, 305), rows):
+        for i in (0, 301, 305, len(omegas) - 1):
+            c, J = _moment_jet(cm, omegas[i : i + 1], grid, work)
             assert same_bits(c[0], want[0][i]) and same_bits(J[0], want[1][i])
+
+    @pytest.mark.parametrize("half_width, cells, departure",
+                             [(9.0, 64, 4e-14), (10.0, 128, 1e-14), (8.5, 48, 5e-13)])
+    def test_recurrence_is_the_integral(self, half_width, cells, departure):
+        """Resolved rows from just above sqrt(theta) = 2h up to theta = 11,
+        u in [-3, 3], so that tails reach +-L, and j <= 13.  The
+        recurrence is the integral over [-L, L] to 2.5e-14 of
+        sum w |xi|^j G, with a 32 times finer rule standing in for the
+        integral (measured: 1.3e-14, 4.1e-15 and 2.0e-14 on the three
+        grids, all at j = 13; 1.5e-15 for j <= 8).  The recurrence and
+        the node pass differ by up to ``departure`` (measured: 3.5e-14,
+        3.3e-15 and 4.1e-13), the node pass's quadrature error: it is
+        3.6e-14, 2.4e-15 and 4.1e-13 off the integral.  On L = 8.5 with
+        48 cells, at sigma = 3h and u = +-2, the node pass is 5.8e-14 off
+        and the recurrence 9e-16."""
+        grid = truncated_rule(half_width, cells)
+        h = 2.0 * half_width / cells
+        sigma = np.geomspace(2.0 * h, np.sqrt(11.0), 30)
+        sigma[0] = 2.0 * h * (1.0 + 1e-12)
+        u, sigma = (a.ravel() for a in np.meshgrid(np.linspace(-3.0, 3.0, 25), sigma))
+        u, sigma = np.append(u, [2.0, -2.0]), np.append(sigma, [3.0 * h, 3.0 * h])
+        theta = sigma**2
+        assert resolved(theta, grid).all()
+        got = _gauss_power_sums(u, theta, grid, 13)
+        scale = power_sum_scale(u, theta, grid, 13)
+        integral = loop_gauss_power_sums(u, theta, truncated_rule(half_width, 32 * cells), 13)
+        assert np.all(np.abs(got - integral) <= 2.5e-14 * scale)
+        assert np.all(np.abs(got - loop_gauss_power_sums(u, theta, grid, 13))
+                      <= departure * scale)
+
+    def test_no_erf_beyond_its_last_digit(self, grid, monkeypatch):
+        """erf is 1.0 in double from 5.9216 on: the recurrence calls it
+        only for the ends closer than 5.93 standard deviations to u."""
+        assert ansatz.erf(ansatz._ERF_ONE) == 1.0
+        args = []
+        monkeypatch.setattr(ansatz, "erf", lambda x: args.append(x) or 1.0)
+        u, theta = np.array([0.0, 3.0, 0.0]), np.array([1.0, 1.0, 2.5])
+        _gauss_power_sums(u, theta, grid, 4)
+        # (L - u) of the second and third rows, then (L + u) of the third
+        assert np.allclose(args, [6.0 / np.sqrt(2.0), 9.0 / np.sqrt(5.0), 9.0 / np.sqrt(5.0)])
+
+    def test_jet_does_not_depend_on_the_blas_kernel(self):
+        """300 sampled CM(2) rows of the demo grid: the jet computed under
+        OpenBLAS's Prescott kernels has the bytes of the one computed
+        here (the resolved rows' jets make no BLAS call)."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from kinreduce import ConservativeMoment, truncated_rule\n"
+            "from kinreduce.ansatz import _moment_jet\n"
+            "grid, cm = truncated_rule(9.0, 64), ConservativeMoment(2)\n"
+            "omegas = cm.sample_batch(np.random.default_rng(21), grid, 300)\n"
+            "c, J = _moment_jet(cm, omegas, grid)\n"
+            "print(hashlib.sha256(c.tobytes() + J.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(ansatz.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        grid, cm = truncated_rule(9.0, 64), ConservativeMoment(2)
+        c, J = _moment_jet(cm, cm.sample_batch(np.random.default_rng(21), grid, 300), grid)
+        assert run.stdout.strip() == hashlib.sha256(c.tobytes() + J.tobytes()).hexdigest()
+
+
+class TestBatchInvariance:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_a_row_does_not_depend_on_its_batch(self, data, grid):
+        """A row of the power sums, of the moment jet and of the recovery
+        has the same bits alone, in a batch and permuted.  The
+        temperatures lie on both sides of sqrt(theta) = 2h, where the
+        power sums change kernel."""
+        cm = ConservativeMoment(2)
+        two_h = 4.0 * grid.half_width / grid.cells
+        n = data.draw(st.integers(2, 6))
+        unit = st.floats(-1.0, 1.0)
+        draws = data.draw(st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.one_of(st.floats(0.7, 1.4), st.just(1.0)),
+                      unit, unit, unit), min_size=n, max_size=n))
+        order = np.array(data.draw(st.permutations(range(n))))
+        u, f, b1, b2, d = (np.array(col) for col in zip(*draws))
+        theta = (two_h * f) ** 2
+        omega = cm.equilibrium_params(np.ones(n), u, theta)
+        omega[:, 1] = 0.3 * b1 * omega[:, 0]
+        omega[:, 2] = 0.1 * b2 * omega[:, 0]
+        targets = _moment_jet(cm, omega, grid)[0]
+        warm = omega.copy()
+        warm[:, :3] *= 1.0 + 0.05 * d[:, None]
+        warm[:, 3] += 0.1 * d
+        warm[:, 4] *= 1.0 + 0.1 * d
+
+        def solve(rows):
+            try:
+                return recover_batch(cm, targets[rows], grid, omega0=warm[rows],
+                                     require_nonnegative=False), np.zeros(rows.size, dtype=bool)
+            except InversionError as exc:
+                failed = np.zeros(rows.size, dtype=bool)
+                failed[exc.rows] = True
+                return exc.omega, failed
+
+        kernels = [
+            lambda rows: (_gauss_power_sums(warm[rows, 3], warm[rows, 4], grid, 8),),
+            lambda rows: _moment_jet(cm, warm[rows], grid),
+            solve,
+        ]
+        for kernel in kernels:
+            whole = kernel(np.arange(n))
+            assert all(same_bits(a[order], b) for a, b in zip(whole, kernel(order)))
+            for i in range(n):
+                assert all(same_bits(a[i : i + 1], b) for a, b in zip(whole, kernel(np.array([i]))))
 
 
 def polynomial_object_sample(cm, rng, grid):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_newton_projection, ladder_projection
+from conftest import fd_newton_projection, ladder_projection, moment_targets
 from kinreduce import (
     ConservativeMoment,
     DistributionField,
@@ -63,14 +63,24 @@ class TestNearestPreimage:
                            for u2 in (1.0, 1.2, 1.4, 1.6)))
         assert same_bits(project_initial(cm, f0), ladder_projection(cm, f0))
 
-    def test_symmetric_mixture_matches_the_ladder(self):
-        # as a scenario config lays it out: no cold start reaches the
-        # preimage that touches zero
+    def test_symmetric_mixture_does_not_depend_on_the_tiling(self):
+        """As a scenario config lays it out, over 1, 2, 4 and 16 cells:
+        every tiling has the ladder's outcome, with the same bits in
+        every cell.  The exactly symmetric moments' preimage has a
+        polynomial factor that touches zero, so the outcome is an error."""
         grid = truncated_rule(8.5, 48)
         cm = ConservativeMoment(4)
         f = mixture(grid, 0.5, -1.2, 0.4, 0.5, 1.2, 0.4)
-        f0 = DistributionField(np.tile(f, (4, 1)), grid, SpatialMesh(4, 1.0))
-        assert same_bits(project_initial(cm, f0), ladder_projection(cm, f0))
+        seen = set()
+        for cells in (1, 2, 4, 16):
+            f0 = DistributionField(np.tile(f, (cells, 1)), grid, SpatialMesh(cells, 1.0))
+            with pytest.raises(InversionError) as info:
+                project_initial(cm, f0)
+            with pytest.raises(InversionError):
+                ladder_projection(cm, f0)
+            assert info.value.rows.tolist() == list(range(cells))
+            seen.update(row.tobytes() for row in info.value.omega)
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_random_mixtures_agree_with_the_ladder(self, degree):
@@ -117,7 +127,7 @@ class TestNearestPreimage:
                    maxwellian(MomentState(1.0, 0.2, 0.9), grid))
         monkeypatch.setattr(projection, "_sq_distances", lambda m, om, f, g: np.ones(len(om)))
         got = project_initial(cm, f0)
-        targets = f0.values @ (grid.xi_powers(cm.n_moments - 1) * grid.weights).T
+        targets = moment_targets(cm, f0)
         guess, ok, _, _ = _newton(cm, targets, cm.initial_guess(targets, grid), grid)
         assert ok.tolist() == [False, False, True]
         assert same_bits(got[2], guess[2])

@@ -8,6 +8,7 @@ sizes on both sides of ``_NODE_PASS_ROWS``, and with work arrays whose
 contents are stale from a larger call.  A warm step must allocate less than one
 (cells x nodes) field."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -188,7 +189,7 @@ def ref_xi_powers(grid, upto):
     return out
 
 
-def ref_gauss_power_sums(u, theta, grid, top):
+def ref_node_power_sums(u, theta, grid, top):
     X = ref_xi_powers(grid, top).T
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, 128):
@@ -197,6 +198,30 @@ def ref_gauss_power_sums(u, theta, grid, top):
         acc = np.exp(-c * c / (2.0 * theta[rows, None])) * grid.weights[None, :]
         out[rows] = (acc[:, None, :] @ X)[:, 0, :]
     return out
+
+
+def ref_truncated_moments(u, theta, L, top):
+    """The truncated-normal recurrence one power at a time, each term a
+    new array, in the kernel's order of operations."""
+    s = np.sqrt(theta * 2.0)
+    erfs = [np.array([math.erf(z) for z in e / s]) for e in (L - u, L + u)]
+    P = [s * (0.5 * math.sqrt(math.pi)) * (erfs[0] + erfs[1])]
+    g_plus, g_minus = (np.exp(e * e / (theta * -2.0)) * theta for e in (L - u, L + u))
+    odd, even = g_plus - g_minus, g_plus + g_minus
+    P.append(u * P[0] - odd)
+    lpow = 1.0
+    for m in range(2, top + 1):
+        lpow *= L
+        B = lpow * (even if m % 2 == 0 else odd)
+        P.append(((0.0 + (m - 1.0) * theta * P[m - 2]) + -1.0 * B) + u * P[m - 1])
+    return np.stack(P[: top + 1], axis=1)
+
+
+def ref_gauss_power_sums(u, theta, grid, top):
+    """The recurrence where sqrt(theta) >= 2h, the node pass elsewhere."""
+    fine = theta >= (2.0 * (2.0 * grid.half_width / grid.cells)) ** 2
+    return np.where(fine[:, None], ref_truncated_moments(u, theta, grid.half_width, top),
+                    ref_node_power_sums(u, theta, grid, top))
 
 
 def ref_grams(basis, mu, xi):
@@ -310,10 +335,14 @@ class TestNodePasses:
 
 @pytest.mark.parametrize("count", BATCHES)
 def test_gauss_power_sums(count, wide_grid):
+    """Temperatures on both sides of sqrt(theta) = 2h, where the kernel
+    changes from the node pass to the recurrence."""
     rng = np.random.default_rng(count)
-    u, theta = rng.uniform(-1.0, 1.0, count), rng.uniform(0.5, 1.5, count)
+    u, theta = rng.uniform(-1.0, 1.0, count), rng.uniform(0.1, 1.5, count)
+    theta[0] = 0.2  # a node-pass row in every batch
     want = ref_gauss_power_sums(u, theta, wide_grid, 13)
     work = WorkArrays()
+    _gauss_power_sums(rng.uniform(-1, 1, 300), rng.uniform(0.1, 1.5, 300), wide_grid, 13, work)
     _gauss_power_sums(rng.uniform(-1, 1, 300), np.ones(300), wide_grid, 13, work)
     for w in (None, work):
         got = _gauss_power_sums(u, theta, wide_grid, 13, w)
