@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     RealizabilityError,
 )
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, moments
 from .workspace import WorkArrays, centered, take
 
 __all__ = [
@@ -176,13 +176,7 @@ class ConservativeMoment:
 
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta = self.split(np.atleast_2d(omegas))
-        shape = (u.size, xi.size)
-        # (xi - u)^2 / (2 theta)
-        expo = centered(xi, u, take(work, "weight", shape))
-        np.square(expo, out=expo)
-        expo /= 2.0 * theta[:, None]
-        _guard_weight(expo)
-        return np.exp(expo, out=expo)
+        return _maxwellian_weight(u, theta, xi, work)
 
     def moment_frame_grams_batch(self, omegas, grid: QuadratureRule,
                                  work: WorkArrays | None = None):
@@ -199,9 +193,7 @@ class ConservativeMoment:
 
     def raw_moments_batch(self, omegas, grid: QuadratureRule):
         """Raw moments int xi^k f dxi for k = 0..N+2."""
-        vals = self.values_batch(omegas, grid.nodes)
-        xiP = grid.xi_powers(self.n_moments - 1)
-        return vals @ (xiP * grid.weights).T
+        return moments(self.values_batch(omegas, grid.nodes), grid, self.n_moments - 1)
 
     def gaussian_fit(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean/variance fits (u, theta) of stacked raw moment rows."""
@@ -638,14 +630,7 @@ class HermitePerturbation:
 
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta, _ = self.split(np.atleast_2d(omegas))
-        shape = (u.size, xi.size)
-        w = centered(xi, u, take(work, "hp.w", shape))
-        w /= np.sqrt(theta)[:, None]
-        # 0.5 * w * w
-        expo = np.multiply(0.5, w, out=take(work, "weight", shape))
-        expo *= w
-        _guard_weight(expo)
-        return np.exp(expo, out=expo)
+        return _maxwellian_weight(u, theta, xi, work)
 
     def equilibrium_params(self, rho, u, theta):
         omega = np.zeros(np.shape(rho) + (self.dim,))
@@ -825,6 +810,16 @@ def _guard_weight(exponent: np.ndarray) -> None:
         )
 
 
+def _maxwellian_weight(u, theta, xi, work: WorkArrays | None = None) -> np.ndarray:
+    """The Hessian metric weight at the local Maxwellian, 1/M up to the
+    density factor: exp((xi - u)^2 / (2 theta)), one row per (u, theta)."""
+    expo = centered(xi, u, take(work, "weight", (u.size, xi.size)))
+    np.square(expo, out=expo)
+    expo /= 2.0 * theta[:, None]
+    _guard_weight(expo)
+    return np.exp(expo, out=expo)
+
+
 def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
                       work: WorkArrays | None = None) -> np.ndarray:
     """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
@@ -913,21 +908,18 @@ def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarra
 def _node_power_sums(u, theta, grid: QuadratureRule, top: int,
                      work: WorkArrays | None = None) -> np.ndarray:
     """The power sums by one pass over the quadrature nodes, shape
-    (rows, top + 1).  Each row is its own vector-matrix product, so it
-    rounds the same in any batch."""
-    X = grid.xi_powers(top).T
+    (rows, top + 1): the raw ``moments`` of the Gaussians."""
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, _NODE_PASS_ROWS):
         rows = slice(lo, lo + _NODE_PASS_ROWS)
         shape = (u[rows].size, grid.nodes.size)
         acc = centered(grid.nodes, u[rows], take(work, "node.c", shape))
-        # exp(c * c / -(2 theta)) * weights, c = xi - u: the same bits as
+        # exp(c * c / -(2 theta)), c = xi - u: the same bits as
         # exp(-c * c / (2 theta)), since rounding is sign-symmetric
         np.multiply(acc, acc, out=acc)
         acc /= -2.0 * theta[rows, None]
         np.exp(acc, out=acc)
-        acc *= grid.weights[None, :]
-        np.matmul(acc[:, None, :], X, out=out[rows, None, :])
+        out[rows] = moments(acc, grid, top)
     return out
 
 

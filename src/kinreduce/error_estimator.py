@@ -29,7 +29,7 @@ from .kinetic import collision_profile  # noqa: F401
 # residual is not called here; it stays a module attribute because
 # perfbench/tracing.py wraps it by name
 from .projection import residual, residual_batch  # noqa: F401
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, integrate
 from .reduced_solver import ReducedTrajectory
 from .reference_solver import KineticTrajectory
 
@@ -71,8 +71,7 @@ def field_norm(values: np.ndarray, grid: QuadratureRule, dx: float, p: float) ->
     if not 1.0 < p < np.inf:
         raise ParameterError(f"norm exponent must lie in (1, inf), got {p}")
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    per_cell = np.abs(values) ** p @ grid.weights
-    return float((dx * np.add.reduce(per_cell)) ** (1.0 / p))
+    return float((dx * np.add.reduce(integrate(np.abs(values) ** p, grid))) ** (1.0 / p))
 
 
 def _central_gradient(omegas: np.ndarray, dx: float) -> np.ndarray:
@@ -143,8 +142,8 @@ def lipschitz_estimate(
     profiles = np.concatenate([bases, f1])
     q = _collision_rows(model, profiles, grid)
     dq = q[len(bases):] - q[owner]
-    denom = np.abs(d) ** p @ grid.weights
-    numer = (np.abs(d) ** (p - 1.0) * np.abs(dq)) @ grid.weights
+    denom = integrate(np.abs(d) ** p, grid)
+    numer = integrate(np.abs(d) ** (p - 1.0) * np.abs(dq), grid)
     live = denom > 0.0
     worst = float((numer[live] / denom[live]).max(initial=0.0))
     return _LIPSCHITZ_SAFETY * worst

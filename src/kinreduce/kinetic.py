@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import ParameterError, RealizabilityError, StepError
-from .quadrature import QuadratureRule, integrate
+from .quadrature import QuadratureRule, integrate, moments
 from .workspace import WorkArrays, centered, take
 
 __all__ = [
@@ -134,9 +134,9 @@ class CollisionModel:
 
 
 def collision_invariants(grid: QuadratureRule) -> np.ndarray:
-    """The collision-invariant basis {1, xi, xi^2} sampled on the grid."""
-    xi = grid.nodes
-    return np.stack([np.ones_like(xi), xi, xi * xi])
+    """The collision-invariant basis {1, xi, xi^2} sampled on the grid
+    (read-only: the leading rows of ``grid.xi_powers``)."""
+    return grid.xi_powers(2)
 
 
 def moments_of_profile(values: np.ndarray, grid: QuadratureRule) -> MomentState:
@@ -170,21 +170,19 @@ def _moments_of_values(vals: np.ndarray, grid: QuadratureRule, out=None, heat_fl
     """Vectorized (rho, u, theta, q) of stacked velocity profiles; q is
     None unless ``heat_flux``.  ``out``, an array of the shape of
     ``vals``, and ``work`` are used as work space in place of new arrays."""
-    wts = grid.weights
-    xi = grid.nodes
-    rho = vals @ wts
-    u = (vals @ (xi * wts)) / rho
-    c = centered(xi, u, out)
+    rho, u = moments(vals, grid, 1).T
+    u /= rho
+    c = centered(grid.nodes, u, out)
     q = None
     if heat_flux:
-        c3 = np.multiply(c, c, out=take(work, "kin.scratch", c.shape))  # c * c * c * wts
+        c3 = np.multiply(c, c, out=take(work, "kin.scratch", c.shape))  # c * c * c * vals
         c3 *= c
-        c3 *= wts
-        q = np.einsum("mn,mn->m", vals, c3) / rho
-    # c * c * wts, in place
+        c3 *= vals
+        q = integrate(c3, grid) / rho
+    # c * c * vals, in place
     c *= c
-    c *= wts
-    theta = np.einsum("mn,mn->m", vals, c) / rho
+    c *= vals
+    theta = integrate(c, grid) / rho
     return rho, u, theta, q
 
 
@@ -297,10 +295,7 @@ def entropy_density(values: np.ndarray, grid: QuadratureRule, out: np.ndarray | 
     eta *= values
     eta -= values
     np.copyto(eta, 0.0, where=~(values > 0.0))
-    # a row sum in the same order as ``integrate``'s
-    eta *= grid.weights
-    out = np.add.reduce(eta, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return integrate(eta, grid)
 
 
 def entropy(f: DistributionField) -> float:
@@ -368,12 +363,18 @@ def flux_existence_check(
     A quantity has a flux only if its second derivative acts like a
     multiplication operator, so cross second differences along
     disjoint-support bumps must vanish.  ``c`` maps a velocity profile
-    (array aligned with the grid) to a float.
+    (array aligned with the grid) to a float.  The bumps need a grid of
+    at least 8 nodes.
     """
     if trials < 1:
         raise ParameterError("need at least one trial pair")
     f = np.asarray(f, dtype=float)
+    if f.shape != grid.nodes.shape:
+        raise ParameterError(
+            f"profile shape {f.shape} does not match rule nodes {grid.nodes.shape}")
     n = f.size
+    if n < 8:
+        raise ParameterError(f"the flux check needs at least 8 velocity nodes, got {n}")
     step = 1e-4 * (np.abs(f).max() or 1.0)
     rng = default_rng(seed)
 

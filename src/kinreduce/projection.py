@@ -18,8 +18,8 @@ from .ansatz import (AnsatzPoint, ConservativeMoment, EntropyClosure, Manifold, 
                      _newton, _sign_rule, _solve_candidates)
 from .errors import (DegenerateChartError, InversionError, KinReduceError, ParameterError,
                      RealizabilityError)
-from .kinetic import CollisionModel, DistributionField, _collision_rows
-from .quadrature import QuadratureRule
+from .kinetic import CollisionModel, DistributionField, _collision_rows, _moments_of_values
+from .quadrature import QuadratureRule, integrate, moments
 from .workspace import WorkArrays, take
 
 __all__ = [
@@ -175,7 +175,7 @@ def _asymmetry(a1: np.ndarray) -> np.ndarray:
     return np.divide(defect, denom, out=np.zeros_like(defect), where=denom != 0.0)
 
 
-def _projection_frame(manifold: Manifold, chart: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _projection_frame(manifold: Manifold, chart: np.ndarray, grid: QuadratureRule) -> np.ndarray:
     """Frames spanning the tangent spaces, for projector assembly, from
     the chart bases ``chart``.
 
@@ -186,8 +186,7 @@ def _projection_frame(manifold: Manifold, chart: np.ndarray, xi: np.ndarray) -> 
     projections use it."""
     if isinstance(manifold, ConservativeMoment):
         # the chart's first direction is the Gaussian factor itself
-        powers = np.stack([xi**k for k in range(manifold.n_moments)])
-        return chart[:, :1, :] * powers
+        return chart[:, :1, :] * grid.xi_powers(manifold.n_moments - 1)
     return chart
 
 
@@ -231,7 +230,7 @@ def residual_batch(
         # the same signed integrals as the solver
         h = h - _collision_rows(model, f, grid)
     mu = _metric(manifold, omegas, grid)
-    return h - _project(_projection_frame(manifold, chart, grid.nodes), mu, h)[1]
+    return h - _project(_projection_frame(manifold, chart, grid), mu, h)[1]
 
 
 def residual(
@@ -261,10 +260,8 @@ def project_initial(manifold: Manifold, f0: DistributionField) -> np.ndarray:
 
 
 def _sq_distances(manifold: Manifold, omegas, f0_vals, grid: QuadratureRule) -> np.ndarray:
-    """Squared L2 distances from the ansatz at each row to ``f0_vals``,
-    each row summed on its own in a fixed order."""
-    return np.add.reduce((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2
-                         * grid.weights, axis=1)
+    """Squared L2 distances from the ansatz at each row to ``f0_vals``."""
+    return integrate((manifold.values_batch(omegas, grid.nodes) - f0_vals) ** 2, grid)
 
 
 def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np.ndarray:
@@ -275,10 +272,7 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     on f0 itself, from every resultant-scan cold start, all in one
     batch; ties keep the earlier (the guess, then scan order)."""
     grid = f0.grid
-    # each cell's moments on their own, in a fixed order: a BLAS product
-    # rounds a row differently with the number of cells
-    xiPw = grid.xi_powers(manifold.n_moments - 1) * grid.weights
-    targets = np.stack([np.add.reduce(f0.values * x, axis=1) for x in xiPw], axis=1)
+    targets = moments(f0.values, grid, manifold.n_moments - 1)
     bad = np.flatnonzero(~_gaussian_fit(targets)[2])
     if bad.size:
         raise RealizabilityError(f"cell {bad[0]}: moments {targets[bad[0]].tolist()} have no "
@@ -286,7 +280,7 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     omegas, ok, _, _ = _newton(manifold, targets, manifold.initial_guess(targets, grid), grid)
     dist = _sq_distances(manifold, omegas, f0.values, grid)
     dist[~(ok & np.isfinite(dist))] = np.inf
-    norm = np.add.reduce(f0.values**2 * grid.weights, axis=1)
+    norm = integrate(f0.values**2, grid)
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
     cands = manifold.cold_start_candidates(targets[rows], grid)
     if any(cands):
@@ -341,12 +335,10 @@ def _chart_projection(manifold: Manifold, f0: DistributionField) -> np.ndarray:
     step where f_hat = f0; each row halves its own step until |r|
     falls.  A row converges at max|r_k| <= 1e-11 (1 + rho)."""
     grid, vals = f0.grid, f0.values
-    # each cell's sums as one row, in the order of a lone row's
-    rho = np.add.reduce(vals * grid.weights, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, u, theta, _ = _moments_of_values(vals, grid, heat_flux=False)
     if (rho <= 0.0).any():
         raise RealizabilityError(f"cell {np.flatnonzero(rho <= 0.0)[0]}: vanishing density")
-    u = np.add.reduce(grid.nodes * vals * grid.weights, axis=1) / rho
-    theta = np.add.reduce((grid.nodes - u[:, None]) ** 2 * vals * grid.weights, axis=1) / rho
     if (theta <= 0.0).any():
         raise RealizabilityError(f"cell {np.flatnonzero(theta <= 0.0)[0]}: nonpositive temperature")
     if isinstance(manifold, EntropyClosure) and manifold.n < 3:

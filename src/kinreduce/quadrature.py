@@ -22,6 +22,7 @@ __all__ = [
     "gauss_hermite_rule",
     "truncated_rule",
     "integrate",
+    "moments",
     "default_half_width",
 ]
 
@@ -104,14 +105,34 @@ def truncated_rule(L: float, cells: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, domain="truncated", half_width=float(L), cells=int(cells))
 
 
-def integrate(values, rule: QuadratureRule) -> float:
-    """Sum of weights*values in a fixed reduction order (bit reproducible)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != rule.nodes.shape:
+def integrate(values, rule: QuadratureRule):
+    """The velocity integral sum_n w_n v_n of node values over the last
+    axis: a float for one profile, one value per row for a stack.
+
+    Every velocity integral of the package is this sum or ``moments``:
+    each row is summed on its own, C-contiguous, in numpy's own einsum
+    loop, with no BLAS call.  So a row's bits depend neither on the rows
+    stacked with it nor on the BLAS kernel."""
+    out = np.einsum("...n,n->...", _rows(values, rule), rule.weights)
+    return float(out) if out.ndim == 0 else out
+
+
+def moments(values, rule: QuadratureRule, upto: int) -> np.ndarray:
+    """The raw moments sum_n w_n xi_n^k v_n, k = 0..upto, of node values
+    over the last axis, shape values.shape[:-1] + (upto + 1,): the rows
+    of ``rule.xi_powers`` times the weights, summed as ``integrate``
+    sums."""
+    return np.einsum("...n,kn->...k", _rows(values, rule), rule.xi_powers(upto) * rule.weights)
+
+
+def _rows(values, rule: QuadratureRule) -> np.ndarray:
+    # einsum's summation order follows the memory layout: one layout, one order
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.shape[-1:] != rule.nodes.shape:
         raise ParameterError(
-            f"values length {values.shape} does not match rule nodes {rule.nodes.shape}"
+            f"values length {values.shape[-1:]} does not match rule nodes {rule.nodes.shape}"
         )
-    return float(np.add.reduce(values * rule.weights))
+    return values
 
 
 def default_half_width(u_max: float, theta_max: float) -> float:

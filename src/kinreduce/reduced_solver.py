@@ -47,13 +47,12 @@ from .kinetic import (
 # because perfbench/tracing.py wraps it by name
 from .projection import (_solve_spd, assemble_coefficients, coefficients_batch,  # noqa: F401
                          project_initial)
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, integrate, moments
 from .workspace import WorkArrays, take
 
 __all__ = [
     "ReducedState",
     "ReducedTrajectory",
-    "StepWork",
     "spectral_radius",
     "initial_state",
     "step",
@@ -108,34 +107,16 @@ class ReducedTrajectory:
     model: CollisionModel | None = None
 
 
-class StepWork(WorkArrays):
-    """What a run reuses in every step: the work arrays of its node
-    passes, and the xi tables of its moment sums, built once.
-
-    ``moment_weights`` holds xi^k w on the nodes for the recorded
-    moments, k < N + 3 for ConservativeMoment(N) and k < 3 otherwise;
-    ``flux_weights`` holds xi^(N+3) w, the closure flux's row
-    (ConservativeMoment only)."""
-
-    def __init__(self, manifold: Manifold, grid: QuadratureRule):
-        super().__init__()
-        xi = grid.nodes
-        cm = isinstance(manifold, ConservativeMoment)
-        n_mom = manifold.n_moments if cm else 3
-        self.moment_weights = np.stack([xi**k for k in range(n_mom)]) * grid.weights
-        self.flux_weights = xi**manifold.n_moments * grid.weights if cm else None
-
-
 def initial_state(
     manifold: Manifold, f0: DistributionField
 ) -> ReducedState:
     """Project an initial kinetic field onto the manifold."""
     omegas = project_initial(manifold, f0)
-    moments = None
+    C = None
     if isinstance(manifold, ConservativeMoment):
         # the conservative state is the moment vector itself
-        moments = f0.values @ StepWork(manifold, f0.grid).moment_weights.T
-    return ReducedState(manifold, f0.grid, f0.mesh, 0.0, omegas, moments)
+        C = moments(f0.values, f0.grid, manifold.n_moments - 1)
+    return ReducedState(manifold, f0.grid, f0.mesh, 0.0, omegas, C)
 
 
 def _warm_starts(manifold, omega_prev, grid):
@@ -186,20 +167,20 @@ def _cm_speeds(manifold, omegas, grid, work=None):
 
 
 def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
-    """Semi-discrete right-hand side of the balanced-law update; ``work``
-    is the run's ``StepWork`` (a new one when None)."""
-    if work is None:
-        work = StepWork(manifold, grid)
+    """Semi-discrete right-hand side of the balanced-law update, with
+    ``work`` as work space."""
+    K = manifold.n_moments
     vals = manifold.values_batch(omegas, grid.nodes, work)
-    top_flux = vals @ work.flux_weights
     F = np.empty_like(C)
     F[:, :-1] = C[:, 1:]
-    F[:, -1] = top_flux
+    # the closure flux int xi^(N+3) f_hat, one row: a third of the cost
+    # of all N + 4 moments
+    top = np.multiply(vals, grid.xi_powers(K)[K], out=take(work, "profile", vals.shape))
+    F[:, -1] = integrate(top, grid)
 
     if model is not None:
         targets = _target_batch(model, vals, grid, take(work, "profile", vals.shape), work)
-        target_mom = targets @ work.moment_weights.T
-        source = collision_rate(model) * (target_mom - C)
+        source = collision_rate(model) * (moments(targets, grid, K - 1) - C)
     else:
         source = 0.0
 
@@ -258,16 +239,16 @@ def step(
     model: CollisionModel | None,
     cfl: float,
     dt_cap: float | None = None,
-    work: StepWork | None = None,
+    work: WorkArrays | None = None,
 ) -> ReducedState:
     """One SSP-RK2 step, in the moments for ConservativeMoment and in
-    omega otherwise.  ``work`` is the run's ``StepWork``, which every
-    stage computes in; without one the step makes its own."""
+    omega otherwise.  Every stage computes in ``work``, the run's work
+    arrays; without them the step makes its own."""
     if not 0.0 < cfl < 1.0:
         raise StepError(f"cfl must lie in (0, 1), got {cfl}")
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     if work is None:
-        work = StepWork(manifold, grid)
+        work = WorkArrays()
     # the lambdas look the stage kernels up when called, so that
     # perfbench/tracing.py can wrap them by name; the CM closure is the
     # parameters and their moment jet
@@ -288,7 +269,7 @@ def step(
     return ReducedState(manifold, grid, mesh, state.time + dt, omegas, C, jet)
 
 
-def _record(state: ReducedState, work: StepWork):
+def _record(state: ReducedState, work: WorkArrays):
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     vals = manifold.values_batch(state.omegas, grid.nodes, work)
     # not round-off alone: the CM recovery admits signed factors, and on
@@ -298,7 +279,7 @@ def _record(state: ReducedState, work: StepWork):
     if state.moments is not None:
         totals = mesh.dx * state.moments.sum(axis=0)
     else:
-        totals = mesh.dx * (vals @ work.moment_weights.T).sum(axis=0)
+        totals = mesh.dx * moments(vals, grid, 2).sum(axis=0)
     eta = entropy_density(vals, grid, take(work, "profile", vals.shape))
     ent = mesh.dx * float(np.add.reduce(eta))
     return totals, ent
@@ -314,8 +295,8 @@ def run_reduced(
 ) -> ReducedTrajectory:
     """Integrate to ``final_time`` recording conserved-quantity totals
     and entropy at the output cadence of ``kinetic.march``.  The run
-    owns one ``StepWork`` for all of its steps and records."""
-    work = StepWork(manifold, f0.grid)
+    owns one ``WorkArrays`` for all of its steps and records."""
+    work = WorkArrays()
     times, omegas, totals, entropy = [], [], [], []
 
     def advance(state, target):

@@ -32,7 +32,7 @@ from .kinetic import (
     entropy_density,
     march,
 )
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, moments
 from .workspace import WorkArrays
 
 __all__ = [
@@ -134,8 +134,6 @@ def run_reference(
         raise ParameterError(f"cfl must lie in (0, 1], got {cfl}")
     grid, mesh = f0.grid, f0.mesh
     dt_cfl = cfl * mesh.dx / np.abs(grid.nodes).max()
-    xi = grid.nodes
-    xiPw = np.stack([np.ones_like(xi), xi, xi * xi]) * grid.weights
     times, snaps, totals, entropy = [], [], [], []
 
     spare, work = np.empty_like(f0.values), WorkArrays()
@@ -166,7 +164,7 @@ def run_reference(
         vals = state.f.values
         times.append(state.time)
         snaps.append(vals.copy())
-        totals.append(mesh.dx * (vals @ xiPw.T).sum(axis=0))
+        totals.append(mesh.dx * moments(vals, grid, 2).sum(axis=0))
         entropy.append(mesh.dx * float(np.add.reduce(entropy_density(vals, grid))))
 
     march(KineticState(f0.copy(), 0.0), final_time, output_interval, advance, record)

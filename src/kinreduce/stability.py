@@ -359,7 +359,7 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     a1 = V @ Minv  # flux Jacobian dF/dc
     D = grid.xi_powers(manifold.n_moments - 1) * grid.weights
     chart = manifold.jet_batch(omega, grid.nodes)[1]
-    F = _projection_frame(manifold, chart, grid.nodes)[0].T @ Minv
+    F = _projection_frame(manifold, chart, grid)[0].T @ Minv
     DT, Dm = _target_linearization(model, rho, u, theta, grid)
     return a0, a1, _source_jacobian(model, DT, Dm, D, F), D @ DT[:, :3]
 

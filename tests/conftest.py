@@ -9,6 +9,7 @@ from kinreduce import (
     maxwellian,
     truncated_rule,
 )
+from kinreduce.quadrature import integrate, moments
 
 
 @pytest.fixture(scope="session")
@@ -140,17 +141,10 @@ def degenerate_cell(monkeypatch):
     return install
 
 
-def row_sums(a):
-    """Sums over the last axis, each row on its own in a fixed order."""
-    return np.add.reduce(a, axis=-1)
-
-
 def moment_targets(manifold, f0):
     """The raw moments c_0..c_{N+2} of each cell of f0, summed as
-    ``project_initial`` sums them: row by row, in a fixed order."""
-    grid = f0.grid
-    return row_sums(f0.values[:, None, :] * (grid.xi_powers(manifold.n_moments - 1)
-                                             * grid.weights))
+    ``project_initial`` sums them: by the one moments kernel."""
+    return moments(f0.values, f0.grid, manifold.n_moments - 1)
 
 
 def ladder_projection(manifold, f0):
@@ -166,15 +160,15 @@ def ladder_projection(manifold, f0):
     grid, vals = f0.grid, f0.values
     targets = moment_targets(manifold, f0)
     omegas = recover_batch(manifold, targets, grid)
-    dist = row_sums((manifold.values_batch(omegas, grid.nodes) - vals) ** 2 * grid.weights)
-    norm = row_sums(vals**2 * grid.weights)
+    dist = integrate((manifold.values_batch(omegas, grid.nodes) - vals) ** 2, grid)
+    norm = integrate(vals**2, grid)
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
     if rows.size == 0:
         return omegas
     cands = [cs + [g] for cs, g in zip(manifold.cold_start_candidates(targets[rows], grid),
                                        manifold.initial_guess(targets[rows], grid))]
     sol, ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
-    d = row_sums((manifold.values_batch(sol, grid.nodes) - vals[rows][owner]) ** 2 * grid.weights)
+    d = integrate((manifold.values_batch(sol, grid.nodes) - vals[rows][owner]) ** 2, grid)
     d[~(ok & np.isfinite(d))] = np.inf
     for j, i in enumerate(rows):
         mine = np.flatnonzero(owner == j)

@@ -407,7 +407,7 @@ def test_criterion_9_projection_algebra():
         # the projector of residual_batch, over every pair of a manifold at once
         omegas, hs = np.stack(omegas), np.stack(hs)
         charts = manifold.jet_batch(omegas, grid.nodes)[1]
-        frames = _projection_frame(manifold, charts, grid.nodes)
+        frames = _projection_frame(manifold, charts, grid)
         mws = _metric(manifold, omegas, grid)
         _, phs = _project(frames, mws, hs)
         _, pphs = _project(frames, mws, phs)

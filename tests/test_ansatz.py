@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinreduce import (
+    CollisionModel,
     ConfigurationError,
     ConservativeMoment,
     EntropyClosure,
@@ -37,6 +38,8 @@ from kinreduce.ansatz import (
     _sign_rule,
     recover_batch,
 )
+from kinreduce.kinetic import _target_batch
+from kinreduce.quadrature import moments
 from kinreduce.workspace import WorkArrays
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -701,9 +704,10 @@ def same_bits(a, b):
 
 
 def loop_gauss_power_sums(u, theta, grid, top):
-    """Reference: ``ansatz._gauss_power_sums`` as it computed the
-    Gaussian factor before, exp((-c) * c / (2 theta))."""
-    X = grid.xi_powers(top).T
+    """Reference: ``ansatz._gauss_power_sums``'s node pass, with the
+    Gaussian factor as it was computed before, exp((-c) * c / (2 theta)),
+    and each row's sums against xi^k w in numpy's own einsum loop."""
+    X = grid.xi_powers(top) * grid.weights
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, 128):
         rows = slice(lo, lo + 128)
@@ -712,8 +716,7 @@ def loop_gauss_power_sums(u, theta, grid, top):
         acc *= c
         acc /= 2.0 * theta[rows, None]
         np.exp(acc, out=acc)
-        acc *= grid.weights[None, :]
-        np.matmul(acc[:, None, :], X, out=out[rows, None, :])
+        out[rows] = np.einsum("mn,kn->mk", acc, X)
     return out
 
 
@@ -840,15 +843,20 @@ class TestOnePassJet:
         assert np.allclose(args, [6.0 / np.sqrt(2.0), 9.0 / np.sqrt(5.0), 9.0 / np.sqrt(5.0)])
 
     def test_jet_does_not_depend_on_the_blas_kernel(self):
-        """300 sampled CM(2) rows of the demo grid: the jet computed under
-        OpenBLAS's Prescott kernels has the bytes of the one computed
-        here (the resolved rows' jets make no BLAS call)."""
+        """300 sampled CM(2) rows of the demo grid, and 40 more whose
+        Gaussian the grid does not resolve (sqrt(theta) < 2h, the node
+        pass): the jet computed under OpenBLAS's Prescott kernels has
+        the bytes of the one computed here.  No row's jet makes a BLAS
+        call."""
         script = (
             "import hashlib, numpy as np\n"
             "from kinreduce import ConservativeMoment, truncated_rule\n"
             "from kinreduce.ansatz import _moment_jet\n"
             "grid, cm = truncated_rule(9.0, 64), ConservativeMoment(2)\n"
             "omegas = cm.sample_batch(np.random.default_rng(21), grid, 300)\n"
+            "narrow = cm.sample_batch(np.random.default_rng(23), grid, 40)\n"
+            "narrow[:, -1] *= 0.1 / narrow[:, -1].max()\n"
+            "omegas = np.concatenate([omegas, narrow])\n"
             "c, J = _moment_jet(cm, omegas, grid)\n"
             "print(hashlib.sha256(c.tobytes() + J.tobytes()).hexdigest())\n"
         )
@@ -858,7 +866,11 @@ class TestOnePassJet:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         grid, cm = truncated_rule(9.0, 64), ConservativeMoment(2)
-        c, J = _moment_jet(cm, cm.sample_batch(np.random.default_rng(21), grid, 300), grid)
+        narrow = cm.sample_batch(np.random.default_rng(23), grid, 40)
+        narrow[:, -1] *= 0.1 / narrow[:, -1].max()
+        assert not resolved(narrow[:, -1], grid).any()
+        omegas = np.concatenate([cm.sample_batch(np.random.default_rng(21), grid, 300), narrow])
+        c, J = _moment_jet(cm, omegas, grid)
         assert run.stdout.strip() == hashlib.sha256(c.tobytes() + J.tobytes()).hexdigest()
 
 
@@ -866,10 +878,11 @@ class TestBatchInvariance:
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data())
     def test_a_row_does_not_depend_on_its_batch(self, data, grid):
-        """A row of the power sums, of the moment jet and of the recovery
-        has the same bits alone, in a batch and permuted.  The
-        temperatures lie on both sides of sqrt(theta) = 2h, where the
-        power sums change kernel."""
+        """A row of the power sums, of the moment jet, of the recovery, of
+        the velocity integrals and of the collision targets has the same
+        bits alone, in a batch and permuted.  The temperatures lie on
+        both sides of sqrt(theta) = 2h, where the power sums change
+        kernel."""
         cm = ConservativeMoment(2)
         two_h = 4.0 * grid.half_width / grid.cells
         n = data.draw(st.integers(2, 6))
@@ -888,6 +901,8 @@ class TestBatchInvariance:
         warm[:, :3] *= 1.0 + 0.05 * d[:, None]
         warm[:, 3] += 0.1 * d
         warm[:, 4] *= 1.0 + 0.1 * d
+        profiles = np.abs(cm.values_batch(warm, grid.nodes))
+        shakhov = CollisionModel(kind="shakhov", tau=0.1, prandtl=2.0 / 3.0)
 
         def solve(rows):
             try:
@@ -902,6 +917,8 @@ class TestBatchInvariance:
             lambda rows: (_gauss_power_sums(warm[rows, 3], warm[rows, 4], grid, 8),),
             lambda rows: _moment_jet(cm, warm[rows], grid),
             solve,
+            lambda rows: (integrate(profiles[rows], grid), moments(profiles[rows], grid, 4),
+                          _target_batch(shakhov, profiles[rows], grid)),
         ]
         for kernel in kernels:
             whole = kernel(np.arange(n))

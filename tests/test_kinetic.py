@@ -6,6 +6,7 @@ from kinreduce import (
     CollisionModel,
     DistributionField,
     MomentState,
+    ParameterError,
     RealizabilityError,
     SpatialMesh,
     collision_invariants,
@@ -13,6 +14,7 @@ from kinreduce import (
     entropy_production,
     flux_existence_check,
     maxwellian,
+    truncated_rule,
 )
 from kinreduce.kinetic import (
     _target_batch,
@@ -260,3 +262,18 @@ class TestFluxCriterion:
         c = lambda v: float((grid.nodes * v) @ grid.weights)
         res = flux_existence_check(c, f, trials=20, grid=grid, seed=2)
         assert res.passed
+
+    def test_a_profile_off_the_grid_is_a_parameter_error(self, grid, maxwell_field):
+        c = lambda v: float(v @ v)
+        with pytest.raises(ParameterError, match="does not match rule nodes"):
+            flux_existence_check(c, maxwell_field.values[0][:-1], trials=2, grid=grid)
+
+    def test_a_grid_of_fewer_than_8_nodes_is_a_parameter_error(self):
+        # one Gauss-Legendre cell: 4 nodes, too few for two disjoint bumps
+        small = truncated_rule(3.0, 1)
+        f = maxwellian(MomentState(1.0, 0.0, 1.0), small)
+        with pytest.raises(ParameterError, match="at least 8 velocity nodes"):
+            flux_existence_check(lambda v: float(v @ v), f, trials=2, grid=small)
+        wide = truncated_rule(3.0, 2)
+        f = maxwellian(MomentState(1.0, 0.0, 1.0), wide)
+        assert flux_existence_check(lambda v: float(v @ v), f, trials=2, grid=wide).passed

@@ -53,7 +53,7 @@ def frame_and_metric(manifold, omegas, grid):
     at stacked ``omegas``, as ``residual_batch`` assembles them."""
     omegas = np.atleast_2d(omegas)
     chart = manifold.jet_batch(omegas, grid.nodes)[1]
-    return _projection_frame(manifold, chart, grid.nodes), _metric(manifold, omegas, grid)
+    return _projection_frame(manifold, chart, grid), _metric(manifold, omegas, grid)
 
 
 class TestGramMatrix:

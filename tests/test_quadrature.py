@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kinreduce
 from kinreduce import ParameterError, gauss_hermite_rule, integrate, truncated_rule
-from kinreduce.quadrature import default_half_width
+from kinreduce.quadrature import default_half_width, moments
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -87,6 +93,67 @@ def test_integrate_zeros_and_length_mismatch(grid):
     assert integrate(np.zeros(len(grid)), grid) == 0.0
     with pytest.raises(ParameterError):
         integrate(np.ones(len(grid) - 1), grid)
+
+
+def test_integrals_of_a_stack_are_its_rows_integrals(grid, rng):
+    """A row's integral and moments have the same bits alone, in a stack
+    of any shape and in any memory layout."""
+    vals = rng.normal(size=(6, len(grid)))
+    total, raw = integrate(vals, grid), moments(vals, grid, 4)
+    assert total.shape == (6,) and raw.shape == (6, 5)
+    assert np.array_equal(raw[:, 0], total)
+    for i in range(6):
+        assert integrate(vals[i], grid) == total[i]
+        assert np.array_equal(moments(vals[i], grid, 4), raw[i])
+    assert np.array_equal(integrate(vals.reshape(2, 3, -1), grid), total.reshape(2, 3))
+    assert np.array_equal(integrate(np.asfortranarray(vals), grid), total)
+    assert np.array_equal(moments(np.repeat(vals, 2, axis=1)[:, ::2], grid, 4), raw)
+    want = [integrate(vals * grid.nodes**k, grid) for k in range(5)]
+    assert np.allclose(raw, np.stack(want, axis=1), rtol=1e-13, atol=1e-13)
+    with pytest.raises(ParameterError):
+        moments(vals[:, 1:], grid, 2)
+
+
+# the bytes of a reference run (snapshots, totals, entropy) and of the
+# conservative right-hand side on 200 sampled CM(2) rows, BGK and Shakhov
+KERNEL_RUNS = """
+import hashlib, numpy as np
+from kinreduce import (CollisionModel, ConservativeMoment, DistributionField, MomentState,
+                       SpatialMesh, maxwellian, truncated_rule)
+from kinreduce.ansatz import _moment_jet
+from kinreduce.reduced_solver import _cm_rhs
+from kinreduce.reference_solver import run_reference
+grid, mesh = truncated_rule(9.0, 64), SpatialMesh(cells=24, length=1.0)
+rho = 1.0 + 0.2 * np.sin(2 * np.pi * mesh.centers())
+f0 = DistributionField(rho[:, None] * maxwellian(MomentState(1.0, 0.3, 1.0), grid), grid, mesh)
+ref = run_reference(CollisionModel(kind="bgk", tau=0.1), f0, 0.02, output_interval=0.01)
+digest = hashlib.sha256(ref.snapshots.tobytes() + ref.moment_totals.tobytes()
+                        + ref.entropy.tobytes())
+cm = ConservativeMoment(2)
+omegas = cm.sample_batch(np.random.default_rng(22), grid, 200)
+C = _moment_jet(cm, omegas, grid)[0]
+for model in (CollisionModel(kind="bgk", tau=0.1),
+              CollisionModel(kind="shakhov", tau=0.1, prandtl=2 / 3)):
+    rhs = _cm_rhs(cm, model, grid, SpatialMesh(cells=200, length=1.0), C, omegas, np.ones(200))
+    digest.update(rhs.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_runs_do_not_depend_on_the_blas_kernel():
+    """A reference run and the conservative right-hand side computed
+    under OpenBLAS's Prescott kernels have the bytes of the ones
+    computed under the default kernel: their integrals make no BLAS
+    call."""
+    src = str(Path(kinreduce.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        run = subprocess.run([sys.executable, "-c", KERNEL_RUNS], env={**env, **kernel},
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_integrate_on_hermite_nodes_squared():

@@ -31,7 +31,6 @@ from kinreduce.kinetic import _target_batch, collision_rate, entropy_density
 from kinreduce.projection import _grams, _metric, _symmetrize, coefficients_batch
 from kinreduce.reference_solver import KineticState, relaxation_step
 from kinreduce.reduced_solver import (
-    StepWork,
     _cm_rhs,
     _cm_speeds,
     initial_state,
@@ -94,11 +93,15 @@ def ref_cm_jet(cm, omegas, xi):
     return f, basis
 
 
-def ref_cm_weight(cm, omegas, xi):
-    _, u, theta = cm.split(omegas)
+def ref_maxwellian_weight(u, theta, xi):
     expo = (xi[None, :] - u[:, None]) ** 2 / (2.0 * theta[:, None])
     ref_guard(expo)
     return np.exp(expo)
+
+
+def ref_cm_weight(cm, omegas, xi):
+    _, u, theta = cm.split(omegas)
+    return ref_maxwellian_weight(u, theta, xi)
 
 
 def ref_hp_factors(hp, omegas, xi):
@@ -146,10 +149,7 @@ def ref_hp_jet(hp, omegas, xi):
 
 def ref_hp_weight(hp, omegas, xi):
     _, u, theta, _ = hp.split(omegas)
-    w = (xi[None, :] - u[:, None]) / np.sqrt(theta)[:, None]
-    expo = 0.5 * w * w
-    ref_guard(expo)
-    return np.exp(expo)
+    return ref_maxwellian_weight(u, theta, xi)
 
 
 def ref_ec_exponent(ec, omegas, xi):
@@ -190,13 +190,12 @@ def ref_xi_powers(grid, upto):
 
 
 def ref_node_power_sums(u, theta, grid, top):
-    X = ref_xi_powers(grid, top).T
+    X = ref_xi_powers(grid, top) * grid.weights
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, 128):
         rows = slice(lo, lo + 128)
         c = grid.nodes[None, :] - u[rows, None]
-        acc = np.exp(-c * c / (2.0 * theta[rows, None])) * grid.weights[None, :]
-        out[rows] = (acc[:, None, :] @ X)[:, 0, :]
+        out[rows] = np.einsum("mn,kn->mk", np.exp(-c * c / (2.0 * theta[rows, None])), X)
     return out
 
 
@@ -244,7 +243,7 @@ def ref_coefficients(manifold, omegas, model, grid):
 
 def ref_entropy_density(values, grid):
     eta = np.where(values > 0.0, values * np.log(np.maximum(values, 1e-300)) - values, 0.0)
-    return np.add.reduce(eta * grid.weights, axis=-1)
+    return np.einsum("mn,n->m", eta, grid.weights)
 
 
 # ---- helpers ---------------------------------------------------------------
@@ -395,7 +394,7 @@ def peak_bytes(call):
 def test_a_warm_generic_step_allocates_less_than_one_field(model, grid):
     # 100 cells on 256 nodes, the hermite4_generic state
     state = initial_state(HermitePerturbation(4), sine_field(grid, 100))
-    work = StepWork(state.manifold, grid)
+    work = WorkArrays()
     step(state, model, 0.45, work=work)
     field = state.omegas.shape[0] * len(grid) * 8
     assert peak_bytes(lambda: step(state, model, 0.45, work=work)) < field
@@ -406,7 +405,7 @@ def test_a_warm_conservative_rhs_allocates_less_than_one_field(grid):
     cm = ConservativeMoment(2)
     state = initial_state(cm, sine_field(grid, 200))
     model = CollisionModel(kind="bgk", tau=0.1)
-    work = StepWork(cm, grid)
+    work = WorkArrays()
     speeds = _cm_speeds(cm, state.omegas, grid, work)
     args = (cm, model, grid, state.mesh, state.moments, state.omegas, speeds, work)
     want = _cm_rhs(*args)
