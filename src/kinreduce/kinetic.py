@@ -134,9 +134,9 @@ class CollisionModel:
 
 
 def collision_invariants(grid: QuadratureRule) -> np.ndarray:
-    """The collision-invariant basis {1, xi, xi^2} sampled on the grid
-    (read-only: the leading rows of ``grid.xi_powers``)."""
-    return grid.xi_powers(2)
+    """The collision-invariant basis {1, xi, xi^2} sampled on the grid:
+    a writable copy of the leading rows of ``grid.xi_powers``."""
+    return grid.xi_powers(2).copy()
 
 
 def moments_of_profile(values: np.ndarray, grid: QuadratureRule) -> MomentState:

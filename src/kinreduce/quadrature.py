@@ -42,6 +42,7 @@ class QuadratureRule:
     half_width: float | None = None
     cells: int = field(default=0, compare=False)
     _xi_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _wxi_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -78,6 +79,16 @@ class QuadratureRule:
                 table[k] = table[k - 1] * self.nodes
             table.setflags(write=False)
             object.__setattr__(self, "_xi_table", table)
+        return table[: upto + 1]
+
+    def weighted_powers(self, upto: int) -> np.ndarray:
+        """The rows of ``xi_powers(upto)`` times the weights, w_n xi_n^k,
+        read-only and built once per rule the same way."""
+        table = self._wxi_table
+        if table is None or table.shape[0] <= upto:
+            table = self.xi_powers(upto) * self.weights
+            table.setflags(write=False)
+            object.__setattr__(self, "_wxi_table", table)
         return table[: upto + 1]
 
 
@@ -119,10 +130,9 @@ def integrate(values, rule: QuadratureRule):
 
 def moments(values, rule: QuadratureRule, upto: int) -> np.ndarray:
     """The raw moments sum_n w_n xi_n^k v_n, k = 0..upto, of node values
-    over the last axis, shape values.shape[:-1] + (upto + 1,): the rows
-    of ``rule.xi_powers`` times the weights, summed as ``integrate``
-    sums."""
-    return np.einsum("...n,kn->...k", _rows(values, rule), rule.xi_powers(upto) * rule.weights)
+    over the last axis, shape values.shape[:-1] + (upto + 1,): against
+    the rows of ``rule.weighted_powers``, summed as ``integrate`` sums."""
+    return np.einsum("...n,kn->...k", _rows(values, rule), rule.weighted_powers(upto))
 
 
 def _rows(values, rule: QuadratureRule) -> np.ndarray:

@@ -357,7 +357,7 @@ def _cm_yong_inputs(manifold: ConservativeMoment, model, grid, rho, u, theta):
     Minv = np.linalg.inv(M)
     a0 = 0.5 * (Minv + Minv.T)
     a1 = V @ Minv  # flux Jacobian dF/dc
-    D = grid.xi_powers(manifold.n_moments - 1) * grid.weights
+    D = grid.weighted_powers(manifold.n_moments - 1)
     chart = manifold.jet_batch(omega, grid.nodes)[1]
     F = _projection_frame(manifold, chart, grid)[0].T @ Minv
     DT, Dm = _target_linearization(model, rho, u, theta, grid)
