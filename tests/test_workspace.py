@@ -27,7 +27,7 @@ from kinreduce import (
 )
 from kinreduce import ansatz
 from kinreduce.ansatz import _gauss_power_sums, hermite_polynomials
-from kinreduce.kinetic import _target_batch, collision_rate, entropy_density
+from kinreduce.kinetic import _target_batch, collision_invariants, collision_rate, entropy_density
 from kinreduce.projection import _grams, _metric, _symmetrize, coefficients_batch
 from kinreduce.reference_solver import KineticState, relaxation_step
 from kinreduce.reduced_solver import (
@@ -484,3 +484,8 @@ def test_the_xi_table_is_built_once_per_rule():
     assert np.shares_memory(again, big) and again.flags.c_contiguous
     assert np.array_equal(again, ref_xi_powers(rule, 4))
     assert not big.flags.writeable
+    weighted = rule.weighted_powers(6)
+    assert np.array_equal(weighted, ref_xi_powers(rule, 6) * rule.weights)
+    assert np.shares_memory(rule.weighted_powers(2), weighted) and not weighted.flags.writeable
+    basis = collision_invariants(rule)  # public: a caller's own copy
+    assert basis.flags.writeable and not np.shares_memory(basis, big)
