@@ -63,11 +63,13 @@ _NEWTON_TOL = 1e-11
 # chunk sizes that bound field-sized temporaries: rows per pass over
 # the quadrature nodes (profiles, and the power sums of the rows whose
 # Gaussian the grid does not resolve; the moment jets of resolved rows
-# make no node pass), also rows per round of the audit sampler, and
-# moment rows per chunk of the cold starts' resultant scan (801 points
-# a row); results are the same for any size
+# make no node pass), also rows per round of the audit sampler, moment
+# rows per chunk of the cold starts' resultant scan (801 points a row),
+# and trial points per moment jet of Newton's line search (whole rows,
+# at least one); results are the same for any size
 _NODE_PASS_ROWS = 128
 _SCAN_CHUNK_ROWS = 16
+_TRIAL_POINTS = 1024
 
 # erf(x) rounds to 1.0 in double for x >= 5.92158719579450...
 _ERF_ONE = 5.93
@@ -409,35 +411,46 @@ class ConservativeMoment:
                 np.tile(us, hi - lo), np.repeat(ch[lo:hi], us.size, axis=0)
             ).reshape(hi - lo, us.size)
 
-        # simple roots: bisection on every sign change
+        # simple roots: bisection on every sign change; tangential
+        # (even-multiplicity) roots never change sign, so every strict
+        # local minimum of |R| is refined by 60 ternary steps, and the
+        # downstream Newton polish discards the false positives.  Each
+        # step evaluates both in one batch.  The bisection stops once
+        # every bracket is stationary, its midpoint an end: a row's
+        # resultant is the same in any batch, so the end's sign repeats
+        # and further steps would leave the bracket as it is
         fa, fb = vals[:, :-1], vals[:, 1:]
         with np.errstate(invalid="ignore"):
             change = np.isfinite(fa) & np.isfinite(fb) & (np.sign(fa) != np.sign(fb))
         row_b, i_b = np.nonzero(change)
         a, b, fa = us[i_b], us[i_b + 1], vals[row_b, i_b]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = resultant(mid, ch[row_b])
-            same = np.sign(fm) == np.sign(fa)
-            a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
-        root_b = 0.5 * (a + b)
-
-        # tangential (even-multiplicity) roots never change sign; refine
-        # every strict local minimum of |R| and let the downstream
-        # Newton polish discard the false positives
         absv = np.abs(vals)
         with np.errstate(invalid="ignore"):
             dip = (absv[:, 1:-1] < absv[:, :-2]) & (absv[:, 1:-1] <= absv[:, 2:])
         row_t, i_t = np.nonzero(dip)
-        a, b = us[i_t], us[i_t + 2]
-        ch_t = ch[np.concatenate([row_t, row_t])]
-        for _ in range(60):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            f12 = np.abs(resultant(np.concatenate([m1, m2]), ch_t))
-            left = f12[: m1.size] < f12[m1.size :]
-            b, a = np.where(left, m2, b), np.where(left, a, m1)
-        root_t = 0.5 * (a + b)
+        ta, tb = us[i_t], us[i_t + 2]
+        n_b, n_t = row_b.size, row_t.size
+        ch_r = ch[np.concatenate([row_b, row_t, row_t])]
+        for step in range(80):
+            mid = 0.5 * (a + b)
+            ternary = step < 60 and n_t > 0
+            if ternary:
+                m1 = ta + (tb - ta) / 3.0
+                m2 = tb - (tb - ta) / 3.0
+                f = resultant(np.concatenate([mid, m1, m2]), ch_r)
+            elif ((mid == a) | (mid == b)).all():
+                break
+            else:
+                f = resultant(mid, ch_r[:n_b])
+            fm = f[:n_b]
+            same = np.sign(fm) == np.sign(fa)
+            a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
+            if ternary:
+                f12 = np.abs(f[n_b:])
+                left = f12[:n_t] < f12[n_t:]
+                tb, ta = np.where(left, m2, tb), np.where(left, ta, m1)
+        root_b = 0.5 * (a + b)
+        root_t = 0.5 * (ta + tb)
 
         # per row: sign-change roots in scan order, then the refined minima
         row_r = np.concatenate([row_b, row_t])
@@ -1022,22 +1035,22 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
 
     Returns the last iterates (``omega`` is updated in place), whether
     each row converged to a realizable point, each row's largest scaled
-    moment residual and the iterates' moment jet (c, J).  Every trial
-    point is one ``_moment_jet`` evaluation, so the accepted trial is
-    the next iterate as it stands; ``jet``, the start points' jet when
-    known, spares the first one.  A row's arithmetic
-    is its own: its result depends only on its moments and start point,
-    not on the rows batched with it.  A row is frozen once no damping
-    level improves its residual: its later iterations would repeat that
-    failed step.
+    moment residual and the iterates' moment jet (c, J).  Each round's
+    line search makes two batched ``_moment_jet`` evaluations: the full
+    step of every live row, then all halvings of the rows it did not
+    improve; per row the largest improving level wins, and its trial
+    point, moments and Jacobian are the next iterate as they stand.
+    ``jet``, the start points' jet when known, spares the first
+    evaluation.  A row's arithmetic is its own: its result depends only
+    on its moments and start point, not on the rows batched with it.  A
+    row is frozen once no damping level improves its residual: its
+    later iterations would repeat that failed step.
     """
     scale = 1.0 + np.abs(targets)
     c, J = (a.copy() for a in jet) if jet else _moment_jet(manifold, omega, grid, work)
     err = (np.abs(c - targets) / scale).max(axis=1)
     live = ~(err <= _NEWTON_TOL)
-    # the full step first (the common case), then the halvings in
-    # growing groups for the stragglers
-    groups = np.split(0.5 ** np.arange(_NEWTON_MAX_HALVINGS + 1), [1, 2, 4, 8])
+    levels = 0.5 ** np.arange(_NEWTON_MAX_HALVINGS + 1)
     for _ in range(_NEWTON_MAX_ITER):
         act = np.flatnonzero(live)
         if act.size == 0:
@@ -1060,28 +1073,32 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
         accepted = np.zeros(act.size, dtype=bool)
 
         def damped_round(steps):
-            # per row the largest improving level wins; the winner's
-            # moments and Jacobian are kept
-            for levels in groups:
-                rows = np.flatnonzero(~accepted)
-                if rows.size == 0:
-                    return
-                base = om_a[rows][None, :, :]
-                cand = base + levels[:, None, None] * steps[rows][None, :, :]
-                valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
-                cand = np.where(valid[..., None], cand, base)
-                c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid, work)
-                c_t = c_t.reshape(levels.size, rows.size, -1)
-                r_t = c_t - tg_a[rows][None, :, :]
-                n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
-                improve = valid & (n_t < best[rows][None, :])
-                hit = np.flatnonzero(improve.any(axis=0))
-                first = improve.argmax(axis=0)[hit]
-                dest = act[rows[hit]]
-                omega[dest] = cand[first, hit]
-                c[dest] = c_t[first, hit]
-                J[dest] = J_t[first * rows.size + hit]
-                accepted[rows[hit]] = True
+            # the full step, then every halving of the rows it leaves
+            # unimproved in one batch, whole rows of at most
+            # _TRIAL_POINTS trial points per jet; per row the largest
+            # improving level wins, and its moments and Jacobian are kept
+            for lv in (levels[:1], levels[1:]):
+                todo = np.flatnonzero(~accepted)
+                chunk = max(1, _TRIAL_POINTS // lv.size)
+                for lo in range(0, todo.size, chunk):
+                    rows = todo[lo : lo + chunk]
+                    base = om_a[rows][None, :, :]
+                    cand = base + lv[:, None, None] * steps[rows][None, :, :]
+                    valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
+                    cand = np.where(valid[..., None], cand, base)
+                    c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid,
+                                           work)
+                    c_t = c_t.reshape(lv.size, rows.size, -1)
+                    r_t = c_t - tg_a[rows][None, :, :]
+                    n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
+                    improve = valid & (n_t < best[rows][None, :])
+                    hit = np.flatnonzero(improve.any(axis=0))
+                    first = improve.argmax(axis=0)[hit]
+                    dest = act[rows[hit]]
+                    omega[dest] = cand[first, hit]
+                    c[dest] = c_t[first, hit]
+                    J[dest] = J_t[first * rows.size + hit]
+                    accepted[rows[hit]] = True
 
         damped_round(step)
         if not accepted.all():

@@ -165,7 +165,13 @@ def _load_run(run_dir: Path, kind: str):
     output time, one row per mesh cell, one column per manifold
     parameter (reduce) or velocity node (reference), and the header's
     half width and dx."""
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = run_dir / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
+        raise ParameterError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParameterError(f"{manifest_path} does not hold a JSON object")
     if manifest.get("kind") != kind:
         raise ParameterError(f"{run_dir} does not hold {kind} outputs")
     cfg = parse_config(manifest["config"])

@@ -374,6 +374,62 @@ def per_row_cold_starts(cm, c, grid):
     return out
 
 
+def per_row_newton(cm, c, omega, grid, seen=None):
+    """Reference: ``ansatz._newton`` on one row as a plain loop (full
+    step, then halvings until one improves the residual, a
+    pseudo-inverse step when none does, frozen when that fails too).
+    ``seen`` collects "halving", "retry" and "frozen" when the row
+    takes them."""
+    scale = 1.0 + np.abs(c)
+    seen = set() if seen is None else seen
+
+    def jet(x):
+        cx, Jx = _moment_jet(cm, x[None, :], grid)
+        return cx[0], Jx[0]
+
+    def norm(v):  # a sum of squares, as the batch's row norms take it
+        return np.sqrt(np.sum(v * v))
+
+    def pinv_step(J, r):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(np.linalg.pinv(J, rcond=1e-10) @ r)
+
+    def line_search(x, step, best):
+        for level in 0.5 ** np.arange(13):
+            cand = x + level * step
+            if not (np.isfinite(cand).all() and cand[-1] > 0.0):
+                continue
+            c_t, J_t = jet(cand)
+            if norm((c_t - c) / scale) < best:
+                if level < 1.0:
+                    seen.add("halving")
+                return cand, c_t, J_t
+        return None
+
+    x = omega.copy()
+    cx, Jx = jet(x)
+    for _ in range(50):
+        if (np.abs(cx - c) / scale).max() <= 1e-11:
+            break
+        r = cx - c
+        try:
+            step = np.linalg.solve(Jx, -r)
+        except np.linalg.LinAlgError:
+            step = np.full_like(r, np.nan)
+        if not np.isfinite(step).all() or np.abs(step).max() > 1e8 * (1.0 + np.abs(x).max()):
+            step = pinv_step(Jx, r)
+        best = norm(r / scale)
+        found = line_search(x, step, best)
+        if found is None:
+            seen.add("retry")
+            found = line_search(x, pinv_step(Jx, r), best)
+        if found is None:
+            seen.add("frozen")
+            break
+        x, cx, Jx = found
+    return x, (np.abs(cx - c) / scale).max() <= 1e-11
+
+
 class TestBatchedLadder:
     """Every rung of the inversion ladder is one batched solve; a row's
     result must not depend on the rows it is batched with."""
@@ -449,6 +505,54 @@ class TestBatchedLadder:
         c_back = cm.raw_moments_batch(batch, grid)
         assert np.abs(c_back - C).max() <= 1e-11 * (1 + np.abs(C)).max()
 
+    def test_newton_rows_match_the_row_by_row_loop(self, mixed_batch, grid):
+        """Batched Newton gives each row the bits of the plain one-row
+        loop, from the batch's warm starts and from the ridge jitters:
+        rows that halve their step, retry and freeze included."""
+        cm, C, W = mixed_batch
+        jit = np.array([j for w in W for j in _ridge_jitters(cm, w, grid)])
+        seen = set()
+        for targets, start in ((C, W), (np.repeat(C, 4, axis=0), jit)):
+            got, ok, _, _ = _newton(cm, targets, start.copy(), grid, require_nonnegative=False)
+            for i in range(len(targets)):
+                want, want_ok = per_row_newton(cm, targets[i], start[i], grid, seen)
+                assert same_bits(got[i], want) and ok[i] == want_ok, i
+        assert seen == {"halving", "retry", "frozen"}
+
+    def test_line_search_takes_two_jets_per_damped_round(self, mixed_batch, grid, monkeypatch):
+        """A Newton round evaluates the moment jet twice, the full step
+        and then every halving in one batch, and twice more when the
+        pseudo-inverse retry runs; the stalled jitter rows halve and
+        retry."""
+        cm, C, W = mixed_batch
+        events = []
+        for name in ("_solve_rows", "_moment_jet"):
+            kernel = getattr(ansatz, name)
+            monkeypatch.setattr(ansatz, name,
+                                lambda *a, _k=kernel, _n=name: events.append(_n) or _k(*a))
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv",
+                            lambda *a, **k: events.append("pinv") or pinv(*a, **k))
+        # rows 1, 4 and 7 are the jitter rows, which stall from their warm start
+        _newton(cm, C[1::3], W[1::3].copy(), grid, require_nonnegative=False)
+        rounds = " ".join(events).split("_solve_rows")[1:]
+        jets = [r.count("_moment_jet") for r in rounds]
+        retried = ["_moment_jet pinv" in r for r in rounds]
+        assert all(n <= (4 if again else 2) for n, again in zip(jets, retried))
+        assert 2 in jets and any(retried)
+
+    def test_cold_starts_refine_in_sixty_resultant_calls(self, mixed_batch, grid, monkeypatch):
+        """The bisection and the ternary refinement share one resultant
+        evaluation per step, and the bisection ends once every bracket
+        is stationary."""
+        cm, C, _ = mixed_batch
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda S: calls.append(len(S)) or det(S))
+        cm.cold_start_candidates(C, grid)
+        scan_chunks = -(-len(C) // ansatz._SCAN_CHUNK_ROWS)
+        assert calls[scan_chunks:] and len(calls) - scan_chunks <= 60
+
     def test_rows_do_not_depend_on_the_batch(self, mixed_batch, grid, monkeypatch):
         """Reordering, splitting or re-chunking the batch changes no bit
         of any row, through every rung of the ladder."""
@@ -465,6 +569,9 @@ class TestBatchedLadder:
             assert np.array_equal(np.concatenate(parts), whole)
         for pass_rows in (1, 7):
             monkeypatch.setattr(ansatz, "_NODE_PASS_ROWS", pass_rows)
+            assert np.array_equal(solve(rows), whole)
+        for points in (1, 13):
+            monkeypatch.setattr(ansatz, "_TRIAL_POINTS", points)
             assert np.array_equal(solve(rows), whole)
 
     def test_recovery_evaluates_no_node_profiles(self, mixed_batch, grid, monkeypatch):

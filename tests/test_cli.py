@@ -700,6 +700,20 @@ class TestEstimate:
                                                   "output_interval": 0.01}})
         assert self._estimate(red, ref, tmp_path / "est") == 0
 
+    @pytest.mark.parametrize("text,why", [
+        ('{"kind": "reduce",', "is not valid JSON"),
+        ("[1, 2]", "does not hold a JSON object"),
+    ], ids=["truncated", "list"])
+    def test_manifest_that_is_no_json_object_exits_two(self, tmp_path, capsys, text, why):
+        for name in ("red", "ref"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert self._estimate(tmp_path / "red", tmp_path / "ref", tmp_path / "est") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'red' / 'manifest.json'} {why}")
+        assert "Traceback" not in err
+
     def test_missing_inputs_exit_two(self, tmp_path):
         code = main(
             ["estimate", "--reduce-dir", str(tmp_path / "a"),
