@@ -159,6 +159,36 @@ def _write_run(cfg, out_dir: Path, kind: str, traj, frames, elapsed: float) -> i
     return EXIT_OK
 
 
+# the manifest fields that estimate reads, with their JSON types, and the
+# grid sizes among them
+_MANIFEST_FIELDS = {"config": dict, "config_sha256": str, "mesh": dict, "velocity_grid": dict,
+                    "times": list}
+_JSON_TYPES = {dict: "an object", str: "a string", list: "a list"}
+_MANIFEST_SIZES = {"mesh": ("cells", "length"), "velocity_grid": ("nodes", "half_width")}
+
+
+def _check_manifest(manifest: dict, path: Path) -> None:
+    """ParameterError naming ``path`` and the field, unless the manifest
+    has every field ``_load_run`` reads, of its JSON type: the grid
+    sizes positive numbers and every output time a number or a string
+    that ``float`` reads as one."""
+    for key, kind in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            raise ParameterError(f"{path} has no field '{key}'")
+        if not isinstance(manifest[key], kind):
+            raise ParameterError(f"{path} field '{key}' is not {_JSON_TYPES[kind]}")
+    for key, names in _MANIFEST_SIZES.items():
+        for name in names:
+            value = manifest[key].get(name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise ParameterError(f"{path} field '{key}.{name}' is not a positive number")
+    for t in manifest["times"]:
+        try:
+            float(t)
+        except (TypeError, ValueError):
+            raise ParameterError(f"{path} field 'times' holds {t!r}, not a number") from None
+
+
 def _load_run(run_dir: Path, kind: str):
     """Manifest, scenario and snapshot frames of a ``reduce`` or
     ``reference`` run.  The frames must match the manifest: one per
@@ -174,6 +204,7 @@ def _load_run(run_dir: Path, kind: str):
         raise ParameterError(f"{manifest_path} does not hold a JSON object")
     if manifest.get("kind") != kind:
         raise ParameterError(f"{run_dir} does not hold {kind} outputs")
+    _check_manifest(manifest, manifest_path)
     cfg = parse_config(manifest["config"])
     mesh, vgrid = manifest["mesh"], manifest["velocity_grid"]
     path = run_dir / _FRAMES[kind]

@@ -11,7 +11,11 @@ moments (zero for k <= 2).  Its closure is the batched Newton recovery
 ``_cm_recover``, its speeds ``_cm_speeds`` and its rhs the local
 Lax-Friedrichs ``_cm_rhs``; a last recovery gives the new parameters.
 Each recovery hands its result's moment jet on to the next, so after the
-first step the step-start recovery only checks the residuals.
+first step the step-start recovery only checks the residuals.  The rhs
+takes the closure flux and the collision moments from Gaussian power
+sums (``_cm_closure``), so, where the grid resolves the Gaussians, a
+step makes no pass over the velocity nodes: only ``initial_state`` and
+the records (``_record``) evaluate f on them.
 Other manifolds advance omega in A0(omega) d_t omega + A1(omega) d_x
 omega = Q(omega): the closure ``_generic_coefficients`` assembles A0,
 A1 and Q of all cells in one batched pass, the step-start assembly
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzPoint, ConservativeMoment, Manifold, _moment_jet, recover_batch
+from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _gauss_power_sums, _moment_jet,
+                     recover_batch)
 from .errors import (
     BlowUpError,
     DegenerateChartError,
@@ -38,7 +43,6 @@ from .kinetic import (
     CollisionModel,
     DistributionField,
     SpatialMesh,
-    _target_batch,
     collision_rate,
     entropy_density,
     march,
@@ -47,7 +51,7 @@ from .kinetic import (
 # because perfbench/tracing.py wraps it by name
 from .projection import (_solve_spd, assemble_coefficients, coefficients_batch,  # noqa: F401
                          project_initial)
-from .quadrature import QuadratureRule, integrate, moments
+from .quadrature import QuadratureRule, moments
 from .workspace import WorkArrays, take
 
 __all__ = [
@@ -166,23 +170,63 @@ def _cm_speeds(manifold, omegas, grid, work=None):
     return _pencil_radius_batch(M, V)
 
 
+def _cm_closure(manifold, model, grid, omegas, work=None):
+    """The closure flux int xi^(N+3) f_hat of stacked chart points and,
+    given a collision model, the moments T_0..T_{N+2} of their collision
+    targets (None without one), shapes (m,) and (m, N + 3), from the
+    Gaussian power sums P_j (``_gauss_power_sums``) alone.
+
+    The moments of f_hat are c_k = sum_j alpha_j P_{j+k}(u, theta),
+    summed over j from 0.0 as in ``_moment_jet``.  The target has the
+    density c_0, the velocity u_f = c_1 / c_0, and the second and third
+    central moments theta_f and q of f_hat divided by c_0; a row whose
+    density or temperature is not positive raises StepError naming the
+    lowest such row.  Its moments are rho (2 pi theta_f)^(-1/2) times
+    sums of P_j(u_f, theta_f): the Maxwellian's (BGK, and ES-BGK in
+    d = 1), plus Shakhov's heat-flux term.  Every operation is
+    elementwise over the rows."""
+    N, K = manifold.degree, manifold.n_moments
+    alpha, u, theta = manifold.split(omegas)
+    P = _gauss_power_sums(u, theta, grid, N + K, work)
+    # alpha_j P_{j+k}, k = 0..N+3, rows last; the sum over j is outer to
+    # the contiguous rows, so sequential
+    terms = np.take(P.T, np.arange(N + 1)[:, None] + np.arange(K + 1), axis=0)
+    terms *= np.ascontiguousarray(alpha.T)[:, None, :]
+    c = np.add.reduce(terms, axis=0, initial=0.0)
+    if model is None:
+        return c[K], None
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = c[0]
+        u = c[1] / rho
+        theta = (c[2] - 2.0 * u * c[1] + u * u * c[0]) / rho
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
+        raise StepError("unrealizable moments during collision evaluation", cell=bad)
+    shakhov = model.kind == "shakhov"
+    P = _gauss_power_sums(u, theta, grid, K - 1 + 3 * shakhov, work).T
+    T = P[:K]
+    if shakhov:
+        q = (c[3] - 3.0 * u * c[2] + 3.0 * u * u * c[1] - u * u * u * c[0]) / rho
+        # sum w xi^k (xi - u)^i G for i = 1, 2, 3 by differences
+        e1 = P[1:] - u * P[:-1]
+        e2 = e1[1:] - u * e1[:-1]
+        e3 = e2[1:] - u * e2[:-1]
+        # (1 - Pr) q / (3 theta^2) * ((xi - u)^3 / (2 theta) - 1.5 (xi - u))
+        T = T + (1.0 - model.prandtl) * q / (3.0 * theta**2) * (e3 / (2.0 * theta) - 1.5 * e1[:K])
+    return c[K], (T * (rho / np.sqrt(2.0 * np.pi * theta))).T
+
+
 def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
     """Semi-discrete right-hand side of the balanced-law update, with
-    ``work`` as work space."""
-    K = manifold.n_moments
-    vals = manifold.values_batch(omegas, grid.nodes, work)
+    ``work`` as work space: the closure flux and the collision source
+    from ``_cm_closure``, with no pass over the velocity nodes where the
+    grid resolves the Gaussians."""
+    top, targets = _cm_closure(manifold, model, grid, omegas, work)
     F = np.empty_like(C)
     F[:, :-1] = C[:, 1:]
-    # the closure flux int xi^(N+3) f_hat, one row: a third of the cost
-    # of all N + 4 moments
-    top = np.multiply(vals, grid.xi_powers(K)[K], out=take(work, "profile", vals.shape))
-    F[:, -1] = integrate(top, grid)
-
-    if model is not None:
-        targets = _target_batch(model, vals, grid, take(work, "profile", vals.shape), work)
-        source = collision_rate(model) * (moments(targets, grid, K - 1) - C)
-    else:
-        source = 0.0
+    F[:, -1] = top
+    source = 0.0 if targets is None else collision_rate(model) * (targets - C)
 
     # local Lax-Friedrichs interface fluxes, periodic wrap
     C_r = np.roll(C, -1, axis=0)

@@ -40,6 +40,7 @@ from kinreduce.ansatz import (
 )
 from kinreduce.kinetic import _target_batch
 from kinreduce.quadrature import moments
+from kinreduce.reduced_solver import _cm_closure
 from kinreduce.workspace import WorkArrays
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -986,8 +987,9 @@ class TestBatchInvariance:
     @given(data=st.data())
     def test_a_row_does_not_depend_on_its_batch(self, data, grid):
         """A row of the power sums, of the moment jet, of the recovery, of
-        the velocity integrals and of the collision targets has the same
-        bits alone, in a batch and permuted.  The temperatures lie on
+        the velocity integrals, of the collision targets and of the CM
+        closure flux and target moments has the same bits alone, in a
+        batch and permuted.  The temperatures lie on
         both sides of sqrt(theta) = 2h, where the power sums change
         kernel."""
         cm = ConservativeMoment(2)
@@ -1026,6 +1028,7 @@ class TestBatchInvariance:
             solve,
             lambda rows: (integrate(profiles[rows], grid), moments(profiles[rows], grid, 4),
                           _target_batch(shakhov, profiles[rows], grid)),
+            lambda rows: _cm_closure(cm, shakhov, grid, warm[rows]),
         ]
         for kernel in kernels:
             whole = kernel(np.arange(n))

@@ -714,6 +714,30 @@ class TestEstimate:
         assert err.startswith(f"error: {tmp_path / 'red' / 'manifest.json'} {why}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value,why", [
+        ("mesh", [1], "field 'mesh' is not an object"),
+        ("velocity_grid", "x", "field 'velocity_grid' is not an object"),
+        ("times", 5, "field 'times' is not a list"),
+        ("times", ["a", "b"], "field 'times' holds 'a', not a number"),
+        ("mesh", None, "has no field 'mesh'"),
+        ("velocity_grid", {"half_width": 9.0, "nodes": 0}, "field 'velocity_grid.nodes' is not"),
+    ], ids=["mesh-list", "velocity-grid-string", "times-number", "times-strings",
+            "mesh-missing", "no-nodes"])
+    def test_malformed_manifest_field_exits_two(self, tmp_path, capsys, field, value, why):
+        red, ref = self._runs(tmp_path, {"kind": "conservative_moment", "size": 2})
+        path = red / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} {why}")
+        assert "Traceback" not in err
+
     def test_missing_inputs_exit_two(self, tmp_path):
         code = main(
             ["estimate", "--reduce-dir", str(tmp_path / "a"),

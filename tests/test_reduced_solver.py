@@ -1,10 +1,15 @@
 import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import kinreduce.ansatz as ansatz
+import kinreduce.kinetic as kinetic
+import kinreduce.quadrature as quadrature
 import kinreduce.reduced_solver as reduced_solver
 from kinreduce import (
     AnsatzPoint,
@@ -23,9 +28,14 @@ from kinreduce import (
     spectral_radius,
     truncated_rule,
 )
+from kinreduce.config import parse_config
+from kinreduce.kinetic import _target_batch, collision_rate
 from kinreduce.projection import coefficients_batch
 from kinreduce.reduced_solver import (
+    _cm_closure,
     _cm_recover,
+    _cm_rhs,
+    _cm_speeds,
     _generic_coefficients,
     _generic_rhs,
     _pencil_radius_batch,
@@ -278,6 +288,108 @@ class TestRecovery:
             _cm_recover(cm, C, grid, omega)
         assert info.value.cell == 2
         assert "moments [1.0, 0.0, -1.0, 0.0, 3.0]" in str(info.value)
+
+
+def ref_cm_rhs(manifold, model, grid, mesh, C, omegas, speeds):
+    """``_cm_rhs`` by passes over the velocity nodes: f_hat on the nodes
+    and its top moment, then the collision targets on the nodes and
+    their moments.  Returns the right-hand side, the closure flux and the
+    target moments (None without a model)."""
+    K = manifold.n_moments
+    vals = manifold.values_batch(omegas, grid.nodes)
+    F = np.empty_like(C)
+    F[:, :-1] = C[:, 1:]
+    F[:, -1] = quadrature.integrate(vals * grid.xi_powers(K)[K], grid)
+    T = None
+    source = 0.0
+    if model is not None:
+        T = quadrature.moments(_target_batch(model, vals, grid), grid, K - 1)
+        source = collision_rate(model) * (T - C)
+    C_r, F_r = np.roll(C, -1, axis=0), np.roll(F, -1, axis=0)
+    a_iface = np.maximum(speeds, np.roll(speeds, -1))[:, None]
+    F_half = 0.5 * (F + F_r) - 0.5 * a_iface * (C_r - C)
+    return -(F_half - np.roll(F_half, 1, axis=0)) / mesh.dx + source, F[:, -1], T
+
+
+COLLISION_MODELS = [
+    CollisionModel(kind="bgk", tau=0.1),
+    CollisionModel(kind="shakhov", tau=0.2, prandtl=2.0 / 3.0),
+    CollisionModel(kind="esbgk", tau=0.1, prandtl=2.0 / 3.0),
+]
+
+
+class TestClosedFormRhs:
+    """``_cm_rhs`` takes the closure flux and the collision targets from
+    Gaussian power sums; the node passes they replace are the reference."""
+
+    @pytest.mark.parametrize("model", [None] + COLLISION_MODELS,
+                             ids=lambda m: m.kind if m else "none")
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("half_width,cells", [(9.0, 64), (10.0, 128), (8.5, 48)])
+    def test_matches_the_node_passes(self, half_width, cells, degree, model):
+        grid = truncated_rule(half_width, cells)
+        cm = ConservativeMoment(degree)
+        omegas = cm.sample_batch(np.random.default_rng(degree), grid, 24)
+        # every third row with sqrt(theta) < 2h, where the power sums take
+        # the node pass
+        omegas[::3, -1] = (4.0 * half_width / cells * np.linspace(0.4, 0.95, 8)) ** 2
+        C = quadrature.moments(cm.values_batch(omegas, grid.nodes), grid, cm.n_moments - 1)
+        C *= 1.0 + 0.01 * np.random.default_rng(7).standard_normal(C.shape)
+        mesh = SpatialMesh(cells=24, length=1.0)
+        speeds = _cm_speeds(cm, omegas, grid)
+        want, top, T = ref_cm_rhs(cm, model, grid, mesh, C, omegas, speeds)
+        got_top, got_T = _cm_closure(cm, model, grid, omegas)
+        assert np.abs(got_top - top).max() <= 1e-13 * np.abs(top).max()
+        scale = max(np.abs(C).max(), np.abs(top).max()) / mesh.dx
+        if model is None:
+            assert got_T is None
+        else:
+            assert np.abs(got_T - T).max() <= 1e-13 * np.abs(T).max()
+            scale += collision_rate(model) * np.abs(T).max()
+        got = _cm_rhs(cm, model, grid, mesh, C, omegas, speeds)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("model", COLLISION_MODELS, ids=lambda m: m.kind)
+    def test_unrealizable_target_names_the_lowest_cell(self, grid, model):
+        cm = ConservativeMoment(2)
+        mesh = SpatialMesh(cells=6, length=1.0)
+        negative_mass = np.tile(cm.equilibrium_params(1.0, 0.0, 1.0), (6, 1))
+        negative_mass[4, :3] *= -1.0  # c_0 < 0
+        negative_theta = negative_mass.copy()
+        negative_theta[2, 2] = -0.5 * negative_theta[2, 0]  # c_0 > 0, theta_f < 0
+        for omegas, cell in ((negative_theta, 2), (negative_mass, 4)):
+            C = cm.raw_moments_batch(omegas, grid)
+            for rhs in (_cm_rhs, ref_cm_rhs):
+                with pytest.raises(StepError, match="unrealizable moments during collision") as info:
+                    rhs(cm, model, grid, mesh, C, omegas, np.ones(6))
+                assert info.value.cell == cell
+
+    def test_a_cm_step_makes_no_node_pass(self, monkeypatch):
+        """The first three steps of the demo scenario, which cross the
+        fold and make all five of its cold starts, evaluate nothing on the
+        velocity nodes: each node-pass kernel raises wherever a module
+        holds it."""
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
+                         .read_text())
+        cfg = parse_config(doc)
+        state = initial_state(cfg.manifold(), cfg.initial_field())
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        monkeypatch.setattr(ConservativeMoment, "values_batch", forbidden("values_batch"))
+        kernels = {id(f): f.__name__ for f in
+                   (quadrature.integrate, quadrature.moments, kinetic._target_batch)}
+        for name, module in list(sys.modules.items()):
+            if name == "kinreduce" or name.startswith("kinreduce."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in kernels:
+                        monkeypatch.setattr(module, attr, forbidden(kernels[id(value)]))
+        for _ in range(3):
+            state = step(state, cfg.model(), cfg.cfl)
+        assert state.time > 0.0
 
 
 class TestJetHandoff:
