@@ -126,6 +126,15 @@ class ConservativeMoment:
         if np.any(theta <= 0.0) or not np.all(np.isfinite(omega)):
             raise RealizabilityError("ConservativeMoment needs finite omega, theta > 0")
 
+    def _moment_rows(self, C) -> np.ndarray:
+        """Raw moment rows c_0..c_{N+2} as a float stack, or
+        ParameterError for any other width."""
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        if C.ndim != 2 or C.shape[1] != self.n_moments:
+            raise ParameterError(
+                f"expected rows of {self.n_moments} moments, got shape {C.shape}")
+        return C
+
     def _factors(self, omegas: np.ndarray, xi: np.ndarray, work: WorkArrays | None = None):
         """xi - u, the Gaussian factor and the polynomial factor on the
         nodes, one row per omega."""
@@ -209,128 +218,32 @@ class ConservativeMoment:
             )
         return u, theta
 
-    def _varpro_split(self, u, theta, C, grid):
+    def _fit_alphas(self, u, theta, C, grid):
         """With (u, theta) frozen, the alphas matching c_0..c_N solve a
-        square SPD Hankel system; returns them with the residual on the
-        two remaining moments, one row per (u, theta, C) row."""
+        square SPD Hankel system of Gaussian power sums; one row of
+        alphas per (u, theta, C) row."""
         N = self.degree
-        pw = _gauss_power_sums(u, theta, grid, 2 * N + 2)
+        pw = _gauss_power_sums(u, theta, grid, 2 * N)
         k = np.arange(N + 1)
-        hankel = pw[:, k[:, None] + k[None, :]]
-        rhs = C[:, : N + 1]
-        alpha = _solve_rows(hankel, rhs, rcond=1e-12)
-        # contiguous rows take the same BLAS product as a single row does
-        rows = np.ascontiguousarray(pw[:, np.array([N + 1, N + 2])[:, None] + k[None, :]])
-        return alpha, (rows @ alpha[..., None])[..., 0] - C[:, N + 1 :]
+        return _solve_rows(pw[:, k[:, None] + k[None, :]], C[:, : N + 1], rcond=1e-12)
 
     def initial_guess(self, C: np.ndarray, grid: QuadratureRule) -> np.ndarray:
-        """Variable-projection cold starts for the moment inversion, one
-        row of omega per row of raw moments.
-
-        The obvious Gaussian-only guess (alphas zeroed) lies exactly on
-        the set where the chart loses rank (d/du and d/dtheta fall into
-        the alpha-span), and plain Newton stalls there.  Eliminating
-        the alphas by the linear Hankel solve leaves a 2D root-find in
-        (u, theta), whose Jacobian degenerates on the same ridge; a
-        coarse scan around the Gaussian fit steps off the ridge before
-        damped Newton takes over.  Rows run in lockstep, each with its
-        own scan, Newton steps and line search.
-        """
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+        """The Gaussian fit as a chart point, one row of omega per row of
+        raw moments: (u, theta) from ``gaussian_fit`` and, for N >= 1,
+        the alphas that match c_0..c_N with (u, theta) frozen
+        (``_fit_alphas``).  It matches c_{N+1} and c_{N+2} too only
+        where a preimage has the fitted Gaussian factor, as a
+        Maxwellian's does; elsewhere it is Newton's start, and the
+        global search is ``cold_start_candidates``."""
+        C = self._moment_rows(C)
         u0, th0 = self.gaussian_fit(C)
         omega = np.zeros((C.shape[0], self.dim))
         if self.degree == 0:
             omega[:, 0] = C[:, 0] / np.sqrt(2.0 * np.pi * th0)
-            omega[:, -2] = u0
-            omega[:, -1] = th0
-            return omega
-
-        scale2 = 1.0 + np.abs(C[:, self.degree + 1 :])
-        L = grid.half_width
-
-        def norm(v):
-            # row by row as the 1-D np.linalg.norm computes it (a dot
-            # product), to the last bit: the ridge amplifies round-off
-            return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-        def objective(x, rows):
-            _, r2 = self._varpro_split(x[:, 0], x[:, 1], C[rows], grid)
-            return norm(r2 / scale2[rows])
-
-        def inside(x):
-            return (-L < x[..., 0]) & (x[..., 0] < L)
-
-        x = np.stack([u0, th0], axis=1)
-        best_val = objective(x, np.arange(C.shape[0]))
-        rows = np.flatnonzero(best_val > 1e-13)
-        if rows.size:
-            # 7 x 7 scan, u offsets outer, temperature factors inner;
-            # the first strict improvement on the Gaussian fit wins
-            du = np.linspace(-0.9, 0.9, 7)[None, :] * np.sqrt(th0[rows])[:, None]
-            fth = np.geomspace(0.45, 2.2, 7)
-            cand = np.empty((rows.size, 7, 7, 2))
-            cand[..., 0] = (u0[rows][:, None] + du)[:, :, None]
-            cand[..., 1] = (th0[rows][:, None] * fth[None, :])[:, None, :]
-            cand = cand.reshape(rows.size, 49, 2)
-            vals = np.full((rows.size, 49), np.inf)
-            ok = inside(cand)
-            vals[ok] = objective(cand[ok], np.repeat(rows, 49)[ok.ravel()])
-            vals[~np.isfinite(vals)] = np.inf
-            pick = vals.argmin(axis=1)
-            low = vals[np.arange(rows.size), pick]
-            better = low < best_val[rows]
-            x[rows[better]] = cand[better, pick[better]]
-
-        live = np.ones(C.shape[0], dtype=bool)
-        levels = 0.5 ** np.arange(25)
-        for _ in range(60):
-            rows = np.flatnonzero(live)
-            if rows.size == 0:
-                break
-            xr = x[rows]
-            _, r2 = self._varpro_split(xr[:, 0], xr[:, 1], C[rows], grid)
-            done = np.abs(r2 / scale2[rows]).max(axis=1) < 1e-13
-            live[rows[done]] = False
-            rows, xr, r2 = rows[~done], xr[~done], r2[~done]
-            if rows.size == 0:
-                break
-            # central differences in u and theta, all four shifts at once
-            h = 1e-6 * np.maximum(np.abs(xr), 1e-3)
-            shifted = np.repeat(xr[None, :, :], 4, axis=0)
-            for d in range(2):
-                shifted[2 * d, :, d] += h[:, d]
-                shifted[2 * d + 1, :, d] -= h[:, d]
-            n = rows.size
-            _, r_sh = self._varpro_split(
-                shifted[..., 0].ravel(), shifted[..., 1].ravel(), C[np.tile(rows, 4)], grid
-            )
-            r_sh = r_sh.reshape(4, n, 2)
-            J = np.empty((n, 2, 2))
-            for d in range(2):
-                J[:, :, d] = (r_sh[2 * d] - r_sh[2 * d + 1]) / (2.0 * h[:, d, None])
-            step = _solve_rows(J, -r2, rcond=1e-10)
-            base = norm(r2 / scale2[rows])
-            # the full step first, the remaining halvings in one batch;
-            # per row the largest improving level wins
-            moved = np.zeros(n, dtype=bool)
-            for lv in (levels[:1], levels[1:]):
-                idx = np.flatnonzero(~moved)
-                if idx.size == 0:
-                    break
-                trial = xr[idx][None, :, :] + lv[:, None, None] * step[idx][None, :, :]
-                ok = inside(trial) & (1e-8 < trial[..., 1]) & (trial[..., 1] < (2.0 * L) ** 2)
-                vals = np.full(ok.shape, np.inf)
-                owner = np.broadcast_to(rows[idx][None, :], ok.shape)
-                vals[ok] = objective(trial[ok], owner[ok])
-                improve = vals < base[idx][None, :]
-                hit = improve.any(axis=0)
-                first = improve.argmax(axis=0)
-                x[rows[idx[hit]]] = trial[first[hit], hit]
-                moved[idx[hit]] = True
-            live[rows[~moved]] = False
-        alpha, _ = self._varpro_split(x[:, 0], x[:, 1], C, grid)
-        omega[:, : self.degree + 1] = alpha
-        omega[:, -2:] = x
+        else:
+            omega[:, : self.degree + 1] = self._fit_alphas(u0, th0, C, grid)
+        omega[:, -2] = u0
+        omega[:, -1] = th0
         return omega
 
     def cold_start_candidates(
@@ -349,7 +262,7 @@ class ConservativeMoment:
         bisections and the refinements run in lockstep over all rows and
         brackets.
         """
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+        C = self._moment_rows(C)
         N = self.degree
         if N == 0 or not len(C):
             return [[] for _ in C]
@@ -473,7 +386,7 @@ class ConservativeMoment:
         out = [[] for _ in range(R)]
         if owner.size:
             u_c, th_c = np.array(u_c), np.array(th_c)
-            alpha, _ = self._varpro_split(u_c, th_c, C[owner], grid)
+            alpha = self._fit_alphas(u_c, th_c, C[owner], grid)
             for r, al, u, th in zip(owner, alpha, u_c, th_c):
                 out[r].append(np.concatenate([al, [u, th]]))
         return out
@@ -745,7 +658,13 @@ class EntropyClosure:
     def sample_batch(self, rng, grid, count, **ranges):
         """``count`` random points, shape (count, d): a Maxwellian from
         the ranges and each alpha_p, p >= 3, uniform within
-        0.3 / (max(n - 3, 1) max|xi^p|) on the nodes; never rejected."""
+        0.3 / (max(n - 3, 1) max|xi^p|) on the nodes; never rejected.
+        Needs n >= 3, else ConfigurationError: the points are built on
+        a Maxwellian."""
+        if self.n < 3:
+            raise ConfigurationError(
+                f"cannot sample {self.name} points: it needs size >= 3 to represent "
+                "a Maxwellian")
         n_extra = max(self.n - 3, 1)
         caps = [0.3 / (n_extra * np.abs(grid.nodes**p).max()) for p in range(3, self.n)]
 
@@ -1086,11 +1005,14 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
                     cand = base + lv[:, None, None] * steps[rows][None, :, :]
                     valid = np.isfinite(cand).all(axis=2) & (cand[..., -1] > 0.0)
                     cand = np.where(valid[..., None], cand, base)
-                    c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim), grid,
-                                           work)
-                    c_t = c_t.reshape(lv.size, rows.size, -1)
-                    r_t = c_t - tg_a[rows][None, :, :]
-                    n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
+                    # a trial point far out may overflow its jet; its
+                    # residual is then not finite, never an improvement
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        c_t, J_t = _moment_jet(manifold, cand.reshape(-1, manifold.dim),
+                                               grid, work)
+                        c_t = c_t.reshape(lv.size, rows.size, -1)
+                        r_t = c_t - tg_a[rows][None, :, :]
+                        n_t = np.linalg.norm(r_t / sc_a[rows][None, :, :], axis=2)
                     improve = valid & (n_t < best[rows][None, :])
                     hit = np.flatnonzero(improve.any(axis=0))
                     first = improve.argmax(axis=0)[hit]
@@ -1143,12 +1065,14 @@ def recover_batch(
     """Damped Newton inversion of the moment map for a batch of cells.
 
     ``targets`` holds raw moments c_0..c_{N+2} per row; rows are solved
-    simultaneously.  Rows that stall or end unrealizable go down a
-    fallback ladder, each rung solved in batches across all of them:
+    simultaneously from ``omega0``, one finite row per target, or else
+    from the Gaussian-fit guess (``initial_guess``).  Rows that stall
+    or end unrealizable go down a fallback ladder, each rung solved in
+    batches across all of them:
     ridge-jitter restarts (per row, the solution closest to the stalled
     iterate), then the cold starts, each computed only for the rows
     that reach it: per row, the first resultant-scan candidate that
-    converges, tried in order, then the variable-projection guess.  A
+    converges, tried in order, then the Gaussian-fit guess.  A
     row's result depends bit for bit only on its own moments and warm
     start, never on the rows batched with it or on how the rungs are
     scheduled; near the Maxwellian fold that row's own round-off still
@@ -1163,14 +1087,17 @@ def recover_batch(
     first evaluation and changes no bit; ``return_jet`` returns (omega,
     its jet) for the next recovery.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    K = targets.shape[1]
-    if K != manifold.n_moments:
-        raise ParameterError(f"expected {manifold.n_moments} moments per row, got {K}")
+    targets = manifold._moment_rows(targets)
     if omega0 is None:
         omega = manifold.initial_guess(targets, grid)
     else:
         omega = np.atleast_2d(np.asarray(omega0, dtype=float)).copy()
+        if omega.shape != (targets.shape[0], manifold.dim):
+            raise ParameterError(f"omega0 has shape {omega.shape}, expected "
+                                 f"{(targets.shape[0], manifold.dim)}")
+        bad = np.flatnonzero(~np.isfinite(omega).all(axis=1))
+        if bad.size:
+            raise ParameterError(f"omega0 row {bad[0]} is not finite: {omega[bad[0]].tolist()}")
     omega, ok, _, (c, J) = _newton(manifold, targets, omega, grid, require_nonnegative, work,
                                    jet0)
 

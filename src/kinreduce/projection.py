@@ -268,9 +268,10 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     """Each cell's realizable chart point with f0's raw moments
     c_0..c_{N+2}.  The moment map is two-to-one over part of the chart,
     so with the data in hand the preimage nearest f0 in L2 is canonical:
-    Newton from the variable-projection guess, and, unless that lands
-    on f0 itself, from every resultant-scan cold start, all in one
-    batch; ties keep the earlier (the guess, then scan order)."""
+    Newton from the Gaussian-fit guess (``initial_guess``, exact where
+    f0 is a Maxwellian) and, unless that lands on f0 itself, from every
+    resultant-scan cold start, all in one batch; ties keep the earlier
+    (the guess, then scan order)."""
     grid = f0.grid
     targets = moments(f0.values, grid, manifold.n_moments - 1)
     bad = np.flatnonzero(~_gaussian_fit(targets)[2])

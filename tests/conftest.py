@@ -150,7 +150,7 @@ def moment_targets(manifold, f0):
 def ladder_projection(manifold, f0):
     """ConservativeMoment's initial projection as the stepping recovery's
     fallback ladder computed it: ``recover_batch`` from the
-    variable-projection guess (ridge jitters, then the first converging
+    Gaussian-fit guess (ridge jitters, then the first converging
     cold start, then the guess again), then, unless that lands on f0
     itself, the preimage nearest f0 in L2 among it, the cold starts and
     the guess, ties keeping the earlier.  The reference for the one-pass

@@ -185,6 +185,45 @@ class TestRecoverBatch:
             back = recover_batch(cm, c, wide_grid, omega0=guess[None, :])[0]
             assert np.abs(back - p.omega).max() < 1e-9 * (1 + np.abs(p.omega).max())
 
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 4), (3,)])
+    def test_start_of_the_wrong_shape(self, grid, shape):
+        cm = ConservativeMoment(2)
+        C = cm.raw_moments_batch(cm.equilibrium_params(np.ones(1), 0.0, 1.0), grid)
+        with pytest.raises(ParameterError, match="omega0 has shape"):
+            recover_batch(cm, C, grid, omega0=np.ones(shape))
+
+    def test_non_finite_start_row_is_named(self, grid):
+        cm = ConservativeMoment(2)
+        omegas = cm.equilibrium_params(np.ones(3), np.zeros(3), np.ones(3))
+        C = cm.raw_moments_batch(omegas, grid)
+        omegas[1, 3] = np.nan
+        with pytest.raises(ParameterError, match="omega0 row 1 is not finite"):
+            recover_batch(cm, C, grid, omega0=omegas)
+
+    @pytest.mark.parametrize("kernel", ["initial_guess", "cold_start_candidates"])
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_cold_starts_of_the_wrong_width(self, grid, kernel, width):
+        cm = ConservativeMoment(2)
+        with pytest.raises(ParameterError, match="expected rows of 5 moments"):
+            getattr(cm, kernel)(np.ones((2, width)), grid)
+
+    @pytest.mark.parametrize("degree, rule, first, second", [
+        (4, (9.0, 64), (0.23225353809271898, 1.4017180454151696, 0.9957232318940847),
+         (0.6209344085012061, -1.8306900207499655, 0.46500084706385497)),
+        (3, (10.0, 128), (0.339946467039713, 1.449440512795431, 0.6918328033425838),
+         (0.22412431764918478, -1.6930119687991954, 0.3597945765475896)),
+    ])
+    def test_far_trial_points_fail_quietly(self, degree, rule, first, second):
+        # Newton's line search tries points whose jets overflow; under
+        # the suite's warnings-as-errors a leaked RuntimeWarning would
+        # surface instead of the typed error
+        grid = truncated_rule(*rule)
+        cm = ConservativeMoment(degree)
+        f = maxwellian(MomentState(*first), grid) + maxwellian(MomentState(*second), grid)
+        C = moments(f[None, :], grid, cm.n_moments - 1)
+        with pytest.raises(InversionError):
+            recover_batch(cm, C, grid)
+
     def test_negative_second_moment_is_unrealizable(self, grid):
         with pytest.raises(RealizabilityError):
             recover_batch(ConservativeMoment(0), np.array([1.0, 0.0, -1.0]), grid)
@@ -251,65 +290,23 @@ def two_maxwellian(grid, rho1, u1, theta1, rho2, u2, theta2):
     )
 
 
-def per_row_varpro(cm, u, theta, c, grid):
+def per_row_alphas(cm, u, theta, c, grid):
     """Reference: the alphas matching c_0..c_N with (u, theta) frozen,
-    and the residual on the two remaining moments, for one row."""
+    for one row."""
     N = cm.degree
     # the power sums of the kernel: the ridge amplifies any other
     # rounding of them
-    pw = _gauss_power_sums(np.array([u]), np.array([theta]), grid, 2 * N + 2)[0]
+    pw = _gauss_power_sums(np.array([u]), np.array([theta]), grid, 2 * N)[0]
     k = np.arange(N + 1)
-    alpha = np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
-    rows = pw[np.array([N + 1, N + 2])[:, None] + k[None, :]]
-    return alpha, rows @ alpha - c[N + 1 :]
+    return np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
 
 
 def per_row_initial_guess(cm, c, grid):
-    """Reference: the variable-projection cold start of one row, as a
-    plain loop (scan, then damped Newton with a halving line search)."""
-    N, L = cm.degree, grid.half_width
+    """Reference: the Gaussian-fit cold start of one row, u = c1/c0 and
+    theta = c2/c0 - u^2 with the alphas that match c_0..c_N there."""
     u0 = float(c[1] / c[0])
     th0 = float(c[2] / c[0] - u0 * u0)
-    scale2 = 1.0 + np.abs(c[N + 1 :])
-
-    def objective(x):
-        return np.linalg.norm(per_row_varpro(cm, x[0], x[1], c, grid)[1] / scale2)
-
-    best = np.array([u0, th0])
-    best_val = objective(best)
-    if best_val > 1e-13:
-        for du in np.linspace(-0.9, 0.9, 7) * np.sqrt(th0):
-            for fth in np.geomspace(0.45, 2.2, 7):
-                cand = np.array([u0 + du, th0 * fth])
-                if -L < cand[0] < L and objective(cand) < best_val:
-                    best, best_val = cand, objective(cand)
-    x = best
-    for _ in range(60):
-        r2 = per_row_varpro(cm, x[0], x[1], c, grid)[1]
-        if np.abs(r2 / scale2).max() < 1e-13:
-            break
-        J = np.empty((2, 2))
-        for d in range(2):
-            h = 1e-6 * max(abs(x[d]), 1e-3)
-            xp, xm = x.copy(), x.copy()
-            xp[d] += h
-            xm[d] -= h
-            J[:, d] = (per_row_varpro(cm, xp[0], xp[1], c, grid)[1]
-                       - per_row_varpro(cm, xm[0], xm[1], c, grid)[1]) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -r2)
-        except np.linalg.LinAlgError:  # as ``_solve_rows`` at rcond 1e-10
-            step = np.linalg.lstsq(J, -r2, rcond=1e-10)[0]
-        base = np.linalg.norm(r2 / scale2)
-        for s in 0.5 ** np.arange(25):
-            cand = x + s * step
-            if -L < cand[0] < L and 1e-8 < cand[1] < (2.0 * L) ** 2 and objective(cand) < base:
-                x = cand
-                break
-        else:
-            break
-    alpha = per_row_varpro(cm, x[0], x[1], c, grid)[0]
-    return np.concatenate([alpha, x])
+    return np.concatenate([per_row_alphas(cm, u0, th0, c, grid), [u0, th0]])
 
 
 def per_row_cold_starts(cm, c, grid):
@@ -371,7 +368,7 @@ def per_row_cold_starts(cm, c, grid):
         for th in np.polynomial.polynomial.polyroots(acoef):
             if abs(th.imag) <= 1e-7 * max(1.0, abs(th.real)) and th.real > 1e-8:
                 u, theta = u0 + s * up, th0 * float(th.real)
-                out.append(np.concatenate([per_row_varpro(cm, u, theta, c, grid)[0], [u, theta]]))
+                out.append(np.concatenate([per_row_alphas(cm, u, theta, c, grid), [u, theta]]))
     return out
 
 
@@ -491,7 +488,7 @@ class TestBatchedLadder:
                 rungs.append("jitter")
                 continue
             # ... else the first cold start that converges, the
-            # variable-projection guess last
+            # Gaussian-fit guess last
             for cand in (cm.cold_start_candidates(C[i : i + 1], grid)[0]
                          + [cm.initial_guess(C[i : i + 1], grid)[0]]):
                 s, s_ok = one_row(i, cand)
@@ -616,7 +613,7 @@ class TestBatchedLadder:
                 assert same_bits(start_jet[0], _moment_jet(cm, start, grid)[0])
 
     def test_guess_only_for_rows_whose_candidates_fail(self, mixed_batch, grid, monkeypatch):
-        """The variable-projection guess is computed only for the rows
+        """The Gaussian-fit guess is computed only for the rows
         whose resultant candidates all fail; with the candidates withheld
         those rows still recover through it."""
         cm, C, W = mixed_batch
@@ -679,7 +676,7 @@ class TestBatchedLadder:
             for a, b, c in zip(alone, loop, stacked[i]):
                 assert np.abs(a - c).max() <= 1e-12 * (1 + np.abs(a).max())
                 assert np.abs(b - c).max() <= 1e-12 * (1 + np.abs(b).max())
-        # the variable-projection guess, no longer among the candidates
+        # the Gaussian-fit guess, not among the candidates
         guesses = cm.initial_guess(C, wide_grid)
         for i in range(C.shape[0]):
             loop = per_row_initial_guess(cm, C[i], wide_grid)

@@ -486,6 +486,17 @@ class TestAudit:
         assert err.startswith("error: failed to sample a valid conservative_moment(N=1) point")
         assert "half width 100.0" in err and "u_range=(-1.0, 1.0)" in err
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_entropy_closure_without_a_maxwellian_exits_two(self, tmp_path, capsys, size):
+        doc = json.loads(DEMO_AUDIT.read_text(encoding="utf-8"))
+        doc["manifold"] = {"kind": "entropy_closure", "size": size}
+        cfg = write_config(tmp_path, doc)
+        code = main(["audit", "--config", str(cfg), "--out", str(tmp_path / "aud")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot sample entropy_closure(n={size}) points")
+        assert "size >= 3" in err
+
     @pytest.mark.parametrize("kind, size", [("conservative_moment", 2),
                                             ("hermite_perturbation", 4)])
     def test_each_stack_is_drawn_and_assembled_once(self, tmp_path, monkeypatch, kind, size):
