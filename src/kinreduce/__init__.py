@@ -13,7 +13,6 @@ from .ansatz import (
     ConservativeMoment,
     EntropyClosure,
     HermitePerturbation,
-    sample_valid_point,
 )
 from .errors import (
     BlowUpError,

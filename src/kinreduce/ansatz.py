@@ -44,7 +44,6 @@ __all__ = [
     "EntropyClosure",
     "AnsatzPoint",
     "recover_batch",
-    "sample_valid_point",
     "hermite_polynomial",
 ]
 
@@ -182,9 +181,6 @@ class ConservativeMoment:
         b *= f
         return f, basis
 
-    def tangent_batch(self, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.jet_batch(omegas, xi)[1]
-
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta = self.split(np.atleast_2d(omegas))
         return _maxwellian_weight(u, theta, xi, work)
@@ -248,9 +244,12 @@ class ConservativeMoment:
 
     def cold_start_candidates(
         self, C: np.ndarray, grid: QuadratureRule
-    ) -> list[list[np.ndarray]]:
-        """Global (u, theta) candidates for hard cold starts, one list
-        per row of raw moments.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global (u, theta) candidates for hard cold starts of stacked
+        raw moment rows: ``(owner, starts)``, the row index of each
+        candidate and the candidate chart points, shape (n, N+3),
+        grouped by row in ascending order and in scan order within a
+        row.
 
         The moments of a Gaussian-times-polynomial have vanishing
         Hermite coefficients of orders N+1 and N+2 around the ansatz's
@@ -265,7 +264,7 @@ class ConservativeMoment:
         C = self._moment_rows(C)
         N = self.degree
         if N == 0 or not len(C):
-            return [[] for _ in C]
+            return np.empty(0, dtype=int), np.empty((0, self.dim))
         u0, th0 = self.gaussian_fit(C)
         s = np.sqrt(th0)
         K = self.n_moments
@@ -383,13 +382,10 @@ class ConservativeMoment:
                 u_c.append(u0[r] + s[r] * up)
                 th_c.append(th0[r] * float(th.real))
         owner = np.array(owner, dtype=int)
-        out = [[] for _ in range(R)]
-        if owner.size:
-            u_c, th_c = np.array(u_c), np.array(th_c)
-            alpha = self._fit_alphas(u_c, th_c, C[owner], grid)
-            for r, al, u, th in zip(owner, alpha, u_c, th_c):
-                out[r].append(np.concatenate([al, [u, th]]))
-        return out
+        if not owner.size:
+            return owner, np.empty((0, self.dim))
+        u_c, th_c = np.array(u_c), np.array(th_c)
+        return owner, np.column_stack([self._fit_alphas(u_c, th_c, C[owner], grid), u_c, th_c])
 
     def equilibrium_params(self, rho, u, theta) -> np.ndarray:
         """The Maxwellian (rho, u, theta); arrays give one row each."""
@@ -551,9 +547,6 @@ class HermitePerturbation:
         f *= s1
         return f, basis
 
-    def tangent_batch(self, omegas, xi):
-        return self.jet_batch(omegas, xi)[1]
-
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta, _ = self.split(np.atleast_2d(omegas))
         return _maxwellian_weight(u, theta, xi, work)
@@ -629,9 +622,6 @@ class EntropyClosure:
             # copied into the strided row: a ufunc there buffers every operand
             basis[:, p, :] = np.multiply(f, xi[None, :] ** p, out=take(work, "ec.row", f.shape))
         return f, basis
-
-    def tangent_batch(self, omegas, xi):
-        return self.jet_batch(omegas, xi)[1]
 
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         # eta''(f) = 1/f
@@ -932,21 +922,21 @@ def _sign_rule(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(vals, 0.0, out=out)
 
 
-def _ridge_jitters(manifold: ConservativeMoment, omega: np.ndarray, grid: QuadratureRule):
+def _ridge_jitters(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule):
     """Deterministic restarts for iterates stuck on the chart's
     rank-deficient ridge (alphas numerically zero): nudging the alpha
     coefficients makes the Jacobian invertible again while staying in
-    the Newton basin of the nearby solution."""
-    if manifold.degree == 0:
-        return
-    alpha0 = omega[0] if omega[0] != 0.0 else 1.0
-    span = max(grid.half_width, 1.0)
-    deltas = alpha0 * 3e-2 / span ** np.arange(1, manifold.degree + 1)
-    for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-        cand = omega.copy()
-        for k in range(1, manifold.degree + 1):
-            cand[k] += signs[(k - 1) % 2] * deltas[k - 1]
-        yield cand
+    the Newton basin of the nearby solution.  Four restarts per row of
+    ``omegas``, shape (rows, 4, N+3): alpha_1..alpha_N moved by
+    +-alpha_0 3e-2 / L^k, the odd and even orders' signs in the
+    patterns (+, +), (-, +), (+, -), (-, -)."""
+    N = manifold.degree
+    alpha0 = np.where(omegas[:, 0] != 0.0, omegas[:, 0], 1.0)
+    deltas = alpha0[:, None] * 3e-2 / max(grid.half_width, 1.0) ** np.arange(1, N + 1)
+    signs = np.array([(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])[:, np.arange(N) % 2]
+    out = np.repeat(omegas[:, None, :], 4, axis=1)
+    out[:, :, 1 : N + 1] += signs * deltas[:, None, :]
+    return out
 
 
 def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None, jet=None):
@@ -978,18 +968,12 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
         sc_a, tg_a = scale[act], targets[act]
         r_a = c[act] - tg_a
         step = _solve_rows(J_a, -r_a)
-        # near chart-degenerate points the plain solve emits noise steps;
-        # fall back to a truncated pseudo-inverse there
+        # near chart-degenerate points the plain solve emits noise steps:
+        # such a wild row skips the plain round for the pseudo-inverse's
         wild = ~np.isfinite(step).all(axis=1)
         wild |= np.abs(step).max(axis=1) > 1e8 * (1.0 + np.abs(om_a).max(axis=1))
-        if wild.any():
-            # damped_round drops the non-finite steps of wild Jacobians
-            with np.errstate(over="ignore", invalid="ignore"):
-                pin = np.linalg.pinv(J_a[wild], rcond=1e-10)
-                step[wild] = -(pin @ r_a[wild][..., None])[..., 0]
-
         best = np.linalg.norm(r_a / sc_a, axis=1)
-        accepted = np.zeros(act.size, dtype=bool)
+        accepted = wild.copy()  # the wild rows sit the plain round out
 
         def damped_round(steps):
             # the full step, then every halving of the rows it leaves
@@ -1023,13 +1007,16 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
                     accepted[rows[hit]] = True
 
         damped_round(step)
+        accepted &= ~wild
         if not accepted.all():
+            # a truncated pseudo-inverse step for the wild rows and the
+            # rows the plain step left unimproved; damped_round drops
+            # its non-finite steps
             retry = ~accepted
-            step_retry = np.zeros_like(step)
             with np.errstate(over="ignore", invalid="ignore"):
                 pin = np.linalg.pinv(J_a[retry], rcond=1e-10)
-                step_retry[retry] = -(pin @ r_a[retry][..., None])[..., 0]
-            damped_round(step_retry)
+                step[retry] = -(pin @ r_a[retry][..., None])[..., 0]
+            damped_round(step)
         live[act[~accepted]] = False
         hit = act[accepted]
         err[hit] = (np.abs(c[hit] - targets[hit]) / scale[hit]).max(axis=1)
@@ -1040,17 +1027,6 @@ def _newton(manifold, targets, omega, grid, require_nonnegative=True, work=None,
         # of ``_dips_negative`` is exact
         ok &= ~_dips_negative(manifold.values_batch(omega, grid.nodes, work))
     return omega, ok, err, (c, J)
-
-
-def _solve_candidates(manifold, targets, candidates, grid, require_nonnegative=True,
-                      work=None):
-    """One batched Newton solve over every row's list of start points:
-    returns the solutions, their success flags, the row each came from
-    and the solutions' moment jet."""
-    owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
-    sol = np.array([c for cands in candidates for c in cands]).reshape(-1, manifold.dim)
-    sol, ok, _, jet = _newton(manifold, targets[owner], sol, grid, require_nonnegative, work)
-    return sol, ok, owner, jet
 
 
 def recover_batch(
@@ -1067,18 +1043,17 @@ def recover_batch(
     ``targets`` holds raw moments c_0..c_{N+2} per row; rows are solved
     simultaneously from ``omega0``, one finite row per target, or else
     from the Gaussian-fit guess (``initial_guess``).  Rows that stall
-    or end unrealizable go down a fallback ladder, each rung solved in
-    batches across all of them:
-    ridge-jitter restarts (per row, the solution closest to the stalled
-    iterate), then the cold starts, each computed only for the rows
-    that reach it: per row, the first resultant-scan candidate that
-    converges, tried in order, then the Gaussian-fit guess.  A
-    row's result depends bit for bit only on its own moments and warm
-    start, never on the rows batched with it or on how the rungs are
-    scheduled; near the Maxwellian fold that row's own round-off still
-    picks the preimage.  A row that survives no rung raises
-    ``InversionError`` naming the first such row, with every failed row
-    in ``rows`` and the batch's iterates in ``omega``.
+    or end unrealizable go down two more rungs, each one batched Newton
+    over all the rows that reach it: the four ridge-jitter restarts of
+    each stalled iterate (per row, the converged restart nearest that
+    iterate), then the resultant-scan cold starts, by position: one
+    batch per candidate position, and a row leaves once one of its
+    candidates converges.  A row's result depends bit for bit only on
+    its own moments and warm start, never on the rows batched with it
+    or on how the rungs are scheduled; near the Maxwellian fold that
+    row's own round-off still picks the preimage.  A row that survives
+    no rung raises ``InversionError`` naming the first such row, with
+    every failed row in ``rows`` and the batch's iterates in ``omega``.
     ``require_nonnegative=False`` admits chart points whose polynomial
     factor dips negative: the conservative solver only consumes signed
     integrals of f and must be able to ride along the realizability
@@ -1107,37 +1082,30 @@ def recover_batch(
 
     bad = np.flatnonzero(~ok)
     if bad.size and manifold.degree > 0:
-        jitters = [list(_ridge_jitters(manifold, omega[i], grid)) for i in bad]
-        sol, sol_ok, owner, jet = _solve_candidates(
-            manifold, targets[bad], jitters, grid, require_nonnegative, work
-        )
-        for j, i in enumerate(bad):
-            hits = np.flatnonzero(sol_ok & (owner == j))
-            if hits.size:
-                # several jitters may land on different preimages; keep
-                # the branch continuous with the stalled iterate
-                dist = np.linalg.norm(sol[hits] - omega[i], axis=1)
-                keep(i, sol, jet, hits[np.argmin(dist)])
-        bad = np.flatnonzero(~ok)
+        jitters = _ridge_jitters(manifold, omega[bad], grid)
+        sol, sol_ok, _, jet = _newton(manifold, np.repeat(targets[bad], 4, axis=0),
+                                      jitters.reshape(-1, manifold.dim), grid,
+                                      require_nonnegative, work)
+        # several jitters may land on different preimages; keep the
+        # branch continuous with the stalled iterate
+        sol_ok = sol_ok.reshape(-1, 4)
+        dist = np.linalg.norm(sol.reshape(jitters.shape) - omega[bad, None, :], axis=2)
+        pick = np.argmin(np.where(sol_ok, dist, np.inf), axis=1)
+        hit = sol_ok.any(axis=1)
+        keep(bad[hit], sol, jet, 4 * np.flatnonzero(hit) + pick[hit])
+        bad = bad[~hit]
     if bad.size:
         bad = bad[_gaussian_fit(targets[bad])[2]]
     if bad.size:
-        cands = manifold.cold_start_candidates(targets[bad], grid)
-        # each row's candidates in order, one batch per position; a row
-        # leaves once one converges, the rest are never solved
-        for pos in range(max(len(cs) for cs in cands)):
-            left = [j for j, i in enumerate(bad) if not ok[i] and pos < len(cands[j])]
-            if not left:
+        owner, starts = manifold.cold_start_candidates(targets[bad], grid)
+        # each candidate's position within its row's run of candidates
+        pos = np.arange(owner.size) - np.searchsorted(owner, owner)
+        for p in range(pos.max(initial=-1) + 1):
+            mine = np.flatnonzero((pos == p) & ~ok[bad[owner]])
+            if not mine.size:
                 break
-            rows = bad[left]
-            start = np.array([cands[j][pos] for j in left])
-            sol, sol_ok, _, jet = _newton(manifold, targets[rows], start, grid,
-                                          require_nonnegative, work)
-            keep(rows[sol_ok], sol, jet, sol_ok)
-        rows = bad[~ok[bad]]
-        if rows.size:
-            sol, sol_ok, _, jet = _newton(manifold, targets[rows],
-                                          manifold.initial_guess(targets[rows], grid), grid,
+            rows = bad[owner[mine]]
+            sol, sol_ok, _, jet = _newton(manifold, targets[rows], starts[mine], grid,
                                           require_nonnegative, work)
             keep(rows[sol_ok], sol, jet, sol_ok)
     if not ok.all():
@@ -1151,14 +1119,3 @@ def recover_batch(
             omega=omega,
         )
     return (omega, (c, J)) if return_jet else omega
-
-
-def sample_valid_point(
-    manifold: Manifold,
-    rng: np.random.Generator,
-    grid: QuadratureRule,
-    **ranges,
-) -> AnsatzPoint:
-    """Random valid point for audits, deterministic given the generator:
-    the one-row view of ``sample_batch``."""
-    return AnsatzPoint(manifold, manifold.sample_batch(rng, grid, 1, **ranges)[0])

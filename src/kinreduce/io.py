@@ -51,6 +51,9 @@ def read_snapshots(path):
     rows, cols, n_frames, half_width, dx = struct.unpack(
         _HEADER_FMT, raw[:SNAPSHOT_HEADER_BYTES]
     )
+    if min(rows, cols, n_frames) < 0:
+        raise ParameterError(f"snapshot file {path} has a header with negative sizes "
+                             f"({rows}, {cols}, {n_frames})")
     expected = SNAPSHOT_HEADER_BYTES + 8 * rows * cols * n_frames
     if len(raw) != expected:
         raise ParameterError(

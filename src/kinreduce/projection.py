@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import (AnsatzPoint, ConservativeMoment, EntropyClosure, Manifold, _gaussian_fit,
-                     _newton, _sign_rule, _solve_candidates)
+                     _newton, _sign_rule)
 from .errors import (DegenerateChartError, InversionError, KinReduceError, ParameterError,
                      RealizabilityError)
 from .kinetic import CollisionModel, DistributionField, _collision_rows, _moments_of_values
@@ -283,9 +283,9 @@ def _nearest_preimage(manifold: ConservativeMoment, f0: DistributionField) -> np
     dist[~(ok & np.isfinite(dist))] = np.inf
     norm = integrate(f0.values**2, grid)
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
-    cands = manifold.cold_start_candidates(targets[rows], grid)
-    if any(cands):
-        sol, sol_ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
+    owner, starts = manifold.cold_start_candidates(targets[rows], grid)
+    if owner.size:
+        sol, sol_ok, _, _ = _newton(manifold, targets[rows[owner]], starts, grid)
         d = _sq_distances(manifold, sol, f0.values[rows[owner]], grid)
         d[~(sol_ok & np.isfinite(d))] = np.inf
         # per row the first nearest cold start, where it beats the guess

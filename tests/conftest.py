@@ -151,11 +151,11 @@ def ladder_projection(manifold, f0):
     """ConservativeMoment's initial projection as the stepping recovery's
     fallback ladder computed it: ``recover_batch`` from the
     Gaussian-fit guess (ridge jitters, then the first converging
-    cold start, then the guess again), then, unless that lands on f0
-    itself, the preimage nearest f0 in L2 among it, the cold starts and
-    the guess, ties keeping the earlier.  The reference for the one-pass
+    cold start), then, unless that lands on f0 itself, the preimage
+    nearest f0 in L2 among it, the cold starts and the guess, ties
+    keeping the earlier.  The reference for the one-pass
     nearest-preimage rule."""
-    from kinreduce.ansatz import _solve_candidates, recover_batch
+    from kinreduce.ansatz import _newton, recover_batch
 
     grid, vals = f0.grid, f0.values
     targets = moment_targets(manifold, f0)
@@ -165,9 +165,13 @@ def ladder_projection(manifold, f0):
     rows = np.flatnonzero(~(dist <= 1e-18 * np.maximum(norm, 1e-300)))
     if rows.size == 0:
         return omegas
-    cands = [cs + [g] for cs, g in zip(manifold.cold_start_candidates(targets[rows], grid),
-                                       manifold.initial_guess(targets[rows], grid))]
-    sol, ok, owner, _ = _solve_candidates(manifold, targets[rows], cands, grid)
+    owner, starts = manifold.cold_start_candidates(targets[rows], grid)
+    # each row's cold starts, then its guess
+    owner = np.concatenate([owner, np.arange(rows.size)])
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    starts = np.concatenate([starts, manifold.initial_guess(targets[rows], grid)])[order]
+    sol, ok, _, _ = _newton(manifold, targets[rows][owner], starts, grid)
     d = integrate((manifold.values_batch(sol, grid.nodes) - vals[rows][owner]) ** 2, grid)
     d[~(ok & np.isfinite(d))] = np.inf
     for j, i in enumerate(rows):

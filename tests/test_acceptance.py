@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kinreduce import (
+    AnsatzPoint,
     CollisionModel,
     ConservativeMoment,
     DistributionField,
@@ -24,7 +25,6 @@ from kinreduce import (
     gusc_check,
     linearized_collision_matrix,
     maxwellian,
-    sample_valid_point,
     spectral_radius,
     truncated_rule,
 )
@@ -88,7 +88,7 @@ def test_criterion_1_hyperbolicity_audit():
     for manifold in AUDIT_MANIFOLDS:
         rng = np.random.default_rng(AUDIT_SEED)
         omegas = np.stack([
-            sample_valid_point(manifold, rng, AUDIT_GRID).omega for _ in range(AUDIT_SAMPLES)
+            manifold.sample_batch(rng, AUDIT_GRID, 1)[0] for _ in range(AUDIT_SAMPLES)
         ])
         a0, a1 = _raw_grams(manifold, omegas, AUDIT_GRID)
         _cholesky(_symmetrize(a0))  # raises unless every Cholesky succeeds
@@ -111,7 +111,7 @@ def test_criterion_2_speed_preservation():
     for manifold in AUDIT_MANIFOLDS:
         rng = np.random.default_rng(AUDIT_SEED)
         for _ in range(AUDIT_SAMPLES):
-            p = sample_valid_point(manifold, rng, AUDIT_GRID)
+            p = AnsatzPoint(manifold, manifold.sample_batch(rng, AUDIT_GRID, 1)[0])
             worst = max(worst, spectral_radius(p, AUDIT_GRID))
     elapsed = time.perf_counter() - t0
     ok = worst <= bound + 1e-9 and elapsed < 10.0
@@ -390,7 +390,7 @@ def test_criterion_9_projection_algebra():
     pairs = {manifold: ([], []) for manifold in manifolds}
     while n_pairs < 1000:
         manifold = manifolds[n_pairs % len(manifolds)]
-        p = sample_valid_point(manifold, rng, grid)
+        p = AnsatzPoint(manifold, manifold.sample_batch(rng, grid, 1)[0])
         if isinstance(manifold, (ConservativeMoment, HermitePerturbation)):
             u = p.omega[-2] if isinstance(manifold, ConservativeMoment) else p.omega[1]
             th = p.omega[-1] if isinstance(manifold, ConservativeMoment) else p.omega[2]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinreduce import (
+    AnsatzPoint,
     CollisionModel,
     ConfigurationError,
     ConservativeMoment,
@@ -26,7 +27,6 @@ from kinreduce import (
     integrate,
     maxwellian,
     project_initial,
-    sample_valid_point,
     truncated_rule,
 )
 import kinreduce.ansatz as ansatz
@@ -95,7 +95,7 @@ class TestTangentBasis:
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_all_directions_match_finite_differences(self, manifold, wide_grid, rng):
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(5)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(5)])
         for omega, basis in zip(omegas, manifold.jet_batch(omegas, wide_grid.nodes)[1]):
             for k in range(manifold.dim):
                 fd = finite_difference_tangent(manifold, omega, wide_grid.nodes, k)
@@ -106,7 +106,7 @@ class TestTangentBasis:
     def test_gram_rank_full(self, degree, wide_grid, rng):
         # Cholesky success as the rank oracle
         cm = ConservativeMoment(degree)
-        omegas = np.stack([sample_valid_point(cm, rng, wide_grid).omega for _ in range(5)])
+        omegas = np.stack([cm.sample_batch(rng, wide_grid, 1)[0] for _ in range(5)])
         basis = cm.jet_batch(omegas, wide_grid.nodes)[1]
         mu = cm.weight_batch(omegas, wide_grid.nodes) * wide_grid.weights
         grams = np.einsum("mkn,mn,mln->mkl", basis, mu, basis)
@@ -116,7 +116,7 @@ class TestTangentBasis:
     def test_conservative_span_is_gaussian_times_monomials(self, grid, rng):
         # the chart basis must span Gaussian * {1, xi, ..., xi^(N+2)}
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, grid, 1)[0])
         chart = cm.jet_batch(p.omega, grid.nodes)[1][0]
         u, theta = p.omega[-2], p.omega[-1]
         gauss = np.exp(-(grid.nodes - u) ** 2 / (2.0 * theta))
@@ -167,7 +167,7 @@ class TestRecoverBatch:
         # identity is what the bijection-to-moments contract pins down
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(100 + degree)
-        omegas = np.stack([sample_valid_point(cm, rng, wide_grid).omega for _ in range(10)])
+        omegas = np.stack([cm.sample_batch(rng, wide_grid, 1)[0] for _ in range(10)])
         C = cm.raw_moments_batch(omegas, wide_grid)
         for c in C:
             back = recover_batch(cm, c, wide_grid)
@@ -179,7 +179,7 @@ class TestRecoverBatch:
         cm = ConservativeMoment(degree)
         rng = np.random.default_rng(200 + degree)
         for _ in range(10):
-            p = sample_valid_point(cm, rng, wide_grid)
+            p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
             c = cm.raw_moments_batch(p.omega[None, :], wide_grid)
             guess = p.omega * (1 + 1e-4) + 1e-5
             back = recover_batch(cm, c, wide_grid, omega0=guess[None, :])[0]
@@ -240,7 +240,7 @@ class TestRecoverBatch:
 class TestProjectInitial:
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_fixed_point(self, manifold, wide_grid, rng):
-        p = sample_valid_point(manifold, rng, wide_grid)
+        p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
         f0 = DistributionField(
             manifold.values_batch(p.omega, wide_grid.nodes), wide_grid, SpatialMesh(1, 1.0)
         )
@@ -372,6 +372,20 @@ def per_row_cold_starts(cm, c, grid):
     return out
 
 
+def per_row_ridge_jitters(cm, omega, grid):
+    """Reference: the four ridge-jitter restarts of one iterate, alpha
+    by alpha."""
+    alpha0 = omega[0] if omega[0] != 0.0 else 1.0
+    deltas = alpha0 * 3e-2 / max(grid.half_width, 1.0) ** np.arange(1, cm.degree + 1)
+    out = []
+    for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        cand = omega.copy()
+        for k in range(1, cm.degree + 1):
+            cand[k] += signs[(k - 1) % 2] * deltas[k - 1]
+        out.append(cand)
+    return np.stack(out)
+
+
 def per_row_newton(cm, c, omega, grid, seen=None):
     """Reference: ``ansatz._newton`` on one row as a plain loop (full
     step, then halvings until one improves the residual, a
@@ -455,7 +469,7 @@ class TestBatchedLadder:
             elif ok[0]:
                 continue
             else:
-                jit = np.array(list(_ridge_jitters(cm, om[0], grid)))
+                jit = _ridge_jitters(cm, om, grid)[0]
                 _, jok, _, _ = _newton(
                     cm, np.repeat(c, 4, axis=0), jit, grid, require_nonnegative=False
                 )
@@ -481,16 +495,14 @@ class TestBatchedLadder:
         rungs = []
         for i in np.flatnonzero(~ok):
             # jitters: the solution closest to the stalled iterate ...
-            runs = [one_row(i, start) for start in _ridge_jitters(cm, want[i], grid)]
+            runs = [one_row(i, start) for start in _ridge_jitters(cm, want[i, None], grid)[0]]
             solved = [s for s, s_ok in runs if s_ok]
             if solved:
                 want[i] = min(solved, key=lambda s: np.linalg.norm(s - want[i]))
                 rungs.append("jitter")
                 continue
-            # ... else the first cold start that converges, the
-            # Gaussian-fit guess last
-            for cand in (cm.cold_start_candidates(C[i : i + 1], grid)[0]
-                         + [cm.initial_guess(C[i : i + 1], grid)[0]]):
+            # ... else the first cold start that converges
+            for cand in cm.cold_start_candidates(C[i : i + 1], grid)[1]:
                 s, s_ok = one_row(i, cand)
                 if s_ok:
                     want[i] = s
@@ -508,7 +520,7 @@ class TestBatchedLadder:
         loop, from the batch's warm starts and from the ridge jitters:
         rows that halve their step, retry and freeze included."""
         cm, C, W = mixed_batch
-        jit = np.array([j for w in W for j in _ridge_jitters(cm, w, grid)])
+        jit = _ridge_jitters(cm, W, grid).reshape(-1, cm.dim)
         seen = set()
         for targets, start in ((C, W), (np.repeat(C, 4, axis=0), jit)):
             got, ok, _, _ = _newton(cm, targets, start.copy(), grid, require_nonnegative=False)
@@ -538,6 +550,17 @@ class TestBatchedLadder:
         retried = ["_moment_jet pinv" in r for r in rounds]
         assert all(n <= (4 if again else 2) for n, again in zip(jets, retried))
         assert 2 in jets and any(retried)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_ridge_jitters_match_the_row_by_row_loop(self, degree, grid):
+        cm = ConservativeMoment(degree)
+        omegas = cm.sample_batch(np.random.default_rng(degree), grid, 5)
+        omegas[1, 0] = 0.0  # alpha_0 = 0 takes the unit scale
+        omegas[2, 1 : degree + 1] = 0.0  # on the ridge
+        jitters = _ridge_jitters(cm, omegas, grid)
+        assert jitters.shape == (5, 4, cm.dim)
+        for got, omega in zip(jitters, omegas):
+            assert same_bits(got, per_row_ridge_jitters(cm, omega, grid))
 
     def test_cold_starts_refine_in_sixty_resultant_calls(self, mixed_batch, grid, monkeypatch):
         """The bisection and the ternary refinement share one resultant
@@ -578,7 +601,7 @@ class TestBatchedLadder:
         no profile or tangent basis on the nodes."""
         cm, C, W = mixed_batch
         calls = []
-        for name in ("values_batch", "tangent_batch"):
+        for name in ("values_batch", "jet_batch"):
             kernel = getattr(ConservativeMoment, name)
             monkeypatch.setattr(
                 ConservativeMoment, name,
@@ -612,10 +635,10 @@ class TestBatchedLadder:
                     assert same_bits(a, b)
                 assert same_bits(start_jet[0], _moment_jet(cm, start, grid)[0])
 
-    def test_guess_only_for_rows_whose_candidates_fail(self, mixed_batch, grid, monkeypatch):
-        """The Gaussian-fit guess is computed only for the rows
-        whose resultant candidates all fail; with the candidates withheld
-        those rows still recover through it."""
+    def test_no_rung_after_the_cold_starts(self, mixed_batch, grid, monkeypatch):
+        """The cold starts are the last rung: with the candidates
+        withheld, exactly the rows that reach them fail, and no row
+        falls back on the Gaussian-fit guess."""
         cm, C, W = mixed_batch
         want = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
         seen = []
@@ -629,7 +652,7 @@ class TestBatchedLadder:
         def reaches_cold_starts(i):
             om, ok, _, _ = _newton(cm, C[i : i + 1], W[i : i + 1].copy(), grid,
                                    require_nonnegative=False)
-            jitters = np.array(list(_ridge_jitters(cm, om[0], grid)))
+            jitters = _ridge_jitters(cm, om, grid)[0]
             _, jok, _, _ = _newton(cm, np.repeat(C[i : i + 1], 4, axis=0), jitters, grid,
                                    require_nonnegative=False)
             return not ok[0] and not jok.any()
@@ -637,24 +660,23 @@ class TestBatchedLadder:
         cold = [i for i in range(len(C)) if reaches_cold_starts(i)]
         assert len(cold) >= 3
         monkeypatch.setattr(ConservativeMoment, "cold_start_candidates",
-                            lambda self, T, g: [[] for _ in T])
-        omega = recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
-        assert len(seen) == 1 and same_bits(seen[0], C[cold])
-        c_back = cm.raw_moments_batch(omega[cold], grid)
-        assert np.abs(c_back - C[cold]).max() <= 1e-11 * (1 + np.abs(C)).max()
+                            lambda self, T, g: (np.empty(0, dtype=int), np.empty((0, self.dim))))
+        with pytest.raises(InversionError) as info:
+            recover_batch(cm, C, grid, omega0=W, require_nonnegative=False)
+        assert info.value.rows.tolist() == cold and seen == []
         others = np.setdiff1d(np.arange(len(C)), cold)
-        assert same_bits(omega[others], want[others])
+        assert same_bits(info.value.omega[others], want[others])
 
     def test_cold_starts_are_the_same_bits_in_any_batch(self, mixed_batch, grid):
         """What lets a row's cold starts be computed once and shared:
         a row gets the same bits alone as in a batch."""
         cm, C, _ = mixed_batch
-        stacked = cm.cold_start_candidates(C, grid)
+        owner, stacked = cm.cold_start_candidates(C, grid)
         guesses = cm.initial_guess(C, grid)
         for i in range(len(C)):
-            alone = cm.cold_start_candidates(C[i : i + 1], grid)[0]
-            assert len(alone) == len(stacked[i])
-            assert all(same_bits(a, b) for a, b in zip(alone, stacked[i]))
+            alone_owner, alone = cm.cold_start_candidates(C[i : i + 1], grid)
+            assert alone_owner.tolist() == [0] * len(alone)
+            assert same_bits(alone, stacked[owner == i])
             assert same_bits(cm.initial_guess(C[i : i + 1], grid)[0], guesses[i])
 
     @pytest.mark.parametrize("degree", [2, 4])
@@ -667,13 +689,14 @@ class TestBatchedLadder:
         rows.append(np.stack([wide_grid.nodes**k for k in range(degree + 3)])
                     @ (mix * wide_grid.weights))
         C = np.stack(rows)
-        stacked = cm.cold_start_candidates(C, wide_grid)
-        assert len(stacked) == C.shape[0]
+        owner, stacked = cm.cold_start_candidates(C, wide_grid)
+        # grouped by row, in ascending order
+        assert stacked.shape == (owner.size, cm.dim) and np.all(np.diff(owner) >= 0)
         for i in range(C.shape[0]):
-            alone = cm.cold_start_candidates(C[i : i + 1], wide_grid)[0]
+            alone = cm.cold_start_candidates(C[i : i + 1], wide_grid)[1]
             loop = per_row_cold_starts(cm, C[i], wide_grid)
-            assert len(alone) == len(loop) == len(stacked[i]) >= 1
-            for a, b, c in zip(alone, loop, stacked[i]):
+            assert len(alone) == len(loop) == len(stacked[owner == i]) >= 1
+            for a, b, c in zip(alone, loop, stacked[owner == i]):
                 assert np.abs(a - c).max() <= 1e-12 * (1 + np.abs(a).max())
                 assert np.abs(b - c).max() <= 1e-12 * (1 + np.abs(b).max())
         # the Gaussian-fit guess, not among the candidates
@@ -686,7 +709,8 @@ class TestBatchedLadder:
     def test_cold_starts_of_no_rows(self, degree, grid):
         cm = ConservativeMoment(degree)
         C = np.empty((0, cm.n_moments))
-        assert cm.cold_start_candidates(C, grid) == []
+        owner, starts = cm.cold_start_candidates(C, grid)
+        assert owner.shape == (0,) and starts.shape == (0, cm.dim)
         assert cm.initial_guess(C, grid).shape == (0, cm.dim)
 
     def test_unmatched_row_is_named(self, grid):
@@ -750,7 +774,7 @@ class TestBatchedLadder:
 class TestHermiteInvariants:
     def test_mass_is_rho_for_any_alphas(self, wide_grid, rng):
         hp = HermitePerturbation(4)
-        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(20)])
+        omegas = np.stack([hp.sample_batch(rng, wide_grid, 1)[0] for _ in range(20)])
         for omega, vals in zip(omegas, hp.values_batch(omegas, wide_grid.nodes)):
             mass = integrate(vals, wide_grid)
             assert mass == pytest.approx(omega[0], abs=1e-10 * (1 + omega[0]))
@@ -760,7 +784,7 @@ class TestSampling:
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=lambda m: m.name)
     def test_samples_are_valid(self, manifold, wide_grid):
         rng = np.random.default_rng(5)
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(20)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(20)])
         assert np.all(manifold.values_batch(omegas, wide_grid.nodes) >= 0.0)
 
 
@@ -771,10 +795,10 @@ class TestJet:
         ids=lambda m: m.name,
     )
     def test_values_and_basis_from_one_evaluation(self, manifold, wide_grid, rng):
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(300)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(300)])
         f, basis = manifold.jet_batch(omegas, wide_grid.nodes)
         assert np.array_equal(f, manifold.values_batch(omegas, wide_grid.nodes))
-        assert np.array_equal(basis, manifold.tangent_batch(omegas, wide_grid.nodes))
+        assert np.array_equal(basis, manifold.jet_batch(omegas, wide_grid.nodes)[1])
         assert basis.shape == (300, manifold.dim, len(wide_grid))
 
 
@@ -783,7 +807,7 @@ class TestMomentJet:
     @pytest.mark.parametrize("half_width, cells", [(9.0, 64), (10.0, 128)])
     def test_matches_the_node_sums(self, degree, half_width, cells):
         """Moments and chart Jacobian from the Gaussian power sums agree
-        with the node sums of ``values_batch`` and ``tangent_batch``,
+        with the node sums of ``values_batch`` and ``jet_batch``,
         on and off the chart's ridge (alpha_1..N = 0), for |u| up to 2."""
         grid = truncated_rule(half_width, cells)
         cm = ConservativeMoment(degree)
@@ -795,7 +819,7 @@ class TestMomentJet:
         xiPw = np.stack([grid.nodes**k for k in range(cm.n_moments)]) * grid.weights
         c, J = _moment_jet(cm, omegas, grid)
         c_ref = cm.values_batch(omegas, grid.nodes) @ xiPw.T
-        J_ref = np.einsum("kn,mdn->mkd", xiPw, cm.tangent_batch(omegas, grid.nodes))
+        J_ref = np.einsum("kn,mdn->mkd", xiPw, cm.jet_batch(omegas, grid.nodes)[1])
         assert np.all(np.abs(c - c_ref).max(axis=1) <= 1e-13 * np.abs(c_ref).max(axis=1))
         assert np.all(
             np.abs(J - J_ref).max(axis=(1, 2)) <= 1e-13 * np.abs(J_ref).max(axis=(1, 2))

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -647,6 +648,19 @@ class TestEstimate:
         capsys.readouterr()
         assert self._estimate(red, ref, tmp_path / "est") == 2
         assert f"error: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [(-1, -1, 0), (-2, -3, 4)], ids=str)
+    def test_snapshot_header_with_negative_sizes_exits_two(self, tmp_path, capsys, sizes):
+        red, ref = self._runs(tmp_path, {"kind": "conservative_moment", "size": 2})
+        path = red / "omega_snapshots.bin"
+        rows, cols, n_frames = sizes
+        # the payload the header's sizes ask for: 8 rows cols n_frames bytes
+        path.write_bytes(struct.pack("<qqqdd", rows, cols, n_frames, 8.5, 0.0625)
+                         + bytes(8 * rows * cols * n_frames))
+        capsys.readouterr()
+        assert self._estimate(red, ref, tmp_path / "est") == 2
+        err = capsys.readouterr().err
+        assert f"error: snapshot file {path} has a header with negative sizes" in err
 
     def test_error_csv_byte_identical_across_runs(self, tmp_path):
         red, ref = self._runs(tmp_path, {"kind": "hermite_perturbation", "size": 4})

@@ -26,7 +26,7 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce import projection
-from kinreduce.ansatz import _newton, _solve_candidates
+from kinreduce.ansatz import _newton
 from kinreduce.kinetic import moments_of_profile
 from kinreduce.projection import _orthogonality, _passing_rows
 
@@ -131,8 +131,8 @@ class TestNearestPreimage:
         guess, ok, _, _ = _newton(cm, targets, cm.initial_guess(targets, grid), grid)
         assert ok.tolist() == [False, False, True]
         assert same_bits(got[2], guess[2])
-        sol, sol_ok, owner, _ = _solve_candidates(
-            cm, targets[:2], cm.cold_start_candidates(targets[:2], grid), grid)
+        owner, starts = cm.cold_start_candidates(targets[:2], grid)
+        sol, sol_ok, _, _ = _newton(cm, targets[owner], starts, grid)
         for i in range(2):
             hits = np.flatnonzero(sol_ok & (owner == i))
             assert not same_bits(sol[hits[0]], sol[hits[-1]])

@@ -14,7 +14,6 @@ from kinreduce import (
     integrate,
     maxwellian,
     residual,
-    sample_valid_point,
 )
 from kinreduce.kinetic import moments_of_profile
 from kinreduce.projection import (
@@ -64,7 +63,7 @@ class TestGramMatrix:
 
     def test_positive_definite(self, wide_grid, rng):
         for manifold in MANIFOLDS:
-            p = sample_valid_point(manifold, rng, wide_grid)
+            p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
             a0 = coefficients_batch(manifold, p.omega, None, wide_grid).a0[0]
             for _ in range(100):
                 x = rng.normal(size=manifold.dim)
@@ -86,7 +85,7 @@ class TestFluxMatrix:
 
     def test_symmetry(self, wide_grid, rng):
         for manifold in MANIFOLDS:
-            p = sample_valid_point(manifold, rng, wide_grid)
+            p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
             a1 = coefficients_batch(manifold, p.omega, None, wide_grid).a1[0]
             assert np.abs(a1 - a1.T).max() == 0.0
             assert _asymmetry(_raw_grams(manifold, p.omega[None], wide_grid)[1])[0] <= 1e-13
@@ -102,7 +101,7 @@ class TestReducedSource:
     def test_weight_cancellation_identity(self, wide_grid, rng):
         # w * b_k = xi^k exactly for the alpha directions
         cm = ConservativeMoment(3)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         basis = cm.jet_batch(p.omega, wide_grid.nodes)[1][0]
         w = cm.weight_batch(p.omega, wide_grid.nodes)[0]
         for k in range(cm.degree + 1):
@@ -112,7 +111,7 @@ class TestReducedSource:
 
     def test_alpha_components_match_direct_quadrature(self, wide_grid, rng, bgk):
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         q = coefficients_batch(cm, p.omega, bgk, wide_grid).q[0]
         f = cm.values_batch(p.omega, wide_grid.nodes)[0]
         feq = maxwellian(moments_of_profile(f, wide_grid), wide_grid)
@@ -122,7 +121,7 @@ class TestReducedSource:
 
     def test_tau_scaling(self, wide_grid, rng):
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         q1 = coefficients_batch(cm, p.omega, CollisionModel(kind="bgk", tau=0.3), wide_grid).q
         q2 = coefficients_batch(cm, p.omega, CollisionModel(kind="bgk", tau=0.6), wide_grid).q
         assert q1 == pytest.approx(2 * q2, rel=1e-13)
@@ -131,7 +130,7 @@ class TestReducedSource:
 class TestTangentProjection:
     def test_projection_fixes_frame_columns(self, wide_grid, rng):
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         frame, mu = frame_and_metric(cm, p.omega, wide_grid)
         h = frame[:, 2]  # xi^2 * Gaussian
         coeff, ph = _project(frame, mu, h)
@@ -142,7 +141,7 @@ class TestTangentProjection:
 
     def test_projection_fixes_chart_columns(self, wide_grid, rng):
         hp = HermitePerturbation(3)
-        p = sample_valid_point(hp, rng, wide_grid)
+        p = AnsatzPoint(hp, hp.sample_batch(rng, wide_grid, 1)[0])
         frame, mu = frame_and_metric(hp, p.omega, wide_grid)
         h = frame[:, 3]  # the chart is the projection frame
         _, ph = _project(frame, mu, h)
@@ -152,7 +151,7 @@ class TestTangentProjection:
     def test_idempotence_and_orthogonality(self, manifold, wide_grid, rng):
         omegas, hs = [], []
         for _ in range(20):
-            p = sample_valid_point(manifold, rng, wide_grid)
+            p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
             omegas.append(p.omega)
             hs.append(gaussian_tangent_profile(p, wide_grid, rng))
         omegas, hs = np.stack(omegas), np.stack(hs)
@@ -174,7 +173,7 @@ class TestTangentProjection:
         # xi^k * Gaussian lies in the span for k <= N+2, so the moment
         # functionals have metric representatives and fluxes exist
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         frame, mu = frame_and_metric(cm, p.omega, wide_grid)
         K = cm.n_moments
         _, ph = _project(np.repeat(frame, K, axis=0), np.repeat(mu, K, axis=0), frame[0])
@@ -192,7 +191,7 @@ class TestResidual:
 
     def test_orthogonal_to_tangent_space(self, wide_grid, rng, bgk):
         cm = ConservativeMoment(2)
-        p = sample_valid_point(cm, rng, wide_grid)
+        p = AnsatzPoint(cm, cm.sample_batch(rng, wide_grid, 1)[0])
         grad = rng.normal(size=cm.dim) * 0.1
         r = residual(p, grad, bgk, wide_grid)
         basis = cm.jet_batch(p.omega, wide_grid.nodes)[1][0]
@@ -236,7 +235,7 @@ class TestCoefficientsBatch:
         ids=lambda m: m.name,
     )
     def test_matches_per_point_loop(self, manifold, model, wide_grid, rng, reference_coefficients):
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(9)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(9)])
         got = coefficients_batch(manifold, omegas, model, wide_grid)
         assert got.a0.shape == got.a1.shape == (9, manifold.dim, manifold.dim)
         assert got.q.shape == (9, manifold.dim)
@@ -250,7 +249,7 @@ class TestCoefficientsBatch:
 
     def test_one_row_views_are_rows_of_the_stack(self, wide_grid, rng, bgk):
         hp = HermitePerturbation(4)
-        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(5)])
+        omegas = np.stack([hp.sample_batch(rng, wide_grid, 1)[0] for _ in range(5)])
         stack = coefficients_batch(hp, omegas, bgk, wide_grid)
         for i, omega in enumerate(omegas):
             p = AnsatzPoint(hp, omega)
@@ -314,7 +313,7 @@ class TestResidualBatch:
         ids=lambda m: m.name,
     )
     def test_matches_per_point_loop(self, manifold, model, wide_grid, rng, reference_residual):
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(9)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(9)])
         grads = 0.1 * rng.normal(size=omegas.shape) * (1.0 + np.abs(omegas))
         got = residual_batch(manifold, omegas, grads, model, wide_grid)
         assert got.shape == (9, len(wide_grid))
@@ -324,7 +323,7 @@ class TestResidualBatch:
 
     def test_views_are_rows_of_the_stack(self, wide_grid, rng, bgk):
         hp = HermitePerturbation(4)
-        omegas = np.stack([sample_valid_point(hp, rng, wide_grid).omega for _ in range(5)])
+        omegas = np.stack([hp.sample_batch(rng, wide_grid, 1)[0] for _ in range(5)])
         grads = 0.1 * rng.normal(size=omegas.shape)
         stack = residual_batch(hp, omegas, grads, bgk, wide_grid)
         for i, omega in enumerate(omegas):

@@ -24,7 +24,6 @@ from kinreduce import (
     SpatialMesh,
     StepError,
     maxwellian,
-    sample_valid_point,
     spectral_radius,
     truncated_rule,
 )
@@ -65,14 +64,14 @@ class TestSpectralRadius:
     def test_bounded_by_velocity_truncation(self, wide_grid, rng):
         for manifold in (ConservativeMoment(2), HermitePerturbation(3)):
             for _ in range(20):
-                p = sample_valid_point(manifold, rng, wide_grid)
+                p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
                 assert spectral_radius(p, wide_grid) <= wide_grid.half_width + 1e-9
 
     def test_matches_the_generalized_eigensolver(self, wide_grid, rng):
         # the one-row view of _pencil_radius_batch against scipy's eigh
         for manifold in (ConservativeMoment(2), HermitePerturbation(3)):
             for _ in range(10):
-                p = sample_valid_point(manifold, rng, wide_grid)
+                p = AnsatzPoint(manifold, manifold.sample_batch(rng, wide_grid, 1)[0])
                 coef = coefficients_batch(manifold, p.omega, None, wide_grid)
                 lam = scipy.linalg.eigh(coef.a1[0], coef.a0[0], eigvals_only=True)
                 assert spectral_radius(p, wide_grid) == pytest.approx(np.abs(lam).max(), rel=1e-10)
@@ -90,7 +89,7 @@ class TestSpectralRadius:
         grid = truncated_rule(14.0, 96)
         cm = ConservativeMoment(2)
         rng = np.random.default_rng(8)
-        p = sample_valid_point(cm, rng, grid, u_range=(-0.5, 0.5))
+        p = AnsatzPoint(cm, cm.sample_batch(rng, grid, 1, u_range=(-0.5, 0.5))[0])
         shift = 0.4
         pol = np.polynomial.Polynomial(p.omega[:3])
         shifted = pol(np.polynomial.Polynomial([-shift, 1.0])).coef
@@ -235,7 +234,7 @@ class TestGenericPath:
     def test_batched_rhs_matches_per_cell_loop(
         self, manifold, model, wide_grid, rng, reference_coefficients
     ):
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(12)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(12)])
         mesh = SpatialMesh(cells=12, length=1.0)
         coef = _generic_coefficients(manifold, model, wide_grid, omegas)
         speeds = _pencil_radius_batch(coef.a0, coef.a1)

@@ -17,7 +17,6 @@ from kinreduce import (
     linearized_collision_matrix,
     maxwellian,
     propagation_speed_audit,
-    sample_valid_point,
     truncated_rule,
     yong_conditions_check,
 )
@@ -328,7 +327,7 @@ class TestSpeedAudit:
         from kinreduce.reduced_solver import _cm_speeds, _pencil_radius_batch
 
         rng = np.random.default_rng(5)
-        omegas = np.stack([sample_valid_point(manifold, rng, wide_grid).omega for _ in range(150)])
+        omegas = np.stack([manifold.sample_batch(rng, wide_grid, 1)[0] for _ in range(150)])
         if isinstance(manifold, ConservativeMoment):
             speeds = _cm_speeds(manifold, omegas, wide_grid)
         else:
@@ -381,7 +380,7 @@ class TestHyperbolicityAudit:
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(150):
-            omega = sample_valid_point(manifold, rng, wide_grid).omega[None]
+            omega = manifold.sample_batch(rng, wide_grid, 1)[0][None]
             coefficients_batch(manifold, omega, None, wide_grid)  # raises unless Cholesky succeeds
             worst = max(worst, float(_asymmetry(_raw_grams(manifold, omega, wide_grid)[1])[0]))
         rep = hyperbolicity_audit(AuditSample(manifold, 150, wide_grid, seed=3))
