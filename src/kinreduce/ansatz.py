@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import comb, erf, factorial, pi, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
@@ -35,7 +36,7 @@ from .errors import (
     ParameterError,
     RealizabilityError,
 )
-from .quadrature import QuadratureRule, moments
+from .quadrature import QuadratureRule, integrate, moments
 from .workspace import WorkArrays, centered, take
 
 __all__ = [
@@ -95,6 +96,18 @@ def hermite_polynomials(n: int, x: np.ndarray, out: np.ndarray | None = None) ->
             np.multiply(he[j - 1], j, out=he[0])
         he[j + 1] -= he[0]
     he[0] = 1.0
+    return he
+
+
+def _hermite_coefficients(n: int, width: int) -> np.ndarray:
+    """The monomial coefficients of He_0..He_n, rows of ``width`` >= n + 1
+    columns, by the recurrence He_{k+1} = w He_k - k He_{k-1}."""
+    he = np.zeros((n + 1, width))
+    he[0, 0] = 1.0
+    for k in range(n):
+        he[k + 1, 1:] = he[k, :-1]
+        if k:
+            he[k + 1] -= k * he[k - 1]
     return he
 
 
@@ -193,10 +206,8 @@ class ConservativeMoment:
         symmetric; M is SPD for any (u, theta)."""
         _, u, theta = self.split(np.atleast_2d(omegas))
         powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1, work)
-        k = np.arange(self.n_moments)
-        M = powers[:, k[:, None] + k[None, :]]
-        V = powers[:, k[:, None] + k[None, :] + 1]
-        return M, V
+        return (np.ascontiguousarray(_hankel(powers, self.n_moments)),
+                np.ascontiguousarray(_hankel(powers, self.n_moments, 1)))
 
     def raw_moments_batch(self, omegas, grid: QuadratureRule):
         """Raw moments int xi^k f dxi for k = 0..N+2."""
@@ -220,8 +231,7 @@ class ConservativeMoment:
         alphas per (u, theta, C) row."""
         N = self.degree
         pw = _gauss_power_sums(u, theta, grid, 2 * N)
-        k = np.arange(N + 1)
-        return _solve_rows(pw[:, k[:, None] + k[None, :]], C[:, : N + 1], rcond=1e-12)
+        return _solve_rows(_hankel(pw, N + 1), C[:, : N + 1], rcond=1e-12)
 
     def initial_guess(self, C: np.ndarray, grid: QuadratureRule) -> np.ndarray:
         """The Gaussian fit as a chart point, one row of omega per row of
@@ -382,8 +392,6 @@ class ConservativeMoment:
                 u_c.append(u0[r] + s[r] * up)
                 th_c.append(th0[r] * float(th.real))
         owner = np.array(owner, dtype=int)
-        if not owner.size:
-            return owner, np.empty((0, self.dim))
         u_c, th_c = np.array(u_c), np.array(th_c)
         return owner, np.column_stack([self._fit_alphas(u_c, th_c, C[owner], grid), u_c, th_c])
 
@@ -546,6 +554,42 @@ class HermitePerturbation:
             basis[:, 3 + j, :] = np.multiply(f, he[k], out=tmp)
         f *= s1
         return f, basis
+
+    def polynomial_jet(self, omegas):
+        """f and the chart tangent basis of ``jet_batch`` as polynomials
+        of degree <= N + 2 in w = (xi - u)/sqrt(theta) times the Gaussian
+        G = exp(-w^2 / 2): the coefficient rows (a, B), shapes (m, N + 3)
+        and (m, d, N + 3), of f = G sum_i a_i w^i and b_k = G sum_i
+        B_ki w^i.  With phi = G / sqrt(2 pi), s the Hermite series and
+        pref = rho / sqrt(theta), the rows are jet_batch's four formulas:
+        phi (1 + s) / sqrt(theta), pref / sqrt(theta) phi (w (1 + s) - s'),
+        pref / (2 theta) phi ((w^2 - 1)(1 + s) - w s') and pref phi He_k.
+        Every operation is elementwise over the rows."""
+        omegas = np.atleast_2d(omegas)
+        rho, _, theta, alpha = self.split(omegas)
+        m, D = omegas.shape[0], self.degree + 3
+        he = _hermite_coefficients(self.degree, D)
+        # 1 + s and s' = sum alpha_k k He_{k-1}
+        one = np.zeros((m, D))
+        one[:, 0] = 1.0
+        ds = np.zeros((m, D))
+        for j, k in enumerate(range(3, self.degree + 1)):
+            one += alpha[:, j, None] * he[k]
+            ds += (k * alpha[:, j])[:, None] * he[k - 1]
+        rt = np.sqrt(theta)
+        pref = rho / rt / sqrt(2.0 * pi)
+        B = np.zeros((m, self.dim, D))
+        B[:, 0] = one * (1.0 / (rt * sqrt(2.0 * pi)))[:, None]
+        B[:, 1, 1:] = one[:, :-1]
+        B[:, 1] -= ds
+        B[:, 1] *= (pref / rt)[:, None]
+        B[:, 2, 2:] = one[:, :-2]
+        B[:, 2] -= one
+        B[:, 2, 1:] -= ds[:, :-1]
+        B[:, 2] *= (0.5 * pref / theta)[:, None]
+        for j, k in enumerate(range(3, self.degree + 1)):
+            B[:, 3 + j] = pref[:, None] * he[k]
+        return one * pref[:, None], B
 
     def weight_batch(self, omegas, xi, work: WorkArrays | None = None):
         _, u, theta, _ = self.split(np.atleast_2d(omegas))
@@ -748,26 +792,47 @@ def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
     j = 0..top, one row per (u, theta), shape (rows, top + 1), stored
     rows last (the transpose of a (top + 1, rows) array).
 
+    Rows whose Gaussian the grid resolves take the truncated-normal
+    recurrence (``_truncated_moments``), the others the node pass
+    (``_node_power_sums``), as ``_by_resolution`` splits them."""
+    def recurrence(rows):
+        Z = take(work, "power.sums", (2 * top + 1, np.count_nonzero(rows)))
+        return _truncated_moments(u[rows], theta[rows], grid.half_width, top, Z)
+
+    return _by_resolution(theta, grid, top, recurrence,
+                          lambda rows: _node_power_sums(u[rows], theta[rows], grid, top, work).T).T
+
+
+def _by_resolution(theta, grid: QuadratureRule, top: int, recurrence, node_pass) -> np.ndarray:
+    """Power sums 0..top of Gaussians of variances ``theta``, rows last,
+    shape (top + 1, rows), from ``recurrence(mask)`` for the rows the
+    grid resolves and ``node_pass(mask)`` for the others; each returns
+    the rows of its boolean mask, rows last.
+
     Where the composite Gauss-Legendre rule on [-L, L] resolves the
     Gaussian, sqrt(theta) >= 2h for cells of width h, the sums are the
-    integrals over [-L, L] to round-off, and each row takes the
-    truncated-normal recurrence (``_truncated_moments``).  Other rows,
-    and grids that are not a composite rule on [-L, L], take the node
-    pass (``_node_power_sums``).  The rule and both kernels act row by
+    integrals over [-L, L] to round-off, and the recurrence stands in
+    for them.  Other rows, and grids that are not a composite rule on
+    [-L, L], take the node pass.  The rule and both kernels act row by
     row, so a row rounds the same in any batch."""
     if grid.domain == "truncated" and grid.cells:
         fit = theta >= (4.0 * grid.half_width / grid.cells) ** 2
     else:
-        fit = np.zeros(u.size, dtype=bool)
-    if fit.all():
-        Z = take(work, "power.sums", (2 * top + 1, u.size))
-        return _truncated_moments(u, theta, grid.half_width, top, Z).T
-    P = np.empty((top + 1, u.size))
+        fit = np.zeros(theta.size, dtype=bool)
+    if fit.size and fit.all():
+        return recurrence(fit)
+    P = np.empty((top + 1, theta.size))
     if fit.any():
-        Z = np.empty((2 * top + 1, np.count_nonzero(fit)))
-        P[:, fit] = _truncated_moments(u[fit], theta[fit], grid.half_width, top, Z)
-    P[:, ~fit] = _node_power_sums(u[~fit], theta[~fit], grid, top, work).T
-    return P.T
+        P[:, fit] = recurrence(fit)
+    P[:, ~fit] = node_pass(~fit)
+    return P
+
+
+def _hankel(powers: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """The n x n Hankel matrices H_kl = powers_{k+l+shift} of stacked
+    power sums, shape (rows, n, n): a read-only view of ``powers``, row
+    k of H the window of n sums from k + shift."""
+    return sliding_window_view(powers[:, shift:], n, axis=1)[:, :n]
 
 
 def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarray:
@@ -797,10 +862,7 @@ def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarra
     # arguments take erf too)
     s = np.sqrt(theta * 2.0)
     ends /= s
-    near = ~(ends >= _ERF_ONE)
-    erfs = np.ones((2, m))
-    if near.any():
-        erfs[near] = [erf(x) for x in ends[near].tolist()]
+    erfs = _erf_to_one(ends)
     np.multiply(s, _HALF_SQRT_PI, out=Z[0])
     Z[0] *= np.add(erfs[0], erfs[1], out=erfs[0])
     if top == 0:
@@ -814,17 +876,35 @@ def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarra
     np.multiply(lpow[1::2, None], odd, out=Z[3 : 2 * top - 2 : 4])
     np.multiply(u, Z[0], out=Z[2])
     Z[2] -= odd
-    # steps m = 2..top: (m - 1) theta P_{m-2} - B_m + u P_{m-1}, summed
-    # over the window Z[2m - 4 : 2m - 1] in that order from 0.0
-    coef = np.empty((top - 1, 3, m))
-    np.multiply(np.arange(1.0, top)[:, None], theta, out=coef[:, 0])
+    return _recurrence_steps(Z, u, theta, top)
+
+
+def _recurrence_steps(Z: np.ndarray, mean, var, top: int) -> np.ndarray:
+    """The steps m = 2..top of a truncated-normal moment recurrence,
+    P_m = (m - 1) var P_{m-2} - B_m + mean P_{m-1}, rows last: ``Z``
+    holds P_j at Z[2j] (P_0 and P_1 given) and the boundary term B_m at
+    Z[2m - 3], so each step sums its window Z[2m - 4 : 2m - 1] in that
+    order from 0.0; returns the view Z[::2].  Every operation is
+    elementwise over the rows."""
+    coef = np.empty((max(top - 1, 0), 3, mean.size))
+    np.multiply(np.arange(1.0, top)[:, None], var, out=coef[:, 0])
     coef[:, 1] = -1.0
-    coef[:, 2] = u
-    terms = np.empty((3, m))
+    coef[:, 2] = mean
+    terms = np.empty((3, mean.size))
     for k in range(2, top + 1):
         np.multiply(coef[k - 2], Z[2 * k - 4 : 2 * k - 1], out=terms)
         np.add.reduce(terms, axis=0, out=Z[2 * k], initial=0.0)
     return Z[::2]
+
+
+def _erf_to_one(x: np.ndarray) -> np.ndarray:
+    """erf of an array, called only where x < _ERF_ONE: erf is 1.0 in
+    double beyond (NaN arguments take erf too)."""
+    near = ~(x >= _ERF_ONE)
+    out = np.ones(x.shape)
+    if near.any():
+        out[near] = [erf(v) for v in x[near].tolist()]
+    return out
 
 
 def _node_power_sums(u, theta, grid: QuadratureRule, top: int,
@@ -842,6 +922,78 @@ def _node_power_sums(u, theta, grid: QuadratureRule, top: int,
         acc /= -2.0 * theta[rows, None]
         np.exp(acc, out=acc)
         out[rows] = moments(acc, grid, top)
+    return out
+
+
+def _frame_power_sums(center, scale, mean, var, grid: QuadratureRule, top: int) -> np.ndarray:
+    """Power sums R_j = sum_n w_n x_n^j g(x_n), j = 0..top, in the frame
+    x = (xi - center) / scale, of the Gaussians g(x) = exp(-(x - mean)^2
+    / (2 var)), one row per (center, scale, mean, var), shape (rows,
+    top + 1), stored rows last as ``_gauss_power_sums``' are.
+
+    In the frame of a Gaussian's own u and sqrt(theta), mean 0 and var
+    1, the sums are centered and scaled: they do not lose digits to
+    cancellation at large |u| / sqrt(theta), as raw sums turned central
+    would.  Rows split as in ``_gauss_power_sums`` (``_by_resolution``),
+    at sqrt(theta) = scale sqrt(var): the truncated-normal recurrence
+    (``_frame_recurrence``) or a node pass (``_frame_node_sums``)."""
+    def recurrence(rows):
+        return _frame_recurrence(center[rows], scale[rows], mean[rows], var[rows],
+                                 grid.half_width, top)
+
+    def node_pass(rows):
+        return _frame_node_sums(center[rows], scale[rows], mean[rows], var[rows], grid, top)
+
+    return _by_resolution(scale * scale * var, grid, top, recurrence, node_pass).T
+
+
+def _frame_recurrence(center, scale, mean, var, L: float, top: int) -> np.ndarray:
+    """R_j = scale I_j, j = 0..top, rows last, with I_j = int_a^b x^j g(x)
+    dx over the frame's image [a, b] of [-L, L]: the truncated-normal
+    recurrence of ``_truncated_moments`` on an interval of any
+    position, with g_a = g(a) and g_b = g(b):
+
+        I_0 = sqrt(pi var / 2) (erf((b - mean) / sqrt(2 var))
+                                + erf((mean - a) / sqrt(2 var))),
+        I_m = mean I_{m-1} + (m - 1) var I_{m-2}
+              - var (b^{m-1} g_b - a^{m-1} g_a).
+
+    Every operation is elementwise over the rows."""
+    b = (L - center) / scale
+    a = (-L - center) / scale
+    s = np.sqrt(2.0 * var)
+    erfs = _erf_to_one(np.stack([(b - mean) / s, (mean - a) / s]))
+    Z = np.empty((2 * top + 1, center.size))
+    np.multiply(_HALF_SQRT_PI * s, erfs[0] + erfs[1], out=Z[0])
+    if top:
+        # var b^k g_b and var a^k g_a, the powers by repeated products;
+        # B_{k+1} is their difference
+        gb = np.exp((b - mean) ** 2 / (-2.0 * var)) * var
+        ga = np.exp((a - mean) ** 2 / (-2.0 * var)) * var
+        np.multiply(mean, Z[0], out=Z[2])
+        Z[2] -= gb - ga
+        for k in range(1, top):
+            gb *= b
+            ga *= a
+            np.subtract(gb, ga, out=Z[2 * k - 1])
+        _recurrence_steps(Z, mean, var, top)
+    return Z[::2] * scale
+
+
+def _frame_node_sums(center, scale, mean, var, grid: QuadratureRule, top: int) -> np.ndarray:
+    """The frame's power sums by one pass over the quadrature nodes, rows
+    last: the ``integrate`` of x^j g(x) on the nodes."""
+    out = np.empty((top + 1, center.size))
+    for lo in range(0, center.size, _NODE_PASS_ROWS):
+        rows = slice(lo, lo + _NODE_PASS_ROWS)
+        x = centered(grid.nodes, center[rows])
+        x /= scale[rows, None]
+        dev = x - mean[rows, None]
+        terms = np.empty((top + 1,) + x.shape)
+        np.exp(dev * dev / (-2.0 * var[rows, None]), out=terms[0])
+        for j in range(top):
+            np.multiply(terms[j], x, out=terms[j + 1])
+        out[:, rows] = integrate(terms, grid)
     return out
 
 

@@ -234,6 +234,44 @@ def _target_of_moments(model: CollisionModel, rho, u, theta, q, grid: Quadrature
     return feq
 
 
+def _target_moments(model: CollisionModel, c: np.ndarray, power_sums, top: int) -> np.ndarray:
+    """The moments 0..top of the collision targets of distributions with
+    moments c_0..c_3 (rows last, c[k] the k-th moments), shape (top + 1,
+    rows), from Gaussian power sums alone.  The moments are taken in one
+    frame x, raw (x = xi) or shifted and scaled, and
+    ``power_sums(mean, var, k)`` gives, rows last, that frame's power
+    sums 0..k of exp(-(x - mean)^2 / (2 var)).
+
+    The target has the density c_0, the mean u_f = c_1 / c_0, and the
+    second and third central moments theta_f and q of the distribution
+    divided by c_0; a row whose density or temperature is not positive
+    raises StepError naming the lowest such row.  Its moments are
+    c_0 (2 pi theta_f)^(-1/2) times sums of the power sums at (u_f,
+    theta_f): the Maxwellian's (BGK, and ES-BGK in d = 1), plus
+    Shakhov's heat-flux term.  Every operation is elementwise over the
+    rows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = c[0]
+        u = c[1] / rho
+        theta = (c[2] - 2.0 * u * c[1] + u * u * c[0]) / rho
+    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
+        raise StepError("unrealizable moments during collision evaluation", cell=bad)
+    shakhov = model.kind == "shakhov"
+    P = power_sums(u, theta, top + 3 * shakhov)
+    T = P[: top + 1]
+    if shakhov:
+        q = (c[3] - 3.0 * u * c[2] + 3.0 * u * u * c[1] - u * u * u * c[0]) / rho
+        # sum w x^k (x - u)^i G for i = 1, 2, 3 by differences
+        e1 = P[1:] - u * P[:-1]
+        e2 = e1[1:] - u * e1[:-1]
+        e3 = e2[1:] - u * e2[:-1]
+        # (1 - Pr) q / (3 theta^2) * ((x - u)^3 / (2 theta) - 1.5 (x - u))
+        T = T + (1.0 - model.prandtl) * q / (3.0 * theta**2) * (e3 / (2.0 * theta)
+                                                                - 1.5 * e1[: top + 1])
+    return T * (rho / np.sqrt(2.0 * np.pi * theta))
+
+
 def _collision_rows(model: CollisionModel, vals: np.ndarray, grid: QuadratureRule, out=None,
                     work: WorkArrays | None = None):
     """Q[f] for stacked profiles, written into ``out`` when given (as

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (AnsatzPoint, ConservativeMoment, EntropyClosure, Manifold, _gaussian_fit,
+from .ansatz import (_WEIGHT_EXP_CAP, AnsatzPoint, ConservativeMoment, EntropyClosure,
+                     HermitePerturbation, Manifold, _frame_power_sums, _gaussian_fit, _hankel,
                      _newton, _sign_rule)
 from .errors import (DegenerateChartError, InversionError, KinReduceError, ParameterError,
-                     RealizabilityError)
-from .kinetic import CollisionModel, DistributionField, _collision_rows, _moments_of_values
+                     RealizabilityError, StepError)
+from .kinetic import (CollisionModel, DistributionField, _collision_rows, _moments_of_values,
+                      _target_moments, collision_rate)
 from .quadrature import QuadratureRule, integrate, moments
-from .workspace import WorkArrays, take
+from .workspace import WorkArrays, centered, take
 
 __all__ = [
     "ReducedCoefficients",
@@ -127,6 +129,10 @@ def coefficients_batch(
     shape (m, d); Q is zero when ``model`` is None.  ``work`` holds the
     work arrays of the node passes; the results are new arrays.
 
+    HermitePerturbation takes them from Gaussian power sums
+    (``_hp_coefficients``), with no node pass but the sign rule's; the
+    other manifolds by a pass over the nodes (``_node_coefficients``).
+
     Every row obeys the rules of a single point, in its order:
     ``check_params``, the metric-weight overflow guard, the ansatz sign
     rule (``_sign_rule``) and positive collision moments (only Q
@@ -134,6 +140,19 @@ def coefficients_batch(
     first rule that fails raises its typed error for its lowest failing
     row, with ``row`` set to that row."""
     omegas = _stack(manifold, omegas)
+    if isinstance(manifold, HermitePerturbation):
+        return _hp_coefficients(manifold, omegas, model, grid, check_spd, work)
+    return _node_coefficients(manifold, omegas, model, grid, check_spd, work)
+
+
+def _node_coefficients(manifold: Manifold, omegas: np.ndarray, model: CollisionModel | None,
+                       grid: QuadratureRule, check_spd: bool = True,
+                       work: WorkArrays | None = None) -> ReducedCoefficients:
+    """``coefficients_batch`` by a pass over the nodes: the Gram
+    quadratures of the chart basis, and Q from f clipped by the sign
+    rule.  It serves EntropyClosure (and ConservativeMoment, whose
+    solver never assembles), and is the reference of the power-sum
+    assembly."""
     f, basis = _jet(manifold, omegas, grid, work)
     mu = _metric(manifold, omegas, grid, work)
     a0, a1 = (_symmetrize(g) for g in _grams(basis, mu, grid.nodes, work))
@@ -148,6 +167,86 @@ def coefficients_batch(
     if check_spd:
         _by_row(_cholesky, a0)
     return ReducedCoefficients(a0, a1, q)
+
+
+def _sandwich(B: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """B H B^T for every row of stacks (m, d, n) and (m, n, n)."""
+    return (B @ H) @ np.swapaxes(B, 1, 2)
+
+
+def _guard_weight_at_ends(manifold: HermitePerturbation, omegas: np.ndarray,
+                          grid: QuadratureRule, work: WorkArrays | None = None) -> None:
+    """The metric-weight overflow guard of ``_metric``, read at the grid's
+    two end nodes: every rounded operation of the exponent (xi - u)^2 /
+    (2 theta) is monotone in |xi - u|, so it peaks there.  Only a row
+    that overflows runs the full pass, which words the error."""
+    _, u, theta, _ = manifold.split(omegas)
+    expo = centered(grid.nodes[[0, -1]], u)
+    np.square(expo, out=expo)
+    expo /= 2.0 * theta[:, None]
+    if (expo > _WEIGHT_EXP_CAP).any():
+        _metric(manifold, omegas, grid, work)
+
+
+def _hp_coefficients(manifold: HermitePerturbation, omegas: np.ndarray,
+                     model: CollisionModel | None, grid: QuadratureRule, check_spd: bool = True,
+                     work: WorkArrays | None = None) -> ReducedCoefficients:
+    """``coefficients_batch`` for HermitePerturbation from the power sums
+    S_j = sum w_n w^j G of the Gaussian G = exp(-w^2 / 2), w = (xi - u) /
+    sqrt(theta), in that centered frame (``_frame_power_sums``).
+
+    f and each tangent b_k are G times a polynomial in w, with the
+    coefficient rows a and B (``polynomial_jet``); the metric weight
+    1/G cancels one G.  So with H_0 and H_1 the Hankel matrices of the
+    S_j and the S_{j+1}, and xi = u + sqrt(theta) w, A0 = B H_0 B^T and
+    A1 = B (u H_0 + sqrt(theta) H_1) B^T.  Q = rate B (t - c), with c =
+    H_0 a the frame moments of f and t those of its collision target
+    (``kinetic._target_moments``, at the frame sums of the target's own
+    Gaussian).  Q is the collision term of the ansatz itself: the node
+    pass's sign rule checks f but clips nothing that reaches Q."""
+    _by_row(manifold.check_params, omegas)
+    _guard_weight_at_ends(manifold, omegas, grid, work)
+    if model is not None:
+        # the one node pass, first: its work arrays' peak then stacks on
+        # no other array of the assembly
+        _by_row(lambda v: _sign_rule(v, out=v), manifold.values_batch(omegas, grid.nodes, work))
+    _, u, theta, _ = manifold.split(omegas)
+    rt = np.sqrt(theta)
+    a, B = manifold.polynomial_jet(omegas)
+    D = B.shape[-1]
+    S = _frame_power_sums(u, rt, np.zeros_like(u), np.ones_like(u), grid, 2 * D - 1)
+    H0 = _hankel(S, D)
+    q = np.zeros(omegas.shape)
+    if model is not None:
+        q = _hp_collision(model, B, (H0 @ a[:, :, None])[:, :, 0], u, rt, grid)
+    a0 = _symmetrize(_sandwich(B, H0))
+    # xi = u + sqrt(theta) w: A1 takes the sums of xi w^j
+    a1 = _symmetrize(_sandwich(B, _hankel(u[:, None] * S[:, :-1] + rt[:, None] * S[:, 1:], D)))
+    if check_spd:
+        _by_row(_cholesky, a0)
+    return ReducedCoefficients(a0, a1, q)
+
+
+def _hp_collision(model: CollisionModel, B: np.ndarray, c: np.ndarray, u, rt,
+                  grid: QuadratureRule) -> np.ndarray:
+    """Q = rate B (t - c) from the frame moments c of f, where the frame
+    is w = (xi - u) / rt: t are its target's frame moments
+    (``kinetic._target_moments``), from the frame sums of the target's
+    own Gaussian.  Nonpositive collision moments raise
+    RealizabilityError for the lowest such row."""
+    try:
+        t = _target_moments(model, c.T, lambda mean, var, top: _frame_power_sums(
+            u, rt, mean, var, grid, top).T, B.shape[-1] - 1)
+    except StepError as exc:
+        err = RealizabilityError(str(exc))
+        err.row = exc.cell
+        raise err from None
+    # _target_moments normalizes the Gaussian at the frame variance var,
+    # which is theta var in xi
+    t /= rt
+    q = (B @ (t.T - c)[:, :, None])[:, :, 0]
+    q *= collision_rate(model)
+    return q
 
 
 def assemble_coefficients(

@@ -18,10 +18,13 @@ step makes no pass over the velocity nodes: only ``initial_state`` and
 the records (``_record``) evaluate f on them.
 Other manifolds advance omega in A0(omega) d_t omega + A1(omega) d_x
 omega = Q(omega): the closure ``_generic_coefficients`` assembles A0,
-A1 and Q of all cells in one batched pass, the step-start assembly
-also gives the speeds, and ``_generic_rhs`` takes central differences
-plus Rusanov-type dissipation.  Speeds come from the symmetric-definite
-pencil A1 x = lambda A0 x and never exceed the velocity bound L.
+A1 and Q of all cells at once, the step-start assembly also gives the
+speeds, and ``_generic_rhs`` takes central differences plus
+Rusanov-type dissipation.  For HermitePerturbation the assembly comes
+from Gaussian power sums as well (``projection._hp_coefficients``):
+its one pass over the velocity nodes is the sign rule's
+``values_batch``.  Speeds come from the symmetric-definite pencil
+A1 x = lambda A0 x and never exceed the velocity bound L.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .kinetic import (
     collision_rate,
     entropy_density,
     march,
+    _target_moments,
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
@@ -177,13 +181,9 @@ def _cm_closure(manifold, model, grid, omegas, work=None):
     Gaussian power sums P_j (``_gauss_power_sums``) alone.
 
     The moments of f_hat are c_k = sum_j alpha_j P_{j+k}(u, theta),
-    summed over j from 0.0 as in ``_moment_jet``.  The target has the
-    density c_0, the velocity u_f = c_1 / c_0, and the second and third
-    central moments theta_f and q of f_hat divided by c_0; a row whose
-    density or temperature is not positive raises StepError naming the
-    lowest such row.  Its moments are rho (2 pi theta_f)^(-1/2) times
-    sums of P_j(u_f, theta_f): the Maxwellian's (BGK, and ES-BGK in
-    d = 1), plus Shakhov's heat-flux term.  Every operation is
+    summed over j from 0.0 as in ``_moment_jet``; the target's follow
+    from c_0..c_3 (``kinetic._target_moments``), a row whose density or
+    temperature is not positive raising StepError.  Every operation is
     elementwise over the rows."""
     N, K = manifold.degree, manifold.n_moments
     alpha, u, theta = manifold.split(omegas)
@@ -195,26 +195,9 @@ def _cm_closure(manifold, model, grid, omegas, work=None):
     c = np.add.reduce(terms, axis=0, initial=0.0)
     if model is None:
         return c[K], None
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = c[0]
-        u = c[1] / rho
-        theta = (c[2] - 2.0 * u * c[1] + u * u * c[0]) / rho
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        bad = int(np.flatnonzero((rho <= 0.0) | (theta <= 0.0))[0])
-        raise StepError("unrealizable moments during collision evaluation", cell=bad)
-    shakhov = model.kind == "shakhov"
-    P = _gauss_power_sums(u, theta, grid, K - 1 + 3 * shakhov, work).T
-    T = P[:K]
-    if shakhov:
-        q = (c[3] - 3.0 * u * c[2] + 3.0 * u * u * c[1] - u * u * u * c[0]) / rho
-        # sum w xi^k (xi - u)^i G for i = 1, 2, 3 by differences
-        e1 = P[1:] - u * P[:-1]
-        e2 = e1[1:] - u * e1[:-1]
-        e3 = e2[1:] - u * e2[:-1]
-        # (1 - Pr) q / (3 theta^2) * ((xi - u)^3 / (2 theta) - 1.5 (xi - u))
-        T = T + (1.0 - model.prandtl) * q / (3.0 * theta**2) * (e3 / (2.0 * theta) - 1.5 * e1[:K])
-    return c[K], (T * (rho / np.sqrt(2.0 * np.pi * theta))).T
+    T = _target_moments(model, c, lambda u, theta, top: _gauss_power_sums(u, theta, grid, top,
+                                                                          work).T, K - 1)
+    return c[K], T.T
 
 
 def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):

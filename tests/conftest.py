@@ -119,24 +119,30 @@ def reference_residual():
 def degenerate_cell(monkeypatch):
     """``degenerate_cell(cell, cells, call=None)`` zeroes the rho
     direction of the HermitePerturbation chart at row ``cell`` of every
-    ``jet_batch`` stack of ``cells`` rows, or only in the ``call``-th
-    such stack (counting from 0), so that row's Gram is singular."""
+    stack of ``cells`` rows, or only in the ``call``-th such stack
+    (counting from 0), so that row's Gram is singular.  The stacks are
+    the tangent bases on the nodes (``jet_batch``: the audits, the
+    residuals, the initial projection) and the tangent polynomials
+    (``polynomial_jet``: the solver's assembly), counted together."""
     from kinreduce import HermitePerturbation
-
-    original = HermitePerturbation.jet_batch
 
     def install(cell, cells, call=None):
         seen = []
 
-        def jet_batch(self, omegas, xi, work=None):
-            f, basis = original(self, omegas, xi, work)
-            if basis.shape[0] == cells:
-                if call is None or len(seen) == call:
-                    basis[cell, 0, :] = 0.0
-                seen.append(1)
-            return f, basis
+        def zeroing(original, basis_of):
+            def kernel(self, omegas, *args, **kwargs):
+                out = original(self, omegas, *args, **kwargs)
+                basis = basis_of(out)
+                if basis.shape[0] == cells:
+                    if call is None or len(seen) == call:
+                        basis[cell, 0, :] = 0.0
+                    seen.append(1)
+                return out
+            return kernel
 
-        monkeypatch.setattr(HermitePerturbation, "jet_batch", jet_batch)
+        for name in ("jet_batch", "polynomial_jet"):
+            monkeypatch.setattr(HermitePerturbation, name,
+                                zeroing(getattr(HermitePerturbation, name), lambda out: out[1]))
 
     return install
 

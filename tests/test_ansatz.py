@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -39,6 +40,7 @@ from kinreduce.ansatz import (
     recover_batch,
 )
 from kinreduce.kinetic import _target_batch
+from kinreduce.projection import coefficients_batch
 from kinreduce.quadrature import moments
 from kinreduce.reduced_solver import _cm_closure
 from kinreduce.workspace import WorkArrays
@@ -705,6 +707,18 @@ class TestBatchedLadder:
             loop = per_row_initial_guess(cm, C[i], wide_grid)
             assert np.abs(loop - guesses[i]).max() <= 1e-12 * (1 + np.abs(loop).max())
 
+    def test_a_row_without_cold_starts(self, grid):
+        """The resultant scan finds no candidate for this CM(2) row: an
+        empty stack of starts, also on a grid where no row takes the
+        power-sum recurrence."""
+        from kinreduce import gauss_hermite_rule
+
+        C = np.array([[1.0, -0.9920820669768249, 1.2554065350707653, 1.7359870779714335,
+                       -2.5489033781570702]])
+        for rule in (grid, gauss_hermite_rule(40)):
+            owner, starts = ConservativeMoment(2).cold_start_candidates(C, rule)
+            assert owner.shape == (0,) and starts.shape == (0, 5)
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_cold_starts_of_no_rows(self, degree, grid):
         cm = ConservativeMoment(degree)
@@ -1003,14 +1017,90 @@ class TestOnePassJet:
         assert run.stdout.strip() == hashlib.sha256(c.tobytes() + J.tobytes()).hexdigest()
 
 
+def loop_frame_power_sums(center, scale, mean, var, grid, top):
+    """Reference: sum_n w_n x_n^j g(x_n) with x = (xi - center) / scale and
+    g(x) = exp(-(x - mean)^2 / (2 var)), one j at a time, and the sums
+    of |x|^j g, against which their rounding counts."""
+    x = (grid.nodes[None, :] - center[:, None]) / scale[:, None]
+    g = np.exp(-((x - mean[:, None]) ** 2) / (2.0 * var[:, None])) * grid.weights
+    sums, sizes = np.empty((2, len(x), top + 1))
+    for j in range(top + 1):
+        sums[:, j], sizes[:, j] = g.sum(axis=1), np.abs(g).sum(axis=1)
+        g *= x
+    return sums, sizes
+
+
+def hp_frames(grid, sigma):
+    """Frames at a Gaussian's own u and sigma = sqrt(theta), u in [-2,
+    2], and frames shifted by up to 0.3 sigma and stretched by 0.8 to
+    1.25, as a collision target's Gaussian sees the ansatz's frame:
+    (center, scale, mean, var)."""
+    u, sigma = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 9), sigma))
+    rng = np.random.default_rng(3)
+    d, e = rng.uniform(-0.3, 0.3, u.size), rng.uniform(0.8, 1.25, u.size)
+    return (np.concatenate([u, u + d * sigma]), np.concatenate([sigma, sigma * e]),
+            np.concatenate([np.zeros(u.size), -d / e]), np.concatenate([np.ones(u.size), e**-2]))
+
+
+class TestFramePowerSums:
+    @pytest.mark.parametrize("half_width, cells, departure",
+                             [(9.0, 64, 2e-13), (10.0, 128, 1e-14), (8.5, 48, 3e-12)])
+    def test_recurrence_is_the_integral(self, half_width, cells, departure):
+        """Resolved rows, sqrt(theta) from just above 2h to 1.5, and
+        j <= 17.  The recurrence is the integral over [-L, L] to 1e-14
+        of sum w |x|^j g, a 32 times finer rule standing in for it
+        (measured: 1.4e-15, 1.3e-15 and 1.6e-15 on the three grids).
+        The recurrence and the node pass differ by up to ``departure``
+        (measured: 1.3e-13, 1.3e-15 and 1.5e-12), the node pass's own
+        quadrature error."""
+        grid = truncated_rule(half_width, cells)
+        h = 2.0 * half_width / cells
+        sigma = np.geomspace(2.0 * h, 1.5, 8)
+        sigma[0] = 2.0 * h * (1.0 + 1e-12)
+        center, scale, mean, var = hp_frames(grid, sigma)
+        assert resolved(scale**2 * var, grid).all()
+        got = ansatz._frame_power_sums(center, scale, mean, var, grid, 17)
+        node, size = loop_frame_power_sums(center, scale, mean, var, grid, 17)
+        integral, _ = loop_frame_power_sums(center, scale, mean, var,
+                                            truncated_rule(half_width, 32 * cells), 17)
+        assert np.all(np.abs(got - integral) <= 1e-14 * size)
+        assert np.all(np.abs(got - node) <= departure * size)
+
+    def test_unresolved_rows_take_the_node_pass(self, grid):
+        """Rows with sqrt(theta) < 2h, alone and mixed with resolved
+        ones, on the composite rule and on a Gauss-Hermite rule, where
+        every row takes the node pass."""
+        from kinreduce import gauss_hermite_rule
+
+        h = 2.0 * grid.half_width / grid.cells
+        center, scale, mean, var = hp_frames(grid, np.array([0.9 * h, 1.9 * h, 3.0 * h]))
+        for rule in (grid, gauss_hermite_rule(40)):
+            got = ansatz._frame_power_sums(center, scale, mean, var, rule, 9)
+            want, size = loop_frame_power_sums(center, scale, mean, var, rule, 9)
+            fine = resolved(scale**2 * var, rule) if rule.cells else np.zeros(len(var), bool)
+            assert np.all(np.abs(got - want)[~fine] <= 1e-14 * size[~fine])
+
+    def test_no_rows_on_any_grid(self, grid):
+        """An empty batch returns (0, top + 1) sums on every grid, also
+        where no row could take the recurrence, and so does an empty
+        moment inversion."""
+        from kinreduce import gauss_hermite_rule
+
+        none = np.empty(0)
+        for rule in (gauss_hermite_rule(40), grid):
+            assert recover_batch(ConservativeMoment(2), np.empty((0, 5)), rule).shape == (0, 5)
+            assert _gauss_power_sums(none, none, rule, 6).shape == (0, 7)
+            assert ansatz._frame_power_sums(none, none, none, none, rule, 6).shape == (0, 7)
+
+
 class TestBatchInvariance:
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data())
     def test_a_row_does_not_depend_on_its_batch(self, data, grid):
         """A row of the power sums, of the moment jet, of the recovery, of
-        the velocity integrals, of the collision targets and of the CM
-        closure flux and target moments has the same bits alone, in a
-        batch and permuted.  The temperatures lie on
+        the velocity integrals, of the collision targets, of the CM
+        closure flux and target moments and of HermitePerturbation's
+        A0, A1 and Q has the same bits alone, in a batch and permuted.  The temperatures lie on
         both sides of sqrt(theta) = 2h, where the power sums change
         kernel."""
         cm = ConservativeMoment(2)
@@ -1033,6 +1123,13 @@ class TestBatchInvariance:
         warm[:, 4] *= 1.0 + 0.1 * d
         profiles = np.abs(cm.values_batch(warm, grid.nodes))
         shakhov = CollisionModel(kind="shakhov", tau=0.1, prandtl=2.0 / 3.0)
+        # HermitePerturbation(4) at the same (u, theta), each free alpha_k
+        # within 0.2 / max|He_k(w)| on the nodes, so f stays positive
+        hp = HermitePerturbation(4)
+        hp_omega = hp.equilibrium_params(1.0 + 0.2 * d, u, theta)
+        he = ansatz.hermite_polynomials(4, (grid.nodes - u[:, None]) / np.sqrt(theta)[:, None])
+        hp_omega[:, 3] = 0.2 * b1 / np.abs(he[3]).max(axis=1)
+        hp_omega[:, 4] = 0.2 * b2 / np.abs(he[4]).max(axis=1)
 
         def solve(rows):
             try:
@@ -1050,6 +1147,7 @@ class TestBatchInvariance:
             lambda rows: (integrate(profiles[rows], grid), moments(profiles[rows], grid, 4),
                           _target_batch(shakhov, profiles[rows], grid)),
             lambda rows: _cm_closure(cm, shakhov, grid, warm[rows]),
+            lambda rows: dataclasses.astuple(coefficients_batch(hp, hp_omega[rows], shakhov, grid)),
         ]
         for kernel in kernels:
             whole = kernel(np.arange(n))

@@ -4,6 +4,7 @@ import pytest
 from kinreduce import (
     AnsatzPoint,
     CollisionModel,
+    ConfigurationError,
     ConservativeMoment,
     DegenerateChartError,
     EntropyClosure,
@@ -14,11 +15,14 @@ from kinreduce import (
     integrate,
     maxwellian,
     residual,
+    truncated_rule,
 )
-from kinreduce.kinetic import moments_of_profile
+from kinreduce.kinetic import collision_rate, moments_of_profile
 from kinreduce.projection import (
     _asymmetry,
+    _jet,
     _metric,
+    _node_coefficients,
     _project,
     _projection_frame,
     _raw_grams,
@@ -302,6 +306,134 @@ class TestCoefficientsBatch:
     def test_shape_is_checked(self, grid):
         with pytest.raises(ParameterError):
             coefficients_batch(HermitePerturbation(4), np.ones((3, 4)), None, grid)
+
+
+def hp_sample(hp, grid, count, seed):
+    """``count`` HermitePerturbation points, a third of them with
+    sqrt(theta) < 2h, where the power sums take the node pass: those
+    temperatures lie between 2h and the smallest the metric weight
+    admits on the grid, (L + 1)^2 / 1380 for |u| <= 1."""
+    rng = np.random.default_rng(seed)
+    two_h = 4.0 * grid.half_width / grid.cells
+    narrow = count // 3
+    lowest = (grid.half_width + 1.0) ** 2 / 1380.0
+    return np.concatenate([
+        hp.sample_batch(rng, grid, count - narrow),
+        hp.sample_batch(rng, grid, narrow, theta_range=(1.01 * lowest, 0.99 * two_h**2)),
+    ])
+
+
+def coefficient_scales(hp, omegas, model, grid, coef):
+    """Per row: max |A0|, max |A1| and, for Q, the size of the terms it
+    is the difference of, the collision rate times max_k |g(b_k, f)|."""
+    f, basis = _jet(hp, omegas, grid)
+    mu = _metric(hp, omegas, grid)
+    q_scale = np.ones(len(omegas))
+    if model is not None:
+        q_scale = collision_rate(model) * np.abs(
+            np.einsum("mkn,mn->mk", basis, f * mu)).max(axis=1)
+    return np.abs(coef.a0).max(axis=(1, 2)), np.abs(coef.a1).max(axis=(1, 2)), q_scale
+
+
+def row_errors(got, want, scale):
+    return np.abs(got - want).max(axis=tuple(range(1, got.ndim))) / scale
+
+
+class TestPowerSumAssembly:
+    """HermitePerturbation's A0, A1 and Q from Gaussian power sums,
+    against the node-pass assembly (``_node_coefficients``)."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind if m else "none")
+    @pytest.mark.parametrize("degree", [3, 4, 6])
+    @pytest.mark.parametrize("half_width, cells", [(9.0, 64), (10.0, 128), (8.5, 48)])
+    def test_matches_the_node_pass(self, half_width, cells, degree, model):
+        """30 rows, a third with sqrt(theta) < 2h.  Those rows take the
+        node pass on both sides; elsewhere the power sums are the
+        integral over [-L, L], and a 32 times finer rule stands in for
+        it.  A0, A1 and Q match the node pass to 1e-12 of their scales
+        (measured: at most 5.3e-13, A1 of HP(6) on L = 8.5 with 48
+        cells, where the node pass is itself 5.4e-13 off the integral;
+        elsewhere at most 6.5e-14) and the integral to 1e-13 (measured:
+        4e-14)."""
+        grid = truncated_rule(half_width, cells)
+        hp = HermitePerturbation(degree)
+        omegas = hp_sample(hp, grid, 30, degree)
+        fine = omegas[:, 2] >= (4.0 * half_width / cells) ** 2
+        assert fine.sum() == 20
+        got = coefficients_batch(hp, omegas, model, grid)
+        want = _node_coefficients(hp, omegas, model, grid)
+        integral = _node_coefficients(hp, omegas[fine], model,
+                                      truncated_rule(half_width, 32 * cells))
+        scales = coefficient_scales(hp, omegas, model, grid, want)
+        for g, w, i, scale in zip((got.a0, got.a1, got.q), (want.a0, want.a1, want.q),
+                                  (integral.a0, integral.a1, integral.q), scales):
+            assert row_errors(g, w, scale).max() <= 1e-12
+            assert row_errors(g[fine], i, scale[fine]).max() <= 1e-13
+        if model is None:
+            assert not got.q.any()
+
+    def test_polynomials_are_the_chart_basis(self, wide_grid, rng):
+        """G times the coefficient rows of ``polynomial_jet``, evaluated
+        on the nodes, is ``jet_batch``'s f and basis to round-off."""
+        for degree in (2, 3, 4, 6):
+            hp = HermitePerturbation(degree)
+            omegas = hp.sample_batch(rng, wide_grid, 12)
+            f, basis = hp.jet_batch(omegas, wide_grid.nodes)
+            a, B = hp.polynomial_jet(omegas)
+            assert a.shape == (12, degree + 3) and B.shape == (12, hp.dim, degree + 3)
+            w = (wide_grid.nodes - omegas[:, 1, None]) / np.sqrt(omegas[:, 2, None])
+            powers = w[:, None, :] ** np.arange(degree + 3)[None, :, None]
+            gauss = np.exp(-0.5 * w * w)
+            assert np.abs(gauss * np.einsum("mi,min->mn", a, powers) - f).max() \
+                <= 1e-14 * np.abs(f).max()
+            got = gauss[:, None, :] * np.einsum("mki,min->mkn", B, powers)
+            scale = np.abs(basis).max(axis=2, keepdims=True)
+            assert np.all(np.abs(got - basis) <= 1e-13 * scale)
+
+    def test_each_rule_raises_as_the_node_pass(self, grid, bgk):
+        """One crafted stack per rule, in the rules' order; the failing
+        row is 2 of 4, and the power-sum path raises the node pass's
+        class and message for that row."""
+        hp = HermitePerturbation(4)
+        base = np.tile(hp.equilibrium_params(1.0, 0.1, 0.9), (4, 1))
+        params, weight, sign, moments_, spd = (base.copy() for _ in range(5))
+        params[2, 2] = -0.5  # theta < 0
+        weight[2, 2] = 0.05  # (L + u)^2 / (2 theta) = 846 > 690
+        sign[2, 4] = -0.01  # 1 - 0.01 He_4(w) < 0 for |w| > 3.3
+        moments_[2, 0] = 5e-324  # f rounds to 0 on every node
+        spd[2, 0] = 1e-200  # the u and theta tangents square to 0
+        cases = [(params, RealizabilityError), (weight, ConfigurationError),
+                 (sign, RealizabilityError), (moments_, RealizabilityError),
+                 (spd, DegenerateChartError)]
+        messages = []
+        for omegas, kind in cases:
+            with pytest.raises(kind) as want:
+                _node_coefficients(hp, omegas, bgk, grid)
+            with pytest.raises(kind) as got:
+                coefficients_batch(hp, omegas, bgk, grid)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert got.value.row == want.value.row == 2
+            messages.append(str(got.value))
+        assert [m.split()[0] for m in messages] == [
+            "HermitePerturbation", "metric", "ansatz", "unrealizable", "Gram"]
+
+    def test_no_rows(self, bgk):
+        from kinreduce import gauss_hermite_rule
+
+        for grid in (gauss_hermite_rule(40), truncated_rule(9.0, 64)):
+            for model in (None, bgk):
+                got = coefficients_batch(HermitePerturbation(4), np.empty((0, 5)), model, grid)
+                assert got.a0.shape == got.a1.shape == (0, 5, 5) and got.q.shape == (0, 5)
+
+    def test_a_row_keeps_its_bits_in_a_one_row_view(self, wide_grid, rng, bgk):
+        hp = HermitePerturbation(4)
+        omegas = hp.sample_batch(rng, wide_grid, 7)
+        stack = coefficients_batch(hp, omegas, bgk, wide_grid)
+        for i, omega in enumerate(omegas):
+            one = assemble_coefficients(AnsatzPoint(hp, omega), bgk, wide_grid)
+            assert all(np.array_equal(a, b[i]) for a, b in
+                       zip((one.a0, one.a1, one.q), (stack.a0, stack.a1, stack.q)))
 
 
 class TestResidualBatch:

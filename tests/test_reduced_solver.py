@@ -390,6 +390,52 @@ class TestClosedFormRhs:
             state = step(state, cfg.model(), cfg.cfl)
         assert state.time > 0.0
 
+    def test_an_hp_step_makes_one_node_pass(self, monkeypatch):
+        """Three steps of the hermite4_generic scenario (the demo with
+        HermitePerturbation(4) on 100 cells) evaluate on the velocity
+        nodes nothing but the sign rule's ``values_batch``, once per
+        closure: every other node-pass kernel raises wherever a module
+        holds it."""
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
+                         .read_text())
+        doc["manifold"] = {"kind": "hermite_perturbation", "size": 4}
+        doc["spatial_mesh"]["cells"] = 100
+        cfg = parse_config(doc)
+        state = initial_state(cfg.manifold(), cfg.initial_field())
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for name in ("jet_batch", "weight_batch"):
+            monkeypatch.setattr(HermitePerturbation, name, forbidden(name))
+        kernels = {id(f): f.__name__ for f in (quadrature.integrate, quadrature.moments,
+                                               kinetic._target_batch, ansatz._maxwellian_weight)}
+        for name, module in list(sys.modules.items()):
+            if name == "kinreduce" or name.startswith("kinreduce."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in kernels:
+                        monkeypatch.setattr(module, attr, forbidden(kernels[id(value)]))
+        passes = []
+        values_batch = HermitePerturbation.values_batch
+        closure = reduced_solver._generic_coefficients
+
+        def counting_values(self, *args, **kwargs):
+            passes[-1] += 1
+            return values_batch(self, *args, **kwargs)
+
+        def counting_closure(*args, **kwargs):
+            passes.append(0)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(HermitePerturbation, "values_batch", counting_values)
+        monkeypatch.setattr(reduced_solver, "_generic_coefficients", counting_closure)
+        for _ in range(3):
+            state = step(state, cfg.model(), cfg.cfl)
+        assert state.time > 0.0
+        assert passes == [1] * 6
+
 
 class TestJetHandoff:
     """Each CM recovery hands the moment jet of its result to the next

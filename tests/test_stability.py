@@ -264,7 +264,7 @@ class TestYongConditions:
         import scipy.linalg
 
         from kinreduce import AnsatzPoint
-        from kinreduce.projection import _solve_spd, assemble_coefficients
+        from kinreduce.projection import _node_coefficients, _solve_spd, assemble_coefficients
         from kinreduce.stability import _chart_yong_inputs
 
         model = CollisionModel(kind, tau=0.5, prandtl=prandtl)
@@ -274,7 +274,13 @@ class TestYongConditions:
             return scipy.linalg.solve(c.a0, c.q, assume_a="pos")
 
         omega = manifold.equilibrium_params(1.1, 0.2, 0.9)
-        coef = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
+        # the audit assembles by the node pass; the solver's assembly
+        # (from power sums for HermitePerturbation) agrees to round-off
+        coef = _node_coefficients(manifold, omega[None], None, grid)
+        coef = type(coef)(coef.a0[0], coef.a1[0], coef.q[0])
+        solver = assemble_coefficients(AnsatzPoint(manifold, omega), None, grid, check_spd=True)
+        assert np.abs(solver.a0 - coef.a0).max() <= 1e-13 * np.abs(coef.a0).max()
+        assert np.abs(solver.a1 - coef.a1).max() <= 1e-13 * np.abs(coef.a1).max()
         a0, a1, qu, eq = _chart_yong_inputs(manifold, model, grid, 1.1, 0.2, 0.9)
         assert np.array_equal(a0, coef.a0)
         assert np.array_equal(a1, _solve_spd(coef.a0, coef.a1.T).T)

@@ -28,7 +28,8 @@ from kinreduce import (
 from kinreduce import ansatz
 from kinreduce.ansatz import _gauss_power_sums, hermite_polynomials
 from kinreduce.kinetic import _target_batch, collision_invariants, collision_rate, entropy_density
-from kinreduce.projection import _grams, _metric, _symmetrize, coefficients_batch
+from kinreduce.projection import (_grams, _metric, _node_coefficients, _symmetrize,
+                                  coefficients_batch)
 from kinreduce.reference_solver import KineticState, relaxation_step
 from kinreduce.reduced_solver import (
     _cm_rhs,
@@ -308,13 +309,22 @@ class TestNodePasses:
             assert_disjoint(weight, values, omegas, xi)
 
     def test_coefficients_batch(self, manifold, wide_grid):
+        """The node-pass assembly, and the assembly the solver takes
+        (from power sums for HermitePerturbation, with one node pass),
+        with and without stale work arrays."""
         for count in (7, 200):
             omegas = draw(manifold, wide_grid, count, seed=count)
             for model in MODELS:
                 want = ref_coefficients(manifold, omegas, model, wide_grid)
+                fresh = coefficients_batch(manifold, omegas, model, wide_grid)
+                fresh = (fresh.a0, fresh.a1, fresh.q)
                 for work in (None, stale_work(manifold, wide_grid)):
-                    got = coefficients_batch(manifold, omegas, model, wide_grid, work=work)
+                    got = _node_coefficients(manifold, omegas, model, wide_grid, work=work)
                     for g, w in zip((got.a0, got.a1, got.q), want):
+                        assert np.array_equal(g, w)
+                    assert_disjoint(got.a0, got.a1, got.q, omegas)
+                    got = coefficients_batch(manifold, omegas, model, wide_grid, work=work)
+                    for g, w in zip((got.a0, got.a1, got.q), fresh):
                         assert np.array_equal(g, w)
                     assert_disjoint(got.a0, got.a1, got.q, omegas)
 
