@@ -812,11 +812,14 @@ def _by_resolution(theta, grid: QuadratureRule, top: int, recurrence, node_pass)
     Where the composite Gauss-Legendre rule on [-L, L] resolves the
     Gaussian, sqrt(theta) >= 2h for cells of width h, the sums are the
     integrals over [-L, L] to round-off, and the recurrence stands in
-    for them.  Other rows, and grids that are not a composite rule on
-    [-L, L], take the node pass.  The rule and both kernels act row by
-    row, so a row rounds the same in any batch."""
+    for them up to sqrt(theta) = L/2: the upward recurrence cancels for
+    wider Gaussians (4e-11 of sum w |xi|^j G at sqrt(theta) = L, j <=
+    13).  Other rows, and grids that are not a composite rule on [-L,
+    L], take the node pass.  The rule and both kernels act row by row,
+    so a row rounds the same in any batch."""
     if grid.domain == "truncated" and grid.cells:
-        fit = theta >= (4.0 * grid.half_width / grid.cells) ** 2
+        L = grid.half_width
+        fit = (theta >= (4.0 * L / grid.cells) ** 2) & (theta <= 0.25 * L * L)
     else:
         fit = np.zeros(theta.size, dtype=bool)
     if fit.size and fit.all():

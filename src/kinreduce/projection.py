@@ -130,15 +130,17 @@ def coefficients_batch(
     work arrays of the node passes; the results are new arrays.
 
     HermitePerturbation takes them from Gaussian power sums
-    (``_hp_coefficients``), with no node pass but the sign rule's; the
-    other manifolds by a pass over the nodes (``_node_coefficients``).
+    (``_hp_coefficients``), with no node pass; the other manifolds by a
+    pass over the nodes (``_node_coefficients``).
 
     Every row obeys the rules of a single point, in its order:
-    ``check_params``, the metric-weight overflow guard, the ansatz sign
-    rule (``_sign_rule``) and positive collision moments (only Q
-    evaluates f) and, with ``check_spd``, a Cholesky test of A0.  The
-    first rule that fails raises its typed error for its lowest failing
-    row, with ``row`` set to that row."""
+    ``check_params``, the metric-weight overflow guard, positive
+    collision moments (only with a model) and, with ``check_spd``, a
+    Cholesky test of A0.  The node pass also applies the ansatz sign
+    rule (``_sign_rule``) to the f its Q is built from, before the
+    collision moments; a HermitePerturbation row with a signed ansatz
+    assembles.  The first rule that fails raises its typed error for
+    its lowest failing row, with ``row`` set to that row."""
     omegas = _stack(manifold, omegas)
     if isinstance(manifold, HermitePerturbation):
         return _hp_coefficients(manifold, omegas, model, grid, check_spd, work)
@@ -202,14 +204,11 @@ def _hp_coefficients(manifold: HermitePerturbation, omegas: np.ndarray,
     A1 = B (u H_0 + sqrt(theta) H_1) B^T.  Q = rate B (t - c), with c =
     H_0 a the frame moments of f and t those of its collision target
     (``kinetic._target_moments``, at the frame sums of the target's own
-    Gaussian).  Q is the collision term of the ansatz itself: the node
-    pass's sign rule checks f but clips nothing that reaches Q."""
+    Gaussian).  Q is the collision term of the ansatz itself, signed or
+    not: nothing here evaluates f on the nodes, and the sign rule waits
+    for the records (``reduced_solver._record``)."""
     _by_row(manifold.check_params, omegas)
     _guard_weight_at_ends(manifold, omegas, grid, work)
-    if model is not None:
-        # the one node pass, first: its work arrays' peak then stacks on
-        # no other array of the assembly
-        _by_row(lambda v: _sign_rule(v, out=v), manifold.values_batch(omegas, grid.nodes, work))
     _, u, theta, _ = manifold.split(omegas)
     rt = np.sqrt(theta)
     a, B = manifold.polynomial_jet(omegas)

@@ -21,10 +21,17 @@ omega = Q(omega): the closure ``_generic_coefficients`` assembles A0,
 A1 and Q of all cells at once, the step-start assembly also gives the
 speeds, and ``_generic_rhs`` takes central differences plus
 Rusanov-type dissipation.  For HermitePerturbation the assembly comes
-from Gaussian power sums as well (``projection._hp_coefficients``):
-its one pass over the velocity nodes is the sign rule's
-``values_batch``.  Speeds come from the symmetric-definite pencil
-A1 x = lambda A0 x and never exceed the velocity bound L.
+from Gaussian power sums as well (``projection._hp_coefficients``), so
+its step makes no pass over the velocity nodes either.  Speeds come
+from the symmetric-definite pencil A1 x = lambda A0 x and never exceed
+the velocity bound L.
+
+Both paths advance signed ansatzes between output times; the sign of
+f_hat enters only the entropy, which ``_record`` evaluates.  There a
+state that is not ConservativeMoment obeys the sign rule
+(``ansatz._sign_rule``): a cell whose ansatz dips below zero is a
+StepError naming the lowest such cell and the output time.
+ConservativeMoment records clip f at zero instead (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _gauss_power_sums, _moment_jet,
-                     recover_batch)
+                     _sign_rule, recover_batch)
 from .errors import (
     BlowUpError,
     DegenerateChartError,
@@ -53,8 +60,8 @@ from .kinetic import (
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
-from .projection import (_solve_spd, assemble_coefficients, coefficients_batch,  # noqa: F401
-                         project_initial)
+from .projection import (_by_row, _solve_spd, assemble_coefficients,  # noqa: F401
+                         coefficients_batch, project_initial)
 from .quadrature import QuadratureRule, moments
 from .workspace import WorkArrays, take
 
@@ -297,15 +304,27 @@ def step(
 
 
 def _record(state: ReducedState, work: WorkArrays):
+    """The conserved-quantity totals and the entropy of a recorded state,
+    from f_hat on the nodes: the one place a step's ansatz meets its
+    sign.  A state that is not ConservativeMoment obeys the sign rule
+    (``ansatz._sign_rule``): round-off negatives are clipped, and a cell
+    that dips below zero raises StepError naming the lowest such cell
+    and the state's time."""
     manifold, grid, mesh = state.manifold, state.grid, state.mesh
     vals = manifold.values_batch(state.omegas, grid.nodes, work)
-    # not round-off alone: the CM recovery admits signed factors, and on
-    # the demo this clip drops dips down to -8% of the cell maximum on up
-    # to 69 of 200 cells (ROADMAP item 9)
-    np.maximum(vals, 0.0, out=vals)
-    if state.moments is not None:
+    if isinstance(manifold, ConservativeMoment):
+        # not round-off alone: the CM recovery admits signed factors, and
+        # on the demo this clip drops dips down to -8% of the cell maximum
+        # on up to 69 of 200 cells (ROADMAP item 9)
+        np.maximum(vals, 0.0, out=vals)
         totals = mesh.dx * state.moments.sum(axis=0)
     else:
+        try:
+            _by_row(lambda v: _sign_rule(v, out=v), vals)
+        except RealizabilityError as exc:
+            i = exc.row
+            raise StepError(f"{exc} (parameters {state.omegas[i].tolist()})", cell=i,
+                            time=state.time) from exc
         totals = mesh.dx * moments(vals, grid, 2).sum(axis=0)
     eta = entropy_density(vals, grid, take(work, "profile", vals.shape))
     ent = mesh.dx * float(np.add.reduce(eta))

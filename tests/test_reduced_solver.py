@@ -31,6 +31,7 @@ from kinreduce.config import parse_config
 from kinreduce.kinetic import _target_batch, collision_rate
 from kinreduce.projection import coefficients_batch
 from kinreduce.reduced_solver import (
+    ReducedState,
     _cm_closure,
     _cm_recover,
     _cm_rhs,
@@ -38,10 +39,23 @@ from kinreduce.reduced_solver import (
     _generic_coefficients,
     _generic_rhs,
     _pencil_radius_batch,
+    _record,
     initial_state,
     run_reduced,
     step,
 )
+from kinreduce.workspace import WorkArrays
+
+
+def hermite4_scenario():
+    """The hermite4_generic scenario: the demo with HermitePerturbation(4)
+    on 100 cells, to t = 0.05 with an output every 0.005."""
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
+                     .read_text())
+    doc["manifold"] = {"kind": "hermite_perturbation", "size": 4}
+    doc["spatial_mesh"]["cells"] = 100
+    doc["time"].update(final=0.05, output_interval=0.005)
+    return doc
 
 
 def sine_density_field(grid, cells=60, amplitude=0.15, theta=1.0):
@@ -262,12 +276,18 @@ class TestGenericPath:
         assert "parameters [" in str(info.value)
 
     def test_negative_tail_names_the_lower_cell(self, grid, bgk):
+        """A step assembles signed tails; the record of the state applies
+        the sign rule and names the lower cell that dips, at its time."""
         hp = HermitePerturbation(4)
         omegas = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (6, 1))
         omegas[[1, 4], 4] = -0.01
+        _generic_coefficients(hp, bgk, grid, omegas)
+        state = ReducedState(hp, grid, SpatialMesh(cells=6, length=1.0), 0.25, omegas)
         with pytest.raises(StepError, match="ansatz evaluates to") as info:
-            _generic_coefficients(hp, bgk, grid, omegas)
+            _record(state, WorkArrays())
         assert info.value.cell == 1
+        assert info.value.time == 0.25
+        assert "parameters [" in str(info.value)
 
     def test_one_row_views_raise_the_plain_error(self, grid):
         cm = ConservativeMoment(2)
@@ -275,6 +295,30 @@ class TestGenericPath:
         with pytest.raises(DegenerateChartError) as info:
             spectral_radius(p, grid)
         assert not isinstance(info.value, StepError)
+
+
+class TestRecord:
+    def test_only_the_cm_record_clips_a_dip(self, grid):
+        """A ConservativeMoment record clips a dipping factor at zero: its
+        totals are its moments' and its entropy the clipped f's.  The
+        same dip in a HermitePerturbation record is a StepError."""
+        cm = ConservativeMoment(1)
+        omegas = np.tile(cm.equilibrium_params(1.0, 0.0, 1.0), (3, 1))
+        omegas[1] = [0.0, 1.0, 0.0, 1.0]  # f = xi G: negative for xi < 0
+        mesh = SpatialMesh(cells=3, length=1.0)
+        C = cm.raw_moments_batch(omegas, grid)
+        totals, ent = _record(ReducedState(cm, grid, mesh, 0.5, omegas, C), WorkArrays())
+        assert np.array_equal(totals, mesh.dx * C.sum(axis=0))
+        clipped = np.maximum(cm.values_batch(omegas, grid.nodes), 0.0)
+        assert np.isfinite(ent)
+        assert ent == mesh.dx * float(np.add.reduce(kinetic.entropy_density(clipped, grid)))
+
+        hp = HermitePerturbation(4)
+        tails = np.tile(hp.equilibrium_params(1.0, 0.0, 1.0), (3, 1))
+        tails[2, 4] = -0.01
+        with pytest.raises(StepError, match="ansatz evaluates to") as info:
+            _record(ReducedState(hp, grid, mesh, 0.5, tails), WorkArrays())
+        assert (info.value.cell, info.value.time) == (2, 0.5)
 
 
 class TestRecovery:
@@ -367,7 +411,10 @@ class TestClosedFormRhs:
         """The first three steps of the demo scenario, which cross the
         fold and make all five of its cold starts, evaluate nothing on the
         velocity nodes: each node-pass kernel raises wherever a module
-        holds it."""
+        holds it.  The one exception is the power sums of Newton trial
+        points with sqrt(theta) > L/2, past the recurrence's range, which
+        the fold crossing makes: ``ansatz._node_power_sums`` takes them
+        and no other row."""
         doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
                          .read_text())
         cfg = parse_config(doc)
@@ -379,28 +426,35 @@ class TestClosedFormRhs:
             return call
 
         monkeypatch.setattr(ConservativeMoment, "values_batch", forbidden("values_batch"))
+        moments = quadrature.moments
         kernels = {id(f): f.__name__ for f in
-                   (quadrature.integrate, quadrature.moments, kinetic._target_batch)}
+                   (quadrature.integrate, moments, kinetic._target_batch)}
         for name, module in list(sys.modules.items()):
             if name == "kinreduce" or name.startswith("kinreduce."):
                 for attr, value in list(vars(module).items()):
                     if id(value) in kernels:
                         monkeypatch.setattr(module, attr, forbidden(kernels[id(value)]))
+        node_pass, wide = ansatz._node_power_sums, []
+
+        def past_the_cut(u, theta, grid, top, work=None):
+            assert np.all(theta > 0.25 * grid.half_width**2)
+            wide.append(theta.size)
+            with monkeypatch.context() as m:
+                m.setattr(ansatz, "moments", moments)
+                return node_pass(u, theta, grid, top, work)
+
+        monkeypatch.setattr(ansatz, "_node_power_sums", past_the_cut)
         for _ in range(3):
             state = step(state, cfg.model(), cfg.cfl)
         assert state.time > 0.0
+        assert wide
 
-    def test_an_hp_step_makes_one_node_pass(self, monkeypatch):
+    def test_an_hp_step_makes_no_node_pass(self, monkeypatch):
         """Three steps of the hermite4_generic scenario (the demo with
-        HermitePerturbation(4) on 100 cells) evaluate on the velocity
-        nodes nothing but the sign rule's ``values_batch``, once per
-        closure: every other node-pass kernel raises wherever a module
+        HermitePerturbation(4) on 100 cells) evaluate nothing on the
+        velocity nodes: every node-pass kernel raises wherever a module
         holds it."""
-        doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
-                         .read_text())
-        doc["manifold"] = {"kind": "hermite_perturbation", "size": 4}
-        doc["spatial_mesh"]["cells"] = 100
-        cfg = parse_config(doc)
+        cfg = parse_config(hermite4_scenario())
         state = initial_state(cfg.manifold(), cfg.initial_field())
 
         def forbidden(name):
@@ -408,7 +462,7 @@ class TestClosedFormRhs:
                 raise AssertionError(f"{name} was called")
             return call
 
-        for name in ("jet_batch", "weight_batch"):
+        for name in ("values_batch", "jet_batch", "weight_batch"):
             monkeypatch.setattr(HermitePerturbation, name, forbidden(name))
         kernels = {id(f): f.__name__ for f in (quadrature.integrate, quadrature.moments,
                                                kinetic._target_batch, ansatz._maxwellian_weight)}
@@ -417,24 +471,27 @@ class TestClosedFormRhs:
                 for attr, value in list(vars(module).items()):
                     if id(value) in kernels:
                         monkeypatch.setattr(module, attr, forbidden(kernels[id(value)]))
-        passes = []
-        values_batch = HermitePerturbation.values_batch
-        closure = reduced_solver._generic_coefficients
-
-        def counting_values(self, *args, **kwargs):
-            passes[-1] += 1
-            return values_batch(self, *args, **kwargs)
-
-        def counting_closure(*args, **kwargs):
-            passes.append(0)
-            return closure(*args, **kwargs)
-
-        monkeypatch.setattr(HermitePerturbation, "values_batch", counting_values)
-        monkeypatch.setattr(reduced_solver, "_generic_coefficients", counting_closure)
         for _ in range(3):
             state = step(state, cfg.model(), cfg.cfl)
         assert state.time > 0.0
-        assert passes == [1] * 6
+
+    def test_an_hp_run_evaluates_f_once_per_record(self, monkeypatch):
+        """A run of the hermite4_generic scenario evaluates f on the nodes
+        once in ``initial_state`` (the projection's sign rule) and once
+        per output time (``_record``), and never in a step."""
+        cfg = parse_config(hermite4_scenario())
+        calls = []
+        values_batch = HermitePerturbation.values_batch
+
+        def counting_values(self, *args, **kwargs):
+            calls.append(1)
+            return values_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(HermitePerturbation, "values_batch", counting_values)
+        traj = run_reduced(cfg.manifold(), cfg.model(), cfg.initial_field(), cfg.final_time,
+                           cfg.cfl, cfg.output_interval)
+        assert len(traj.times) == 11
+        assert len(calls) == len(traj.times) + 1
 
 
 class TestJetHandoff:

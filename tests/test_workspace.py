@@ -310,7 +310,7 @@ class TestNodePasses:
 
     def test_coefficients_batch(self, manifold, wide_grid):
         """The node-pass assembly, and the assembly the solver takes
-        (from power sums for HermitePerturbation, with one node pass),
+        (from power sums for HermitePerturbation, with no node pass),
         with and without stale work arrays."""
         for count in (7, 200):
             omegas = draw(manifold, wide_grid, count, seed=count)
