@@ -202,10 +202,12 @@ class ConservativeMoment:
                                  work: WorkArrays | None = None):
         """Gram matrices (M, V) of the monomial frame under the manifold
         metric, one pair per row of ``omegas``: M_kl = int xi^{k+l} G dxi,
-        V_kl = int xi^{k+l+1} G dxi.  Hankel structure makes them exactly
-        symmetric; M is SPD for any (u, theta)."""
+        V_kl = int xi^{k+l+1} G dxi, the Hankel matrices of the Gaussian
+        power sums (``_frame_power_sums`` in the identity frame).  Hankel
+        structure makes them exactly symmetric; M is SPD for any (u,
+        theta)."""
         _, u, theta = self.split(np.atleast_2d(omegas))
-        powers = _gauss_power_sums(u, theta, grid, 2 * (self.n_moments - 1) + 1, work)
+        powers = _frame_power_sums(0.0, 1.0, u, theta, grid, 2 * (self.n_moments - 1) + 1, work)
         return (np.ascontiguousarray(_hankel(powers, self.n_moments)),
                 np.ascontiguousarray(_hankel(powers, self.n_moments, 1)))
 
@@ -230,7 +232,7 @@ class ConservativeMoment:
         square SPD Hankel system of Gaussian power sums; one row of
         alphas per (u, theta, C) row."""
         N = self.degree
-        pw = _gauss_power_sums(u, theta, grid, 2 * N)
+        pw = _frame_power_sums(0.0, 1.0, u, theta, grid, 2 * N)
         return _solve_rows(_hankel(pw, N + 1), C[:, : N + 1], rcond=1e-12)
 
     def initial_guess(self, C: np.ndarray, grid: QuadratureRule) -> np.ndarray:
@@ -786,51 +788,6 @@ def _maxwellian_weight(u, theta, xi, work: WorkArrays | None = None) -> np.ndarr
     return np.exp(expo, out=expo)
 
 
-def _gauss_power_sums(u, theta, grid: QuadratureRule, top: int,
-                      work: WorkArrays | None = None) -> np.ndarray:
-    """Weighted Gaussian power sums P_j = sum_n w_n xi_n^j G(xi_n; u, theta),
-    j = 0..top, one row per (u, theta), shape (rows, top + 1), stored
-    rows last (the transpose of a (top + 1, rows) array).
-
-    Rows whose Gaussian the grid resolves take the truncated-normal
-    recurrence (``_truncated_moments``), the others the node pass
-    (``_node_power_sums``), as ``_by_resolution`` splits them."""
-    def recurrence(rows):
-        Z = take(work, "power.sums", (2 * top + 1, np.count_nonzero(rows)))
-        return _truncated_moments(u[rows], theta[rows], grid.half_width, top, Z)
-
-    return _by_resolution(theta, grid, top, recurrence,
-                          lambda rows: _node_power_sums(u[rows], theta[rows], grid, top, work).T).T
-
-
-def _by_resolution(theta, grid: QuadratureRule, top: int, recurrence, node_pass) -> np.ndarray:
-    """Power sums 0..top of Gaussians of variances ``theta``, rows last,
-    shape (top + 1, rows), from ``recurrence(mask)`` for the rows the
-    grid resolves and ``node_pass(mask)`` for the others; each returns
-    the rows of its boolean mask, rows last.
-
-    Where the composite Gauss-Legendre rule on [-L, L] resolves the
-    Gaussian, sqrt(theta) >= 2h for cells of width h, the sums are the
-    integrals over [-L, L] to round-off, and the recurrence stands in
-    for them up to sqrt(theta) = L/2: the upward recurrence cancels for
-    wider Gaussians (4e-11 of sum w |xi|^j G at sqrt(theta) = L, j <=
-    13).  Other rows, and grids that are not a composite rule on [-L,
-    L], take the node pass.  The rule and both kernels act row by row,
-    so a row rounds the same in any batch."""
-    if grid.domain == "truncated" and grid.cells:
-        L = grid.half_width
-        fit = (theta >= (4.0 * L / grid.cells) ** 2) & (theta <= 0.25 * L * L)
-    else:
-        fit = np.zeros(theta.size, dtype=bool)
-    if fit.size and fit.all():
-        return recurrence(fit)
-    P = np.empty((top + 1, theta.size))
-    if fit.any():
-        P[:, fit] = recurrence(fit)
-    P[:, ~fit] = node_pass(~fit)
-    return P
-
-
 def _hankel(powers: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """The n x n Hankel matrices H_kl = powers_{k+l+shift} of stacked
     power sums, shape (rows, n, n): a read-only view of ``powers``, row
@@ -838,57 +795,109 @@ def _hankel(powers: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     return sliding_window_view(powers[:, shift:], n, axis=1)[:, :n]
 
 
-def _truncated_moments(u, theta, L: float, top: int, Z: np.ndarray) -> np.ndarray:
-    """P_j = int_{-L}^{L} xi^j G(xi; u, theta) dxi, j = 0..top, rows
-    last, shape (top + 1, rows), by the truncated-normal moment
-    recurrence (integration by parts; Johnson, Kotz & Balakrishnan 1994,
-    ch. 13), with G_+ = G(L) and G_- = G(-L):
+def _frame_power_sums(center, scale, mean, var, grid: QuadratureRule, top: int,
+                      work: WorkArrays | None = None) -> np.ndarray:
+    """Power sums R_j = sum_n w_n x_n^j g(x_n), j = 0..top, in the frame
+    x = (xi - center) / scale, of the Gaussians g(x) = exp(-(x - mean)^2
+    / (2 var)), one row per (mean, var), shape (rows, top + 1), stored
+    rows last (the transpose of a (top + 1, rows) array).  ``center``
+    and ``scale`` are arrays of the rows or scalars.
 
-        P_0 = sqrt(pi theta / 2) (erf((L - u) / sqrt(2 theta))
-                                  + erf((L + u) / sqrt(2 theta))),
-        P_m = u P_{m-1} + (m - 1) theta P_{m-2}
-              - theta (L^{m-1} G_+ - (-L)^{m-1} G_-).
+    ConservativeMoment takes its raw sums P_j(u, theta) in the identity
+    frame, (center, scale, mean, var) = (0, 1, u, theta).
+    HermitePerturbation takes them in the frame of its Gaussian's own u
+    and sqrt(theta), mean 0 and var 1, where the sums are centered and
+    scaled: they do not lose digits to cancellation at large |u| /
+    sqrt(theta), as raw sums turned central would.
 
-    ``Z`` has 2 top + 1 rows: P_j is written to Z[2j] and the boundary
-    term of P_{j+2} to Z[2j + 1], so each step reads its three terms
-    from one window; the result is the view Z[::2].  Every operation is
-    elementwise over the rows."""
-    m = u.size
-    ends = np.empty((2, m))
-    np.subtract(L, u, out=ends[0])
-    np.add(L, u, out=ends[1])
-    # G_+- = exp((L -+ u)^2 / -(2 theta))
+    Where the composite Gauss-Legendre rule on [-L, L] resolves the
+    Gaussian, sqrt(theta) >= 2h for cells of width h, with theta =
+    scale^2 var its variance in xi, the sums are the integrals over
+    [-L, L] to round-off, and the truncated-normal recurrence
+    (``_frame_recurrence``) stands in for them up to sqrt(theta) = L/2:
+    the upward recurrence cancels for wider Gaussians (4e-11 of sum w
+    |xi|^j G at sqrt(theta) = L, j <= 13).  Other rows, and grids that
+    are not a composite rule on [-L, L], take the node pass
+    (``_frame_node_sums``).  The split and both kernels act row by row,
+    so a row rounds the same in any batch."""
+    theta = scale * scale * var
+    if grid.domain == "truncated" and grid.cells:
+        L = grid.half_width
+        fit = (theta >= (4.0 * L / grid.cells) ** 2) & (theta <= 0.25 * L * L)
+    else:
+        fit = np.zeros(theta.size, dtype=bool)
+    if fit.size and fit.all():
+        Z = take(work, "power.sums", (2 * top + 1, fit.size))
+        return _frame_recurrence(center, scale, mean, var, L, top, Z, work).T
+    center, scale = np.broadcast_to(center, fit.shape), np.broadcast_to(scale, fit.shape)
+    P = take(work, "power.split", (top + 1, fit.size))
+    if fit.any():
+        Z = take(work, "power.sums", (2 * top + 1, np.count_nonzero(fit)))
+        P[:, fit] = _frame_recurrence(center[fit], scale[fit], mean[fit], var[fit], L, top, Z,
+                                      work)
+    _frame_node_sums(center, scale, mean, var, grid, np.flatnonzero(~fit), P, work)
+    return P.T
+
+
+def _frame_recurrence(center, scale, mean, var, L: float, top: int, Z: np.ndarray,
+                      work: WorkArrays | None = None) -> np.ndarray:
+    """R_j = scale I_j, j = 0..top, rows last, with I_j = int_a^b x^j g(x)
+    dx over the frame's image [a, b] of [-L, L]: the truncated-normal
+    moment recurrence (integration by parts; Johnson, Kotz &
+    Balakrishnan 1994, ch. 13), with g_a = g(a) and g_b = g(b):
+
+        I_0 = sqrt(pi var / 2) (erf((b - mean) / sqrt(2 var))
+                                + erf((mean - a) / sqrt(2 var))),
+        I_m = mean I_{m-1} + (m - 1) var I_{m-2}
+              - var (b^{m-1} g_b - a^{m-1} g_a).
+
+    ``Z`` has 2 top + 1 rows: I_j goes to Z[2j] and the boundary term of
+    I_{j+2} to Z[2j + 1] (``_recurrence_steps``); the result is the view
+    Z[::2], scaled in place.  Every operation is elementwise over the
+    rows."""
+    b = (L - center) / scale
+    a = (-L - center) / scale
+    ends = np.empty((2, var.size))
+    np.subtract(b, mean, out=ends[0])
+    np.subtract(mean, a, out=ends[1])
+    # var g_b and var g_a, exp((x - mean)^2 / -(2 var)) var at x = b, a
     g = np.multiply(ends, ends)
-    g /= theta * -2.0
+    g /= -2.0 * var
     np.exp(g, out=g)
+    g *= var
     # the erf arguments; erf is 1.0 in double beyond _ERF_ONE (NaN
     # arguments take erf too)
-    s = np.sqrt(theta * 2.0)
+    s = np.sqrt(2.0 * var)
     ends /= s
     erfs = _erf_to_one(ends)
-    np.multiply(s, _HALF_SQRT_PI, out=Z[0])
+    np.multiply(_HALF_SQRT_PI, s, out=Z[0])
     Z[0] *= np.add(erfs[0], erfs[1], out=erfs[0])
-    if top == 0:
-        return Z[::2]
-    g *= theta
-    odd = np.subtract(g[0], g[1], out=erfs[1])  # theta (G_+ - G_-)
-    even = np.add(g[0], g[1], out=g[1])  # theta (G_+ + G_-)
-    # L^1..L^(top-1) by repeated products, which round alike everywhere
-    lpow = np.multiply.accumulate(np.full(top - 1, float(L)))
-    np.multiply(lpow[0::2, None], even, out=Z[1 : 2 * top - 2 : 4])
-    np.multiply(lpow[1::2, None], odd, out=Z[3 : 2 * top - 2 : 4])
-    np.multiply(u, Z[0], out=Z[2])
-    Z[2] -= odd
-    return _recurrence_steps(Z, u, theta, top)
+    if top:
+        # var b^k g_b and var a^k g_a, k = 0..top-1, the powers by
+        # repeated products (``ends`` now holds b and a); B_{k+1} is
+        # their difference, B_1 parked in Z[1] until B_2 takes it
+        gp = take(work, "power.ends", (top, 2, var.size))
+        gp[0] = g
+        ends[0] = b
+        ends[1] = a
+        for k in range(1, top):
+            np.multiply(gp[k - 1], ends, out=gp[k])
+        np.subtract(g[0], g[1], out=Z[1])
+        np.multiply(mean, Z[0], out=Z[2])
+        Z[2] -= Z[1]
+        np.subtract(gp[1:, 0], gp[1:, 1], out=Z[1 : 2 * top - 2 : 2])
+        _recurrence_steps(Z, mean, var, top)
+    # the spent boundary terms scale too: one pass over contiguous Z
+    Z *= scale
+    return Z[::2]
 
 
-def _recurrence_steps(Z: np.ndarray, mean, var, top: int) -> np.ndarray:
+def _recurrence_steps(Z: np.ndarray, mean, var, top: int) -> None:
     """The steps m = 2..top of a truncated-normal moment recurrence,
     P_m = (m - 1) var P_{m-2} - B_m + mean P_{m-1}, rows last: ``Z``
     holds P_j at Z[2j] (P_0 and P_1 given) and the boundary term B_m at
     Z[2m - 3], so each step sums its window Z[2m - 4 : 2m - 1] in that
-    order from 0.0; returns the view Z[::2].  Every operation is
-    elementwise over the rows."""
+    order from 0.0.  Every operation is elementwise over the rows."""
     coef = np.empty((max(top - 1, 0), 3, mean.size))
     np.multiply(np.arange(1.0, top)[:, None], var, out=coef[:, 0])
     coef[:, 1] = -1.0
@@ -897,7 +906,6 @@ def _recurrence_steps(Z: np.ndarray, mean, var, top: int) -> np.ndarray:
     for k in range(2, top + 1):
         np.multiply(coef[k - 2], Z[2 * k - 4 : 2 * k - 1], out=terms)
         np.add.reduce(terms, axis=0, out=Z[2 * k], initial=0.0)
-    return Z[::2]
 
 
 def _erf_to_one(x: np.ndarray) -> np.ndarray:
@@ -910,107 +918,39 @@ def _erf_to_one(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node_power_sums(u, theta, grid: QuadratureRule, top: int,
-                     work: WorkArrays | None = None) -> np.ndarray:
-    """The power sums by one pass over the quadrature nodes, shape
-    (rows, top + 1): the raw ``moments`` of the Gaussians."""
-    out = np.empty((u.size, top + 1))
-    for lo in range(0, u.size, _NODE_PASS_ROWS):
-        rows = slice(lo, lo + _NODE_PASS_ROWS)
-        shape = (u[rows].size, grid.nodes.size)
-        acc = centered(grid.nodes, u[rows], take(work, "node.c", shape))
-        # exp(c * c / -(2 theta)), c = xi - u: the same bits as
-        # exp(-c * c / (2 theta)), since rounding is sign-symmetric
-        np.multiply(acc, acc, out=acc)
-        acc /= -2.0 * theta[rows, None]
-        np.exp(acc, out=acc)
-        out[rows] = moments(acc, grid, top)
-    return out
-
-
-def _frame_power_sums(center, scale, mean, var, grid: QuadratureRule, top: int) -> np.ndarray:
-    """Power sums R_j = sum_n w_n x_n^j g(x_n), j = 0..top, in the frame
-    x = (xi - center) / scale, of the Gaussians g(x) = exp(-(x - mean)^2
-    / (2 var)), one row per (center, scale, mean, var), shape (rows,
-    top + 1), stored rows last as ``_gauss_power_sums``' are.
-
-    In the frame of a Gaussian's own u and sqrt(theta), mean 0 and var
-    1, the sums are centered and scaled: they do not lose digits to
-    cancellation at large |u| / sqrt(theta), as raw sums turned central
-    would.  Rows split as in ``_gauss_power_sums`` (``_by_resolution``),
-    at sqrt(theta) = scale sqrt(var): the truncated-normal recurrence
-    (``_frame_recurrence``) or a node pass (``_frame_node_sums``)."""
-    def recurrence(rows):
-        return _frame_recurrence(center[rows], scale[rows], mean[rows], var[rows],
-                                 grid.half_width, top)
-
-    def node_pass(rows):
-        return _frame_node_sums(center[rows], scale[rows], mean[rows], var[rows], grid, top)
-
-    return _by_resolution(scale * scale * var, grid, top, recurrence, node_pass).T
-
-
-def _frame_recurrence(center, scale, mean, var, L: float, top: int) -> np.ndarray:
-    """R_j = scale I_j, j = 0..top, rows last, with I_j = int_a^b x^j g(x)
-    dx over the frame's image [a, b] of [-L, L]: the truncated-normal
-    recurrence of ``_truncated_moments`` on an interval of any
-    position, with g_a = g(a) and g_b = g(b):
-
-        I_0 = sqrt(pi var / 2) (erf((b - mean) / sqrt(2 var))
-                                + erf((mean - a) / sqrt(2 var))),
-        I_m = mean I_{m-1} + (m - 1) var I_{m-2}
-              - var (b^{m-1} g_b - a^{m-1} g_a).
-
-    Every operation is elementwise over the rows."""
-    b = (L - center) / scale
-    a = (-L - center) / scale
-    s = np.sqrt(2.0 * var)
-    erfs = _erf_to_one(np.stack([(b - mean) / s, (mean - a) / s]))
-    Z = np.empty((2 * top + 1, center.size))
-    np.multiply(_HALF_SQRT_PI * s, erfs[0] + erfs[1], out=Z[0])
-    if top:
-        # var b^k g_b and var a^k g_a, the powers by repeated products;
-        # B_{k+1} is their difference
-        gb = np.exp((b - mean) ** 2 / (-2.0 * var)) * var
-        ga = np.exp((a - mean) ** 2 / (-2.0 * var)) * var
-        np.multiply(mean, Z[0], out=Z[2])
-        Z[2] -= gb - ga
-        for k in range(1, top):
-            gb *= b
-            ga *= a
-            np.subtract(gb, ga, out=Z[2 * k - 1])
-        _recurrence_steps(Z, mean, var, top)
-    return Z[::2] * scale
-
-
-def _frame_node_sums(center, scale, mean, var, grid: QuadratureRule, top: int) -> np.ndarray:
-    """The frame's power sums by one pass over the quadrature nodes, rows
-    last: the ``integrate`` of x^j g(x) on the nodes."""
-    out = np.empty((top + 1, center.size))
-    for lo in range(0, center.size, _NODE_PASS_ROWS):
-        rows = slice(lo, lo + _NODE_PASS_ROWS)
-        x = centered(grid.nodes, center[rows])
-        x /= scale[rows, None]
-        dev = x - mean[rows, None]
-        terms = np.empty((top + 1,) + x.shape)
-        np.exp(dev * dev / (-2.0 * var[rows, None]), out=terms[0])
-        for j in range(top):
-            np.multiply(terms[j], x, out=terms[j + 1])
-        out[:, rows] = integrate(terms, grid)
-    return out
+def _frame_node_sums(center, scale, mean, var, grid: QuadratureRule, rows: np.ndarray,
+                     out: np.ndarray, work: WorkArrays | None = None) -> None:
+    """The power sums of the frame's ``rows`` by passes over the
+    quadrature nodes, written to out[:, rows]: the ``integrate`` of
+    x^j g(x), one power j at a time, in one (row chunk, nodes) array."""
+    for lo in range(0, rows.size, _NODE_PASS_ROWS):
+        r = rows[lo : lo + _NODE_PASS_ROWS]
+        shape = (r.size, grid.nodes.size)
+        x = centered(grid.nodes, center[r], take(work, "node.c", shape))
+        x /= scale[r, None]
+        # exp((x - mean)^2 / -(2 var))
+        g = np.subtract(x, mean[r, None], out=take(work, "node.exp", shape))
+        g *= g
+        g /= -2.0 * var[r, None]
+        np.exp(g, out=g)
+        out[0, r] = integrate(g, grid)
+        for j in range(1, out.shape[0]):
+            g *= x
+            out[j, r] = integrate(g, grid)
 
 
 def _moment_jet(manifold: ConservativeMoment, omegas: np.ndarray, grid: QuadratureRule,
                 work: WorkArrays | None = None):
     """Raw moments c_0..c_{N+2} of stacked chart points and their chart
     Jacobians, shapes (m, K) and (m, K, d), from the Gaussian power sums
-    P_j (``_gauss_power_sums``).  On the grid c_k = sum_j alpha_j P_{j+k}, and d/du
-    and d/dtheta act on the Gaussian as (xi - u)/theta and
-    (xi - u)^2/(2 theta^2).  The sums over j are elementwise, in a fixed
-    order from 0.0, so each row's bits do not depend on its batch."""
+    P_j (``_frame_power_sums`` in the identity frame).  On the grid c_k =
+    sum_j alpha_j P_{j+k}, and d/du and d/dtheta act on the Gaussian as
+    (xi - u)/theta and (xi - u)^2/(2 theta^2).  The sums over j are
+    elementwise, in a fixed order from 0.0, so each row's bits do not
+    depend on its batch."""
     N, K = manifold.degree, manifold.n_moments
     alpha, u, theta = manifold.split(omegas)
-    P = _gauss_power_sums(u, theta, grid, 2 * N + 4, work)
+    P = _frame_power_sums(0.0, 1.0, u, theta, grid, 2 * N + 4, work)
     # p_i[j, k] = P_{j+k+i}, gathered once, rows last
     idx = np.arange(N + 1)[:, None] + np.arange(K + 2)
     G = np.take(P.T, idx, axis=0, out=take(work, "jet.gather", idx.shape + u.shape))

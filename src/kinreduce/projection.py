@@ -213,21 +213,22 @@ def _hp_coefficients(manifold: HermitePerturbation, omegas: np.ndarray,
     rt = np.sqrt(theta)
     a, B = manifold.polynomial_jet(omegas)
     D = B.shape[-1]
-    S = _frame_power_sums(u, rt, np.zeros_like(u), np.ones_like(u), grid, 2 * D - 1)
+    S = _frame_power_sums(u, rt, np.zeros_like(u), np.ones_like(u), grid, 2 * D - 1, work)
     H0 = _hankel(S, D)
-    q = np.zeros(omegas.shape)
-    if model is not None:
-        q = _hp_collision(model, B, (H0 @ a[:, :, None])[:, :, 0], u, rt, grid)
     a0 = _symmetrize(_sandwich(B, H0))
     # xi = u + sqrt(theta) w: A1 takes the sums of xi w^j
     a1 = _symmetrize(_sandwich(B, _hankel(u[:, None] * S[:, :-1] + rt[:, None] * S[:, 1:], D)))
+    q = np.zeros(omegas.shape)
+    if model is not None:
+        # the target's sums reuse the work arrays of S
+        q = _hp_collision(model, B, (H0 @ a[:, :, None])[:, :, 0], u, rt, grid, work)
     if check_spd:
         _by_row(_cholesky, a0)
     return ReducedCoefficients(a0, a1, q)
 
 
 def _hp_collision(model: CollisionModel, B: np.ndarray, c: np.ndarray, u, rt,
-                  grid: QuadratureRule) -> np.ndarray:
+                  grid: QuadratureRule, work: WorkArrays | None = None) -> np.ndarray:
     """Q = rate B (t - c) from the frame moments c of f, where the frame
     is w = (xi - u) / rt: t are its target's frame moments
     (``kinetic._target_moments``), from the frame sums of the target's
@@ -235,7 +236,7 @@ def _hp_collision(model: CollisionModel, B: np.ndarray, c: np.ndarray, u, rt,
     RealizabilityError for the lowest such row."""
     try:
         t = _target_moments(model, c.T, lambda mean, var, top: _frame_power_sums(
-            u, rt, mean, var, grid, top).T, B.shape[-1] - 1)
+            u, rt, mean, var, grid, top, work).T, B.shape[-1] - 1)
     except StepError as exc:
         err = RealizabilityError(str(exc))
         err.row = exc.cell

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _gauss_power_sums, _moment_jet,
+from .ansatz import (AnsatzPoint, ConservativeMoment, Manifold, _frame_power_sums, _moment_jet,
                      _sign_rule, recover_batch)
 from .errors import (
     BlowUpError,
@@ -185,7 +185,8 @@ def _cm_closure(manifold, model, grid, omegas, work=None):
     """The closure flux int xi^(N+3) f_hat of stacked chart points and,
     given a collision model, the moments T_0..T_{N+2} of their collision
     targets (None without one), shapes (m,) and (m, N + 3), from the
-    Gaussian power sums P_j (``_gauss_power_sums``) alone.
+    Gaussian power sums P_j (``_frame_power_sums`` in the identity
+    frame) alone.
 
     The moments of f_hat are c_k = sum_j alpha_j P_{j+k}(u, theta),
     summed over j from 0.0 as in ``_moment_jet``; the target's follow
@@ -194,7 +195,7 @@ def _cm_closure(manifold, model, grid, omegas, work=None):
     elementwise over the rows."""
     N, K = manifold.degree, manifold.n_moments
     alpha, u, theta = manifold.split(omegas)
-    P = _gauss_power_sums(u, theta, grid, N + K, work)
+    P = _frame_power_sums(0.0, 1.0, u, theta, grid, N + K, work)
     # alpha_j P_{j+k}, k = 0..N+3, rows last; the sum over j is outer to
     # the contiguous rows, so sequential
     terms = np.take(P.T, np.arange(N + 1)[:, None] + np.arange(K + 1), axis=0)
@@ -202,8 +203,8 @@ def _cm_closure(manifold, model, grid, omegas, work=None):
     c = np.add.reduce(terms, axis=0, initial=0.0)
     if model is None:
         return c[K], None
-    T = _target_moments(model, c, lambda u, theta, top: _gauss_power_sums(u, theta, grid, top,
-                                                                          work).T, K - 1)
+    T = _target_moments(model, c, lambda u, theta, top: _frame_power_sums(
+        0.0, 1.0, u, theta, grid, top, work).T, K - 1)
     return c[K], T.T
 
 

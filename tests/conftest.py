@@ -29,6 +29,25 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def frames_about(sigma):
+    """Frames at a Gaussian's own u and sigma = sqrt(theta), u in [-2,
+    2], and frames shifted by up to 0.3 sigma and stretched by 0.8 to
+    1.25, as a collision target's Gaussian sees the ansatz's frame:
+    (center, scale, mean, var), the target frames the second half."""
+    u, sigma = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 9), sigma))
+    rng = np.random.default_rng(3)
+    d, e = rng.uniform(-0.3, 0.3, u.size), rng.uniform(0.8, 1.25, u.size)
+    return (np.concatenate([u, u + d * sigma]), np.concatenate([sigma, sigma * e]),
+            np.concatenate([np.zeros(u.size), -d / e]), np.concatenate([np.ones(u.size), e**-2]))
+
+
+@pytest.fixture
+def hp_frames():
+    """``hp_frames(sigma)``: HermitePerturbation's power-sum frames at
+    the standard deviations ``sigma`` (``frames_about``)."""
+    return frames_about
+
+
 def homogeneous_field(profile, grid, length=1.0):
     mesh = SpatialMesh(cells=1, length=length)
     return DistributionField(np.asarray(profile)[None, :], grid, mesh)

@@ -32,7 +32,7 @@ from kinreduce import (
 )
 import kinreduce.ansatz as ansatz
 from kinreduce.ansatz import (
-    _gauss_power_sums,
+    _frame_power_sums,
     _moment_jet,
     _newton,
     _ridge_jitters,
@@ -298,7 +298,7 @@ def per_row_alphas(cm, u, theta, c, grid):
     N = cm.degree
     # the power sums of the kernel: the ridge amplifies any other
     # rounding of them
-    pw = _gauss_power_sums(np.array([u]), np.array([theta]), grid, 2 * N)[0]
+    pw = _frame_power_sums(0.0, 1.0, np.array([u]), np.array([theta]), grid, 2 * N)[0]
     k = np.arange(N + 1)
     return np.linalg.solve(pw[k[:, None] + k[None, :]], c[: N + 1])
 
@@ -847,20 +847,29 @@ def same_bits(a, b):
 
 
 def loop_gauss_power_sums(u, theta, grid, top):
-    """Reference: ``ansatz._gauss_power_sums``'s node pass, with the
-    Gaussian factor as it was computed before, exp((-c) * c / (2 theta)),
-    and each row's sums against xi^k w in numpy's own einsum loop."""
-    X = grid.xi_powers(top) * grid.weights
+    """Reference: the node pass of ``ansatz._frame_power_sums`` in the
+    identity frame, one power at a time, each a new array: the Gaussian
+    factor exp((xi - u)^2 / -(2 theta)) times xi^j by repeated
+    products, each row summed against the weights in numpy's own einsum
+    loop."""
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, 128):
         rows = slice(lo, lo + 128)
         c = grid.nodes[None, :] - u[rows, None]
-        acc = np.negative(c)
-        acc *= c
-        acc /= 2.0 * theta[rows, None]
-        np.exp(acc, out=acc)
-        out[rows] = np.einsum("mn,kn->mk", acc, X)
+        g = np.exp(c * c / (-2.0 * theta[rows, None]))
+        for j in range(top + 1):
+            out[rows, j] = np.einsum("mn,n->m", g, grid.weights)
+            g = g * grid.nodes
     return out
+
+
+def integral_power_sums(u, theta, rule, top):
+    """Reference: sum_n w_n xi_n^j G(xi_n; u, theta), j = 0..top, each
+    row summed pairwise (``loop_frame_power_sums`` in the identity
+    frame): on a 32 times finer rule, the stand-in for the integral
+    over [-L, L], whose own rounding stays near 1e-15 of the sums'
+    scale, where a sequential sum over its nodes drifts to 1e-14."""
+    return loop_frame_power_sums(np.zeros(u.size), np.ones(u.size), u, theta, rule, top)[0]
 
 
 def loop_moment_jet(cm, omegas, P):
@@ -907,8 +916,9 @@ class TestOnePassJet:
         alphas of either sign, and two points whose Gaussian the grid
         does not resolve.  Those two take the node pass to the bit.  The
         others are the integral over [-L, L], for which a 32 times finer
-        rule stands in, to 1e-14 of sum w |xi|^j G (measured: 2.6e-15;
-        the node pass is up to 1.9e-12 off it, at the nodes near -L).
+        rule stands in, to 1e-14 of sum w |xi|^j G (measured: 9.1e-16
+        against the pairwise sums of ``integral_power_sums``; the node
+        pass is up to 1.9e-12 off it, at the nodes near -L).
         Given the same power sums, the jet is the loop's to the bit."""
         grid = wide_grid
         cm = ConservativeMoment(degree)
@@ -931,12 +941,12 @@ class TestOnePassJet:
         assert (~fine).sum() == 2
         finer = truncated_rule(grid.half_width, 32 * grid.cells)
         for top in (2 * degree + 4, 13):
-            got = _gauss_power_sums(u, theta, grid, top)
+            got = _frame_power_sums(0.0, 1.0, u, theta, grid, top)
             assert same_bits(got[~fine], loop_gauss_power_sums(u[~fine], theta[~fine], grid, top))
-            integral = loop_gauss_power_sums(u[fine], theta[fine], finer, top)
+            integral = integral_power_sums(u[fine], theta[fine], finer, top)
             scale = power_sum_scale(u[fine], theta[fine], grid, top)
             assert np.all(np.abs(got[fine] - integral) <= 1e-14 * scale)
-        P = _gauss_power_sums(u, theta, grid, 2 * degree + 4)
+        P = _frame_power_sums(0.0, 1.0, u, theta, grid, 2 * degree + 4)
         got, want = _moment_jet(cm, omegas, grid), loop_moment_jet(cm, omegas, P)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert not np.signbit(got[0][-4:-2]).any()
@@ -954,19 +964,19 @@ class TestOnePassJet:
         u in [-3, 3], so that tails reach +-L, and j <= 13.  The
         recurrence is the integral over [-L, L] to 2.5e-14 of
         sum w |xi|^j G, with a 32 times finer rule standing in for the
-        integral (measured: 1.3e-14, 4.1e-15 and 2.0e-14 on the three
-        grids, all at j = 13; 1.5e-15 for j <= 8).  The recurrence and
+        integral (measured: 1.0e-14, 4.1e-15 and 2.3e-14 on the three
+        grids, all at j = 13; 2.1e-15 for j <= 8).  The recurrence and
         the node pass differ by up to ``departure`` (measured: 3.5e-14,
-        3.3e-15 and 4.1e-13), the node pass's quadrature error: it is
-        3.6e-14, 2.4e-15 and 4.1e-13 off the integral.  On L = 8.5 with
+        4.1e-15 and 4.1e-13), the node pass's quadrature error: it is
+        3.5e-14, 1.8e-15 and 4.1e-13 off the integral.  On L = 8.5 with
         48 cells, at sigma = 3h and u = +-2, the node pass is 5.8e-14 off
-        and the recurrence 9e-16.
+        and the recurrence 4.5e-16.
 
         Rows wider than L/2, up to sqrt(theta) = 3.5 L, take the node pass
         to the bit, where the upward recurrence would cancel (it was 1e-3
         off at sqrt(theta) = sqrt(1000) on L = 9).  They are the integral
         to 5e-14, or to ``departure`` where the node pass's own error is
-        larger (measured: 2.4e-14, 6.7e-15 and 2.3e-13)."""
+        larger (measured: 2.3e-14, 1.6e-15 and 2.3e-13)."""
         grid = truncated_rule(half_width, cells)
         h = 2.0 * half_width / cells
         sigma = np.geomspace(2.0 * h, np.sqrt(11.0), 30)
@@ -980,9 +990,9 @@ class TestOnePassJet:
         u, theta = np.append(u, wide_u), np.append(sigma, wide_sigma) ** 2
         wide = np.arange(u.size) >= sigma.size
         assert np.array_equal(resolved(theta, grid), ~wide)
-        got = _gauss_power_sums(u, theta, grid, 13)
+        got = _frame_power_sums(0.0, 1.0, u, theta, grid, 13)
         scale = power_sum_scale(u, theta, grid, 13)
-        integral = loop_gauss_power_sums(u, theta, truncated_rule(half_width, 32 * cells), 13)
+        integral = integral_power_sums(u, theta, truncated_rule(half_width, 32 * cells), 13)
         node = loop_gauss_power_sums(u, theta, grid, 13)
         assert np.all(np.abs(got - integral)[~wide] <= 2.5e-14 * scale[~wide])
         assert np.all(np.abs(got - node)[~wide] <= departure * scale[~wide])
@@ -996,7 +1006,7 @@ class TestOnePassJet:
         args = []
         monkeypatch.setattr(ansatz, "erf", lambda x: args.append(x) or 1.0)
         u, theta = np.array([0.0, 3.0, 0.0]), np.array([1.0, 1.0, 2.5])
-        _gauss_power_sums(u, theta, grid, 4)
+        _frame_power_sums(0.0, 1.0, u, theta, grid, 4)
         # (L - u) of the second and third rows, then (L + u) of the third
         assert np.allclose(args, [6.0 / np.sqrt(2.0), 9.0 / np.sqrt(5.0), 9.0 / np.sqrt(5.0)])
 
@@ -1045,22 +1055,10 @@ def loop_frame_power_sums(center, scale, mean, var, grid, top):
     return sums, sizes
 
 
-def hp_frames(grid, sigma):
-    """Frames at a Gaussian's own u and sigma = sqrt(theta), u in [-2,
-    2], and frames shifted by up to 0.3 sigma and stretched by 0.8 to
-    1.25, as a collision target's Gaussian sees the ansatz's frame:
-    (center, scale, mean, var)."""
-    u, sigma = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 9), sigma))
-    rng = np.random.default_rng(3)
-    d, e = rng.uniform(-0.3, 0.3, u.size), rng.uniform(0.8, 1.25, u.size)
-    return (np.concatenate([u, u + d * sigma]), np.concatenate([sigma, sigma * e]),
-            np.concatenate([np.zeros(u.size), -d / e]), np.concatenate([np.ones(u.size), e**-2]))
-
-
 class TestFramePowerSums:
     @pytest.mark.parametrize("half_width, cells, departure",
                              [(9.0, 64, 2e-13), (10.0, 128, 1e-14), (8.5, 48, 3e-12)])
-    def test_recurrence_is_the_integral(self, half_width, cells, departure):
+    def test_recurrence_is_the_integral(self, half_width, cells, departure, hp_frames):
         """Resolved rows, sqrt(theta) from just above 2h to 1.5, and
         j <= 17.  The recurrence is the integral over [-L, L] to 1e-14
         of sum w |x|^j g, a 32 times finer rule standing in for it
@@ -1072,25 +1070,25 @@ class TestFramePowerSums:
         h = 2.0 * half_width / cells
         sigma = np.geomspace(2.0 * h, 1.5, 8)
         sigma[0] = 2.0 * h * (1.0 + 1e-12)
-        center, scale, mean, var = hp_frames(grid, sigma)
+        center, scale, mean, var = hp_frames(sigma)
         assert resolved(scale**2 * var, grid).all()
-        got = ansatz._frame_power_sums(center, scale, mean, var, grid, 17)
+        got = _frame_power_sums(center, scale, mean, var, grid, 17)
         node, size = loop_frame_power_sums(center, scale, mean, var, grid, 17)
         integral, _ = loop_frame_power_sums(center, scale, mean, var,
                                             truncated_rule(half_width, 32 * cells), 17)
         assert np.all(np.abs(got - integral) <= 1e-14 * size)
         assert np.all(np.abs(got - node) <= departure * size)
 
-    def test_unresolved_rows_take_the_node_pass(self, grid):
+    def test_unresolved_rows_take_the_node_pass(self, grid, hp_frames):
         """Rows with sqrt(theta) < 2h, alone and mixed with resolved
         ones, on the composite rule and on a Gauss-Hermite rule, where
         every row takes the node pass."""
         from kinreduce import gauss_hermite_rule
 
         h = 2.0 * grid.half_width / grid.cells
-        center, scale, mean, var = hp_frames(grid, np.array([0.9 * h, 1.9 * h, 3.0 * h]))
+        center, scale, mean, var = hp_frames(np.array([0.9 * h, 1.9 * h, 3.0 * h]))
         for rule in (grid, gauss_hermite_rule(40)):
-            got = ansatz._frame_power_sums(center, scale, mean, var, rule, 9)
+            got = _frame_power_sums(center, scale, mean, var, rule, 9)
             want, size = loop_frame_power_sums(center, scale, mean, var, rule, 9)
             fine = resolved(scale**2 * var, rule) if rule.cells else np.zeros(len(var), bool)
             assert np.all(np.abs(got - want)[~fine] <= 1e-14 * size[~fine])
@@ -1104,8 +1102,8 @@ class TestFramePowerSums:
         none = np.empty(0)
         for rule in (gauss_hermite_rule(40), grid):
             assert recover_batch(ConservativeMoment(2), np.empty((0, 5)), rule).shape == (0, 5)
-            assert _gauss_power_sums(none, none, rule, 6).shape == (0, 7)
-            assert ansatz._frame_power_sums(none, none, none, none, rule, 6).shape == (0, 7)
+            assert _frame_power_sums(0.0, 1.0, none, none, rule, 6).shape == (0, 7)
+            assert _frame_power_sums(none, none, none, none, rule, 6).shape == (0, 7)
 
 
 class TestBatchInvariance:
@@ -1161,7 +1159,7 @@ class TestBatchInvariance:
                 return exc.omega, failed
 
         kernels = [
-            lambda rows: (_gauss_power_sums(warm[rows, 3], warm[rows, 4], grid, 8),),
+            lambda rows: (_frame_power_sums(0.0, 1.0, warm[rows, 3], warm[rows, 4], grid, 8),),
             lambda rows: _moment_jet(cm, warm[rows], grid),
             solve,
             lambda rows: (integrate(profiles[rows], grid), moments(profiles[rows], grid, 4),

@@ -413,7 +413,7 @@ class TestClosedFormRhs:
         velocity nodes: each node-pass kernel raises wherever a module
         holds it.  The one exception is the power sums of Newton trial
         points with sqrt(theta) > L/2, past the recurrence's range, which
-        the fold crossing makes: ``ansatz._node_power_sums`` takes them
+        the fold crossing makes: ``ansatz._frame_node_sums`` takes them
         and no other row."""
         doc = json.loads((Path(__file__).parents[1] / "configs" / "demo_smooth_bgk.json")
                          .read_text())
@@ -426,28 +426,28 @@ class TestClosedFormRhs:
             return call
 
         monkeypatch.setattr(ConservativeMoment, "values_batch", forbidden("values_batch"))
-        moments = quadrature.moments
+        integrate = quadrature.integrate
         kernels = {id(f): f.__name__ for f in
-                   (quadrature.integrate, moments, kinetic._target_batch)}
+                   (integrate, quadrature.moments, kinetic._target_batch)}
         for name, module in list(sys.modules.items()):
             if name == "kinreduce" or name.startswith("kinreduce."):
                 for attr, value in list(vars(module).items()):
                     if id(value) in kernels:
                         monkeypatch.setattr(module, attr, forbidden(kernels[id(value)]))
-        node_pass, wide = ansatz._node_power_sums, []
+        node_pass, wide = ansatz._frame_node_sums, []
 
-        def past_the_cut(u, theta, grid, top, work=None):
-            assert np.all(theta > 0.25 * grid.half_width**2)
-            wide.append(theta.size)
+        def past_the_cut(center, scale, mean, var, grid, rows, out, work=None):
+            assert np.all(scale[rows] ** 2 * var[rows] > 0.25 * grid.half_width**2)
+            wide.append(rows.size)
             with monkeypatch.context() as m:
-                m.setattr(ansatz, "moments", moments)
-                return node_pass(u, theta, grid, top, work)
+                m.setattr(ansatz, "integrate", integrate)
+                return node_pass(center, scale, mean, var, grid, rows, out, work)
 
-        monkeypatch.setattr(ansatz, "_node_power_sums", past_the_cut)
+        monkeypatch.setattr(ansatz, "_frame_node_sums", past_the_cut)
         for _ in range(3):
             state = step(state, cfg.model(), cfg.cfl)
         assert state.time > 0.0
-        assert wide
+        assert sum(wide)
 
     def test_an_hp_step_makes_no_node_pass(self, monkeypatch):
         """Three steps of the hermite4_generic scenario (the demo with

@@ -26,7 +26,7 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce import ansatz
-from kinreduce.ansatz import _gauss_power_sums, hermite_polynomials
+from kinreduce.ansatz import _frame_power_sums, hermite_polynomials
 from kinreduce.kinetic import _target_batch, collision_invariants, collision_rate, entropy_density
 from kinreduce.projection import (_grams, _metric, _node_coefficients, _symmetrize,
                                   coefficients_batch)
@@ -191,35 +191,41 @@ def ref_xi_powers(grid, upto):
 
 
 def ref_node_power_sums(u, theta, grid, top):
-    X = ref_xi_powers(grid, top) * grid.weights
+    """The node pass of the power sums in the identity frame, one power
+    at a time, each a new array: exp((xi - u)^2 / -(2 theta)) xi^j by
+    repeated products, each row summed against the weights."""
     out = np.empty((u.size, top + 1))
     for lo in range(0, u.size, 128):
         rows = slice(lo, lo + 128)
         c = grid.nodes[None, :] - u[rows, None]
-        out[rows] = np.einsum("mn,kn->mk", np.exp(-c * c / (2.0 * theta[rows, None])), X)
+        g = np.exp(c * c / (-2.0 * theta[rows, None]))
+        for j in range(top + 1):
+            out[rows, j] = np.einsum("mn,n->m", g, grid.weights)
+            g = g * grid.nodes
     return out
 
 
 def ref_truncated_moments(u, theta, L, top):
     """The truncated-normal recurrence one power at a time, each term a
-    new array, in the kernel's order of operations."""
-    s = np.sqrt(theta * 2.0)
-    erfs = [np.array([math.erf(z) for z in e / s]) for e in (L - u, L + u)]
-    P = [s * (0.5 * math.sqrt(math.pi)) * (erfs[0] + erfs[1])]
-    g_plus, g_minus = (np.exp(e * e / (theta * -2.0)) * theta for e in (L - u, L + u))
-    odd, even = g_plus - g_minus, g_plus + g_minus
-    P.append(u * P[0] - odd)
-    lpow = 1.0
+    new array, in the kernel's order of operations in the identity
+    frame, whose ends are b = L and a = -L: the boundary terms are
+    theta g_b b^k - theta g_a a^k, the powers by repeated products."""
+    s = np.sqrt(2.0 * theta)
+    erfs = [np.array([math.erf(z) for z in e / s]) for e in (L - u, u + L)]
+    P = [0.5 * math.sqrt(math.pi) * s * (erfs[0] + erfs[1])]
+    g_b, g_a = (np.exp(e * e / (-2.0 * theta)) * theta for e in (L - u, u + L))
+    P.append(u * P[0] - (g_b - g_a))
     for m in range(2, top + 1):
-        lpow *= L
-        B = lpow * (even if m % 2 == 0 else odd)
-        P.append(((0.0 + (m - 1.0) * theta * P[m - 2]) + -1.0 * B) + u * P[m - 1])
+        g_b, g_a = g_b * L, g_a * -L
+        P.append(((0.0 + (m - 1.0) * theta * P[m - 2]) + -1.0 * (g_b - g_a)) + u * P[m - 1])
     return np.stack(P[: top + 1], axis=1)
 
 
 def ref_gauss_power_sums(u, theta, grid, top):
-    """The recurrence where sqrt(theta) >= 2h, the node pass elsewhere."""
-    fine = theta >= (2.0 * (2.0 * grid.half_width / grid.cells)) ** 2
+    """The recurrence where 2h <= sqrt(theta) <= L/2, the node pass
+    elsewhere."""
+    L = grid.half_width
+    fine = (theta >= (2.0 * (2.0 * L / grid.cells)) ** 2) & (theta <= 0.25 * L * L)
     return np.where(fine[:, None], ref_truncated_moments(u, theta, grid.half_width, top),
                     ref_node_power_sums(u, theta, grid, top))
 
@@ -343,20 +349,56 @@ class TestNodePasses:
 
 
 @pytest.mark.parametrize("count", BATCHES)
-def test_gauss_power_sums(count, wide_grid):
+def test_gauss_power_sums(count, wide_grid, hp_frames):
     """Temperatures on both sides of sqrt(theta) = 2h, where the kernel
-    changes from the node pass to the recurrence."""
+    changes from the node pass to the recurrence, in ConservativeMoment's
+    identity frame.  And the frames of HermitePerturbation's collision
+    targets, on both sides of sqrt(theta) = 2h and L/2, drawn into the
+    batch: each row has the bits of its own call without work arrays."""
     rng = np.random.default_rng(count)
     u, theta = rng.uniform(-1.0, 1.0, count), rng.uniform(0.1, 1.5, count)
     theta[0] = 0.2  # a node-pass row in every batch
     want = ref_gauss_power_sums(u, theta, wide_grid, 13)
+    # work arrays stale from larger calls, with node-pass rows and without
     work = WorkArrays()
-    _gauss_power_sums(rng.uniform(-1, 1, 300), rng.uniform(0.1, 1.5, 300), wide_grid, 13, work)
-    _gauss_power_sums(rng.uniform(-1, 1, 300), np.ones(300), wide_grid, 13, work)
+    _frame_power_sums(0.0, 1.0, rng.uniform(-1, 1, 300), rng.uniform(0.1, 1.5, 300), wide_grid,
+                      13, work)
+    _frame_power_sums(0.0, 1.0, rng.uniform(-1, 1, 300), np.ones(300), wide_grid, 13, work)
+    for arr in work._arrays.values():
+        arr.fill(np.nan)
     for w in (None, work):
-        got = _gauss_power_sums(u, theta, wide_grid, 13, w)
+        got = _frame_power_sums(0.0, 1.0, u, theta, wide_grid, 13, w)
         assert np.array_equal(got, want)
         assert_disjoint(got, u, theta)
+
+    h, L = 2.0 * wide_grid.half_width / wide_grid.cells, wide_grid.half_width
+    sigma = np.array([1.9 * h, 2.1 * h, 0.45 * L, 0.55 * L])
+    frames = [a[a.size // 2 :] for a in hp_frames(sigma)]
+    alone = np.concatenate([_frame_power_sums(*(a[i : i + 1] for a in frames), wide_grid, 13)
+                            for i in range(frames[0].size)])
+    # a frame of each sigma, as far as the batch holds them, then any
+    rows = np.concatenate([np.arange(4) * 9, rng.integers(0, frames[0].size, count)])[:count]
+    batch = [np.ascontiguousarray(a[rows]) for a in frames]
+    for w in (None, work):
+        got = _frame_power_sums(*batch, wide_grid, 13, w)
+        assert np.array_equal(got, alone[rows])
+        assert_disjoint(got, *batch)
+
+
+def test_a_warm_node_pass_allocates_less_than_one_field(wide_grid):
+    """64 rows whose Gaussian the grid does not resolve, sqrt(theta) <
+    2h, in the identity frame and in their own frames, to j = 12: the
+    node pass sums one power at a time in work arrays, so a warm call
+    allocates less than one (rows x nodes) field."""
+    rng = np.random.default_rng(5)
+    u, theta = rng.uniform(-1.0, 1.0, 64), rng.uniform(0.05, 0.25, 64)
+    assert np.all(np.sqrt(theta) < 4.0 * wide_grid.half_width / wide_grid.cells)
+    field = u.size * len(wide_grid) * 8
+    for frame in ((0.0, 1.0, u, theta), (u, np.sqrt(theta), np.zeros(64), np.ones(64))):
+        work = WorkArrays()
+        want = _frame_power_sums(*frame, wide_grid, 12, work).copy()
+        assert peak_bytes(lambda: _frame_power_sums(*frame, wide_grid, 12, work)) < field
+        assert np.array_equal(_frame_power_sums(*frame, wide_grid, 12, work), want)
 
 
 def test_entropy_density_into_a_work_array(grid):
