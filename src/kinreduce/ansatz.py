@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb, erf, factorial, pi, sqrt
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigurationError,
@@ -792,7 +792,11 @@ def _hankel(powers: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """The n x n Hankel matrices H_kl = powers_{k+l+shift} of stacked
     power sums, shape (rows, n, n): a read-only view of ``powers``, row
     k of H the window of n sums from k + shift."""
-    return sliding_window_view(powers[:, shift:], n, axis=1)[:, :n]
+    p = powers[:, shift:]
+    if p.shape[1] < 2 * n - 1:
+        raise ParameterError(f"{n} x {n} Hankel matrices need {2 * n - 1} sums, got {p.shape[1]}")
+    s0, s1 = p.strides
+    return as_strided(p, (p.shape[0], n, n), (s0, s1, s1), writeable=False)
 
 
 def _frame_power_sums(center, scale, mean, var, grid: QuadratureRule, top: int,
@@ -874,21 +878,22 @@ def _frame_recurrence(center, scale, mean, var, L: float, top: int, Z: np.ndarra
     Z[0] *= np.add(erfs[0], erfs[1], out=erfs[0])
     if top:
         # var b^k g_b and var a^k g_a, k = 0..top-1, the powers by
-        # repeated products (``ends`` now holds b and a); B_{k+1} is
+        # repeated products, one running product over k; B_{k+1} is
         # their difference, B_1 parked in Z[1] until B_2 takes it
         gp = take(work, "power.ends", (top, 2, var.size))
         gp[0] = g
-        ends[0] = b
-        ends[1] = a
-        for k in range(1, top):
-            np.multiply(gp[k - 1], ends, out=gp[k])
+        gp[1:, 0] = b
+        gp[1:, 1] = a
+        np.multiply.accumulate(gp, axis=0, out=gp)
         np.subtract(g[0], g[1], out=Z[1])
         np.multiply(mean, Z[0], out=Z[2])
         Z[2] -= Z[1]
         np.subtract(gp[1:, 0], gp[1:, 1], out=Z[1 : 2 * top - 2 : 2])
         _recurrence_steps(Z, mean, var, top)
-    # the spent boundary terms scale too: one pass over contiguous Z
-    Z *= scale
+    # the spent boundary terms scale too: one pass over contiguous Z,
+    # none in the identity frame
+    if np.ndim(scale) or scale != 1.0:
+        Z *= scale
     return Z[::2]
 
 

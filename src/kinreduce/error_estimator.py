@@ -21,6 +21,7 @@ from .kinetic import (
     MomentState,
     _collision_rows,
     _moments_of_values,
+    _shift,
     maxwellian,
 )
 # collision_profile is not called here; it stays a module attribute
@@ -75,7 +76,7 @@ def field_norm(values: np.ndarray, grid: QuadratureRule, dx: float, p: float) ->
 
 
 def _central_gradient(omegas: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(omegas, -1, axis=0) - np.roll(omegas, 1, axis=0)) / (2.0 * dx)
+    return (_shift(omegas, 1) - _shift(omegas, -1)) / (2.0 * dx)
 
 
 def residual_norm_series(traj: ReducedTrajectory, model, p: float = 2.0) -> np.ndarray:

@@ -62,6 +62,18 @@ class SpatialMesh:
         return (np.arange(self.cells) + 0.5) * self.dx
 
 
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """The periodic neighbours k cells on of stacked cell rows: row i is
+    row (i + k) mod cells of ``a``, as ``np.roll(a, -k, axis=0)``, by
+    two slice copies."""
+    n = a.shape[0]
+    k %= n
+    out = np.empty_like(a)
+    out[: n - k] = a[k:]
+    out[n - k :] = a[:k]
+    return out
+
+
 @dataclass
 class DistributionField:
     """f(xi; x) sampled on (space cell, velocity node)."""

@@ -35,19 +35,29 @@ __all__ = [
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    # quadrature is symmetric analytically, round-off is not
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    """0.5 (m + m^T) of each matrix of a stack: quadrature is symmetric
+    analytically, round-off is not.  The transpose is copied first, as a
+    sum with a transposed operand takes a buffer of the stack's size."""
+    out = np.swapaxes(m, -1, -2).copy()
+    out += m
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
 class ReducedCoefficients:
     """Dense coefficients (A0, A1, Q) of the reduced system at one point,
     shapes (d, d), (d, d), (d,), or stacked over m points, shapes
-    (m, d, d), (m, d, d), (m, d)."""
+    (m, d, d), (m, d, d), (m, d).  ``chol`` is the lower Cholesky factor
+    of A0, of A0's shape, kept from the assembly's SPD test for the
+    solves and the pencil speeds against A0 (``_solve_spd``,
+    ``reduced_solver._pencil_radius_batch``); None when A0 was not
+    tested."""
 
     a0: np.ndarray
     a1: np.ndarray
     q: np.ndarray
+    chol: np.ndarray | None = None
 
 
 def _metric(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule,
@@ -91,13 +101,58 @@ def _by_row(rule, stack: np.ndarray):
         raise
 
 
-def _solve_spd(a0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """a0 x = rhs by a Cholesky factorization, for one matrix or a stack
-    of them; a matrix that is not SPD raises DegenerateChartError, for a
-    stack the lowest such row's."""
-    chol = _by_row(_cholesky, a0) if a0.ndim > 2 else _cholesky(a0)
-    y = np.linalg.solve(chol, rhs[..., None])
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
+def _rows_last(a: np.ndarray, work: WorkArrays | None, name: str) -> np.ndarray:
+    """A stack (m, d, k) copied to the layout (d, k, m), rows last."""
+    out = take(work, name, a.shape[1:] + a.shape[:1])
+    np.copyto(out, np.moveaxis(a, 0, -1))
+    return out
+
+
+def _substitute(chol: np.ndarray, b: np.ndarray, upper: bool = False,
+                work: WorkArrays | None = None) -> np.ndarray:
+    """Y with L Y = b, or L^T Y = b when ``upper``, in place in ``b``,
+    for lower-triangular factors L, rows last: ``chol`` has shape (d, d,
+    m) or (d, d, 1), one L for every row, and ``b`` shape (d, k, m), k
+    right-hand sides per row.  Forward or back substitution: Y_i = (b_i
+    - sum_j L_ij Y_j) / L_ii, the sum over the solved j in ascending
+    order, outer to the contiguous rows, so sequential.  No pivoting, as
+    a triangular system needs none, and no BLAS or LAPACK call: every
+    operation is elementwise over the rows, so a row's bits do not
+    depend on its batch."""
+    d = chol.shape[0]
+    terms = take(work, "substitute.terms", (d - 1,) + b.shape[1:])
+    total = take(work, "substitute.sum", b.shape[1:])
+    for s in range(d):
+        i = d - 1 - s if upper else s
+        if s:
+            # L_ij Y_j over the solved j: the column below L_ii of L, or
+            # the row left of it
+            coef, solved = (chol[i + 1 :, i], b[i + 1 :]) if upper else (chol[i, :i], b[:i])
+            np.multiply(coef[:, None, :], solved, out=terms[:s])
+            np.add.reduce(terms[:s], axis=0, out=total)
+            np.subtract(b[i], total, out=b[i])
+        b[i] /= chol[i, i]
+    return b
+
+
+def _solve_spd(a0: np.ndarray, rhs: np.ndarray, chol: np.ndarray | None = None,
+               work: WorkArrays | None = None) -> np.ndarray:
+    """a0 x = rhs by a Cholesky factorization, L y = rhs and L^T x = y
+    (``_substitute``), for one matrix or a stack of them.  ``rhs`` has
+    a0's shape less one axis; one matrix also takes a stack of
+    right-hand sides, shape (k, d).  ``chol`` is a0's lower Cholesky
+    factor when the caller has it; without it a matrix that is not SPD
+    raises DegenerateChartError, for a stack the lowest such row's."""
+    if chol is None:
+        chol = _by_row(_cholesky, a0) if a0.ndim > 2 else _cholesky(a0)
+    d = chol.shape[-1]
+    # rows last: a stack's rows, or the right-hand sides of one matrix,
+    # which is then a stack of one
+    L = _rows_last(chol if chol.ndim > 2 else chol[None], work, "substitute.chol")
+    x = rhs.reshape(-1, d).T[:, None, :].copy()
+    _substitute(L, x, work=work)
+    _substitute(L, x, upper=True, work=work)
+    return x[:, 0].T.reshape(rhs.shape)
 
 
 def _stack(manifold: Manifold, omegas) -> np.ndarray:
@@ -136,11 +191,12 @@ def coefficients_batch(
     Every row obeys the rules of a single point, in its order:
     ``check_params``, the metric-weight overflow guard, positive
     collision moments (only with a model) and, with ``check_spd``, a
-    Cholesky test of A0.  The node pass also applies the ansatz sign
-    rule (``_sign_rule``) to the f its Q is built from, before the
-    collision moments; a HermitePerturbation row with a signed ansatz
-    assembles.  The first rule that fails raises its typed error for
-    its lowest failing row, with ``row`` set to that row."""
+    Cholesky test of A0, whose factor the result keeps as ``chol``.
+    The node pass also applies the ansatz sign rule (``_sign_rule``) to
+    the f its Q is built from, before the collision moments; a
+    HermitePerturbation row with a signed ansatz assembles.  The first
+    rule that fails raises its typed error for its lowest failing row,
+    with ``row`` set to that row."""
     omegas = _stack(manifold, omegas)
     if isinstance(manifold, HermitePerturbation):
         return _hp_coefficients(manifold, omegas, model, grid, check_spd, work)
@@ -166,9 +222,7 @@ def _node_coefficients(manifold: Manifold, omegas: np.ndarray, model: CollisionM
         rows = _collision_rows(model, vals, grid, take(work, "profile", vals.shape), work)
         rows *= mu
         q = np.einsum("mkn,mn->mk", basis, rows)
-    if check_spd:
-        _by_row(_cholesky, a0)
-    return ReducedCoefficients(a0, a1, q)
+    return ReducedCoefficients(a0, a1, q, _by_row(_cholesky, a0) if check_spd else None)
 
 
 def _sandwich(B: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -217,14 +271,15 @@ def _hp_coefficients(manifold: HermitePerturbation, omegas: np.ndarray,
     H0 = _hankel(S, D)
     a0 = _symmetrize(_sandwich(B, H0))
     # xi = u + sqrt(theta) w: A1 takes the sums of xi w^j
-    a1 = _symmetrize(_sandwich(B, _hankel(u[:, None] * S[:, :-1] + rt[:, None] * S[:, 1:], D)))
-    q = np.zeros(omegas.shape)
-    if model is not None:
-        # the target's sums reuse the work arrays of S
+    xi_sums = u[:, None] * S[:, :-1] + rt[:, None] * S[:, 1:]
+    if model is None:
+        q = np.zeros(omegas.shape)
+    else:
+        # the target's sums reuse the work arrays of S; A1 waits, so that
+        # they are not taken while A1 is held as well
         q = _hp_collision(model, B, (H0 @ a[:, :, None])[:, :, 0], u, rt, grid, work)
-    if check_spd:
-        _by_row(_cholesky, a0)
-    return ReducedCoefficients(a0, a1, q)
+    a1 = _symmetrize(_sandwich(B, _hankel(xi_sums, D)))
+    return ReducedCoefficients(a0, a1, q, _by_row(_cholesky, a0) if check_spd else None)
 
 
 def _hp_collision(model: CollisionModel, B: np.ndarray, c: np.ndarray, u, rt,
@@ -259,7 +314,8 @@ def assemble_coefficients(
     A0 is tested only with ``check_spd``: at chart-degenerate points A0
     is singular while A1 and Q still exist."""
     c = coefficients_batch(p.manifold, p.omega, model, grid, check_spd)
-    return ReducedCoefficients(a0=c.a0[0], a1=c.a1[0], q=c.q[0])
+    return ReducedCoefficients(a0=c.a0[0], a1=c.a1[0], q=c.q[0],
+                               chol=None if c.chol is None else c.chol[0])
 
 
 def _raw_grams(manifold: Manifold, omegas: np.ndarray, grid: QuadratureRule):

@@ -53,6 +53,7 @@ from .kinetic import (
     CollisionModel,
     DistributionField,
     SpatialMesh,
+    _shift,
     collision_rate,
     entropy_density,
     march,
@@ -60,8 +61,9 @@ from .kinetic import (
 )
 # assemble_coefficients is not called here; it stays a module attribute
 # because perfbench/tracing.py wraps it by name
-from .projection import (_by_row, _solve_spd, assemble_coefficients,  # noqa: F401
-                         coefficients_batch, project_initial)
+from .projection import (_by_row, _rows_last, _solve_spd, _substitute,  # noqa: F401
+                         _symmetrize, assemble_coefficients, coefficients_batch,
+                         project_initial)
 from .quadrature import QuadratureRule, moments
 from .workspace import WorkArrays, take
 
@@ -82,17 +84,25 @@ def spectral_radius(p: AnsatzPoint, grid: QuadratureRule) -> float:
     the one-row view of ``_pencil_radius_batch``."""
     coef = coefficients_batch(p.manifold, p.omega, None, grid)
     try:
-        return float(_pencil_radius_batch(coef.a0, coef.a1)[0])
+        return float(_pencil_radius_batch(coef.a0, coef.a1, coef.chol)[0])
     except np.linalg.LinAlgError as exc:
         raise DegenerateChartError(f"pencil solve failed: {exc}") from exc
 
 
-def _pencil_radius_batch(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Speeds of the pencil V x = lambda M x for stacked SPD M."""
-    L = np.linalg.cholesky(M)
-    Y = np.linalg.solve(L, V)
-    Z = np.linalg.solve(L, np.swapaxes(Y, -1, -2))
-    lam = np.linalg.eigvalsh(0.5 * (Z + np.swapaxes(Z, -1, -2)))
+def _pencil_radius_batch(M: np.ndarray, V: np.ndarray, chol: np.ndarray | None = None,
+                         work: WorkArrays | None = None) -> np.ndarray:
+    """Speeds of the pencil V x = lambda M x for stacked SPD M, shapes (m,
+    d, d): the largest |lambda| of Z = L^-1 (L^-1 V)^T, the eigenvalues
+    of its symmetric part, with M = L L^T.  ``chol`` is the stack of
+    factors L when the caller has it; both triangular solves are
+    ``projection._substitute``, rows last."""
+    if chol is None:
+        chol = np.linalg.cholesky(M)
+    L = _rows_last(chol, work, "substitute.chol")
+    Y = _substitute(L, _rows_last(V, work, "pencil.y"), work=work)
+    # solved in place on the transposed view, Y holds Z^T
+    _substitute(L, Y.swapaxes(0, 1), work=work)
+    lam = np.linalg.eigvalsh(_symmetrize(np.moveaxis(Y, -1, 0)))
     return np.abs(lam).max(axis=-1)
 
 
@@ -178,7 +188,7 @@ def _cm_recover(manifold, C, grid, omega_prev, jet=None, work=None):
 
 def _cm_speeds(manifold, omegas, grid, work=None):
     M, V = manifold.moment_frame_grams_batch(omegas, grid, work)
-    return _pencil_radius_batch(M, V)
+    return _pencil_radius_batch(M, V, work=work)
 
 
 def _cm_closure(manifold, model, grid, omegas, work=None):
@@ -220,11 +230,11 @@ def _cm_rhs(manifold, model, grid, mesh, C, omegas, speeds, work=None):
     source = 0.0 if targets is None else collision_rate(model) * (targets - C)
 
     # local Lax-Friedrichs interface fluxes, periodic wrap
-    C_r = np.roll(C, -1, axis=0)
-    F_r = np.roll(F, -1, axis=0)
-    a_iface = np.maximum(speeds, np.roll(speeds, -1))[:, None]
+    C_r = _shift(C, 1)
+    F_r = _shift(F, 1)
+    a_iface = np.maximum(speeds, _shift(speeds, 1))[:, None]
     F_half = 0.5 * (F + F_r) - 0.5 * a_iface * (C_r - C)
-    div = (F_half - np.roll(F_half, 1, axis=0)) / mesh.dx
+    div = (F_half - _shift(F_half, -1)) / mesh.dx
     return -div + source
 
 
@@ -238,16 +248,18 @@ def _generic_coefficients(manifold, model, grid, omegas, work=None):
         raise StepError(f"{exc} (parameters {omegas[i].tolist()})", cell=i) from exc
 
 
-def _generic_rhs(mesh, omegas, coef, speeds):
+def _generic_rhs(mesh, omegas, coef, speeds, work=None):
     """Central differences plus Rusanov-type dissipation, with the
-    coefficients ``coef`` assembled at ``omegas``."""
+    coefficients ``coef`` assembled at ``omegas``: A0^-1 (Q - A1 grad)
+    by substitution against the factor of A0 that the assembly's SPD
+    test kept (``coef.chol``), with ``work`` as work space."""
     dx = mesh.dx
-    grad = (np.roll(omegas, -1, axis=0) - np.roll(omegas, 1, axis=0)) / (2.0 * dx)
-    lap = (np.roll(omegas, -1, axis=0) - 2.0 * omegas + np.roll(omegas, 1, axis=0)) / dx
-    a_loc = np.maximum(np.maximum(speeds, np.roll(speeds, -1)), np.roll(speeds, 1))
+    right, left = _shift(omegas, 1), _shift(omegas, -1)
+    grad = (right - left) / (2.0 * dx)
+    lap = (right - 2.0 * omegas + left) / dx
+    a_loc = np.maximum(np.maximum(speeds, _shift(speeds, 1)), _shift(speeds, -1))
     b = coef.q - np.einsum("mkl,ml->mk", coef.a1, grad)
-    # A0 passed its Cholesky test in the assembly
-    return _solve_spd(coef.a0, b) + 0.5 * a_loc[:, None] * lap
+    return _solve_spd(coef.a0, b, coef.chol, work) + 0.5 * a_loc[:, None] * lap
 
 
 def _ssp_rk2(state, U, prev, cfl, dt_cap, closure, speeds_of, rhs):
@@ -298,8 +310,8 @@ def step(
         omegas, _, dt = _ssp_rk2(
             state, state.omegas, None, cfl, dt_cap,
             lambda w, _: _generic_coefficients(manifold, model, grid, w, work),
-            lambda coef: _pencil_radius_batch(coef.a0, coef.a1),
-            lambda w, coef, s: _generic_rhs(mesh, w, coef, s))
+            lambda coef: _pencil_radius_batch(coef.a0, coef.a1, coef.chol, work),
+            lambda w, coef, s: _generic_rhs(mesh, w, coef, s, work))
         C = jet = None
     return ReducedState(manifold, grid, mesh, state.time + dt, omegas, C, jet)
 

@@ -372,9 +372,11 @@ def _chart_yong_inputs(manifold, model, grid, rho, u, theta):
     basis = _jet(manifold, omega, grid)[1]
     mu = _metric(manifold, omega, grid)
     a0, a1 = (_symmetrize(g)[0] for g in _grams(basis, mu, grid.nodes))
-    # a0^-1 times the columns of a1 and of the weighted basis rows
-    a1 = _solve_spd(a0, a1.T).T
-    D = _solve_spd(a0, (basis[0] * mu[0]).T).T
+    # a0^-1 times the columns of a1 and of the weighted basis rows, both
+    # against one factor of a0
+    chol = _cholesky(a0)
+    a1 = _solve_spd(a0, a1.T, chol).T
+    D = _solve_spd(a0, (basis[0] * mu[0]).T, chol).T
     DT, Dm = _target_linearization(model, rho, u, theta, grid)
     qu = _source_jacobian(model, DT, Dm, D, basis[0].T)
     return a0, a1, qu, manifold.equilibrium_tangent()
@@ -438,7 +440,8 @@ def propagation_speed_audit(sample: AuditSample, bound: float | None = None) -> 
     explicit ``bound`` below the attainable radius exercises the failure
     path.  The speeds are the ones the solver takes: the monomial-frame
     pencil for ConservativeMoment, the chart pencil of the symmetrized
-    (A0, A1) otherwise, after ``coefficients_batch``'s Cholesky test."""
+    (A0, A1) otherwise, against the factor of ``coefficients_batch``'s
+    Cholesky test."""
     manifold, grid = sample.manifold, sample.grid
     worst = 0.0
     if isinstance(manifold, ConservativeMoment):
@@ -447,8 +450,8 @@ def propagation_speed_audit(sample: AuditSample, bound: float | None = None) -> 
     else:
         for raw in sample.raw_grams:
             a0, a1 = (_symmetrize(g) for g in raw)
-            _by_row(_cholesky, a0)
-            worst = max(worst, float(_pencil_radius_batch(a0, a1).max()))
+            chol = _by_row(_cholesky, a0)
+            worst = max(worst, float(_pencil_radius_batch(a0, a1, chol).max()))
     bound = float(grid.half_width if bound is None else bound)
     return SpeedAuditReport(
         samples=sample.samples,

@@ -40,9 +40,9 @@ from kinreduce.ansatz import (
     recover_batch,
 )
 from kinreduce.kinetic import _target_batch
-from kinreduce.projection import coefficients_batch
+from kinreduce.projection import _solve_spd, coefficients_batch
 from kinreduce.quadrature import moments
-from kinreduce.reduced_solver import _cm_closure
+from kinreduce.reduced_solver import _cm_closure, _pencil_radius_batch
 from kinreduce.workspace import WorkArrays
 
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -846,6 +846,23 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+def test_hankel_is_the_sliding_window_view(shift):
+    """``_hankel`` is the read-only view of numpy's sliding window, with
+    its strides, of contiguous and of rows-last sums; too few sums for
+    the matrices raise."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    rows_first = np.arange(60.0).reshape(5, 12)
+    for powers in (rows_first, np.ascontiguousarray(rows_first.T).T):
+        want = sliding_window_view(powers[:, shift:], 5, axis=1)[:, :5]
+        got = ansatz._hankel(powers, 5, shift)
+        assert got.strides == want.strides and np.array_equal(got, want)
+        assert np.shares_memory(got, powers) and not got.flags.writeable
+    with pytest.raises(ParameterError, match="need 13 sums"):
+        ansatz._hankel(rows_first, 7, shift)
+
+
 def loop_gauss_power_sums(u, theta, grid, top):
     """Reference: the node pass of ``ansatz._frame_power_sums`` in the
     identity frame, one power at a time, each a new array: the Gaussian
@@ -1112,10 +1129,11 @@ class TestBatchInvariance:
     def test_a_row_does_not_depend_on_its_batch(self, data, grid):
         """A row of the power sums, of the moment jet, of the recovery, of
         the velocity integrals, of the collision targets, of the CM
-        closure flux and target moments and of HermitePerturbation's
-        A0, A1 and Q has the same bits alone, in a batch and permuted.  The temperatures lie on
-        both sides of sqrt(theta) = 2h, where the power sums change
-        kernel."""
+        closure flux and target moments, of HermitePerturbation's A0, A1
+        and Q, of the solves against A0 and of the pencil speeds of both
+        manifolds has the same bits alone, in a batch and permuted.  The
+        temperatures lie on both sides of sqrt(theta) = 2h, where the
+        power sums change kernel."""
         cm = ConservativeMoment(2)
         two_h = 4.0 * grid.half_width / grid.cells
         n = data.draw(st.integers(2, 6))
@@ -1148,6 +1166,7 @@ class TestBatchInvariance:
         he = ansatz.hermite_polynomials(4, (grid.nodes - u[:, None]) / np.sqrt(theta)[:, None])
         hp_omega[:, 3] = 0.2 * b1 / np.abs(he[3]).max(axis=1)
         hp_omega[:, 4] = 0.2 * b2 / np.abs(he[4]).max(axis=1)
+        hp_coef = coefficients_batch(hp, hp_omega, shakhov, grid)
 
         def solve(rows):
             try:
@@ -1166,6 +1185,9 @@ class TestBatchInvariance:
                           _target_batch(shakhov, profiles[rows], grid)),
             lambda rows: _cm_closure(cm, shakhov, grid, warm[rows]),
             lambda rows: dataclasses.astuple(coefficients_batch(hp, hp_omega[rows], shakhov, grid)),
+            lambda rows: (_solve_spd(hp_coef.a0[rows], hp_coef.q[rows]),),
+            lambda rows: (_pencil_radius_batch(hp_coef.a0[rows], hp_coef.a1[rows]),),
+            lambda rows: (_pencil_radius_batch(*cm.moment_frame_grams_batch(warm[rows], grid)),),
         ]
         for kernel in kernels:
             whole = kernel(np.arange(n))

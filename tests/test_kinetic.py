@@ -17,6 +17,7 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce.kinetic import (
+    _shift,
     _target_batch,
     _target_of_moments,
     collision_profile,
@@ -101,6 +102,18 @@ class TestDistributionField:
         with pytest.raises(RealizabilityError, match="negative values in cell 2") as info:
             DistributionField(vals, grid, mesh)
         assert info.value.row == 2
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5])
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+def test_periodic_shift_is_the_roll(cells, k):
+    """``_shift`` moves the same numbers as ``np.roll``, for cell rows
+    of vectors and of scalars, signed zeros and NaNs included."""
+    rows = np.arange(3.0 * cells).reshape(cells, 3) - 2.0
+    rows[0, 0], rows[-1, -1] = -0.0, np.nan
+    for a in (rows, rows[:, 0].copy()):
+        got, want = _shift(a, k), np.roll(a, -k, axis=0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMaxwellian:

@@ -18,6 +18,7 @@ from kinreduce import (
     truncated_rule,
 )
 from kinreduce.ansatz import _dips_negative
+from kinreduce.config import parse_config
 from kinreduce.kinetic import _collision_rows, collision_rate, moments_of_profile
 from kinreduce.projection import (
     _asymmetry,
@@ -27,10 +28,13 @@ from kinreduce.projection import (
     _project,
     _projection_frame,
     _raw_grams,
+    _rows_last,
     _solve_spd,
+    _substitute,
     coefficients_batch,
     residual_batch,
 )
+from kinreduce.reduced_solver import initial_state, step
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 MANIFOLDS = [ConservativeMoment(2), HermitePerturbation(3), EntropyClosure(4)]
@@ -217,11 +221,115 @@ class TestResidual:
         assert np.abs(r).max() <= 1e-12
 
 
+def workload_stacks():
+    """The SPD stacks the benchmark's three workloads factor, at t = 0
+    and after three steps: A0 of hermite4_generic's cells and the
+    moment-frame Grams M of cm2_bgk_sine's and cm4_shakhov_mix's, with
+    A1 and V, the other half of each pencil."""
+    base = {"collision": {"kind": "bgk", "tau": 0.1},
+            "velocity_grid": {"half_width": 9.0, "cells": 64},
+            "initial_condition": {"preset": "sine-density", "rho0": 1.0, "amplitude": 0.2,
+                                  "u": 0.0, "theta": 1.0},
+            "time": {"final": 0.05, "cfl": 0.45, "output_interval": 0.005}}
+    docs = [dict(base, manifold={"kind": "conservative_moment", "size": 2},
+                 spatial_mesh={"cells": 200, "length": 1.0}),
+            dict(base, manifold={"kind": "hermite_perturbation", "size": 4},
+                 spatial_mesh={"cells": 100, "length": 1.0}),
+            {"manifold": {"kind": "conservative_moment", "size": 4},
+             "collision": {"kind": "shakhov", "tau": 0.2, "prandtl": 2.0 / 3.0},
+             "velocity_grid": {"half_width": 10.0, "cells": 128},
+             "spatial_mesh": {"cells": 16, "length": 1.0},
+             "initial_condition": {"preset": "two-maxwellian-mix", "rho1": 0.7, "u1": -0.6,
+                                   "theta1": 0.6, "rho2": 0.3, "u2": 1.4, "theta2": 0.5},
+             "time": {"final": 0.3, "cfl": 0.45, "output_interval": 0.05}}]
+    stacks = []
+    for doc in docs:
+        cfg = parse_config(doc)
+        manifold, grid = cfg.manifold(), cfg.grid()
+        state = initial_state(manifold, cfg.initial_field())
+        for steps in (0, 3):
+            for _ in range(steps):
+                state = step(state, cfg.model(), cfg.cfl)
+            if isinstance(manifold, ConservativeMoment):
+                stacks.append(manifold.moment_frame_grams_batch(state.omegas, grid))
+            else:
+                coef = coefficients_batch(manifold, state.omegas, None, grid)
+                stacks.append((coef.a0, coef.a1))
+    return stacks
+
+
+def random_spd(rng, m, d, cond):
+    """m SPD matrices d x d with eigenvalues in [1 / cond, 1], both ends
+    taken."""
+    q = np.linalg.qr(rng.standard_normal((m, d, d)))[0]
+    ev = cond ** -rng.uniform(0.0, 1.0, (m, d))
+    ev[:, :2] = 1.0, 1.0 / cond
+    a = (q * ev[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    """Each row within ``rtol`` of its largest entry in ``want``."""
+    scale = np.abs(want).reshape(len(want), -1).max(axis=1)
+    assert np.all(np.abs(got - want).reshape(len(want), -1).max(axis=1) <= rtol * scale)
+
+
 class TestSolveSpd:
     def test_indefinite_gram_is_degenerate_chart(self):
         with pytest.raises(DegenerateChartError, match="not SPD") as info:
             _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
         assert "regularize" not in str(info.value)
+
+    def check_against_lapack(self, a, v, rng):
+        """Both triangular solves, A's solve and the pencil's Z = L^-1
+        (L^-1 V)^T against np.linalg.solve on the same factor L, to 1e-12
+        of each row's solution."""
+        chol = np.linalg.cholesky(a)
+        lt = np.swapaxes(chol, 1, 2)
+        b = rng.standard_normal(a.shape[:2])
+        y = np.linalg.solve(chol, b[..., None])[..., 0]
+        x = np.linalg.solve(lt, y[..., None])[..., 0]
+        L = _rows_last(chol, None, "")
+        assert_rows_close(_substitute(L, b.T[:, None, :].copy())[:, 0].T, y)
+        assert_rows_close(_substitute(L, y.T[:, None, :].copy(), upper=True)[:, 0].T, x)
+        got = _solve_spd(a, b)
+        assert_rows_close(got, x)
+        assert np.array_equal(_solve_spd(a, b, chol), got)
+        z = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, v), 1, 2))
+        zt = _substitute(L, _substitute(L, _rows_last(v, None, "")).swapaxes(0, 1))
+        assert_rows_close(np.moveaxis(zt, -1, 0), np.swapaxes(z, 1, 2))
+
+    def test_the_workloads_stacks_match_lapack(self, rng):
+        for a, v in workload_stacks():
+            self.check_against_lapack(a, v, rng)
+
+    @pytest.mark.parametrize("m", [1, 16, 200])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_random_stacks_match_lapack(self, d, m):
+        rng = np.random.default_rng(10 * d + m)
+        v = rng.standard_normal((m, d, d))
+        self.check_against_lapack(random_spd(rng, m, d, 1e6), v + np.swapaxes(v, 1, 2), rng)
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        """One matrix solves as the stack of one holding it, to the bit,
+        and takes a stack of right-hand sides as one solve each."""
+        rng = np.random.default_rng(4)
+        a = random_spd(rng, 1, 6, 1e4)
+        b = rng.standard_normal((5, 6))
+        got = _solve_spd(a[0], b[0])
+        assert got.shape == (6,)
+        assert np.array_equal(got, _solve_spd(a, b[:1])[0])
+        many = _solve_spd(a[0], b)
+        assert many.shape == (5, 6)
+        assert_rows_close(many, np.linalg.solve(a[0], b.T).T)
+        assert all(np.array_equal(many[i], _solve_spd(a[0], b[i])) for i in range(5))
+
+    def test_the_assembly_keeps_its_factor(self, wide_grid, rng, bgk):
+        hp = HermitePerturbation(4)
+        omegas = hp.sample_batch(rng, wide_grid, 7)
+        coef = coefficients_batch(hp, omegas, bgk, wide_grid)
+        assert np.array_equal(coef.chol, np.linalg.cholesky(coef.a0))
+        assert coefficients_batch(hp, omegas, bgk, wide_grid, check_spd=False).chol is None
 
 
 MODELS = [

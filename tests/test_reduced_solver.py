@@ -475,6 +475,24 @@ class TestClosedFormRhs:
             state = step(state, cfg.model(), cfg.cfl)
         assert state.time > 0.0
 
+    def test_an_hp_step_factors_a0_once_per_assembly(self, monkeypatch):
+        """Three steps of the hermite4_generic scenario factor A0 once per
+        assembly, two Cholesky factorizations a step: the speeds and the
+        rhs solves substitute against the factor of the assembly's SPD
+        test, and nothing calls np.linalg.solve."""
+        cfg = parse_config(hermite4_scenario())
+        state = initial_state(cfg.manifold(), cfg.initial_field())
+        calls = {"cholesky": 0, "solve": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        work = WorkArrays()
+        for _ in range(3):
+            state = step(state, cfg.model(), cfg.cfl, work=work)
+        assert calls == {"cholesky": 6, "solve": 0}
+
     def test_an_hp_run_evaluates_f_once_per_record(self, monkeypatch):
         """A run of the hermite4_generic scenario evaluates f on the nodes
         once in ``initial_state`` (the projection's sign rule) and once
